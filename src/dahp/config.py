@@ -176,6 +176,9 @@ def validate_config(config: ExperimentConfig) -> None:
     for value in config.renewable.capacity_grid:
         if not isinstance(value, (int, float)) or value < 0:
             raise ConfigError("'renewable.capacity_grid' entries must be nonnegative numbers")
+    cost = config.renewable.marginal_cost
+    if not (isinstance(cost, (int, float)) and np.isfinite(cost) and cost >= 0):
+        raise ConfigError("'renewable.marginal_cost' must be a finite nonnegative number")
     if not (isinstance(config.benchmarks.points, int) and config.benchmarks.points >= 2):
         raise ConfigError("'benchmarks.points' must be an integer >= 2")
 

@@ -82,7 +82,7 @@ def _build_workspace(config: ExperimentConfig) -> _Workspace:
     weather_days = _load_days(config.weather, "weather")
     price_days = _load_days(config.wholesale, "price")
     weather = mean_day(weather_days)
-    cost = WholesaleCost(mean=mean_day(price_days), samples=np.array([d.values for d in price_days]))
+    cost = WholesaleCost(mean=mean_day(price_days))
     population = draw_population(config.consumers, config.seed)
     model = aggregate([build_consumer_model(p, weather) for p in population])
     return _Workspace(model=model, cost=cost, weather_days=weather_days, population=population)
@@ -140,7 +140,10 @@ def run_renewable(config: ExperimentConfig, out_dir: Path) -> list[str]:
     for eta in grid:
         for capacity in config.renewable.capacity_grid:
             renew = RenewableModel(capacity=float(capacity), marginal_cost=config.renewable.marginal_cost)
-            split = benefit_split(ws.model, ws.cost, renew, float(eta))
+            try:
+                split = benefit_split(ws.model, ws.cost, renew, float(eta))
+            except ValueError as exc:  # the cost must stay below wholesale
+                raise ConfigError(f"'renewable.marginal_cost' is invalid: {exc}") from exc
             rows.append([float(eta), float(capacity), split.delta_cs, split.delta_rp, split.fraction])
     _write_csv(out_dir / "renewable.csv", ["eta", "K", "delta_cs", "delta_rp", "fraction"], rows)
     return ["renewable.csv"]

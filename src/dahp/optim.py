@@ -1,5 +1,5 @@
-"""Numerical kernels: SPD solves, damped fixed points, bisection, a dense
-simplex LP solver, and coordinate pattern search.
+"""Numerical kernels: SPD solves, a dense simplex LP solver, and coordinate
+pattern search.
 
 Everything here is deterministic and dense; problem sizes in this package
 are tiny (24-hour horizons), so clarity wins over sparsity tricks.  All
@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .errors import IndefiniteMatrixError, InfeasibleConstraintError, NonConvergenceError
+from .errors import IndefiniteMatrixError
 
 # Central tolerance table.  Keys are referenced by tests as well as by the
 # solvers themselves; change values here, nowhere else.
@@ -21,7 +21,6 @@ TOLERANCES = {
     "spd_reconstruction": 1e-10,   # ||L L^T - A||_inf relative to ||A||_inf
     "spd_solve_residual": 1e-9,    # ||A x - rhs|| relative to ||rhs||
     "simplex_pivot": 1e-11,        # reduced-cost / pivot-element threshold
-    "fixed_point_residual": 1e-10, # ||map(x) - x||_inf at exit
     "surplus_floor_rtol": 1e-8,    # |cs - floor| <= rtol * max(1, |floor|)
     "plan_feasibility": 1e-9,      # battery plan constraint slack
 }
@@ -72,65 +71,6 @@ def spd_solve(factorization: SpdFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve ``matrix @ x = rhs`` using a cached Cholesky factor."""
     y = scipy.linalg.solve_triangular(factorization.lower, rhs, lower=True)
     return scipy.linalg.solve_triangular(factorization.lower.T, y, lower=False)
-
-
-# ---------------------------------------------------------------------------
-# damped fixed-point iteration and scalar bisection
-# ---------------------------------------------------------------------------
-
-def fixed_point(
-    map_fn: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    damping: float = 0.5,
-    tol: float = TOLERANCES["fixed_point_residual"],
-    max_iter: int = 10_000,
-) -> np.ndarray:
-    """Iterate ``x <- x + damping * (map(x) - x)`` until the residual
-    ``||map(x) - x||_inf`` drops below ``tol``.
-
-    Raises ``NonConvergenceError`` (carrying the last residual) after
-    ``max_iter`` iterations.
-    """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError(f"damping must lie in (0, 1], got {damping}")
-    x = np.asarray(x0, dtype=float).copy()
-    residual = np.inf
-    for _ in range(max_iter):
-        mapped = np.asarray(map_fn(x), dtype=float)
-        residual = float(np.abs(mapped - x).max())
-        if residual <= tol:
-            return x
-        x = x + damping * (mapped - x)
-    raise NonConvergenceError(
-        f"fixed point not reached in {max_iter} iterations (residual {residual:.3e})",
-        residual=residual,
-    )
-
-
-def bisect_increasing(
-    fn: Callable[[float], float],
-    lo: float,
-    hi: float,
-    target: float,
-    max_iter: int = 200,
-    xtol: float = 1e-13,
-) -> float:
-    """Find ``x`` with ``fn(x) = target`` for a continuous increasing ``fn``.
-
-    Assumes ``fn(lo) <= target <= fn(hi)``.  Bisects until the bracketing
-    interval is below ``xtol`` (well past the caller's value tolerance for
-    smooth functions) or ``max_iter`` is exhausted.
-    """
-    a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        if b - a <= xtol:
-            break
-        mid = 0.5 * (a + b)
-        if fn(mid) < target:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
 
 
 # ---------------------------------------------------------------------------

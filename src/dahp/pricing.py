@@ -23,17 +23,16 @@ import numpy as np
 
 from .demand import AffineDemandModel, ConsumerDemandModel, as_prices
 from .errors import InfeasibleConstraintError
-from .optim import TOLERANCES, bisect_increasing
+from .optim import TOLERANCES
 
 BENCHMARK_SCHEMES = ("cp", "tou", "pmp")
 
 
 @dataclass(eq=False)
 class WholesaleCost:
-    """Expected hourly wholesale price, optionally with scenario samples."""
+    """Expected hourly wholesale price."""
 
     mean: np.ndarray
-    samples: np.ndarray | None = None
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -41,10 +40,6 @@ class WholesaleCost:
             raise ValueError("wholesale mean must be a finite vector")
         if np.any(self.mean <= 0.0):
             raise ValueError("wholesale mean prices must be positive")
-        if self.samples is not None:
-            self.samples = np.atleast_2d(np.asarray(self.samples, dtype=float))
-            if self.samples.shape[1] != self.mean.size:
-                raise ValueError("wholesale samples must match the horizon")
 
     @property
     def horizon(self) -> int:
@@ -131,6 +126,12 @@ def _front_geometry(model: AffineDemandModel, cost: WholesaleCost) -> tuple[floa
     return q, k
 
 
+def _eta_at_cs(q: float, k: float, cs_value: float) -> float:
+    """Weight whose optimal tariff has surplus ``cs_value``: the inverse of
+    ``cs*(eta) = q / (2 (2 - eta)^2) + k``."""
+    return 2.0 - math.sqrt(q / (2.0 * (cs_value - k)))
+
+
 def profit_upper_bound(model: AffineDemandModel, cost: WholesaleCost, cs_value: float) -> float:
     """Largest expected profit achievable while keeping ``cs >= cs_value``.
 
@@ -144,7 +145,7 @@ def profit_upper_bound(model: AffineDemandModel, cost: WholesaleCost, cs_value: 
     cs_greedy = q / 8.0 + k
     if cs_value <= cs_greedy:
         return q / 4.0
-    eta = 2.0 - math.sqrt(q / (2.0 * (cs_value - k)))
+    eta = _eta_at_cs(q, k, cs_value)
     return q * (1.0 - eta) / (2.0 - eta) ** 2
 
 
@@ -154,7 +155,7 @@ def constrained_optimal_price(
     """Maximize profit subject to ``cs >= cs_floor``.
 
     Equivalent to picking the weight whose optimal tariff meets the floor,
-    so the solve is a monotone bisection over ``eta``.  Returns
+    which the front geometry gives in closed form.  Returns
     ``(price, cs, rp)``.  Floors above the maximum achievable surplus raise
     ``InfeasibleConstraintError`` naming that maximum.
     """
@@ -172,15 +173,11 @@ def constrained_optimal_price(
         )
     if floor >= point1.cs:
         return point1.price, point1.cs, point1.rp
-
-    def cs_at(eta: float) -> float:
-        return expected_cs(model, optimal_price(model, cost, eta))
-
-    eta = bisect_increasing(cs_at, 0.0, 1.0, floor)
-    point = tradeoff_point(model, cost, eta)
+    q, k = _front_geometry(model, cost)
+    point = tradeoff_point(model, cost, min(max(_eta_at_cs(q, k, floor), 0.0), 1.0))
     if abs(point.cs - floor) > TOLERANCES["surplus_floor_rtol"] * scale:
         raise InfeasibleConstraintError(
-            f"bisection left |cs - floor| = {abs(point.cs - floor):.3e} above tolerance"
+            f"closed-form weight left |cs - floor| = {abs(point.cs - floor):.3e} above tolerance"
         )
     return point.price, point.cs, point.rp
 

@@ -11,8 +11,10 @@ the expected shortfall cost, where for uniform availability
                   0             otherwise.
 
 The profit-optimal tariff solves a first-order condition that couples hours
-through the demand gain matrix; it is found by a damped fixed point on the
-optimal mean demand and one SPD solve back to prices.
+through the demand gain matrix.  The condition is piecewise affine in the
+optimal mean demand, so it is solved exactly by iterating on which hours sit
+below zero, inside (0, capacity) or at/above capacity (one linear solve per
+classification), then mapped back to prices with one SPD solve.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ import numpy as np
 
 from .demand import AffineDemandModel, as_prices
 from .errors import NonConvergenceError
-from .optim import fixed_point
 from .pricing import WholesaleCost, expected_cs, expected_rp, optimal_price, _check_eta
 
 
@@ -110,47 +111,80 @@ def optimal_price_renewable(
     """Tariff maximizing renewable-aware profit plus ``eta`` times surplus.
 
     The first-order condition, written in terms of the induced mean demand
-    ``d``, is a fixed point of
+    ``d``, reads
 
-        d = (b - G nu - G ((lambda - nu) * F(d))) / (2 - eta)
+        (2 - eta) d = b - G nu - G ((lambda - nu) * F(d))
 
-    with ``F`` the uniform availability cdf clipped to [0, 1].  It is solved
-    by damped iteration from the no-renewable optimal demand; when capacity
-    does not exceed the lowest optimal demand the iteration fixes
-    immediately and the tariff equals the no-renewable one.
-
-    The map's slope scales with ``gain * wholesale / capacity``, so a stiff
-    demand model against a small plant can defeat the default damping of
-    0.5; on non-convergence the damping is halved (with proportionally more
-    iterations) and the solve restarted.  The fixed point itself is unique,
-    so the damping schedule never changes the answer, only whether it is
-    reached.
+    with ``F`` the uniform availability cdf clipped to [0, 1].  Once every
+    hour is classified as below zero, inside (0, capacity) or at/above
+    capacity, ``F`` is affine and the condition is one linear system.  The
+    solve starts from the no-renewable optimal demand and solves the system
+    of its classification; it stops when the solution keeps that
+    classification (a semismooth Newton iteration on a piecewise-affine
+    equation).  Otherwise it moves along the step only as far as the
+    objective, concave and piecewise quadratic in ``d``, keeps rising, and
+    reclassifies: full steps alone can jump hours back and forth across a
+    narrow (0, capacity) band forever.  When capacity does not exceed the
+    lowest optimal demand the start is already exact and the tariff equals
+    the no-renewable one.
     """
     _check_eta(eta)
     if renew.capacity == 0.0:
         return optimal_price(model, cost, eta)
     nu = _check_renewable(model, cost, renew)
     margin = cost.mean - nu
-    base = model.intercept_mean - model.gain @ nu
     start = (model.intercept_mean - model.gain @ cost.mean) / (2.0 - eta)
 
-    def foc_map(d: np.ndarray) -> np.ndarray:
-        availability = np.clip(d / renew.capacity, 0.0, 1.0)
-        return (base - model.gain @ (margin * availability)) / (2.0 - eta)
+    def availability(d: np.ndarray) -> np.ndarray:
+        return np.clip(d / renew.capacity, 0.0, 1.0)
 
-    damping = 0.5
-    for attempt in range(8):
-        try:
-            demand = fixed_point(
-                foc_map, start, damping=damping, tol=5e-11,
-                max_iter=max(10_000, int(40.0 / damping)),
-            )
-            break
-        except NonConvergenceError:
-            if attempt == 7:
-                raise
-            damping *= 0.5
-    return model.solve(model.intercept_mean - demand)
+    def foc_residual(d: np.ndarray) -> np.ndarray:
+        # the condition minus its value at ``start``, where F = 1 throughout;
+        # G^-1 times this is the gradient of the negated objective in ``d``
+        return (2.0 - eta) * (d - start) - model.gain @ (margin * (1.0 - availability(d)))
+
+    def regime(d: np.ndarray) -> np.ndarray:
+        # 0 below zero, 1 inside [0, capacity), 2 at or above capacity;
+        # F is continuous, so a point on a kink is exact in either regime
+        return np.digitize(d, (0.0, renew.capacity))
+
+    def step_length(d: np.ndarray, step: np.ndarray, residual: np.ndarray) -> float:
+        # the t in (0, 1] maximizing the objective along ``step``; the slope
+        # of its negation is increasing and piecewise linear in t, kinked
+        # where an hour crosses zero or capacity
+        direction = model.solve(step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kinks = np.concatenate([-d / step, (renew.capacity - d) / step])
+        ts = np.concatenate([[0.0], np.sort(kinks[(kinks > 0.0) & (kinks < 1.0)]), [1.0]])
+        slopes = (
+            direction @ residual + ts * (2.0 - eta) * (direction @ step)
+            + (availability(d + ts[:, None] * step) - availability(d)) @ (margin * step)
+        )
+        up = int(np.argmax(slopes >= 0.0))
+        if up == 0:  # still rising at t = 1 (slopes[0] < 0 unless rounding)
+            return 1.0
+        t0, s0 = ts[up - 1], slopes[up - 1]
+        return float(t0 - s0 * (ts[up] - t0) / (slopes[up] - s0))
+
+    demand, hours = start, regime(start)
+    # a step that is not confirmed moves at least one hour across a kink;
+    # room for every hour to cross both kinks bounds the work
+    max_solves = 2 * model.horizon + 1
+    for _ in range(max_solves):
+        slope = margin * (hours == 1) / renew.capacity
+        jacobian = (2.0 - eta) * np.eye(model.horizon) + model.gain * slope
+        residual = foc_residual(demand)
+        step = -np.linalg.solve(jacobian, residual)
+        if np.array_equal(regime(demand + step), hours):
+            return model.solve(model.intercept_mean - (demand + step))
+        demand = demand + step_length(demand, step, residual) * step
+        hours = regime(demand)
+    residual = float(np.abs(foc_residual(demand)).max())
+    raise NonConvergenceError(
+        f"no consistent demand regime after {max_solves} linear solves "
+        f"(first-order residual {residual:.3e})",
+        residual=residual,
+    )
 
 
 def benefit_split(

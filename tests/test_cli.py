@@ -146,6 +146,22 @@ def test_numerical_error_exit_4(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "numerical"
 
 
+@pytest.mark.parametrize("marginal_cost", [-0.1, 1e6])
+def test_invalid_marginal_cost_exit_2(tiny_config, tmp_path, capsys, marginal_cost):
+    # negative is rejected up front; at or above wholesale fails in the solve
+    tiny_config.write_text(TINY.replace(
+        "  capacity_grid: [5.0, 50.0]\n",
+        f"  capacity_grid: [5.0, 50.0]\n  marginal_cost: {marginal_cost}\n",
+    ))
+    code, stdout, stderr = _run(
+        ["renewable", "--config", str(tiny_config), "--out", str(tmp_path / "o")], capsys
+    )
+    assert code == 2 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "config"
+    assert "renewable.marginal_cost" in record["message"]
+
+
 def test_seed_override_applies(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code, *_ = _run(

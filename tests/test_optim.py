@@ -2,12 +2,10 @@
 import numpy as np
 import pytest
 
-from dahp.errors import IndefiniteMatrixError, NonConvergenceError
+from dahp.errors import IndefiniteMatrixError
 from dahp.optim import (
     TOLERANCES,
     LpProblem,
-    bisect_increasing,
-    fixed_point,
     pattern_search,
     simplex_solve,
     spd_factor,
@@ -55,38 +53,6 @@ def test_spd_factor_rejects_asymmetric():
 def test_spd_factor_rejects_nonsquare():
     with pytest.raises(IndefiniteMatrixError):
         spd_factor(np.ones((2, 3)))
-
-
-# ---------------------------------------------------------------------------
-# fixed point and bisection
-# ---------------------------------------------------------------------------
-
-def test_fixed_point_identity_map_returns_start():
-    x0 = np.array([1.0, 2.0])
-    assert np.array_equal(fixed_point(lambda x: x, x0), x0)
-
-
-def test_fixed_point_linear_contraction():
-    c = np.array([3.0, -1.0, 0.5])
-    x = fixed_point(lambda x: 0.5 * (x + c), np.zeros(3), damping=1.0, tol=1e-12)
-    assert np.allclose(x, c, atol=1e-10)
-
-
-def test_fixed_point_nonconvergence_carries_residual():
-    with pytest.raises(NonConvergenceError) as info:
-        fixed_point(lambda x: x + 1.0, np.zeros(2), max_iter=50)
-    assert info.value.residual is not None and info.value.residual > 0
-
-
-def test_fixed_point_rejects_bad_damping():
-    with pytest.raises(ValueError):
-        fixed_point(lambda x: x, np.zeros(1), damping=0.0)
-
-
-def test_bisect_increasing_recovers_root():
-    for target in (0.0, 0.3, -1.2):
-        x = bisect_increasing(lambda v: v**3, -2.0, 2.0, target)
-        assert abs(x**3 - target) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,8 @@ def test_wholesale_cost_validation():
         WholesaleCost(mean=np.array([0.1, -0.2]))
     with pytest.raises(ValueError):
         WholesaleCost(mean=np.array([0.1, np.inf]))
-    cost = WholesaleCost(mean=np.array([0.1, 0.2]), samples=np.ones((3, 2)))
+    cost = WholesaleCost(mean=np.array([0.1, 0.2]))
     assert cost.horizon == 2
-    with pytest.raises(ValueError):
-        WholesaleCost(mean=np.array([0.1, 0.2]), samples=np.ones((3, 5)))
 
 
 def test_tradeoff_point_sw_identity():

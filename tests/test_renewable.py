@@ -1,10 +1,12 @@
 """Tests for renewable-aware profit, pricing, and the benefit split."""
 import numpy as np
 import pytest
+import scipy.optimize
 
 import helpers
 import oracles
 from dahp import (
+    AffineDemandModel,
     RenewableModel,
     WholesaleCost,
     aggregate,
@@ -158,6 +160,67 @@ def test_stiff_model_with_small_plant_still_converges():
         mapped = (model.intercept_mean - model.gain @ (cost.mean * availability)) / (2.0 - eta)
         assert np.max(np.abs(mapped - demand)) <= 1e-9
         assert 0.0 < demand[0] < renew.capacity  # genuinely in the kinked region
+
+
+def _replicated(model: AffineDemandModel, copies: float) -> AffineDemandModel:
+    """The population repeated ``copies`` times: demands scale, prices do not."""
+    return AffineDemandModel(
+        gain=copies * model.gain,
+        intercept_mean=copies * model.intercept_mean,
+        intercept_cov=copies * model.intercept_cov,
+        cs_constant=copies * model.cs_constant,
+    )
+
+
+def _assert_exact_and_optimal(model, cost, renew, eta):
+    """The tariff solves the first-order condition to float resolution, and
+    a quasi-Newton optimum of the weighted objective (the independent
+    oracle) does no better."""
+    pi = optimal_price_renewable(model, cost, renew, eta)
+    nu = renew.cost_vector(model.horizon)
+    demand = model.intercept_mean - model.gain @ pi  # some hours may be priced out
+    availability = np.clip(demand / renew.capacity, 0.0, 1.0)
+    mapped = (model.intercept_mean - model.gain @ (nu + (cost.mean - nu) * availability)) / (2.0 - eta)
+    assert np.max(np.abs(mapped - demand)) <= 1e-12 * np.max(np.abs(demand))
+
+    def negated(p):
+        return -(expected_rp_renewable(model, p, cost, renew) + eta * expected_cs(model, p))
+
+    def negated_gradient(p):
+        d = model.intercept_mean - model.gain @ p
+        unit_cost = nu + (cost.mean - nu) * np.clip(d / renew.capacity, 0.0, 1.0)
+        return -((1.0 - eta) * d - model.gain @ (p - unit_cost))
+
+    start = optimal_price(model, cost, eta)
+    reference = scipy.optimize.minimize(negated, start, jac=negated_gradient, method="BFGS")
+    assert -negated(pi) >= -reference.fun - 1e-9 * abs(reference.fun)
+
+
+def test_large_populations_match_scipy_optimum():
+    # demands of 1e3-1e5 kW, where an absolute solver tolerance would fall
+    # below float resolution
+    rng = np.random.default_rng(103)
+    base, cost = helpers.random_model(rng)
+    for copies in (1e3, 1e4, 1e5):
+        model = _replicated(base, copies)
+        for eta in (0.0, 0.5, 0.9):
+            mean_d = float(mean_demand(model, optimal_price(model, cost, eta)).mean())
+            for multiple in (0.5, 1.0, 3.0):
+                _assert_exact_and_optimal(model, cost, RenewableModel(capacity=multiple * mean_d), eta)
+
+
+def test_small_plant_with_unserved_hours_converges():
+    # a plant a few per cent of mean demand, with some hours priced out:
+    # undamped regime steps jump hours between "unserved" and "saturated"
+    # and never settle, so the solve must shorten those steps
+    for seed in (1, 3, 11):
+        model, cost = helpers.random_model(np.random.default_rng(seed))
+        for eta in (0.0, 0.5):
+            demand = model.intercept_mean - model.gain @ optimal_price(model, cost, eta)
+            assert demand.min() < 0.0
+            for multiple in (0.02, 0.05, 0.1):
+                renew = RenewableModel(capacity=multiple * float(demand.mean()), marginal_cost=0.02)
+                _assert_exact_and_optimal(model, cost, renew, eta)
 
 
 def test_price_optimality_against_local_perturbations():
