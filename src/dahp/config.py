@@ -174,13 +174,21 @@ def validate_config(config: ExperimentConfig) -> None:
     if not config.renewable.capacity_grid:
         raise ConfigError("'renewable.capacity_grid' must be nonempty")
     for value in config.renewable.capacity_grid:
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ConfigError("'renewable.capacity_grid' entries must be nonnegative numbers")
+        if not (isinstance(value, (int, float)) and np.isfinite(value) and value >= 0):
+            raise ConfigError("'renewable.capacity_grid' entries must be finite nonnegative numbers")
     cost = config.renewable.marginal_cost
     if not (isinstance(cost, (int, float)) and np.isfinite(cost) and cost >= 0):
         raise ConfigError("'renewable.marginal_cost' must be a finite nonnegative number")
     if not (isinstance(config.benchmarks.points, int) and config.benchmarks.points >= 2):
         raise ConfigError("'benchmarks.points' must be an integer >= 2")
+    if not (_is_int(config.storage.max_evals) and config.storage.max_evals >= 1):
+        raise ConfigError("'storage.max_evals' must be an integer >= 1")
+    if not (_is_int(config.storage.count) and config.storage.count >= 0):
+        raise ConfigError("'storage.count' must be a nonnegative integer")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def resolve_eta_grid(value: Any, path: str = "eta_grid") -> np.ndarray:

@@ -3,7 +3,8 @@
 Each command builds the population demand model from the configured
 consumers and data, runs one study, and writes schema-stable CSV files plus
 a ``manifest.json`` recording the config hash, package and library
-versions, and wall time.  Float cells are formatted to four decimals;
+versions, wall time, and the deterministic solver counters of the run
+(``counters``; per-eta search counters for ``storage``).  Float cells are formatted to four decimals;
 rerunning a command with the same config and seed reproduces the CSV bytes
 exactly (the manifest's wall time is the one intentionally volatile field).
 """
@@ -33,7 +34,7 @@ from .errors import ConfigError
 from .pricing import WholesaleCost, benchmark_trace, optimal_price, pareto_front
 from .renewable import RenewableModel, benefit_split
 from .simulate import baseline_thermostat, simulate_day
-from .storage import arbitrage, optimize_price_with_storage
+from .storage import optimize_price_with_storage
 from .timeseries import HourlySeries, load_series, mean_day, synthetic_weather, synthetic_wholesale
 
 COMMANDS = ("pareto", "benchmarks", "renewable", "storage", "simulate")
@@ -88,13 +89,13 @@ def _build_workspace(config: ExperimentConfig) -> _Workspace:
     return _Workspace(model=model, cost=cost, weather_days=weather_days, population=population)
 
 
-def run_pareto(config: ExperimentConfig, out_dir: Path) -> list[str]:
+def run_pareto(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
     ws = _build_workspace(config)
     grid = resolve_eta_grid(config.eta_grid)
     points = pareto_front(ws.model, ws.cost, grid)
     rows = [[p.eta, p.cs, p.rp, p.sw, *p.price] for p in points]
     _write_csv(out_dir / "tradeoff.csv", ["eta", "cs", "rp", "sw", *_PRICE_COLUMNS], rows)
-    return ["tradeoff.csv"]
+    return ["tradeoff.csv"], {}
 
 
 def _default_sweeps(ws: _Workspace, points: int) -> dict[str, np.ndarray]:
@@ -112,7 +113,7 @@ def _default_sweeps(ws: _Workspace, points: int) -> dict[str, np.ndarray]:
     }
 
 
-def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> list[str]:
+def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
     ws = _build_workspace(config)
     spec = config.benchmarks
     files = []
@@ -130,10 +131,10 @@ def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> list[str]:
         name = f"benchmark_{scheme}.csv"
         _write_csv(out_dir / name, ["param", "cs", "rp"], [[p.eta, p.cs, p.rp] for p in trace])
         files.append(name)
-    return files
+    return files, {}
 
 
-def run_renewable(config: ExperimentConfig, out_dir: Path) -> list[str]:
+def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
     ws = _build_workspace(config)
     grid = resolve_eta_grid(config.eta_grid)
     rows = []
@@ -146,28 +147,37 @@ def run_renewable(config: ExperimentConfig, out_dir: Path) -> list[str]:
                 raise ConfigError(f"'renewable.marginal_cost' is invalid: {exc}") from exc
             rows.append([float(eta), float(capacity), split.delta_cs, split.delta_rp, split.fraction])
     _write_csv(out_dir / "renewable.csv", ["eta", "K", "delta_cs", "delta_rp", "fraction"], rows)
-    return ["renewable.csv"]
+    return ["renewable.csv"], {}
 
 
-def run_storage(config: ExperimentConfig, out_dir: Path) -> list[str]:
+def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
     ws = _build_workspace(config)
     batteries = batteries_from_spec(config.storage)
     rows = []
+    searches = []
     for eta in resolve_eta_grid(config.storage.eta_grid, "storage.eta_grid"):
         result = optimize_price_with_storage(
             ws.model, ws.cost, batteries, float(eta), max_evals=config.storage.max_evals
         )
-        volume = sum(float(arbitrage(result.price, b, ws.model.horizon).charge.sum()) for b in batteries)
+        volume = sum(float(result.plans[b].charge.sum()) for b in batteries)
         rows.append([result.point.eta, result.point.cs, result.point.rp, volume, *result.price])
+        searches.append({
+            "eta": float(eta),
+            "n_evals": result.n_evals,
+            "truncated": result.truncated,
+            "improved": result.improved,
+            "lp_solves": result.lp_solves,
+            "basis_reuses": result.basis_reuses,
+        })
     _write_csv(
         out_dir / "storage.csv",
         ["eta", "cs", "rp", "arbitrage_volume", *_PRICE_COLUMNS],
         rows,
     )
-    return ["storage.csv"]
+    return ["storage.csv"], {"storage_search": searches}
 
 
-def run_simulate(config: ExperimentConfig, out_dir: Path) -> list[str]:
+def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
     """Per-day population simulation under that day's optimal tariff.
 
     Alongside the responsive-policy rows, each configured thermostat
@@ -211,7 +221,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> list[str]:
             baseline_rows,
         )
         files.append("baseline.csv")
-    return files
+    return files, {}
 
 
 _RUNNERS = {
@@ -230,7 +240,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    files = _RUNNERS[command](config, out)
+    files, counters = _RUNNERS[command](config, out)
     manifest = {
         "command": command,
         "seed": config.seed,
@@ -241,6 +251,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
         "scipy_version": scipy.__version__,
         "wall_time_s": round(time.perf_counter() - started, 3),
         "outputs": files,
+        "counters": counters,
     }
     manifest_path = out / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

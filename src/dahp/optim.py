@@ -117,6 +117,12 @@ class LpResult:
     x: np.ndarray | None
     objective: float
     status: str  # "optimal" | "infeasible" | "unbounded"
+    # Optimal solves only: the final basis (standard-form column per
+    # tableau row) and the phase-2 tableau, whose rows are B^-1 A | B^-1 b
+    # over the shifted variables followed by one slack per finite upper
+    # bound, and whose last row holds the reduced costs.
+    basis: list[int] | None = None
+    tableau: np.ndarray | None = None
 
 
 def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> str:
@@ -244,7 +250,7 @@ def simplex_solve(problem: LpProblem) -> LpResult:
         y[basis[i]] = tab2[i, -1]
     x = problem.lower + y[:n]
     objective = float(problem.objective @ x)
-    return LpResult(x=x, objective=objective, status="optimal")
+    return LpResult(x=x, objective=objective, status="optimal", basis=basis, tableau=tab2)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,48 @@ def test_invalid_marginal_cost_exit_2(tiny_config, tmp_path, capsys, marginal_co
     assert "renewable.marginal_cost" in record["message"]
 
 
+@pytest.mark.parametrize("capacity", [".inf", ".nan"])
+def test_non_finite_capacity_exit_2(tiny_config, tmp_path, capsys, capacity):
+    tiny_config.write_text(TINY.replace("capacity_grid: [5.0, 50.0]", f"capacity_grid: [5.0, {capacity}]"))
+    code, stdout, stderr = _run(
+        ["renewable", "--config", str(tiny_config), "--out", str(tmp_path / "o")], capsys
+    )
+    assert code == 2 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "config"
+    assert "renewable.capacity_grid" in record["message"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_evals", "0"), ("max_evals", "2.5"), ("max_evals", "true"),
+    ("count", "-2"), ("count", "1.5"), ("count", "true"),
+])
+def test_invalid_storage_integers_exit_2(tiny_config, tmp_path, capsys, key, value):
+    tiny_config.write_text(TINY.replace("  eta_grid: [0.5]\n", f"  eta_grid: [0.5]\n  {key}: {value}\n")
+                           .replace("  max_evals: 30\n", "" if key == "max_evals" else "  max_evals: 30\n"))
+    code, stdout, stderr = _run(
+        ["storage", "--config", str(tiny_config), "--out", str(tmp_path / "o")], capsys
+    )
+    assert code == 2 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "config"
+    assert f"storage.{key}" in record["message"]
+
+
+def test_storage_manifest_records_search_counters(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, *_ = _run(["storage", "--config", str(tiny_config), "--out", str(out)], capsys)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    (search,) = manifest["counters"]["storage_search"]
+    assert set(search) == {"eta", "n_evals", "truncated", "improved", "lp_solves", "basis_reuses"}
+    assert search["eta"] == 0.5
+    assert search["truncated"] is True  # 30 evaluations per start
+    # one battery spec, planned at every evaluation, the result and the seed
+    assert search["lp_solves"] + search["basis_reuses"] == search["n_evals"] + 2
+    assert search["lp_solves"] >= 1
+
+
 def test_seed_override_applies(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code, *_ = _run(

@@ -119,6 +119,30 @@ def test_simplex_shifted_lower_bounds():
     assert np.all(res.x >= 1.0 - 1e-12) and np.all(res.x <= 2.0 + 1e-12)
 
 
+def test_simplex_returns_its_optimal_basis_and_tableau():
+    # Beale's instance again: the tableau rows express the basic variables,
+    # whose values sit in the rhs column, and no reduced cost improves.
+    obj = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0])
+    rows = np.array([
+        [0.25, -60.0, -0.04, 9.0, 1.0, 0.0],
+        [0.50, -90.0, -0.02, 3.0, 0.0, 1.0],
+    ])
+    upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
+    res = simplex_solve(LpProblem(obj, rows, np.zeros(2), np.zeros(6), upper, maximize=False))
+    # one slack column and one row per finite upper bound
+    assert res.tableau.shape == (3 + 1, 6 + 1 + 1)
+    assert len(res.basis) == 3 and len(set(res.basis)) == 3
+    body = res.tableau[:-1, :-1]
+    assert np.allclose(body[:, res.basis], np.eye(3), atol=1e-12)
+    y = np.zeros(7)
+    y[res.basis] = res.tableau[:-1, -1]
+    assert np.array_equal(y[:6], res.x)
+    assert np.all(res.tableau[-1, :-1] <= TOLERANCES["simplex_pivot"])
+    infeasible = simplex_solve(LpProblem(np.ones(2), np.ones((1, 2)), np.array([3.0]),
+                                         np.zeros(2), np.ones(2)))
+    assert infeasible.basis is None and infeasible.tableau is None
+
+
 def test_simplex_random_instances_against_interior_oracle():
     # Random feasible equality-constrained LPs; verify our optimum is both
     # feasible and at least as good as many random feasible points.

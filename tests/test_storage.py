@@ -20,6 +20,8 @@ from dahp import (
     retailer_objective_with_storage,
 )
 from dahp.demand import aggregate
+from dahp.optim import LpProblem, simplex_solve
+from dahp.storage import _BatteryLp, _reduced_cost_map
 
 
 def lossless_unit_battery():
@@ -325,3 +327,128 @@ def test_price_search_result_metadata():
                                          max_evals=30)  # tiny budget
     assert result.truncated
     assert result.n_evals <= 3 * 30 + 3
+
+
+# ---------------------------------------------------------------------------
+# optimal-basis reuse
+# ---------------------------------------------------------------------------
+
+REUSE_BATTERIES = {
+    "lossless": BatteryParams(capacity=6.0, initial_soc=0.0, charge_limit=2.0, discharge_limit=2.5),
+    "lossy": BatteryParams(capacity=8.0, initial_soc=0.0, storage_eff=0.99, charge_eff=0.9,
+                           discharge_eff=0.92, charge_limit=3.0, discharge_limit=4.0),
+    # starts charged but can recharge fast enough to make up the decay
+    "leaky": BatteryParams(capacity=10.0, initial_soc=4.0, storage_eff=0.97, charge_eff=0.95,
+                           discharge_eff=0.95, charge_limit=5.0, discharge_limit=5.0),
+    "unlimited": BatteryParams(capacity=10.0, initial_soc=0.0, charge_eff=0.95, discharge_eff=0.95),
+    "leaky_unlimited": BatteryParams(capacity=5.0, initial_soc=2.0, storage_eff=0.98, charge_eff=0.9),
+}
+
+
+def _compass_walk(rng, start, step, moves):
+    """Tariffs visited by a compass search: one coordinate moves by +/- step
+    at a time, and the step halves every so often."""
+    pi = start.copy()
+    yield pi.copy()
+    for k in range(moves):
+        pi[rng.integers(pi.size)] += step * rng.choice([-1.0, 1.0])
+        if k % 40 == 39:
+            step *= 0.5
+        yield pi.copy()
+
+
+def _assert_same_plan(got, cold, battery):
+    """Same vertex as the cold solve.  A stored basis was reached by another
+    pivot path, so its values may differ from the cold ones by rounding:
+    a few ulps of the largest quantity in the plan."""
+    atol = 64 * np.finfo(float).eps * battery.capacity
+    for name in ("charge", "discharge", "soc"):
+        assert np.allclose(getattr(got, name), getattr(cold, name), rtol=0.0, atol=atol), name
+    assert got.profit == pytest.approx(cold.profit, rel=0.0, abs=atol)
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_BATTERIES))
+def test_reused_basis_matches_cold_solve_along_compass_walk(name):
+    battery = REUSE_BATTERIES[name]
+    rng = np.random.default_rng(130)
+    base = helpers.DEFAULT_WHOLESALE * 1.3
+    starts = [base, np.full(24, 0.12), np.round(base, 2)]  # spread, constant, tied hours
+    lp = _BatteryLp(battery, 24)
+    for start in starts:
+        for pi in _compass_walk(rng, start, 0.01, 120):
+            _assert_same_plan(lp.plan(pi), arbitrage(pi, battery), battery)
+    assert lp.basis_reuses + lp.lp_solves == 3 * 121
+    if battery.charge_eff * battery.discharge_eff == 1.0:
+        # charging and discharging the same amount in one hour changes
+        # nothing, so no optimal vertex is unique: nothing is reused, and
+        # nothing is kept for later tariffs to scan
+        assert lp.basis_reuses == 0 and lp.entries == []
+    else:
+        assert lp.basis_reuses > 0
+
+
+def test_reduced_cost_map_matches_the_tableau():
+    rng = np.random.default_rng(131)
+    for battery in REUSE_BATTERIES.values():
+        lp = _BatteryLp(battery, 24)
+        for _ in range(5):
+            pi = rng.uniform(0.05, 0.3, size=24)
+            result = simplex_solve(LpProblem(np.concatenate([-pi, pi, np.zeros(24)]),
+                                             lp.eq_matrix, lp.eq_rhs, lp.lower, lp.upper))
+            rows, hours, values, height = _reduced_cost_map(result, 24)
+            nonbasic = np.ones(result.tableau.shape[1] - 1, dtype=bool)
+            nonbasic[result.basis] = False
+            expected = result.tableau[-1, :-1][nonbasic]
+            got = np.bincount(rows, weights=values * pi[hours], minlength=height)
+            assert height == expected.size
+            assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
+
+
+def test_tied_prices_refuse_reuse():
+    battery = REUSE_BATTERIES["lossy"]
+    lp = _BatteryLp(battery, 24)
+    spread = helpers.DEFAULT_WHOLESALE * 1.3
+    lp.plan(spread)
+    lp.plan(spread)
+    assert (lp.lp_solves, lp.basis_reuses) == (1, 1)
+    # a tie between the cheapest and the dearest hour makes the optimal
+    # vertex non-unique, so no stored basis may answer for it
+    tied = spread.copy()
+    tied[np.argmin(tied)] = tied.max()
+    for pi in (np.full(24, 0.2), tied):
+        solves = lp.lp_solves
+        _assert_same_plan(lp.plan(pi), arbitrage(pi, battery), battery)
+        assert lp.lp_solves == solves + 1
+    assert lp.basis_reuses == 1
+
+
+def test_infeasible_leaky_battery_still_raises_with_stored_bases():
+    battery = BatteryParams(capacity=10.0, initial_soc=10.0, storage_eff=0.5,
+                            charge_limit=0.0, discharge_limit=0.0)
+    lp = _BatteryLp(battery, 24)
+    for _ in range(2):
+        with pytest.raises(InfeasibleConstraintError):
+            lp.plan(helpers.DEFAULT_WHOLESALE)
+    assert lp.entries == []
+    model, cost = helpers.random_model(np.random.default_rng(132))
+    with pytest.raises(InfeasibleConstraintError):
+        optimize_price_with_storage(model, cost, [battery], eta=0.5, max_evals=20)
+
+
+def test_back_to_back_searches_are_identical():
+    rng = np.random.default_rng(133)
+    model, cost = helpers.random_model(rng)
+    batteries = [REUSE_BATTERIES["lossy"]] * 3 + [REUSE_BATTERIES["unlimited"]]
+    first, second = (
+        optimize_price_with_storage(model, cost, batteries, eta=0.5, max_evals=200)
+        for _ in range(2)
+    )
+    assert first.price.tobytes() == second.price.tobytes()
+    assert first.objective == second.objective
+    assert (first.n_evals, first.lp_solves, first.basis_reuses) == (
+        second.n_evals, second.lp_solves, second.basis_reuses)
+    # every evaluation, the final point and the seed's value plan each spec once
+    assert first.lp_solves + first.basis_reuses == 2 * (first.n_evals + 2)
+    assert first.basis_reuses > first.lp_solves
+    for battery in set(batteries):
+        _assert_same_plan(first.plans[battery], arbitrage(first.price, battery), battery)
