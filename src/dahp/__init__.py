@@ -12,12 +12,13 @@ __version__ = "0.1.0"
 from .demand import (
     HOURS_PER_DAY,
     AffineDemandModel,
-    ConsumerDemandModel,
     ConsumerParams,
     NegativeDemandWarning,
+    Population,
     aggregate,
     build_consumer_model,
     mean_demand,
+    population_model,
 )
 from .errors import (
     ConfigError,
@@ -50,14 +51,11 @@ from .renewable import (
 from .renewable import uniform_shortfall_expectation
 from .simulate import (
     DayResult,
-    EstimatorState,
-    ThermalState,
     baseline_days,
     baseline_thermostat,
-    kalman_step,
-    optimal_policy_step,
     simulate_day,
     simulate_days,
+    simulate_population_day,
     substream,
 )
 from .storage import (
@@ -76,12 +74,13 @@ __all__ = [
     "__version__",
     # demand
     "AffineDemandModel",
-    "ConsumerDemandModel",
     "ConsumerParams",
     "NegativeDemandWarning",
+    "Population",
     "aggregate",
     "build_consumer_model",
     "mean_demand",
+    "population_model",
     # pricing
     "TradeoffPoint",
     "WholesaleCost",
@@ -103,14 +102,11 @@ __all__ = [
     "uniform_shortfall_expectation",
     # simulation
     "DayResult",
-    "EstimatorState",
-    "ThermalState",
     "baseline_days",
     "baseline_thermostat",
-    "kalman_step",
-    "optimal_policy_step",
     "simulate_day",
     "simulate_days",
+    "simulate_population_day",
     "substream",
     # storage
     "ArbitragePlan",

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 import yaml
 
-from .demand import HOURS_PER_DAY, ConsumerParams
+from .demand import HOURS_PER_DAY, Population
 from .errors import ConfigError
 from .simulate import substream
 from .storage import BatteryParams
@@ -149,7 +149,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    if not isinstance(config.seed, int) or config.seed < 0:
+    if not _is_int(config.seed) or config.seed < 0:
         raise ConfigError("'seed' must be a nonnegative integer")
     for name in ("weather", "wholesale"):
         spec = getattr(config, name)
@@ -160,27 +160,34 @@ def validate_config(config: ExperimentConfig) -> None:
                 raise ConfigError(f"'{name}.path' is required when source is 'file'")
             if not Path(spec.path).exists():
                 raise ConfigError(f"'{name}.path' does not exist: {spec.path}")
-        elif not (isinstance(spec.days, int) and spec.days >= 1):
+        elif not (_is_int(spec.days) and spec.days >= 1):
             raise ConfigError(f"'{name}.days' must be a positive integer")
-    if not (isinstance(config.consumers.count, int) and config.consumers.count >= 1):
+    if not (_is_int(config.consumers.count) and config.consumers.count >= 1):
         raise ConfigError("'consumers.count' must be a positive integer")
     resolve_eta_grid(config.eta_grid, "eta_grid")
     resolve_eta_grid(config.storage.eta_grid, "storage.eta_grid")
-    if not (isinstance(config.simulate.eta, (int, float)) and 0.0 <= config.simulate.eta <= 1.0):
+    if not (_is_finite(config.simulate.eta) and 0.0 <= config.simulate.eta <= 1.0):
         raise ConfigError("'simulate.eta' must lie in [0, 1]")
-    for value in config.simulate.thermostat_tolerances:
-        if not isinstance(value, (int, float)) or value < 0:
-            raise ConfigError("'simulate.thermostat_tolerances' entries must be nonnegative numbers")
-    if not config.renewable.capacity_grid:
-        raise ConfigError("'renewable.capacity_grid' must be nonempty")
-    for value in config.renewable.capacity_grid:
-        if not (isinstance(value, (int, float)) and np.isfinite(value) and value >= 0):
-            raise ConfigError("'renewable.capacity_grid' entries must be finite nonnegative numbers")
+    tolerances = config.simulate.thermostat_tolerances
+    if not (isinstance(tolerances, list) and all(_is_finite(v) and v >= 0 for v in tolerances)):
+        raise ConfigError("'simulate.thermostat_tolerances' must be a list of finite nonnegative numbers")
+    grid = config.renewable.capacity_grid
+    if not (isinstance(grid, list) and grid and all(_is_finite(v) and v >= 0 for v in grid)):
+        raise ConfigError("'renewable.capacity_grid' must be a nonempty list of finite nonnegative numbers")
     cost = config.renewable.marginal_cost
-    if not (isinstance(cost, (int, float)) and np.isfinite(cost) and cost >= 0):
+    if not (_is_finite(cost) and cost >= 0):
         raise ConfigError("'renewable.marginal_cost' must be a finite nonnegative number")
-    if not (isinstance(config.benchmarks.points, int) and config.benchmarks.points >= 2):
+    bench = config.benchmarks
+    if not (_is_int(bench.points) and bench.points >= 2):
         raise ConfigError("'benchmarks.points' must be an integer >= 2")
+    if not (_is_int(bench.peak_start) and _is_int(bench.peak_end)
+            and 0 <= bench.peak_start < bench.peak_end <= HOURS_PER_DAY):
+        raise ConfigError(
+            f"'benchmarks.peak_start' and 'benchmarks.peak_end' must be integers with "
+            f"0 <= peak_start < peak_end <= {HOURS_PER_DAY}"
+        )
+    if not (_is_finite(bench.tou_ratio) and bench.tou_ratio > 0):
+        raise ConfigError("'benchmarks.tou_ratio' must be a finite number > 0")
     if not (_is_int(config.storage.max_evals) and config.storage.max_evals >= 1):
         raise ConfigError("'storage.max_evals' must be an integer >= 1")
     if not (_is_int(config.storage.count) and config.storage.count >= 0):
@@ -189,6 +196,10 @@ def validate_config(config: ExperimentConfig) -> None:
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and bool(np.isfinite(value))
 
 
 def resolve_eta_grid(value: Any, path: str = "eta_grid") -> np.ndarray:
@@ -209,36 +220,33 @@ def resolve_eta_grid(value: Any, path: str = "eta_grid") -> np.ndarray:
     return grid
 
 
-def _draw(rng: np.random.Generator, value: Any, name: str) -> float:
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        lo, hi = float(value[0]), float(value[1])
-        if hi < lo:
-            raise ConfigError(f"'consumers.{name}' range must have lo <= hi")
-        return float(rng.uniform(lo, hi))
-    raise ConfigError(f"'consumers.{name}' must be a number or a [lo, hi] range")
+def draw_population(spec: PopulationSpec, seed: int) -> Population:
+    """Materialize the consumer population deterministically from the seed.
 
-
-def draw_population(spec: PopulationSpec, seed: int) -> list[ConsumerParams]:
-    """Materialize the consumer population deterministically from the seed."""
-    rng = substream(seed, _POPULATION_KEY)
-    population = []
-    for _ in range(spec.count):
-        desired = _draw(rng, spec.desired_temp, "desired_temp")
-        try:
-            params = ConsumerParams(
-                alpha=_draw(rng, spec.alpha, "alpha"),
-                beta=_draw(rng, spec.beta, "beta"),
-                mu=_draw(rng, spec.mu, "mu"),
-                desired_temp=np.full(HOURS_PER_DAY, desired),
-                process_noise_var=_draw(rng, spec.process_noise_var, "process_noise_var"),
-                obs_noise_var=_draw(rng, spec.obs_noise_var, "obs_noise_var"),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid consumer parameters: {exc}") from exc
-        population.append(params)
-    return population
+    Ranged fields are drawn consumer by consumer, each consumer's in the
+    order ``desired_temp, alpha, beta, mu, process_noise_var,
+    obs_noise_var``: one uniform matrix with a row per consumer.
+    """
+    values: dict[str, np.ndarray] = {}
+    ranged = {}
+    for name in ("desired_temp", "alpha", "beta", "mu", "process_noise_var", "obs_noise_var"):
+        value = getattr(spec, name)
+        if isinstance(value, (int, float)):
+            values[name] = np.full(spec.count, float(value))
+        elif (isinstance(value, (list, tuple)) and len(value) == 2
+              and all(isinstance(v, (int, float)) for v in value) and value[0] <= value[1]):
+            ranged[name] = [float(v) for v in value]
+        else:
+            raise ConfigError(f"'consumers.{name}' must be a number or a [lo, hi] range with lo <= hi")
+    if ranged:
+        lo, hi = zip(*ranged.values())
+        draws = substream(seed, _POPULATION_KEY).uniform(lo, hi, size=(spec.count, len(ranged)))
+        values.update(zip(ranged, draws.T))
+    values["desired_temp"] = np.repeat(values["desired_temp"][:, None], HOURS_PER_DAY, axis=1)
+    try:
+        return Population(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid consumer parameters: {exc}") from exc
 
 
 def batteries_from_spec(spec: StorageSpec) -> list[BatteryParams]:

@@ -14,7 +14,10 @@ affine in the day-ahead price vector:
     E[demand](prices) = -gain @ prices + intercept_mean
 
 ``gain`` is symmetric tridiagonal and positive definite, so one Cholesky
-factorization per model serves every downstream linear solve.
+factorization per model serves every downstream linear solve.  A
+population's model is the sum of its consumers' models; ``population_model``
+builds it from per-population sums over a ``Population`` of parameter
+arrays, and a single consumer is a population of one.
 
 Conventions used throughout the package:
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,22 +67,86 @@ class ConsumerParams:
 
     def __post_init__(self):
         self.desired_temp = np.atleast_1d(np.asarray(self.desired_temp, dtype=float))
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly in (0, 1), got {self.alpha}")
-        if self.beta == 0.0 or not np.isfinite(self.beta):
-            raise ValueError("beta must be nonzero and finite")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
-        if self.process_noise_var < 0.0 or self.obs_noise_var < 0.0:
-            raise ValueError("noise variances must be nonnegative")
         if self.desired_temp.ndim != 1 or self.desired_temp.size < 1:
             raise ValueError("desired_temp must be a nonempty vector")
-        if not np.all(np.isfinite(self.desired_temp)):
-            raise ValueError("desired_temp must be finite")
+        _check_params(self)
 
     @property
     def horizon(self) -> int:
         return self.desired_temp.size
+
+
+@dataclass(eq=False)
+class Population:
+    """Parameters of many consumers as arrays, one row per consumer.
+
+    The fields mean what they do on ``ConsumerParams``: ``desired_temp`` is
+    (consumers, horizon) and every other field is (consumers,).  Iterating
+    yields each consumer's ``ConsumerParams``.
+    """
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    mu: np.ndarray
+    desired_temp: np.ndarray
+    process_noise_var: np.ndarray
+    obs_noise_var: np.ndarray
+
+    def __post_init__(self):
+        for name in (*_PARAM_FIELDS, "desired_temp"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        rows = self.desired_temp.shape[:1]
+        if self.desired_temp.ndim != 2 or 0 in self.desired_temp.shape or any(
+            getattr(self, name).shape != rows for name in _PARAM_FIELDS
+        ):
+            raise ValueError("a population needs (consumers, horizon) setpoints and a value per consumer")
+        _check_params(self)
+
+    @classmethod
+    def of(cls, consumers: Sequence[ConsumerParams]) -> "Population":
+        """Stack single consumers into rows; ``np.stack`` rejects an empty
+        list and consumers whose horizons differ."""
+        fields = {name: [getattr(c, name) for c in consumers] for name in _PARAM_FIELDS}
+        return cls(desired_temp=np.stack([c.desired_temp for c in consumers]), **fields)
+
+    def __len__(self) -> int:
+        return self.alpha.size
+
+    def __iter__(self) -> Iterator[ConsumerParams]:
+        columns = [getattr(self, name).tolist() for name in _PARAM_FIELDS]
+        for row, values in zip(self.desired_temp, zip(*columns)):
+            yield ConsumerParams(desired_temp=row, **dict(zip(_PARAM_FIELDS, values)))
+
+    @property
+    def horizon(self) -> int:
+        return self.desired_temp.shape[1]
+
+
+_PARAM_FIELDS = ("alpha", "beta", "mu", "process_noise_var", "obs_noise_var")
+
+
+def _check_params(p: ConsumerParams | Population) -> None:
+    """Reject invalid parameters of one consumer or of every row at once."""
+    alpha, beta, mu, q, r = (np.asarray(getattr(p, name), dtype=float) for name in _PARAM_FIELDS)
+    checks = (
+        ((0.0 < alpha) & (alpha < 1.0), "alpha must lie strictly in (0, 1)", alpha),
+        ((beta != 0.0) & np.isfinite(beta), "beta must be nonzero and finite", beta),
+        (~(mu <= 0.0), "mu must be positive", mu),
+        (~((q < 0.0) | (r < 0.0)), "noise variances must be nonnegative", np.minimum(q, r)),
+    )
+    for ok, message, value in checks:
+        if not np.all(ok):
+            raise ValueError(f"{message}, got {np.extract(~ok, value)[0]}")
+    if not np.all(np.isfinite(p.desired_temp)):
+        raise ValueError("desired_temp must be finite")
+
+
+def as_forecast(weather: Sequence[float], horizon: int) -> np.ndarray:
+    """Validate an hourly outdoor forecast: right length, finite entries."""
+    forecast = np.asarray(weather, dtype=float)
+    if forecast.shape != (horizon,) or not np.all(np.isfinite(forecast)):
+        raise ValueError(f"weather forecast must be {horizon} finite hours, got {forecast.shape}")
+    return forecast
 
 
 def as_prices(prices: Sequence[float], horizon: int) -> np.ndarray:
@@ -93,27 +160,14 @@ def as_prices(prices: Sequence[float], horizon: int) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class ConsumerDemandModel:
-    """Affine demand model of a single consumer."""
+class AffineDemandModel:
+    """Demand model of one consumer or of a population (the entrywise sum of
+    its consumers' models)."""
 
     gain: np.ndarray            # (N, N) price sensitivity, SPD tridiagonal
     intercept_mean: np.ndarray  # (N,) mean demand at zero price
     intercept_cov: np.ndarray   # (N, N) covariance of the demand intercept
     cs_constant: float          # noise-driven constant in expected surplus
-
-    @property
-    def horizon(self) -> int:
-        return self.intercept_mean.size
-
-
-@dataclass(eq=False)
-class AffineDemandModel:
-    """Population demand model: entrywise sum of consumer models."""
-
-    gain: np.ndarray
-    intercept_mean: np.ndarray
-    intercept_cov: np.ndarray
-    cs_constant: float
 
     @property
     def horizon(self) -> int:
@@ -129,84 +183,102 @@ class AffineDemandModel:
         return spd_solve(self._factorization, rhs)
 
 
-def _estimator_variance_ladder(params: ConsumerParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prediction variances, Kalman gains, and posterior variances, hour by hour.
+def _pow2(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` rounded by libm ``pow`` like Python float ``**``, in which
+    these squares were first written.  ``ndarray ** 2`` multiplies instead
+    and differs in the last bit for about one value in a thousand."""
+    return np.float_power(x, 2.0)
 
-    Index ``i`` of the returned arrays refers to hour ``i+1``; the posterior
-    ladder starts at ``obs_noise_var`` (estimator seeded from one noisy
-    reading of the known initial temperature).
+
+def _consumer_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the consumer axis (axis 0) one consumer after another.
+
+    The same order as adding per-consumer models one by one; numpy's ``sum``
+    may add pairwise, which rounds differently.
     """
-    n = params.horizon
-    decay = (1.0 - params.alpha) ** 2
-    pred = np.empty(n)
-    gains = np.empty(n)
-    post = np.empty(n + 1)
-    post[0] = params.obs_noise_var
-    for i in range(n):
-        pred[i] = decay * post[i] + params.process_noise_var
-        denom = pred[i] + params.obs_noise_var
-        gains[i] = pred[i] / denom if denom > 0.0 else 0.0
-        post[i + 1] = (1.0 - gains[i]) * pred[i]
-    return pred, gains, post
+    return np.cumsum(x, axis=0)[-1]
 
 
-def build_consumer_model(params: ConsumerParams, weather_forecast: Sequence[float]) -> ConsumerDemandModel:
-    """Build the affine demand model implied by one consumer's parameters
-    and the day's outdoor forecast.
+def _estimator_variance_ladder(population: Population) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction variances and Kalman gains, (consumers, hours).
 
-    The gain matrix is the closed-form tridiagonal price sensitivity; the
-    intercept mean is the demand at zero price (exact setpoint tracking);
-    the intercept covariance and surplus constant come from the estimator's
-    variance ladder, so they are exact for the linear-Gaussian model rather
-    than sampled.
+    Column ``i`` refers to hour ``i+1``; the posterior variance starts at
+    ``obs_noise_var`` (estimator seeded from one noisy reading of the known
+    initial temperature).
     """
-    n = params.horizon
-    forecast = np.asarray(weather_forecast, dtype=float)
-    if forecast.shape != (n,):
-        raise ValueError(f"weather forecast must have {n} hours, got shape {forecast.shape}")
-    if not np.all(np.isfinite(forecast)):
-        raise ValueError("weather forecast must be finite")
+    q, r = population.process_noise_var, population.obs_noise_var
+    decay = _pow2(1.0 - population.alpha)
+    pred = np.empty((len(population), population.horizon))
+    gains = np.empty_like(pred)
+    post = r
+    for i in range(population.horizon):
+        pred[:, i] = prior = decay * post + q
+        # without noise both variances are 0, and so is the gain
+        denom = prior + r
+        gains[:, i] = gain = prior / np.where(denom > 0.0, denom, 1.0)
+        post = (1.0 - gain) * prior
+    return pred, gains
 
-    alpha, beta, mu = params.alpha, params.beta, params.mu
-    t = params.desired_temp
+
+def population_model(population: Population, weather_forecast: Sequence[float]) -> AffineDemandModel:
+    """Population demand model under the day's outdoor forecast: the sum of
+    every consumer's affine model, computed without building any of them.
+
+    The gain is the closed-form tridiagonal price sensitivity, fixed by
+    three sums over consumers: of u, (1 + (1-alpha)^2) u and (alpha - 1) u
+    with u = 1 / (2 mu beta^2).  The intercept mean is the demand at zero
+    price (exact setpoint tracking); the intercept covariance and surplus
+    constant come from the estimator's variance ladder, so they are exact
+    for the linear-Gaussian model rather than sampled.  A consumer's
+    covariance has entries on the diagonal and in the first row and column
+    only, so only those are summed.  Every sum runs in consumer order.
+    """
+    n = population.horizon
+    forecast = as_forecast(weather_forecast, n)
+    alpha, beta, mu = population.alpha, population.beta, population.mu
+    r = population.obs_noise_var
+    t = population.desired_temp
+    keep = 1.0 - alpha
     unit = 1.0 / (2.0 * mu * beta * beta)
 
-    gain = np.zeros((n, n))
-    gain[0, 0] = unit
-    for i in range(1, n):
-        gain[i, i] = (1.0 + (1.0 - alpha) ** 2) * unit
-        gain[i, i - 1] = gain[i - 1, i] = (alpha - 1.0) * unit
+    first, diagonal, off = _consumer_sum(
+        np.stack([unit, (1.0 + _pow2(keep)) * unit, (alpha - 1.0) * unit], axis=1)
+    )
+    gain = np.diag(np.full(n, diagonal))
+    gain[0, 0] = first
+    hours = np.arange(1, n)
+    gain[hours, hours - 1] = gain[hours - 1, hours] = off
 
-    x0 = t[0]  # day starts on the first setpoint
-    intercept = np.empty(n)
-    intercept[0] = ((1.0 - alpha) * x0 + alpha * forecast[0] - t[0]) / beta
-    for i in range(1, n):
-        intercept[i] = ((1.0 - alpha) * t[i - 1] + alpha * forecast[i] - t[i]) / beta
+    previous = np.concatenate([t[:, :1], t[:, :-1]], axis=1)  # day starts on the first setpoint
+    intercept = _consumer_sum((keep[:, None] * previous + alpha[:, None] * forecast - t) / beta[:, None])
 
-    pred, gains, post = _estimator_variance_ladder(params)
-    cs_constant = -mu * float(pred.sum())
+    pred, gains = _estimator_variance_ladder(population)
+    cs_constant = float(_consumer_sum(-mu * pred.sum(axis=1)))
 
     # Demand deviations are (1-alpha)/beta times the estimator's deviation
     # from its target one hour earlier.  Those deviations are uncorrelated
     # across hours except against the initial reading, whose error is
     # anti-correlated with the estimate itself.
-    scale = ((1.0 - alpha) / beta) ** 2
-    xi_var = np.empty(n)  # deviation variance of the estimate entering hour i+1
-    xi_var[0] = params.obs_noise_var
-    for m in range(1, n):
-        xi_var[m] = gains[m - 1] ** 2 * (pred[m - 1] + params.obs_noise_var)
-    cov = np.diag(scale * xi_var)
-    gamma = -params.obs_noise_var  # Cov(initial deviation, filter error)
-    for m in range(1, n):
-        cov[0, m] = cov[m, 0] = scale * gains[m - 1] * (1.0 - alpha) * gamma
-        gamma *= (1.0 - gains[m - 1]) * (1.0 - alpha)
+    scale, keep, gains = _pow2(keep / beta)[:, None], keep[:, None], gains[:, :-1]
+    # deviation variance of the estimate entering each hour
+    xi_var = np.column_stack([r, _pow2(gains) * (pred[:, :-1] + r[:, None])])
+    # Cov(initial deviation, filter error) entering each later hour
+    gamma = np.cumprod(np.column_stack([-r, (1.0 - gains[:, :-1]) * keep]), axis=1)
+    cov = np.diag(_consumer_sum(scale * xi_var))
+    cov[0, 1:] = cov[1:, 0] = _consumer_sum(scale * gains * keep * gamma)
 
-    return ConsumerDemandModel(
+    return AffineDemandModel(
         gain=gain, intercept_mean=intercept, intercept_cov=cov, cs_constant=cs_constant
     )
 
 
-def aggregate(models: Sequence[ConsumerDemandModel]) -> AffineDemandModel:
+def build_consumer_model(params: ConsumerParams, weather_forecast: Sequence[float]) -> AffineDemandModel:
+    """Affine demand model of one consumer: ``population_model`` of a
+    population of one."""
+    return population_model(Population.of([params]), weather_forecast)
+
+
+def aggregate(models: Sequence[AffineDemandModel]) -> AffineDemandModel:
     """Sum consumer models into the population model the retailer prices
     against.  Validates shape agreement and positive definiteness."""
     if len(models) == 0:
@@ -225,7 +297,7 @@ def aggregate(models: Sequence[ConsumerDemandModel]) -> AffineDemandModel:
     return model
 
 
-def mean_demand(model: AffineDemandModel | ConsumerDemandModel, prices: Sequence[float]) -> np.ndarray:
+def mean_demand(model: AffineDemandModel, prices: Sequence[float]) -> np.ndarray:
     """Expected hourly demand ``-gain @ prices + intercept_mean``.
 
     Negative entries are legal (prices above the zero-demand level) but

@@ -29,11 +29,11 @@ from .config import (
     resolve_eta_grid,
     resolved_dict,
 )
-from .demand import HOURS_PER_DAY, aggregate, build_consumer_model
+from .demand import HOURS_PER_DAY, population_model
 from .errors import ConfigError
 from .pricing import WholesaleCost, benchmark_trace, optimal_price, pareto_front
 from .renewable import RenewableModel, benefit_split
-from .simulate import baseline_thermostat, simulate_day
+from .simulate import simulate_population_day
 from .storage import optimize_price_with_storage
 from .timeseries import HourlySeries, load_series, mean_day, synthetic_weather, synthetic_wholesale
 
@@ -75,8 +75,6 @@ class _Workspace:
 
     model: object
     cost: WholesaleCost
-    weather_days: list[HourlySeries]
-    population: list
 
 
 def _build_workspace(config: ExperimentConfig) -> _Workspace:
@@ -84,9 +82,8 @@ def _build_workspace(config: ExperimentConfig) -> _Workspace:
     price_days = _load_days(config.wholesale, "price")
     weather = mean_day(weather_days)
     cost = WholesaleCost(mean=mean_day(price_days))
-    population = draw_population(config.consumers, config.seed)
-    model = aggregate([build_consumer_model(p, weather) for p in population])
-    return _Workspace(model=model, cost=cost, weather_days=weather_days, population=population)
+    model = population_model(draw_population(config.consumers, config.seed), weather)
+    return _Workspace(model=model, cost=cost)
 
 
 def run_pareto(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
@@ -193,25 +190,19 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], di
 
     rows = []
     baseline_rows = []
+    consumer_ids = [str(c) for c in range(len(population))]
     for day_index, day in enumerate(weather_days):
-        models = [build_consumer_model(p, day.values) for p in population]
-        prices = optimal_price(aggregate(models), cost, eta)
-        for consumer_id, params in enumerate(population):
-            result = simulate_day(
-                params, prices, day.values, config.seed, consumer_id=consumer_id, day=day_index,
-            )
-            rows.append([
-                str(consumer_id), str(day_index), result.payment, result.discomfort, result.surplus,
-            ])
-            for tolerance in tolerances:
-                base = baseline_thermostat(
-                    params, tolerance, prices, day.values, config.seed,
-                    consumer_id=consumer_id, day=day_index,
-                )
-                baseline_rows.append([
-                    tolerance, str(consumer_id), str(day_index),
-                    base.payment, base.discomfort, base.surplus,
-                ])
+        prices = optimal_price(population_model(population, day.values), cost, eta)
+        (_, payment, discomfort), baselines = simulate_population_day(
+            population, prices, day.values, config.seed, day_index, tolerances
+        )
+        day_id = str(day_index)
+        for cid, pay, disc in zip(consumer_ids, payment.tolist(), discomfort.tolist()):
+            rows.append([cid, day_id, pay, disc, -(disc + pay)])
+        per_tolerance = [zip(pay.tolist(), disc.tolist()) for _, pay, disc in baselines]
+        for cid, outcomes in zip(consumer_ids, zip(*per_tolerance)):
+            for tolerance, (pay, disc) in zip(tolerances, outcomes):
+                baseline_rows.append([tolerance, cid, day_id, pay, disc, -(disc + pay)])
     _write_csv(out_dir / "simulate.csv", ["consumer_id", "day", "payment", "discomfort", "surplus"], rows)
     files = ["simulate.csv"]
     if baseline_rows:
@@ -221,7 +212,9 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], di
             baseline_rows,
         )
         files.append("baseline.csv")
-    return files, {}
+    consumer_days = len(population) * len(weather_days)
+    # one Philox substream per consumer-day, shared by every policy
+    return files, {"consumer_days": consumer_days, "substreams": consumer_days}
 
 
 _RUNNERS = {

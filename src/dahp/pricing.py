@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import AffineDemandModel, ConsumerDemandModel, as_prices
+from .demand import AffineDemandModel, as_prices
 from .errors import InfeasibleConstraintError
 from .optim import TOLERANCES
 
@@ -66,14 +66,14 @@ class TradeoffPoint:
         self.sw = self.cs + self.rp
 
 
-def expected_cs(model: AffineDemandModel | ConsumerDemandModel, prices: Sequence[float]) -> float:
+def expected_cs(model: AffineDemandModel, prices: Sequence[float]) -> float:
     """Expected consumer surplus at the given price vector."""
     pi = as_prices(prices, model.horizon)
     return float(0.5 * pi @ model.gain @ pi - pi @ model.intercept_mean + model.cs_constant)
 
 
 def expected_rp(
-    model: AffineDemandModel | ConsumerDemandModel, prices: Sequence[float], cost: WholesaleCost
+    model: AffineDemandModel, prices: Sequence[float], cost: WholesaleCost
 ) -> float:
     """Expected retail profit: markup times mean demand."""
     pi = as_prices(prices, model.horizon)

@@ -1,15 +1,21 @@
 """Monte Carlo simulation of consumers responding to day-ahead prices.
 
 The simulator rolls the thermal model forward with process and observation
-noise while the consumer runs a scalar Kalman filter and applies the
+noise while each consumer runs a scalar Kalman filter and applies the
 certainty-equivalent hourly policy: drive the predicted indoor temperature
-to a price-shifted setpoint.  Realized payment, discomfort, and surplus are
-reported per day; their sample means validate the closed-form model in
-``dahp.demand``.
+to a price-shifted setpoint.  Thermostat baselines instead apply open-loop
+powers planned for a fixed comfort tolerance.  Realized payment,
+discomfort, and surplus are reported per day; their sample means validate
+the closed-form model in ``dahp.demand``.
+
+Every rollout steps through the hours once with many rows at a time: the
+consumers of a population on one day, or replicate days of one consumer.
 
 Randomness comes from counter-based Philox substreams keyed by
 ``(seed, consumer_id, day)``, so population runs are reproducible and
-independent of iteration order.
+independent of iteration order.  Each consumer-day's noise is drawn once
+and shared by the responsive rollout and every thermostat tolerance, so
+the policies are compared on identical disturbances.
 """
 from __future__ import annotations
 
@@ -18,25 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import ConsumerParams, as_prices
+from .demand import ConsumerParams, Population, _estimator_variance_ladder, _pow2, as_forecast, as_prices
 
-
-@dataclass
-class ThermalState:
-    """True (unobserved) state of one house at the end of an hour."""
-
-    indoor_temp: float
-    outdoor_temp: float
-    hour: int  # 1-based hour just completed; 0 before the day starts
-
-
-@dataclass
-class EstimatorState:
-    """Consumer's belief: posterior indoor estimate and next-hour forecast."""
-
-    indoor_est: float
-    indoor_var: float
-    outdoor_pred: float
+Outcome = tuple[np.ndarray, np.ndarray, np.ndarray]  # consumption, payment, discomfort per row
 
 
 @dataclass(eq=False)
@@ -60,228 +50,169 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), *map(int, key)))))
 
 
-def optimal_policy_step(
-    est: EstimatorState, prices: np.ndarray, hour: int, params: ConsumerParams
-) -> float:
-    """Energy to draw in ``hour`` (1-based): move the predicted indoor
-    temperature onto the price-shifted target.
-
-    The target sits ``(pi_i - (1 - alpha) * pi_{i+1}) / (2 mu beta)`` away
-    from the setpoint, with the price beyond the horizon taken as zero.
-    """
-    n = params.horizon
-    if not 1 <= hour <= n:
-        raise ValueError(f"hour must be in 1..{n}, got {hour}")
-    pi_next = prices[hour] if hour < n else 0.0
-    target = (prices[hour - 1] - (1.0 - params.alpha) * pi_next) / (
-        2.0 * params.mu * params.beta
-    ) + params.desired_temp[hour - 1]
-    drift = (1.0 - params.alpha) * est.indoor_est + params.alpha * est.outdoor_pred
-    return (drift - target) / params.beta
-
-
-def kalman_step(
-    est: EstimatorState,
-    obs: tuple[float, float],
-    params: ConsumerParams,
-    applied_power: float,
-    next_outdoor_forecast: float | None = None,
-) -> EstimatorState:
-    """One predict/update cycle of the scalar indoor-temperature filter.
-
-    ``obs`` is the (indoor, outdoor) reading taken after ``applied_power``
-    acted for the hour.  The outdoor reading is not filtered: the day-ahead
-    forecast is treated as known, so the returned state simply carries
-    ``next_outdoor_forecast`` (or keeps the current one).
-    """
-    alpha, beta = params.alpha, params.beta
-    pred_mean = (1.0 - alpha) * est.indoor_est + alpha * est.outdoor_pred - beta * applied_power
-    pred_var = (1.0 - alpha) ** 2 * est.indoor_var + params.process_noise_var
-    denom = pred_var + params.obs_noise_var
-    gain = pred_var / denom if denom > 0.0 else 0.0
-    indoor_est = pred_mean + gain * (obs[0] - pred_mean)
-    indoor_var = (1.0 - gain) * pred_var
-    outdoor = est.outdoor_pred if next_outdoor_forecast is None else float(next_outdoor_forecast)
-    return EstimatorState(indoor_est=indoor_est, indoor_var=indoor_var, outdoor_pred=outdoor)
-
-
-def _draw_day_noise(
-    gen: np.random.Generator, n_days: int, params: ConsumerParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _draw_day_noise(gen: np.random.Generator, n_days: int, horizon: int,
+                    process_noise_var: float, obs_noise_var: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical noise layout shared by every rollout flavor.
 
     Order matters for reproducibility: initial reading noise first, then the
     process-noise matrix, then the observation-noise matrix.
     """
-    n = params.horizon
-    sv = float(np.sqrt(params.obs_noise_var))
-    sw = float(np.sqrt(params.process_noise_var))
+    sv = float(np.sqrt(obs_noise_var))
+    sw = float(np.sqrt(process_noise_var))
     v0 = gen.normal(0.0, sv, size=n_days) if sv > 0 else np.zeros(n_days)
-    w = gen.normal(0.0, sw, size=(n_days, n)) if sw > 0 else np.zeros((n_days, n))
-    v = gen.normal(0.0, sv, size=(n_days, n)) if sv > 0 else np.zeros((n_days, n))
+    w = gen.normal(0.0, sw, size=(n_days, horizon)) if sw > 0 else np.zeros((n_days, horizon))
+    v = gen.normal(0.0, sv, size=(n_days, horizon)) if sv > 0 else np.zeros((n_days, horizon))
     return v0, w, v
 
 
-def _respond_rollout(
-    params: ConsumerParams,
-    prices: np.ndarray,
-    forecast: np.ndarray,
-    v0: np.ndarray,
-    w: np.ndarray,
-    v: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized rollout of the filtering consumer over stacked days.
+def _respond_rollout(population: Population, prices: np.ndarray, forecast: np.ndarray,
+                     v0: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rollout of filtering consumers over stacked rows.
 
-    Returns (consumption, payment, discomfort) with days on the leading axis.
+    Row ``k`` is consumer ``k`` of ``population``, or, for a population of
+    one, replicate day ``k``.  Returns (consumption, discomfort).
     """
-    alpha, beta, mu = params.alpha, params.beta, params.mu
-    t = params.desired_temp
-    n = params.horizon
-    n_days = v0.shape[0]
+    alpha, beta, mu = population.alpha, population.beta, population.mu
+    t = population.desired_temp
+    n = population.horizon
+    _, gains = _estimator_variance_ladder(population)
 
-    x = np.full(n_days, t[0])          # true indoor temperature
-    est = t[0] + v0                    # posterior mean, seeded by one reading
-    var = params.obs_noise_var
-    consumption = np.empty((n_days, n))
-    discomfort = np.zeros(n_days)
+    x = np.full(len(v0), t[:, 0])      # true indoor temperature
+    est = t[:, 0] + v0                 # posterior mean, seeded by one reading
+    consumption = np.empty((len(v0), n))
+    discomfort = np.zeros(len(v0))
     for i in range(1, n + 1):
         pi_next = prices[i] if i < n else 0.0
-        target = (prices[i - 1] - (1.0 - alpha) * pi_next) / (2.0 * mu * beta) + t[i - 1]
+        target = (prices[i - 1] - (1.0 - alpha) * pi_next) / (2.0 * mu * beta) + t[:, i - 1]
         power = ((1.0 - alpha) * est + alpha * forecast[i - 1] - target) / beta
         consumption[:, i - 1] = power
 
         x = x + alpha * (forecast[i - 1] - x) - beta * power + w[:, i - 1]
-        discomfort += mu * (x - t[i - 1]) ** 2
+        discomfort += mu * (x - t[:, i - 1]) ** 2
 
         pred_mean = (1.0 - alpha) * est + alpha * forecast[i - 1] - beta * power
-        pred_var = (1.0 - alpha) ** 2 * var + params.process_noise_var
-        denom = pred_var + params.obs_noise_var
-        gain = pred_var / denom if denom > 0.0 else 0.0
-        est = pred_mean + gain * (x + v[:, i - 1] - pred_mean)
-        var = (1.0 - gain) * pred_var
-
-    payment = consumption @ prices
-    return consumption, payment, discomfort
+        est = pred_mean + gains[:, i - 1] * (x + v[:, i - 1] - pred_mean)
+    return consumption, discomfort
 
 
-def simulate_day(
-    params: ConsumerParams,
-    prices: Sequence[float],
-    weather: Sequence[float],
-    seed: int,
-    consumer_id: int = 0,
-    day: int = 0,
-) -> DayResult:
-    """Simulate one consumer-day under the optimal hourly policy."""
-    pi = as_prices(prices, params.horizon)
-    forecast = np.asarray(weather, dtype=float)
-    if forecast.shape != (params.horizon,):
-        raise ValueError("weather must match the horizon")
-    gen = substream(seed, consumer_id, day)
-    v0, w, v = _draw_day_noise(gen, 1, params)
-    consumption, payment, discomfort = _respond_rollout(params, pi, forecast, v0, w, v)
+def _baseline_powers(population: Population, forecast: np.ndarray, tolerance: float) -> np.ndarray:
+    """Open-loop powers, (consumers, hours), holding the noise-free
+    trajectory at the tolerance band edge (above the setpoint when the unit
+    cools, below when it heats)."""
+    if tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
+    alpha, beta = population.alpha[:, None], population.beta[:, None]
+    t = population.desired_temp
+    band = t + np.where(beta > 0, tolerance, -tolerance)
+    previous = np.concatenate([t[:, :1], band[:, :-1]], axis=1)
+    return ((1.0 - alpha) * previous + alpha * forecast - band) / beta
+
+
+def _baseline_rollout(population: Population, powers: np.ndarray, forecast: np.ndarray,
+                      w: np.ndarray) -> np.ndarray:
+    """Discomfort per row of the noisy evolution under open-loop ``powers``
+    (rows as in ``_respond_rollout``)."""
+    alpha, beta, mu = population.alpha, population.beta, population.mu
+    t = population.desired_temp
+    x = np.full(len(w), t[:, 0])
+    discomfort = np.zeros(len(w))
+    for i in range(population.horizon):
+        x = x + alpha * (forecast[i] - x) - beta * powers[:, i] + w[:, i]
+        discomfort += mu * _pow2(x - t[:, i])
+    return discomfort
+
+
+def _row_payments(consumption: np.ndarray, prices: np.ndarray) -> np.ndarray:
+    """One dot product per row, so a consumer's payment does not depend on
+    the batch it ran in (a matrix-vector product rounds differently)."""
+    return np.array([row @ prices for row in consumption])
+
+
+def simulate_population_day(population: Population, prices: Sequence[float], weather: Sequence[float], seed: int,
+                            day: int = 0, tolerances: Sequence[float] = (),
+                            consumer_ids: Sequence[int] | None = None) -> tuple[Outcome, list[Outcome]]:
+    """Simulate one day of every consumer under the optimal hourly policy
+    and under a thermostat baseline per tolerance.
+
+    Consumer ``k`` draws its noise once, from the ``(seed, consumer_ids[k],
+    day)`` substream (ids default to row indices), and every policy
+    experiences it.  Returns ``(responsive, baselines)``: (consumption,
+    payment, discomfort) with consumers on the leading axis, and one such
+    triple per tolerance.
+    """
+    pi = as_prices(prices, population.horizon)
+    forecast = as_forecast(weather, population.horizon)
+    ids = range(len(population)) if consumer_ids is None else consumer_ids
+    draws = [
+        _draw_day_noise(substream(seed, cid, day), 1, population.horizon, q, r)
+        for cid, q, r in zip(ids, population.process_noise_var.tolist(), population.obs_noise_var.tolist())
+    ]
+    v0, w, v = (np.concatenate(parts) for parts in zip(*draws))
+
+    consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
+    baselines = []
+    for tolerance in tolerances:
+        powers = _baseline_powers(population, forecast, tolerance)
+        baselines.append(
+            (powers, _row_payments(powers, pi), _baseline_rollout(population, powers, forecast, w))
+        )
+    return (consumption, _row_payments(consumption, pi), discomfort), baselines
+
+
+def _first_row(outcome: Outcome) -> DayResult:
+    consumption, payment, discomfort = outcome
     pay, disc = float(payment[0]), float(discomfort[0])
-    return DayResult(
-        consumption=consumption[0], payment=pay, discomfort=disc, surplus=-(disc + pay)
+    return DayResult(consumption=consumption[0], payment=pay, discomfort=disc, surplus=-(disc + pay))
+
+
+def simulate_day(params: ConsumerParams, prices: Sequence[float], weather: Sequence[float], seed: int,
+                 consumer_id: int = 0, day: int = 0) -> DayResult:
+    """Simulate one consumer-day under the optimal hourly policy."""
+    responsive, _ = simulate_population_day(
+        Population.of([params]), prices, weather, seed, day, consumer_ids=[consumer_id]
     )
+    return _first_row(responsive)
 
 
-def simulate_days(
-    params: ConsumerParams,
-    prices: Sequence[float],
-    weather: Sequence[float],
-    seed: int,
-    n_days: int,
-    consumer_id: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized replicate days for Monte Carlo estimation.
+def baseline_thermostat(params: ConsumerParams, tolerance: float, prices: Sequence[float],
+                        weather: Sequence[float], seed: int, consumer_id: int = 0, day: int = 0) -> DayResult:
+    """Non-responsive benchmark: compute powers from the expected dynamics
+    for a fixed comfort tolerance, then experience the noisy evolution.
+
+    Driven by the same noise as ``simulate_day`` with the same
+    ``(seed, consumer_id, day)``.
+    """
+    _, (baseline,) = simulate_population_day(
+        Population.of([params]), prices, weather, seed, day, [tolerance], [consumer_id]
+    )
+    return _first_row(baseline)
+
+
+def _replicate_days(params: ConsumerParams, prices, weather, seed: int, n_days: int, consumer_id: int):
+    """A population of one, the validated prices and forecast, and
+    ``n_days`` rows of noise from the ``(seed, consumer_id)`` substream."""
+    gen = substream(seed, consumer_id)
+    noise = _draw_day_noise(gen, n_days, params.horizon, params.process_noise_var, params.obs_noise_var)
+    return Population.of([params]), as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
+
+
+def simulate_days(params: ConsumerParams, prices: Sequence[float], weather: Sequence[float], seed: int,
+                  n_days: int, consumer_id: int = 0) -> Outcome:
+    """Replicate days of one consumer for Monte Carlo estimation.
 
     Returns (consumption, payment, discomfort) stacked over days; surplus is
     ``-(discomfort + payment)`` rowwise when needed.
     """
-    pi = as_prices(prices, params.horizon)
-    forecast = np.asarray(weather, dtype=float)
-    gen = substream(seed, consumer_id)
-    v0, w, v = _draw_day_noise(gen, n_days, params)
-    return _respond_rollout(params, pi, forecast, v0, w, v)
+    population, pi, forecast, v0, w, v = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
+    consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
+    return consumption, consumption @ pi, discomfort
 
 
-def _baseline_powers(
-    params: ConsumerParams, forecast: np.ndarray, tolerance: float
-) -> np.ndarray:
-    """Open-loop powers holding the noise-free trajectory at the tolerance
-    band edge (above the setpoint when the unit cools, below when it heats)."""
-    alpha, beta = params.alpha, params.beta
-    offset = tolerance if beta > 0 else -tolerance
-    band = params.desired_temp + offset
-    n = params.horizon
-    powers = np.empty(n)
-    x_bar = params.desired_temp[0]
-    for i in range(n):
-        powers[i] = ((1.0 - alpha) * x_bar + alpha * forecast[i] - band[i]) / beta
-        x_bar = band[i]
-    return powers
-
-
-def baseline_thermostat(
-    params: ConsumerParams,
-    tolerance: float,
-    prices: Sequence[float],
-    weather: Sequence[float],
-    seed: int,
-    consumer_id: int = 0,
-    day: int = 0,
-) -> DayResult:
-    """Non-responsive benchmark: compute powers from the expected dynamics
-    for a fixed comfort tolerance, then experience the noisy evolution.
-
-    Draws the same noise layout as ``simulate_day``, so results with the
-    same ``(seed, consumer_id, day)`` are driven by identical disturbances.
-    """
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
-    pi = as_prices(prices, params.horizon)
-    forecast = np.asarray(weather, dtype=float)
-    if forecast.shape != (params.horizon,):
-        raise ValueError("weather must match the horizon")
-    gen = substream(seed, consumer_id, day)
-    _, w, _ = _draw_day_noise(gen, 1, params)
-    powers = _baseline_powers(params, forecast, tolerance)
-
-    x = params.desired_temp[0]
-    discomfort = 0.0
-    for i in range(params.horizon):
-        x = x + params.alpha * (forecast[i] - x) - params.beta * powers[i] + w[0, i]
-        discomfort += params.mu * (x - params.desired_temp[i]) ** 2
-    payment = float(powers @ pi)
-    return DayResult(
-        consumption=powers, payment=payment, discomfort=float(discomfort),
-        surplus=-(float(discomfort) + payment),
-    )
-
-
-def baseline_days(
-    params: ConsumerParams,
-    tolerance: float,
-    prices: Sequence[float],
-    weather: Sequence[float],
-    seed: int,
-    n_days: int,
-    consumer_id: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def baseline_days(params: ConsumerParams, tolerance: float, prices: Sequence[float], weather: Sequence[float],
+                  seed: int, n_days: int, consumer_id: int = 0) -> Outcome:
     """Replicate-day version of ``baseline_thermostat`` (shared noise layout
     with ``simulate_days``, so the two are comparable seed-for-seed)."""
-    pi = as_prices(prices, params.horizon)
-    forecast = np.asarray(weather, dtype=float)
-    gen = substream(seed, consumer_id)
-    _, w, _ = _draw_day_noise(gen, n_days, params)
-    powers = _baseline_powers(params, forecast, tolerance)
-
-    x = np.full(n_days, params.desired_temp[0])
-    discomfort = np.zeros(n_days)
-    for i in range(params.horizon):
-        x = x + params.alpha * (forecast[i] - x) - params.beta * powers[i] + w[:, i]
-        discomfort += params.mu * (x - params.desired_temp[i]) ** 2
-    consumption = np.tile(powers, (n_days, 1))
-    payment = np.full(n_days, float(powers @ pi))
-    return consumption, payment, discomfort
+    population, pi, forecast, _, w, _ = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
+    powers = _baseline_powers(population, forecast, tolerance)
+    discomfort = _baseline_rollout(population, powers, forecast, w)
+    return np.repeat(powers, n_days, axis=0), np.full(n_days, float(powers[0] @ pi)), discomfort

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import AffineDemandModel, ConsumerDemandModel, as_prices
+from .demand import AffineDemandModel, as_prices
 from .errors import InfeasibleConstraintError
 from .optim import TOLERANCES, LpProblem, LpResult, pattern_search, simplex_solve
 from .pricing import TradeoffPoint, WholesaleCost, expected_cs, expected_rp, optimal_price
@@ -240,7 +240,7 @@ def _validate_plan(plan: ArbitragePlan, battery: BatteryParams) -> None:
 
 
 def consumer_surplus_with_storage(
-    model: ConsumerDemandModel | AffineDemandModel,
+    model: AffineDemandModel,
     prices: Sequence[float],
     battery: BatteryParams,
 ) -> float:

@@ -3,13 +3,19 @@
 Nothing in here reuses the library's closed forms: demand comes from
 brute-force minimization of the consumer's day cost, battery profits from
 grid enumeration, expectations from Monte Carlo, and the joint
-storage-plus-HVAC problem from a general-purpose NLP solver.  Keeping the
+storage-plus-HVAC problem from a general-purpose NLP solver.  The batched
+simulator is replayed one consumer, one hour at a time, and the population
+model is rebuilt from each consumer's scalar formulas.  Keeping the
 oracles dumb and slow is the point.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.optimize
+
+from dahp import substream
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +85,146 @@ def brute_affine_map(alpha, beta, mu, setpoints, forecast):
     return gain, intercept
 
 
+def scalar_consumer_model(params, forecast):
+    """(gain, intercept_mean, intercept_cov, cs_constant) of one consumer,
+    computed hour by hour on Python floats: the reference the population
+    model must match bit for bit when summed consumer by consumer."""
+    alpha, beta, mu = params.alpha, params.beta, params.mu
+    t, n = params.desired_temp, params.horizon
+    unit = 1.0 / (2.0 * mu * beta * beta)
+    gain = np.zeros((n, n))
+    gain[0, 0] = unit
+    for i in range(1, n):
+        gain[i, i] = (1.0 + (1.0 - alpha) ** 2) * unit
+        gain[i, i - 1] = gain[i - 1, i] = (alpha - 1.0) * unit
+    intercept = np.empty(n)
+    intercept[0] = ((1.0 - alpha) * t[0] + alpha * forecast[0] - t[0]) / beta
+    for i in range(1, n):
+        intercept[i] = ((1.0 - alpha) * t[i - 1] + alpha * forecast[i] - t[i]) / beta
+
+    pred, gains, post = np.empty(n), np.empty(n), params.obs_noise_var
+    for i in range(n):
+        pred[i] = (1.0 - alpha) ** 2 * post + params.process_noise_var
+        denom = pred[i] + params.obs_noise_var
+        gains[i] = pred[i] / denom if denom > 0.0 else 0.0
+        post = (1.0 - gains[i]) * pred[i]
+    scale = ((1.0 - alpha) / beta) ** 2
+    xi_var = np.empty(n)
+    xi_var[0] = params.obs_noise_var
+    for m in range(1, n):
+        xi_var[m] = gains[m - 1] ** 2 * (pred[m - 1] + params.obs_noise_var)
+    cov = np.diag(scale * xi_var)
+    gamma = -params.obs_noise_var
+    for m in range(1, n):
+        cov[0, m] = cov[m, 0] = scale * gains[m - 1] * (1.0 - alpha) * gamma
+        gamma *= (1.0 - gains[m - 1]) * (1.0 - alpha)
+    return gain, intercept, cov, -mu * float(pred.sum())
+
+
 def brute_surplus(alpha, beta, mu, setpoints, forecast, prices) -> float:
     """Noise-free optimal consumer surplus: minus the minimized day cost."""
     best = brute_demand(alpha, beta, mu, setpoints, forecast, prices)
     return -rollout_cost(alpha, beta, mu, setpoints, forecast, prices, best)
+
+
+# ---------------------------------------------------------------------------
+# one consumer, one hour at a time: policy, filter and baseline
+# ---------------------------------------------------------------------------
+
+@dataclass
+class EstimatorState:
+    """Consumer's belief: posterior indoor estimate and next-hour forecast."""
+
+    indoor_est: float
+    indoor_var: float
+    outdoor_pred: float
+
+
+def optimal_policy_step(est: EstimatorState, prices, hour: int, params) -> float:
+    """Energy to draw in ``hour`` (1-based): move the predicted indoor
+    temperature onto the price-shifted target.
+
+    The target sits ``(pi_i - (1 - alpha) * pi_{i+1}) / (2 mu beta)`` away
+    from the setpoint, with the price beyond the horizon taken as zero.
+    """
+    n = params.horizon
+    if not 1 <= hour <= n:
+        raise ValueError(f"hour must be in 1..{n}, got {hour}")
+    pi_next = prices[hour] if hour < n else 0.0
+    target = (prices[hour - 1] - (1.0 - params.alpha) * pi_next) / (
+        2.0 * params.mu * params.beta
+    ) + params.desired_temp[hour - 1]
+    drift = (1.0 - params.alpha) * est.indoor_est + params.alpha * est.outdoor_pred
+    return (drift - target) / params.beta
+
+
+def kalman_step(est: EstimatorState, obs, params, applied_power: float,
+                next_outdoor_forecast: float | None = None) -> EstimatorState:
+    """One predict/update cycle of the scalar indoor-temperature filter.
+
+    ``obs`` is the (indoor, outdoor) reading taken after ``applied_power``
+    acted for the hour.  The outdoor reading is not filtered: the day-ahead
+    forecast is treated as known, so the returned state simply carries
+    ``next_outdoor_forecast`` (or keeps the current one).
+    """
+    alpha, beta = params.alpha, params.beta
+    pred_mean = (1.0 - alpha) * est.indoor_est + alpha * est.outdoor_pred - beta * applied_power
+    pred_var = (1.0 - alpha) ** 2 * est.indoor_var + params.process_noise_var
+    denom = pred_var + params.obs_noise_var
+    gain = pred_var / denom if denom > 0.0 else 0.0
+    indoor_est = pred_mean + gain * (obs[0] - pred_mean)
+    indoor_var = (1.0 - gain) * pred_var
+    outdoor = est.outdoor_pred if next_outdoor_forecast is None else float(next_outdoor_forecast)
+    return EstimatorState(indoor_est=indoor_est, indoor_var=indoor_var, outdoor_pred=outdoor)
+
+
+def day_noise(seed: int, consumer_id: int, day: int, params):
+    """The consumer-day's noise: the initial reading error, then hourly
+    process noise, then hourly reading errors, each drawn only when its
+    variance is positive."""
+    gen = substream(seed, consumer_id, day)
+    n = params.horizon
+    sv, sw = np.sqrt(params.obs_noise_var), np.sqrt(params.process_noise_var)
+    v0 = gen.normal(0.0, sv) if sv > 0 else 0.0
+    w = gen.normal(0.0, sw, size=n) if sw > 0 else np.zeros(n)
+    v = gen.normal(0.0, sv, size=n) if sv > 0 else np.zeros(n)
+    return v0, w, v
+
+
+def step_rollout(params, prices, forecast, v0, w, v):
+    """(consumption, payment, discomfort) of the filtering consumer, one
+    policy step and one filter step per hour."""
+    n = params.horizon
+    est = EstimatorState(indoor_est=params.desired_temp[0] + v0,
+                         indoor_var=params.obs_noise_var, outdoor_pred=forecast[0])
+    x = params.desired_temp[0]
+    consumption = np.empty(n)
+    discomfort = 0.0
+    for hour in range(1, n + 1):
+        power = optimal_policy_step(est, prices, hour, params)
+        consumption[hour - 1] = power
+        x = x + params.alpha * (forecast[hour - 1] - x) - params.beta * power + w[hour - 1]
+        discomfort += params.mu * (x - params.desired_temp[hour - 1]) ** 2
+        nxt = forecast[hour] if hour < n else None
+        est = kalman_step(est, (x + v[hour - 1], np.nan), params, power, next_outdoor_forecast=nxt)
+    return consumption, float(np.dot(consumption, prices)), discomfort
+
+
+def step_baseline(params, tolerance, prices, forecast, w):
+    """(powers, payment, discomfort) of a thermostat holding the noise-free
+    temperature at the edge of its tolerance band, hour by hour."""
+    n = params.horizon
+    edge = tolerance if params.beta > 0 else -tolerance
+    powers = np.empty(n)
+    planned = x = params.desired_temp[0]
+    discomfort = 0.0
+    for i in range(n):
+        target = params.desired_temp[i] + edge
+        powers[i] = (planned + params.alpha * (forecast[i] - planned) - target) / params.beta
+        planned = target
+        x = x + params.alpha * (forecast[i] - x) - params.beta * powers[i] + w[i]
+        discomfort += params.mu * (x - params.desired_temp[i]) ** 2
+    return powers, float(np.dot(powers, prices)), discomfort
 
 
 # ---------------------------------------------------------------------------

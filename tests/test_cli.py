@@ -204,6 +204,52 @@ def test_storage_manifest_records_search_counters(tiny_config, tmp_path, capsys)
     assert search["lp_solves"] >= 1
 
 
+def test_simulate_manifest_records_consumer_days(tiny_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, *_ = _run(["simulate", "--config", str(tiny_config), "--out", str(out)], capsys)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # 2 consumers x 2 days, one noise substream each for every policy
+    assert manifest["counters"] == {"consumer_days": 4, "substreams": 4}
+
+
+_TOLERANCES = "  thermostat_tolerances: [0.0, 2.0]\n"
+_POINTS = "  points: 6\n"
+
+
+@pytest.mark.parametrize("old, new, command, key", [
+    pytest.param("seed: 42\n", "seed: true\n", "pareto", "seed", id="seed-bool"),
+    pytest.param("  count: 2\n", "  count: true\n", "pareto", "consumers.count", id="count-bool"),
+    pytest.param("weather:\n  days: 2\n", "weather:\n  days: true\n", "pareto", "weather.days",
+                 id="days-bool"),
+    pytest.param("  eta: 0.5\n", "  eta: true\n", "simulate", "simulate.eta", id="eta-bool"),
+    *[
+        pytest.param(_TOLERANCES, f"  thermostat_tolerances: {value}\n", "simulate",
+                     "simulate.thermostat_tolerances", id=f"tolerances-{value}")
+        for value in ("3", "[.inf]", "[.nan]", "[true]", "[-1.0]", "[abc]")
+    ],
+    *[
+        pytest.param(_POINTS, f"{_POINTS}  {field}: {value}\n", "benchmarks", f"benchmarks.{field}",
+                     id=f"{field}-{value}")
+        for field, value in (
+            ("peak_end", "30"), ("peak_end", "12.5"), ("peak_end", "true"),
+            ("peak_start", "-1"), ("peak_start", "17"),
+            ("tou_ratio", "abc"), ("tou_ratio", "0"), ("tou_ratio", ".inf"), ("tou_ratio", "true"),
+        )
+    ],
+])
+def test_invalid_config_values_exit_2(tiny_config, tmp_path, capsys, old, new, command, key):
+    assert old in TINY
+    tiny_config.write_text(TINY.replace(old, new, 1))
+    code, stdout, stderr = _run(
+        [command, "--config", str(tiny_config), "--out", str(tmp_path / "o")], capsys
+    )
+    assert code == 2 and stdout == ""
+    record = json.loads(stderr)
+    assert record["error"] == "config"
+    assert key in record["message"]
+
+
 def test_seed_override_applies(tiny_config, tmp_path, capsys):
     out = tmp_path / "out"
     code, *_ = _run(

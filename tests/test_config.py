@@ -14,6 +14,7 @@ from dahp.config import (
     resolved_dict,
 )
 from dahp.errors import ConfigError
+from dahp.simulate import substream
 
 
 def _write(tmp_path, text, name="config.yaml"):
@@ -143,6 +144,40 @@ def test_population_range_fields_deterministic():
     alphas = np.array([p.alpha for p in a])
     assert np.all((alphas >= 0.3) & (alphas <= 0.7))
     assert alphas.std() > 0.01  # actually varies
+
+
+def _scalar_draws(spec: PopulationSpec, seed: int) -> list[dict]:
+    """The population as drawn one consumer and one field at a time."""
+    rng = substream(seed, 1)
+
+    def draw(value):
+        return float(value) if isinstance(value, (int, float)) else float(rng.uniform(*value))
+
+    consumers = []
+    for _ in range(spec.count):
+        desired = draw(spec.desired_temp)
+        consumers.append(dict(
+            alpha=draw(spec.alpha), beta=draw(spec.beta), mu=draw(spec.mu),
+            desired_temp=np.full(24, desired),
+            process_noise_var=draw(spec.process_noise_var), obs_noise_var=draw(spec.obs_noise_var),
+        ))
+    return consumers
+
+
+@pytest.mark.parametrize("spec", [
+    PopulationSpec(count=300, alpha=[0.2, 0.8], beta=[0.05, 0.3], mu=[0.2, 2.0],
+                   desired_temp=[17.0, 24.0], process_noise_var=[0.0, 0.05],
+                   obs_noise_var=[0.001, 0.05]),
+    PopulationSpec(count=40, desired_temp=[18.0, 22.0], mu=[0.5, 0.5], obs_noise_var=0),
+    PopulationSpec(count=3),
+])
+def test_population_matches_scalar_draws(spec):
+    population = draw_population(spec, seed=17)
+    expected = _scalar_draws(spec, seed=17)
+    assert len(population) == len(expected)
+    for params, fields in zip(population, expected):
+        for name, value in fields.items():
+            assert np.array_equal(getattr(params, name), value), name
 
 
 def test_population_bad_range_rejected():

@@ -214,3 +214,11 @@ def test_estimator_constants_match_monte_carlo():
         sample_cov = np.cov(dev.T)
         scale = max(np.abs(model.intercept_cov).max(), 1e-12)
         assert np.max(np.abs(sample_cov - model.intercept_cov)) < 0.05 * scale + 5e-4
+
+
+def test_squares_round_like_python_floats():
+    # the model's squares keep the rounding of Python float ``**``
+    from dahp.demand import _pow2
+
+    values = np.random.default_rng(49).uniform(0.0, 1.0, size=20_000)
+    assert np.array_equal(_pow2(values), [v ** 2 for v in values.tolist()])

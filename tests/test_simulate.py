@@ -1,4 +1,6 @@
 """Tests for the consumer simulator: policy, filter, and Monte Carlo means."""
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -7,18 +9,25 @@ import oracles
 from dahp import (
     ConsumerParams,
     DayResult,
-    EstimatorState,
+    Population,
+    WholesaleCost,
+    aggregate,
     baseline_days,
     baseline_thermostat,
     build_consumer_model,
-    kalman_step,
+    experiments,
     mean_demand,
-    optimal_policy_step,
+    optimal_price,
+    population_model,
     simulate_day,
     simulate_days,
+    simulate_population_day,
     substream,
 )
+from dahp.config import ExperimentConfig, SeriesSpec, SimulateSpec
 from dahp.pricing import expected_cs
+from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
+from oracles import EstimatorState, kalman_step, optimal_policy_step
 
 
 def _noise_free(params: ConsumerParams) -> ConsumerParams:
@@ -189,32 +198,14 @@ def test_zero_noise_zero_price_tracks_setpoint():
 
 
 def test_simulate_day_agrees_with_scalar_steps():
-    # the vectorized rollout and the public single-step operations must
-    # describe the same policy/filter
+    # the vectorized rollout and the single-step operations must describe
+    # the same policy/filter
     rng = np.random.default_rng(56)
     params = helpers.random_params(rng, horizon=5)
     prices = rng.uniform(0.0, 0.3, size=5)
     forecast = rng.uniform(25.0, 35.0, size=5)
     result = simulate_day(params, prices, forecast, seed=77, consumer_id=2, day=4)
-
-    gen = substream(77, 2, 4)
-    sv = np.sqrt(params.obs_noise_var)
-    sw = np.sqrt(params.process_noise_var)
-    v0 = gen.normal(0.0, sv)
-    w = gen.normal(0.0, sw, size=(1, 5))[0]
-    v = gen.normal(0.0, sv, size=(1, 5))[0]
-
-    est = EstimatorState(indoor_est=params.desired_temp[0] + v0,
-                         indoor_var=params.obs_noise_var,
-                         outdoor_pred=forecast[0])
-    x = params.desired_temp[0]
-    consumption = np.empty(5)
-    for hour in range(1, 6):
-        power = optimal_policy_step(est, prices, hour, params)
-        consumption[hour - 1] = power
-        x = x + params.alpha * (forecast[hour - 1] - x) - params.beta * power + w[hour - 1]
-        nxt = forecast[hour] if hour < 5 else None
-        est = kalman_step(est, (x + v[hour - 1], np.nan), params, power, next_outdoor_forecast=nxt)
+    consumption, _, _ = oracles.step_rollout(params, prices, forecast, *oracles.day_noise(77, 2, 4, params))
     assert np.allclose(result.consumption, consumption, rtol=1e-12, atol=1e-12)
 
 
@@ -324,3 +315,95 @@ def test_optimal_policy_beats_baselines_on_shared_noise():
 def test_day_result_is_plain_record():
     result = DayResult(consumption=np.zeros(3), payment=1.0, discomfort=2.0, surplus=-3.0)
     assert result.payment == 1.0 and result.surplus == -3.0
+
+
+# ---------------------------------------------------------------------------
+# population batch path against one-consumer oracles
+# ---------------------------------------------------------------------------
+
+def _mixed_population(count: int = 60) -> list[ConsumerParams]:
+    """Varied consumers, one of them heating (beta < 0) and one noise-free."""
+    rng = np.random.default_rng(63)
+    consumers = [helpers.random_params(rng) for _ in range(count)]
+    consumers.append(ConsumerParams(alpha=0.35, beta=-0.15, mu=1.2,
+                                    desired_temp=21.0 + rng.uniform(-1.0, 1.0, size=24),
+                                    process_noise_var=0.03, obs_noise_var=0.02))
+    consumers.append(ConsumerParams(alpha=0.6, beta=0.08, mu=0.4, desired_temp=np.full(24, 19.0),
+                                    process_noise_var=0.0, obs_noise_var=0.0))
+    return consumers
+
+
+def test_population_model_is_the_consumer_order_sum():
+    # enough consumers that pairwise summation would round differently
+    consumers = _mixed_population(400)
+    for weather in (helpers.DEFAULT_WEATHER, helpers.DEFAULT_WEATHER[::-1] - 3.0):
+        model = population_model(Population.of(consumers), weather)
+        for singles in (
+            [oracles.scalar_consumer_model(p, weather) for p in consumers],
+            [astuple(build_consumer_model(p, weather)) for p in consumers],
+        ):
+            gain, intercept, cov, cs = 0.0, 0.0, 0.0, 0.0
+            for g, b, c, k in singles:
+                gain, intercept, cov, cs = gain + g, intercept + b, cov + c, cs + k
+            assert np.array_equal(model.gain, gain)
+            assert np.array_equal(model.intercept_mean, intercept)
+            assert np.array_equal(model.intercept_cov, cov)
+            assert model.cs_constant == cs
+
+
+def _close_to_row(cells, expected) -> bool:
+    """Within 1e-12 relative to the row's largest entry (a noise-free
+    consumer's discomfort is 0 up to rounding)."""
+    expected = np.asarray(expected, dtype=float)
+    return np.allclose(cells, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
+
+
+def test_run_simulate_rows_match_step_oracle(tmp_path, monkeypatch):
+    consumers = _mixed_population()
+    tolerances = [0.0, 1.5]
+    written = {}
+    monkeypatch.setattr(experiments, "draw_population", lambda spec, seed: Population.of(consumers))
+    monkeypatch.setattr(experiments, "_write_csv",
+                        lambda path, header, rows: written.__setitem__(path.name, rows))
+    config = ExperimentConfig(
+        seed=31, weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
+        simulate=SimulateSpec(eta=0.6, thermostat_tolerances=tolerances),
+    )
+    experiments.run_simulate(config, tmp_path)
+
+    cost = WholesaleCost(mean=mean_day(synthetic_wholesale(2)))
+    responsive, baseline = iter(written["simulate.csv"]), iter(written["baseline.csv"])
+    for day, weather in enumerate(synthetic_weather(2)):
+        model = aggregate([build_consumer_model(p, weather.values) for p in consumers])
+        prices = optimal_price(model, cost, 0.6)
+        for cid, params in enumerate(consumers):
+            v0, w, v = oracles.day_noise(31, cid, day, params)
+            _, pay, disc = oracles.step_rollout(params, prices, weather.values, v0, w, v)
+            row = next(responsive)
+            assert row[:2] == [str(cid), str(day)]
+            assert _close_to_row(row[2:], [pay, disc, -(pay + disc)])
+            for tolerance in tolerances:
+                _, pay, disc = oracles.step_baseline(params, tolerance, prices, weather.values, w)
+                row = next(baseline)
+                assert row[:3] == [tolerance, str(cid), str(day)]
+                assert _close_to_row(row[3:], [pay, disc, -(pay + disc)])
+    assert next(responsive, None) is None and next(baseline, None) is None
+
+
+def test_population_day_rows_equal_single_consumer_days():
+    # a consumer's outcome must not depend on the batch it is simulated in
+    consumers = _mixed_population()
+    prices = np.random.default_rng(64).uniform(0.05, 0.3, size=24)
+    ids = [3 * c + 1 for c in range(len(consumers))]
+    (cons, pay, disc), baselines = simulate_population_day(
+        Population.of(consumers), prices, helpers.DEFAULT_WEATHER, 9, 2, [0.0, 1.0], ids
+    )
+    for row, (cid, params) in enumerate(zip(ids, consumers)):
+        one = simulate_day(params, prices, helpers.DEFAULT_WEATHER, 9, consumer_id=cid, day=2)
+        assert np.array_equal(one.consumption, cons[row])
+        assert (one.payment, one.discomfort) == (pay[row], disc[row])
+        for tolerance, (powers, base_pay, base_disc) in zip([0.0, 1.0], baselines):
+            base = baseline_thermostat(params, tolerance, prices, helpers.DEFAULT_WEATHER, 9,
+                                       consumer_id=cid, day=2)
+            assert np.array_equal(base.consumption, powers[row])
+            assert (base.payment, base.discomfort) == (base_pay[row], base_disc[row])
