@@ -27,6 +27,7 @@ from .errors import (
     IndefiniteMatrixError,
     InfeasibleConstraintError,
     NonConvergenceError,
+    NumericalError,
 )
 from .pricing import (
     TradeoffPoint,
@@ -124,4 +125,5 @@ __all__ = [
     "IndefiniteMatrixError",
     "InfeasibleConstraintError",
     "NonConvergenceError",
+    "NumericalError",
 ]

@@ -14,13 +14,7 @@ import json
 import sys
 
 from .config import load_config, validate_config
-from .errors import (
-    ConfigError,
-    DataError,
-    IndefiniteMatrixError,
-    InfeasibleConstraintError,
-    NonConvergenceError,
-)
+from .errors import ConfigError, DataError, NumericalError
 from .experiments import COMMANDS, run_experiment
 
 EXIT_OK = 0
@@ -58,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:
         return _fail("data", exc, EXIT_DATA)
-    except (NonConvergenceError, IndefiniteMatrixError, InfeasibleConstraintError) as exc:
+    except NumericalError as exc:
         return _fail("numerical", exc, EXIT_NUMERICAL)
     except Exception as exc:  # anything unplanned still exits nonzero
         return _fail("internal", exc, 1)

@@ -1,19 +1,23 @@
-"""Experiment configuration: one YAML file with a strict key schema.
+"""Experiment configuration: one YAML file checked against one schema.
 
-Unknown keys are errors (typos should never silently fall back to
-defaults), required keys are checked eagerly, and every consumer parameter
-accepts either a scalar or a two-element ``[lo, hi]`` uniform range drawn
-per consumer from the run seed.  ``config_hash`` fingerprints the resolved
-configuration so the run manifest changes exactly when a field does.
+Each spec field declares its default and its ``Rule`` once, as dataclass
+field metadata.  ``load_config`` builds the specs recursively from the YAML
+(unknown keys are errors, so typos never fall back to defaults) and checks
+every field, whichever command runs; ``validate_config`` adds the rules
+that tie fields together.  A consumer parameter is a number or a
+``[lo, hi]`` uniform range drawn per consumer from the run seed.
+``config_hash`` fingerprints the resolved configuration.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field
+import os
+import sys
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import yaml
@@ -24,197 +28,192 @@ from .simulate import substream
 from .storage import BatteryParams
 
 _POPULATION_KEY = 1  # substream tag for population parameter draws
+INF = float("inf")
+
+
+class Rule(NamedTuple):
+    test: Callable[[Any], bool]
+    phrase: str  # completes "'<key>' must be ..."
+
+
+def _is_finite(value: Any) -> bool:
+    # compared, not converted: exact for ints beyond the float range too
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def integer(lo: int, hi: float = INF) -> Rule:
+    phrase = {0: "a nonnegative integer", 1: "a positive integer"}.get(lo, f"an integer >= {lo}")
+    return Rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi,
+                phrase if hi == INF else f"an integer in [{lo}, {hi}]")
+
+
+def finite(lo: float, hi: float = INF, strict: bool = False) -> Rule:
+    phrase = f"in [{lo}, {hi}]" if hi < INF else f"{'>' if strict else '>='} {lo}"
+    return Rule(lambda v: _is_finite(v) and (lo < v if strict else lo <= v) and v <= hi,
+                f"a finite number {phrase}")
+
+
+def numbers(nonempty: bool = False) -> Rule:
+    return Rule(lambda v: isinstance(v, list) and len(v) >= nonempty and all(_is_finite(x) and x >= 0 for x in v),
+                f"a {'nonempty ' if nonempty else ''}list of finite nonnegative numbers")
+
+
+def choice(*options: str) -> Rule:
+    return Rule(lambda v: isinstance(v, str) and v in options, " or ".join(map(repr, options)))
+
+
+def path_string(optional: bool = False) -> Rule:
+    return Rule(lambda v: isinstance(v, str) and "\0" not in v or optional and v is None, "a path string")
+
+
+CONSUMER_NUMBER = Rule(
+    lambda v: _is_finite(v) or (
+        isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_finite, v)) and v[0] <= v[1]
+    ),
+    "a finite number or a [lo, hi] range of finite numbers with lo <= hi",
+)
+BATTERY_NUMBER = Rule(lambda v: _is_finite(v) or v == INF, "a finite number or .inf")
+
+
+def _field(default: Any = MISSING, rule: Rule | None = None) -> Any:
+    """A spec field: its default (none if required; lists are copied) and its rule."""
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata={"rule": rule})
+    return field(default=default, metadata={"rule": rule})
 
 
 @dataclass
 class SeriesSpec:
-    source: str = "synthetic"  # "synthetic" | "file"
-    days: int = 1
-    path: str | None = None
+    source: str = _field("synthetic", choice("synthetic", "file"))
+    days: int = _field(1, integer(1))
+    path: str | None = _field(None, path_string(optional=True))
 
 
 @dataclass
 class PopulationSpec:
-    count: int = 10
-    alpha: Any = 0.5
-    beta: Any = 0.1
-    mu: Any = 0.5
-    desired_temp: Any = 18.0
-    process_noise_var: Any = 0.01
-    obs_noise_var: Any = 0.01
+    count: int = _field(10, integer(1))
+    alpha: Any = _field(0.5, CONSUMER_NUMBER)
+    beta: Any = _field(0.1, CONSUMER_NUMBER)
+    mu: Any = _field(0.5, CONSUMER_NUMBER)
+    desired_temp: Any = _field(18.0, CONSUMER_NUMBER)
+    process_noise_var: Any = _field(0.01, CONSUMER_NUMBER)
+    obs_noise_var: Any = _field(0.01, CONSUMER_NUMBER)
 
 
 @dataclass
 class BenchmarkSpec:
-    points: int = 200
-    tou_ratio: float = 1.2
-    peak_start: int = 9
-    peak_end: int = 17
+    points: int = _field(200, integer(2))
+    tou_ratio: float = _field(1.2, finite(0, strict=True))
+    peak_start: int = _field(9, integer(0))
+    peak_end: int = _field(17, integer(1, HOURS_PER_DAY))
 
 
 @dataclass
 class RenewableSpec:
-    capacity_grid: list = field(default_factory=lambda: [10.0, 50.0, 200.0])
-    marginal_cost: float = 0.0
+    capacity_grid: list = _field([10.0, 50.0, 200.0], numbers(nonempty=True))
+    marginal_cost: float = _field(0.0, finite(0))
 
 
 @dataclass
 class StorageSpec:
-    count: int = 1
-    capacity: float = 10.0
-    initial_soc: float = 0.0
-    storage_eff: float = 1.0
-    charge_eff: float = 0.95
-    discharge_eff: float = 0.95
-    charge_limit: float = 5.0
-    discharge_limit: float = 5.0
-    eta_grid: list = field(default_factory=lambda: [0.0, 0.5, 1.0])
-    max_evals: int = 1500
+    count: int = _field(1, integer(0))
+    capacity: float = _field(10.0, BATTERY_NUMBER)
+    initial_soc: float = _field(0.0, BATTERY_NUMBER)
+    storage_eff: float = _field(1.0, BATTERY_NUMBER)
+    charge_eff: float = _field(0.95, BATTERY_NUMBER)
+    discharge_eff: float = _field(0.95, BATTERY_NUMBER)
+    charge_limit: float = _field(5.0, BATTERY_NUMBER)
+    discharge_limit: float = _field(5.0, BATTERY_NUMBER)
+    eta_grid: list = _field([0.0, 0.5, 1.0])  # checked by resolve_eta_grid
+    max_evals: int = _field(1500, integer(1))
 
 
 @dataclass
 class SimulateSpec:
-    eta: float = 1.0
-    thermostat_tolerances: list = field(default_factory=lambda: [0.0, 2.0])
+    eta: float = _field(1.0, finite(0, 1))
+    thermostat_tolerances: list = _field([0.0, 2.0], numbers())
 
 
 @dataclass
 class ExperimentConfig:
-    seed: int
-    output_dir: str = "runs"
+    seed: int = _field(rule=integer(0))
+    output_dir: str = _field("runs", path_string())
     consumers: PopulationSpec = field(default_factory=PopulationSpec)
     weather: SeriesSpec = field(default_factory=SeriesSpec)
     wholesale: SeriesSpec = field(default_factory=SeriesSpec)
-    eta_grid: list = field(default_factory=lambda: [0.0, 1.0, 101])
+    eta_grid: list = _field([0.0, 1.0, 101])  # checked by resolve_eta_grid
     benchmarks: BenchmarkSpec = field(default_factory=BenchmarkSpec)
     renewable: RenewableSpec = field(default_factory=RenewableSpec)
     storage: StorageSpec = field(default_factory=StorageSpec)
     simulate: SimulateSpec = field(default_factory=SimulateSpec)
 
 
-_SECTION_TYPES = {
-    "consumers": PopulationSpec,
-    "weather": SeriesSpec,
-    "wholesale": SeriesSpec,
-    "benchmarks": BenchmarkSpec,
-    "renewable": RenewableSpec,
-    "storage": StorageSpec,
-    "simulate": SimulateSpec,
-}
-
-
-def _build_section(cls, raw: Any, path: str):
-    if raw is None:
-        return cls()
+def _build(cls, raw: Any, path: str = ""):
+    """Build spec ``cls`` from a YAML mapping, recursing into the fields
+    whose default is a spec section."""
+    raw = {} if raw is None else raw
     if not isinstance(raw, dict):
-        raise ConfigError(f"config section '{path}' must be a mapping")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key '{path}.{unknown[0]}'")
-    return cls(**raw)
+        raise ConfigError(f"config section '{path}' must be a mapping" if path else "config root must be a mapping")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for name, value in raw.items():
+        key = f"{path}.{name}" if path else str(name)
+        if name not in fields:
+            raise ConfigError(f"unknown config key '{key}'")
+        section = fields[name].default_factory
+        kwargs[name] = _build(section, value, key) if dataclasses.is_dataclass(section) else value
+    missing = [name for name, f in fields.items()
+               if name not in kwargs and f.default is f.default_factory is MISSING]
+    if missing:  # only the root has required fields
+        raise ConfigError(f"config must set '{missing[0]}'")
+    return cls(**kwargs)
+
+
+def check_fields(spec: Any, path: str = "") -> None:
+    """Check each field of a spec, and of the sections it holds, against its
+    declared rule; ``path`` is the spec's dotted key in the config."""
+    for f in dataclasses.fields(spec):
+        key = f"{path}.{f.name}" if path else f.name
+        value, rule = getattr(spec, f.name), f.metadata.get("rule")
+        if dataclasses.is_dataclass(value):
+            check_fields(value, key)
+        elif rule is not None and not rule.test(value):
+            raise ConfigError(f"'{key}' must be {rule.phrase}")
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a YAML experiment configuration."""
-    path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
-    except OSError as exc:
+        raw = yaml.safe_load(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = sorted(set(raw) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown config key '{unknown[0]}'")
-
-    kwargs: dict[str, Any] = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in raw:
-            kwargs[name] = _build_section(cls, raw[name], name)
-    for name in ("seed", "output_dir", "eta_grid"):
-        if name in raw:
-            kwargs[name] = raw[name]
-    if "seed" not in kwargs:
-        raise ConfigError("config must set 'seed' (reproducibility is mandatory)")
-    config = ExperimentConfig(**kwargs)
+    config = _build(ExperimentConfig, raw)
     validate_config(config)
     return config
 
 
 def validate_config(config: ExperimentConfig) -> None:
-    if not _is_int(config.seed) or config.seed < 0:
-        raise ConfigError("'seed' must be a nonnegative integer")
+    """Check every field's rule, then the rules that tie fields together."""
+    check_fields(config)
     for name in ("weather", "wholesale"):
         spec = getattr(config, name)
-        if spec.source not in ("synthetic", "file"):
-            raise ConfigError(f"'{name}.source' must be 'synthetic' or 'file'")
-        if spec.source == "file":
-            if not spec.path:
-                raise ConfigError(f"'{name}.path' is required when source is 'file'")
-            if not Path(spec.path).exists():
-                raise ConfigError(f"'{name}.path' does not exist: {spec.path}")
-        elif not (_is_int(spec.days) and spec.days >= 1):
-            raise ConfigError(f"'{name}.days' must be a positive integer")
-    if not (_is_int(config.consumers.count) and config.consumers.count >= 1):
-        raise ConfigError("'consumers.count' must be a positive integer")
+        if spec.source == "file" and not (spec.path and os.path.exists(spec.path)):
+            raise ConfigError(f"'{name}.path' must be an existing file when source is 'file', got {spec.path!r}")
+    if config.benchmarks.peak_start >= config.benchmarks.peak_end:
+        raise ConfigError("'benchmarks.peak_start' must be below 'benchmarks.peak_end'")
     resolve_eta_grid(config.eta_grid, "eta_grid")
     resolve_eta_grid(config.storage.eta_grid, "storage.eta_grid")
-    if not (_is_finite(config.simulate.eta) and 0.0 <= config.simulate.eta <= 1.0):
-        raise ConfigError("'simulate.eta' must lie in [0, 1]")
-    tolerances = config.simulate.thermostat_tolerances
-    if not (isinstance(tolerances, list) and all(_is_finite(v) and v >= 0 for v in tolerances)):
-        raise ConfigError("'simulate.thermostat_tolerances' must be a list of finite nonnegative numbers")
-    grid = config.renewable.capacity_grid
-    if not (isinstance(grid, list) and grid and all(_is_finite(v) and v >= 0 for v in grid)):
-        raise ConfigError("'renewable.capacity_grid' must be a nonempty list of finite nonnegative numbers")
-    cost = config.renewable.marginal_cost
-    if not (_is_finite(cost) and cost >= 0):
-        raise ConfigError("'renewable.marginal_cost' must be a finite nonnegative number")
-    bench = config.benchmarks
-    if not (_is_int(bench.points) and bench.points >= 2):
-        raise ConfigError("'benchmarks.points' must be an integer >= 2")
-    if not (_is_int(bench.peak_start) and _is_int(bench.peak_end)
-            and 0 <= bench.peak_start < bench.peak_end <= HOURS_PER_DAY):
-        raise ConfigError(
-            f"'benchmarks.peak_start' and 'benchmarks.peak_end' must be integers with "
-            f"0 <= peak_start < peak_end <= {HOURS_PER_DAY}"
-        )
-    if not (_is_finite(bench.tou_ratio) and bench.tou_ratio > 0):
-        raise ConfigError("'benchmarks.tou_ratio' must be a finite number > 0")
-    if not (_is_int(config.storage.max_evals) and config.storage.max_evals >= 1):
-        raise ConfigError("'storage.max_evals' must be an integer >= 1")
-    if not (_is_int(config.storage.count) and config.storage.count >= 0):
-        raise ConfigError("'storage.count' must be a nonnegative integer")
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and bool(np.isfinite(value))
 
 
 def resolve_eta_grid(value: Any, path: str = "eta_grid") -> np.ndarray:
     """A grid is either an explicit list of weights or ``[start, stop, count]``
     with an integer count above 3 (so short explicit lists stay lists)."""
-    if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"'{path}' must be a nonempty list")
-    if len(value) == 3 and isinstance(value[2], int) and value[2] > 3:
-        start, stop, count = value
-        grid = np.linspace(float(start), float(stop), int(count))
-    else:
-        try:
-            grid = np.asarray([float(v) for v in value], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"'{path}' entries must be numbers") from exc
+    if not (isinstance(value, (list, tuple)) and value and all(map(_is_finite, value))):
+        raise ConfigError(f"'{path}' must be a nonempty list of finite numbers")
+    count_form = len(value) == 3 and isinstance(value[2], int) and value[2] > 3
+    grid = np.linspace(*value) if count_form else np.asarray(value, dtype=float)
     if np.any(grid < 0.0) or np.any(grid > 1.0) or np.any(np.diff(grid) < 0.0):
         raise ConfigError(f"'{path}' must be ascending weights within [0, 1]")
     return grid
@@ -227,17 +226,15 @@ def draw_population(spec: PopulationSpec, seed: int) -> Population:
     order ``desired_temp, alpha, beta, mu, process_noise_var,
     obs_noise_var``: one uniform matrix with a row per consumer.
     """
+    check_fields(spec, "consumers")
     values: dict[str, np.ndarray] = {}
     ranged = {}
     for name in ("desired_temp", "alpha", "beta", "mu", "process_noise_var", "obs_noise_var"):
         value = getattr(spec, name)
-        if isinstance(value, (int, float)):
-            values[name] = np.full(spec.count, float(value))
-        elif (isinstance(value, (list, tuple)) and len(value) == 2
-              and all(isinstance(v, (int, float)) for v in value) and value[0] <= value[1]):
-            ranged[name] = [float(v) for v in value]
+        if np.ndim(value):
+            ranged[name] = value
         else:
-            raise ConfigError(f"'consumers.{name}' must be a number or a [lo, hi] range with lo <= hi")
+            values[name] = np.full(spec.count, value, dtype=float)
     if ranged:
         lo, hi = zip(*ranged.values())
         draws = substream(seed, _POPULATION_KEY).uniform(lo, hi, size=(spec.count, len(ranged)))
@@ -250,19 +247,12 @@ def draw_population(spec: PopulationSpec, seed: int) -> Population:
 
 
 def batteries_from_spec(spec: StorageSpec) -> list[BatteryParams]:
+    check_fields(spec, "storage")
     try:
-        battery = BatteryParams(
-            capacity=float(spec.capacity),
-            initial_soc=float(spec.initial_soc),
-            storage_eff=float(spec.storage_eff),
-            charge_eff=float(spec.charge_eff),
-            discharge_eff=float(spec.discharge_eff),
-            charge_limit=float(spec.charge_limit),
-            discharge_limit=float(spec.discharge_limit),
-        )
+        battery = BatteryParams(**{f.name: getattr(spec, f.name) for f in dataclasses.fields(BatteryParams)})
     except ValueError as exc:
         raise ConfigError(f"invalid storage parameters: {exc}") from exc
-    return [battery] * int(spec.count)
+    return [battery] * spec.count
 
 
 def resolved_dict(config: ExperimentConfig) -> dict:

@@ -37,6 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .errors import NumericalError
 from .optim import SpdFactorization, spd_factor, spd_solve
 
 HOURS_PER_DAY = 24
@@ -131,8 +132,8 @@ def _check_params(p: ConsumerParams | Population) -> None:
     checks = (
         ((0.0 < alpha) & (alpha < 1.0), "alpha must lie strictly in (0, 1)", alpha),
         ((beta != 0.0) & np.isfinite(beta), "beta must be nonzero and finite", beta),
-        (~(mu <= 0.0), "mu must be positive", mu),
-        (~((q < 0.0) | (r < 0.0)), "noise variances must be nonnegative", np.minimum(q, r)),
+        (mu > 0.0, "mu must be positive", mu),
+        ((q >= 0.0) & (r >= 0.0), "noise variances must be nonnegative", np.minimum(q, r)),
     )
     for ok, message, value in checks:
         if not np.all(ok):
@@ -220,6 +221,7 @@ def _estimator_variance_ladder(population: Population) -> tuple[np.ndarray, np.n
     return pred, gains
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow raises below
 def population_model(population: Population, weather_forecast: Sequence[float]) -> AffineDemandModel:
     """Population demand model under the day's outdoor forecast: the sum of
     every consumer's affine model, computed without building any of them.
@@ -266,7 +268,8 @@ def population_model(population: Population, weather_forecast: Sequence[float]) 
     gamma = np.cumprod(np.column_stack([-r, (1.0 - gains[:, :-1]) * keep]), axis=1)
     cov = np.diag(_consumer_sum(scale * xi_var))
     cov[0, 1:] = cov[1:, 0] = _consumer_sum(scale * gains * keep * gamma)
-
+    if not all(np.isfinite(x).all() for x in (intercept, cov, cs_constant)):
+        raise NumericalError("population model overflowed: intercept, covariance or surplus constant not finite")
     return AffineDemandModel(
         gain=gain, intercept_mean=intercept, intercept_cov=cov, cs_constant=cs_constant
     )

@@ -17,7 +17,11 @@ class DataError(DahpError):
     """Malformed or inconsistent input data (CSV files, series shapes)."""
 
 
-class NonConvergenceError(DahpError):
+class NumericalError(DahpError):
+    """A numerical computation failed (overflow, non-convergence, ...)."""
+
+
+class NonConvergenceError(NumericalError):
     """An iterative solver stopped before reaching its tolerance."""
 
     def __init__(self, message: str, residual: float | None = None):
@@ -25,9 +29,9 @@ class NonConvergenceError(DahpError):
         self.residual = residual
 
 
-class IndefiniteMatrixError(DahpError):
+class IndefiniteMatrixError(NumericalError):
     """A matrix required to be symmetric positive definite is not."""
 
 
-class InfeasibleConstraintError(DahpError):
+class InfeasibleConstraintError(NumericalError):
     """A constrained problem has no feasible point (LP or surplus floor)."""

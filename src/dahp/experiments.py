@@ -30,7 +30,7 @@ from .config import (
     resolved_dict,
 )
 from .demand import HOURS_PER_DAY, population_model
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .pricing import WholesaleCost, benchmark_trace, optimal_price, pareto_front
 from .renewable import RenewableModel, benefit_split
 from .simulate import simulate_population_day
@@ -57,6 +57,15 @@ def _load_days(spec: SeriesSpec, kind: str) -> list[HourlySeries]:
     return synthetic_wholesale(spec.days)
 
 
+def _wholesale_cost(spec: SeriesSpec) -> WholesaleCost:
+    """The day's expected wholesale price; every hour's mean must be positive."""
+    mean = mean_day(_load_days(spec, "price"))
+    hours = (np.flatnonzero(~(mean > 0.0)) + 1).tolist()
+    if hours:
+        raise DataError(f"{spec.path or 'wholesale'}: mean price is not positive at hours {hours}")
+    return WholesaleCost(mean=mean)
+
+
 def _fmt(value: float) -> str:
     text = f"{value:.4f}"
     return "0.0000" if text == "-0.0000" else text
@@ -79,10 +88,8 @@ class _Workspace:
 
 def _build_workspace(config: ExperimentConfig) -> _Workspace:
     weather_days = _load_days(config.weather, "weather")
-    price_days = _load_days(config.wholesale, "price")
-    weather = mean_day(weather_days)
-    cost = WholesaleCost(mean=mean_day(price_days))
-    model = population_model(draw_population(config.consumers, config.seed), weather)
+    cost = _wholesale_cost(config.wholesale)
+    model = population_model(draw_population(config.consumers, config.seed), mean_day(weather_days))
     return _Workspace(model=model, cost=cost)
 
 
@@ -95,7 +102,7 @@ def run_pareto(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict
     return ["tradeoff.csv"], {}
 
 
-def _default_sweeps(ws: _Workspace, points: int) -> dict[str, np.ndarray]:
+def _default_sweeps(ws: _Workspace, points: int, tou_ratio: float) -> dict[str, np.ndarray]:
     """Sweep grids spanning the economically interesting range: from below
     the wholesale level up toward the zero-demand price."""
     lam = ws.cost.mean
@@ -105,7 +112,7 @@ def _default_sweeps(ws: _Workspace, points: int) -> dict[str, np.ndarray]:
     gamma_hi = max(2.0, level_hi / float(np.mean(lam)))
     return {
         "cp": np.linspace(level_lo, level_hi, points),
-        "tou": np.linspace(level_lo, level_hi / 1.2, points),
+        "tou": np.linspace(level_lo, level_hi / tou_ratio, points),
         "pmp": np.linspace(0.5, gamma_hi, points),
     }
 
@@ -120,7 +127,7 @@ def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], 
     _write_csv(out_dir / "benchmark_dahp.csv", ["param", "cs", "rp"], [[p.eta, p.cs, p.rp] for p in points])
     files.append("benchmark_dahp.csv")
 
-    for scheme, sweep in _default_sweeps(ws, spec.points).items():
+    for scheme, sweep in _default_sweeps(ws, spec.points, spec.tou_ratio).items():
         trace = benchmark_trace(
             ws.model, ws.cost, scheme, sweep,
             tou_ratio=spec.tou_ratio, peak_start=spec.peak_start, peak_end=spec.peak_end,
@@ -133,15 +140,13 @@ def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], 
 
 def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
     ws = _build_workspace(config)
-    grid = resolve_eta_grid(config.eta_grid)
+    if np.any(ws.cost.mean - config.renewable.marginal_cost <= 0.0):
+        raise ConfigError("'renewable.marginal_cost' must stay below every hour's wholesale mean price")
     rows = []
-    for eta in grid:
+    for eta in resolve_eta_grid(config.eta_grid):
         for capacity in config.renewable.capacity_grid:
             renew = RenewableModel(capacity=float(capacity), marginal_cost=config.renewable.marginal_cost)
-            try:
-                split = benefit_split(ws.model, ws.cost, renew, float(eta))
-            except ValueError as exc:  # the cost must stay below wholesale
-                raise ConfigError(f"'renewable.marginal_cost' is invalid: {exc}") from exc
+            split = benefit_split(ws.model, ws.cost, renew, float(eta))
             rows.append([float(eta), float(capacity), split.delta_cs, split.delta_rp, split.fraction])
     _write_csv(out_dir / "renewable.csv", ["eta", "K", "delta_cs", "delta_rp", "fraction"], rows)
     return ["renewable.csv"], {}
@@ -182,8 +187,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], di
     policies are comparable seed-for-seed.
     """
     weather_days = _load_days(config.weather, "weather")
-    price_days = _load_days(config.wholesale, "price")
-    cost = WholesaleCost(mean=mean_day(price_days))
+    cost = _wholesale_cost(config.wholesale)
     population = draw_population(config.consumers, config.seed)
     eta = float(config.simulate.eta)
     tolerances = [float(t) for t in config.simulate.thermostat_tolerances]

@@ -52,6 +52,8 @@ def spd_factor(matrix: np.ndarray) -> SpdFactorization:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise IndefiniteMatrixError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise IndefiniteMatrixError("matrix has non-finite entries")
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(a - a.T).max()) > 1e-8 * scale:
         raise IndefiniteMatrixError("matrix is not symmetric")

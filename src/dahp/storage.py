@@ -66,7 +66,7 @@ class BatteryParams:
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        if self.charge_limit < 0 or self.discharge_limit < 0:
+        if not (self.charge_limit >= 0 and self.discharge_limit >= 0):
             raise ValueError("rate limits must be nonnegative")
 
 

@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line front end."""
 import json
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+import yaml
 
 from dahp.cli import main
 
@@ -310,3 +313,77 @@ def test_unknown_command_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", "--config", "x.yaml"])
     assert info.value.code == 2
+
+
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
+
+
+def _demo_config(tmp_path, changes=()):
+    """``configs/demo.yaml`` cut to three consumers, with dotted keys replaced."""
+    config = yaml.safe_load(DEMO.read_text())
+    config["consumers"]["count"] = 3
+    for key, value in changes:
+        *sections, name = key.split(".")
+        node = config
+        for section in sections:
+            node = node[section]
+        node[name] = value
+    path = tmp_path / "demo.yaml"
+    path.write_text(yaml.safe_dump(config))
+    return path
+
+
+def _assert_failed(code, stdout, stderr, expected_code, kind, key=None):
+    assert (code, stdout) == (expected_code, "")
+    assert stderr.count("\n") == 1
+    record = json.loads(stderr)
+    assert record["error"] == kind
+    assert key is None or key in record["message"]
+
+
+@pytest.mark.parametrize("key, value, command, named", [
+    ("storage.capacity", [1], "storage", "storage.capacity"),
+    ("storage.capacity", [1], "pareto", "storage.capacity"),  # checked whichever command runs
+    ("storage.storage_eff", None, "storage", "storage.storage_eff"),
+    ("storage.charge_limit", math.nan, "storage", "storage.charge_limit"),
+    ("storage.charge_eff", "0.9", "storage", "storage.charge_eff"),
+    ("consumers.process_noise_var", math.nan, "pareto", "consumers.process_noise_var"),
+    ("consumers.obs_noise_var", math.nan, "simulate", "consumers.obs_noise_var"),
+    ("consumers.mu", math.nan, "pareto", "consumers.mu"),
+    ("consumers.beta", [0.1, math.inf], "pareto", "consumers.beta"),
+    ("eta_grid", [0, math.nan], "pareto", "eta_grid"),
+    ("storage.eta_grid", [0.5, math.nan], "storage", "storage.eta_grid"),
+    ("eta_grid", [True, 1], "pareto", "eta_grid"),
+    ("weather", {"source": "file", "path": 5}, "pareto", "weather.path"),
+])
+def test_invalid_demo_values_exit_2(tmp_path, capsys, key, value, command, named):
+    config = _demo_config(tmp_path, [(key, value)])
+    result = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(*result, 2, "config", named)
+
+
+def test_output_dir_must_be_a_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = _demo_config(tmp_path, [("output_dir", 5)])
+    _assert_failed(*_run(["pareto", "--config", str(config)], capsys), 2, "config", "output_dir")
+
+
+@pytest.mark.parametrize("command", ["pareto", "simulate"])
+def test_non_positive_wholesale_mean_exit_3(tmp_path, capsys, command):
+    prices = tmp_path / "prices.csv"
+    prices.write_text(
+        "date," + ",".join(f"h{i:02d}" for i in range(1, 25)) + "\n"
+        "2024-01-01,-5," + ",".join(["30"] * 23) + "\n"
+    )
+    config = _demo_config(tmp_path, [("wholesale", {"source": "file", "path": str(prices)})])
+    code, stdout, stderr = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(code, stdout, stderr, 3, "data", str(prices))
+    assert "hours [1]" in json.loads(stderr)["message"]
+
+
+@pytest.mark.parametrize("command", ["pareto", "benchmarks", "renewable", "storage", "simulate"])
+@pytest.mark.parametrize("key, value", [("consumers.beta", 1e-300), ("consumers.desired_temp", 1e308)])
+def test_overflowing_population_model_exit_4(tmp_path, capsys, command, key, value):
+    config = _demo_config(tmp_path, [(key, value)])
+    result = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(*result, 4, "numerical")

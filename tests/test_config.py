@@ -1,4 +1,7 @@
 """Tests for the YAML experiment configuration layer."""
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from dahp.config import (
     load_config,
     resolve_eta_grid,
     resolved_dict,
+    validate_config,
 )
 from dahp.errors import ConfigError
 from dahp.simulate import substream
@@ -224,3 +228,46 @@ def test_resolved_dict_is_plain_data():
     assert resolved["seed"] == 1
     assert resolved["consumers"]["count"] == 10
     assert isinstance(resolved["storage"]["eta_grid"], list)
+
+
+def test_demo_config_loads_and_validates():
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "demo.yaml")
+    assert (config.seed, config.consumers.count, config.storage.count) == (2024, 10, 5)
+    validate_config(config)
+    assert len(draw_population(config.consumers, config.seed)) == 10
+    assert len(batteries_from_spec(config.storage)) == 5
+    assert resolve_eta_grid(config.eta_grid).size == 11
+
+
+@pytest.mark.parametrize("spec", [
+    PopulationSpec(count=1, mu=math.nan),
+    PopulationSpec(count=1, process_noise_var=math.nan),
+    PopulationSpec(count=1, beta=[0.1, math.inf]),
+    PopulationSpec(count=1, desired_temp=True),
+])
+def test_population_spec_checked_by_schema(spec):
+    with pytest.raises(ConfigError):
+        draw_population(spec, seed=0)
+
+
+@pytest.mark.parametrize("spec", [
+    StorageSpec(charge_limit=math.nan),
+    StorageSpec(capacity=[1]),
+    StorageSpec(storage_eff=None),
+    StorageSpec(charge_eff="0.9"),
+    StorageSpec(count=True),
+])
+def test_storage_spec_checked_by_schema(spec):
+    with pytest.raises(ConfigError):
+        batteries_from_spec(spec)
+
+
+def test_unlimited_battery_rates_accepted():
+    (battery,) = batteries_from_spec(StorageSpec(charge_limit=math.inf, discharge_limit=math.inf))
+    assert battery.charge_limit == math.inf
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan], [math.nan, 1.0, 5], [True, 1], [0.0, 1.0, True]])
+def test_eta_grid_rejects_nan_and_bools(grid):
+    with pytest.raises(ConfigError):
+        resolve_eta_grid(grid)

@@ -12,7 +12,7 @@ from dahp import (
     mean_demand,
 )
 from dahp.demand import as_prices
-from dahp.errors import IndefiniteMatrixError
+from dahp.errors import IndefiniteMatrixError, NumericalError
 
 
 def test_params_validation():
@@ -222,3 +222,17 @@ def test_squares_round_like_python_floats():
 
     values = np.random.default_rng(49).uniform(0.0, 1.0, size=20_000)
     assert np.array_equal(_pow2(values), [v ** 2 for v in values.tolist()])
+
+
+@pytest.mark.parametrize("field", ["mu", "process_noise_var", "obs_noise_var"])
+def test_params_reject_nan(field):
+    params = dict(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(3, 20.0))
+    with pytest.raises(ValueError):
+        ConsumerParams(**{**params, field: np.nan})
+
+
+@pytest.mark.parametrize("field, value", [("beta", 1e-300), ("desired_temp", np.full(24, 1e308))])
+def test_overflowing_model_is_a_numerical_error(field, value):
+    params = dict(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(24, 20.0))
+    with pytest.raises(NumericalError, match="overflow"):
+        build_consumer_model(ConsumerParams(**{**params, field: value}), helpers.DEFAULT_WEATHER)

@@ -55,6 +55,14 @@ def test_spd_factor_rejects_nonsquare():
         spd_factor(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_spd_factor_rejects_non_finite(entry):
+    matrix = np.eye(3)
+    matrix[1, 1] = entry
+    with pytest.raises(IndefiniteMatrixError, match="non-finite"):
+        spd_factor(matrix)
+
+
 # ---------------------------------------------------------------------------
 # simplex
 # ---------------------------------------------------------------------------

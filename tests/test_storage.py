@@ -452,3 +452,9 @@ def test_back_to_back_searches_are_identical():
     assert first.basis_reuses > first.lp_solves
     for battery in set(batteries):
         _assert_same_plan(first.plans[battery], arbitrage(first.price, battery), battery)
+
+
+@pytest.mark.parametrize("limit", ["charge_limit", "discharge_limit"])
+def test_battery_params_reject_nan_rate_limits(limit):
+    with pytest.raises(ValueError):
+        BatteryParams(capacity=1.0, initial_soc=0.0, **{limit: np.nan})
