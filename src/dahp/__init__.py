@@ -13,11 +13,9 @@ from .demand import (
     HOURS_PER_DAY,
     AffineDemandModel,
     ConsumerParams,
-    NegativeDemandWarning,
     Population,
     aggregate,
     build_consumer_model,
-    mean_demand,
     population_model,
 )
 from .errors import (
@@ -52,10 +50,8 @@ from .renewable import (
 from .renewable import uniform_shortfall_expectation
 from .simulate import (
     DayResult,
-    baseline_days,
     baseline_thermostat,
     simulate_day,
-    simulate_days,
     simulate_population_day,
     substream,
 )
@@ -64,10 +60,7 @@ from .storage import (
     BatteryParams,
     StoragePricingResult,
     arbitrage,
-    consumer_surplus_with_storage,
     optimize_price_with_storage,
-    population_net_load,
-    retailer_objective_with_storage,
 )
 
 __all__ = [
@@ -76,11 +69,9 @@ __all__ = [
     # demand
     "AffineDemandModel",
     "ConsumerParams",
-    "NegativeDemandWarning",
     "Population",
     "aggregate",
     "build_consumer_model",
-    "mean_demand",
     "population_model",
     # pricing
     "TradeoffPoint",
@@ -103,10 +94,8 @@ __all__ = [
     "uniform_shortfall_expectation",
     # simulation
     "DayResult",
-    "baseline_days",
     "baseline_thermostat",
     "simulate_day",
-    "simulate_days",
     "simulate_population_day",
     "substream",
     # storage
@@ -114,10 +103,7 @@ __all__ = [
     "BatteryParams",
     "StoragePricingResult",
     "arbitrage",
-    "consumer_surplus_with_storage",
     "optimize_price_with_storage",
-    "population_net_load",
-    "retailer_objective_with_storage",
     # errors
     "ConfigError",
     "DahpError",

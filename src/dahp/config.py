@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import sys
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
@@ -181,10 +182,22 @@ def check_fields(spec: Any, path: str = "") -> None:
             raise ConfigError(f"'{key}' must be {rule.phrase}")
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 with YAML 1.2's floats: 1.1 reads an exponent without a dot
+    (``1e3``, ``1e-300``) as a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+0123456789."),
+)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a YAML experiment configuration."""
     try:
-        raw = yaml.safe_load(Path(path).read_text())
+        raw = yaml.load(Path(path).read_text(), Loader=_Loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

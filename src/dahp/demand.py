@@ -30,7 +30,6 @@ Conventions used throughout the package:
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -41,10 +40,6 @@ from .errors import NumericalError
 from .optim import SpdFactorization, spd_factor, spd_solve
 
 HOURS_PER_DAY = 24
-
-
-class NegativeDemandWarning(UserWarning):
-    """Mean demand went negative for at least one hour (price too high)."""
 
 
 @dataclass(eq=False)
@@ -155,7 +150,7 @@ def as_prices(prices: Sequence[float], horizon: int) -> np.ndarray:
     pi = np.atleast_1d(np.asarray(prices, dtype=float))
     if pi.shape != (horizon,):
         raise ValueError(f"expected {horizon} hourly prices, got shape {pi.shape}")
-    if not np.all(np.isfinite(pi)):
+    if not np.isfinite(pi).all():
         raise ValueError("prices must be finite")
     return pi
 
@@ -182,6 +177,15 @@ class AffineDemandModel:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``gain @ x = rhs`` against the cached factorization."""
         return spd_solve(self._factorization, rhs)
+
+    @cached_property
+    def zero_demand_price(self) -> np.ndarray:
+        """Prices at which mean demand is zero in every hour, ``gain^{-1}
+        intercept_mean``: solved once per model, and read-only because every
+        caller shares it."""
+        price = self.solve(self.intercept_mean)
+        price.flags.writeable = False
+        return price
 
 
 def _pow2(x: np.ndarray) -> np.ndarray:
@@ -299,18 +303,3 @@ def aggregate(models: Sequence[AffineDemandModel]) -> AffineDemandModel:
     model._factorization  # noqa: B018 -- eager PD check via Cholesky
     return model
 
-
-def mean_demand(model: AffineDemandModel, prices: Sequence[float]) -> np.ndarray:
-    """Expected hourly demand ``-gain @ prices + intercept_mean``.
-
-    Negative entries are legal (prices above the zero-demand level) but
-    usually indicate a mis-scaled tariff, so they raise
-    ``NegativeDemandWarning`` rather than an error.
-    """
-    pi = as_prices(prices, model.horizon)
-    demand = model.intercept_mean - model.gain @ pi
-    if np.any(demand < 0.0):
-        warnings.warn(
-            "mean demand is negative in at least one hour", NegativeDemandWarning, stacklevel=2
-        )
-    return demand

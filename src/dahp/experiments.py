@@ -106,8 +106,7 @@ def _default_sweeps(ws: _Workspace, points: int, tou_ratio: float) -> dict[str, 
     """Sweep grids spanning the economically interesting range: from below
     the wholesale level up toward the zero-demand price."""
     lam = ws.cost.mean
-    zero_demand = ws.model.solve(ws.model.intercept_mean)
-    level_hi = float(np.mean(zero_demand))
+    level_hi = float(np.mean(ws.model.zero_demand_price))
     level_lo = 0.5 * float(lam.min())
     gamma_hi = max(2.0, level_hi / float(np.mean(lam)))
     return {
@@ -235,7 +234,10 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     started = time.perf_counter()
     files, counters = _RUNNERS[command](config, out)
     manifest = {

@@ -10,8 +10,14 @@ where ``lambda`` is the expected wholesale price.  Maximizing
 ``rp + eta * cs`` over the price vector yields a one-parameter family of
 tariffs that traces the surplus/profit Pareto front as the weight ``eta``
 runs over [0, 1]: profit-greedy at 0, welfare-maximizing (price at
-wholesale cost, zero profit) at 1.  All solves go through the model's
-cached SPD factorization; nothing here inverts a matrix explicitly.
+wholesale cost, zero profit) at 1.  Every optimal tariff blends the
+wholesale price with the zero-demand price ``G^{-1} b``, which each model
+solves once, through its cached SPD factorization.
+
+``expected_cs`` and ``expected_rp`` are the only places the two formulas
+are written.  They take one tariff or a (k, N) stack of tariffs, so a
+whole front or benchmark sweep is one evaluator call; a stacked row gives
+the same bits as the same tariff alone.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .demand import AffineDemandModel, as_prices
-from .errors import InfeasibleConstraintError
+from .errors import InfeasibleConstraintError, NumericalError
 from .optim import TOLERANCES
 
 BENCHMARK_SCHEMES = ("cp", "tou", "pmp")
@@ -66,38 +72,71 @@ class TradeoffPoint:
         self.sw = self.cs + self.rp
 
 
-def expected_cs(model: AffineDemandModel, prices: Sequence[float]) -> float:
-    """Expected consumer surplus at the given price vector."""
-    pi = as_prices(prices, model.horizon)
-    return float(0.5 * pi @ model.gain @ pi - pi @ model.intercept_mean + model.cs_constant)
+def _as_tariffs(prices: Sequence[float], horizon: int) -> np.ndarray:
+    """One price vector (N,), checked by ``as_prices``, or a stack of
+    tariffs (k, N) held to the same rules: N hours, finite entries."""
+    pi = np.asarray(prices, dtype=float)
+    if pi.ndim != 2:
+        return as_prices(pi, horizon)
+    if pi.shape[1] != horizon:
+        raise ValueError(f"expected {horizon} hourly prices per tariff, got shape {pi.shape}")
+    if not np.isfinite(pi).all():
+        raise ValueError("prices must be finite")
+    return pi
 
 
-def expected_rp(
-    model: AffineDemandModel, prices: Sequence[float], cost: WholesaleCost
-) -> float:
-    """Expected retail profit: markup times mean demand."""
-    pi = as_prices(prices, model.horizon)
+def _per_tariff(values: np.ndarray) -> float | np.ndarray:
+    """A float for one tariff, the (k,) array for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+# Every product below is a stacked matmul of (1, N) rows and (N, 1) columns.
+# Each row rounds like the 1-D product of that tariff alone, so a value does
+# not depend on the stack it came in; a (k, N) @ (N, N) product would not.
+
+def expected_cs(model: AffineDemandModel, prices: Sequence[float]) -> float | np.ndarray:
+    """Expected consumer surplus at one price vector (a float), or at each
+    tariff of a (k, N) stack (a (k,) array)."""
+    pi = _as_tariffs(prices, model.horizon)
+    row, column = pi[..., None, :], pi[..., :, None]
+    quadratic = np.matmul(np.matmul(0.5 * row, model.gain), column)
+    linear = np.matmul(row, model.intercept_mean[:, None])
+    return _per_tariff((quadratic - linear)[..., 0, 0] + model.cs_constant)
+
+
+def expected_rp(model: AffineDemandModel, prices: Sequence[float], cost: WholesaleCost) -> float | np.ndarray:
+    """Expected retail profit, markup times mean demand, at one price
+    vector or at each tariff of a stack (as ``expected_cs``)."""
+    pi = _as_tariffs(prices, model.horizon)
     _check_horizon(model, cost)
-    demand = model.intercept_mean - model.gain @ pi
-    return float((pi - cost.mean) @ demand)
+    demand = model.intercept_mean[:, None] - np.matmul(model.gain, pi[..., :, None])
+    return _per_tariff(np.matmul((pi - cost.mean)[..., None, :], demand)[..., 0, 0])
 
 
-def optimal_price(model: AffineDemandModel, cost: WholesaleCost, eta: float) -> np.ndarray:
-    """Price maximizing ``rp + eta * cs`` for a weight ``eta`` in [0, 1].
+def _points(params: np.ndarray, prices: np.ndarray, cs: np.ndarray, rp: np.ndarray) -> list[TradeoffPoint]:
+    return [
+        TradeoffPoint(eta=param, price=price, cs=c, rp=r)
+        for param, price, c, r in zip(params.tolist(), prices, cs.tolist(), rp.tolist())
+    ]
+
+
+def optimal_price(model: AffineDemandModel, cost: WholesaleCost, eta: float | Sequence[float]) -> np.ndarray:
+    """Price maximizing ``rp + eta * cs`` for a weight ``eta`` in [0, 1]; a
+    vector of k weights gives a (k, N) stack, one tariff per weight.
 
     The maximizer blends the wholesale price with the zero-demand price
     ``G^{-1} b``; at ``eta = 1`` it is exactly the wholesale mean.
     """
     _check_eta(eta)
     _check_horizon(model, cost)
-    zero_demand_price = model.solve(model.intercept_mean)
-    return (1.0 / (2.0 - eta)) * cost.mean + ((1.0 - eta) / (2.0 - eta)) * zero_demand_price
+    eta = np.asarray(eta, dtype=float)[..., None]
+    return (1.0 / (2.0 - eta)) * cost.mean + ((1.0 - eta) / (2.0 - eta)) * model.zero_demand_price
 
 
 def tradeoff_point(model: AffineDemandModel, cost: WholesaleCost, eta: float) -> TradeoffPoint:
     """Evaluate the optimal tariff for one weight."""
-    pi = optimal_price(model, cost, eta)
-    return TradeoffPoint(eta=float(eta), price=pi, cs=expected_cs(model, pi), rp=expected_rp(model, pi, cost))
+    (point,) = pareto_front(model, cost, [eta])
+    return point
 
 
 def pareto_front(
@@ -110,19 +149,17 @@ def pareto_front(
         raise ValueError("eta grid must be a nonempty vector")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("eta grid must be sorted ascending")
-    for eta in (grid[0], grid[-1]):
-        _check_eta(eta)
-    return [tradeoff_point(model, cost, eta) for eta in grid]
+    prices = optimal_price(model, cost, grid)
+    return _points(grid, prices, expected_cs(model, prices), expected_rp(model, prices, cost))
 
 
 def _front_geometry(model: AffineDemandModel, cost: WholesaleCost) -> tuple[float, float]:
     """Scalars (q, k) parametrizing the optimal-tariff front:
     cs*(eta) = q / (2 (2 - eta)^2) + k and rp*(eta) = q (1 - eta) / (2 - eta)^2.
     """
-    zero_demand_price = model.solve(model.intercept_mean)
-    gap = zero_demand_price - cost.mean
+    gap = model.zero_demand_price - cost.mean
     q = float(gap @ model.gain @ gap)
-    k = model.cs_constant - 0.5 * float(model.intercept_mean @ zero_demand_price)
+    k = model.cs_constant - 0.5 * float(model.intercept_mean @ model.zero_demand_price)
     return q, k
 
 
@@ -159,12 +196,10 @@ def constrained_optimal_price(
     ``(price, cs, rp)``.  Floors above the maximum achievable surplus raise
     ``InfeasibleConstraintError`` naming that maximum.
     """
-    _check_horizon(model, cost)
     floor = float(cs_floor)
-    point0 = tradeoff_point(model, cost, 0.0)
+    point0, point1 = pareto_front(model, cost, [0.0, 1.0])
     if floor <= point0.cs:
         return point0.price, point0.cs, point0.rp
-    point1 = tradeoff_point(model, cost, 1.0)
     scale = max(1.0, abs(floor))
     if floor > point1.cs + TOLERANCES["surplus_floor_rtol"] * scale:
         raise InfeasibleConstraintError(
@@ -184,13 +219,14 @@ def constrained_optimal_price(
 
 def benchmark_prices(
     scheme: str,
-    param: float,
+    param: float | Sequence[float],
     cost: WholesaleCost,
     tou_ratio: float = 1.2,
     peak_start: int = 9,
     peak_end: int = 17,
 ) -> np.ndarray:
-    """Tariff vector for one benchmark scheme and sweep parameter.
+    """Tariff vector for one benchmark scheme and sweep parameter; a vector
+    of k parameters gives a (k, N) stack, one tariff per parameter.
 
     cp: flat price ``param`` every hour.
     tou: off-peak price ``param``, scaled by ``tou_ratio`` for hours whose
@@ -199,16 +235,17 @@ def benchmark_prices(
     """
     scheme = scheme.lower()
     n = cost.horizon
+    level = np.asarray(param, dtype=float)[..., None]
     if scheme == "cp":
-        return np.full(n, float(param))
+        return np.repeat(level, n, axis=-1)
     if scheme == "tou":
         if not 0 <= peak_start < peak_end <= n:
             raise ValueError("invalid peak window")
-        prices = np.full(n, float(param))
-        prices[peak_start:peak_end] *= tou_ratio
+        prices = np.repeat(level, n, axis=-1)
+        prices[..., peak_start:peak_end] *= tou_ratio
         return prices
     if scheme == "pmp":
-        return float(param) * cost.mean
+        return level * cost.mean
     raise ValueError(f"unknown benchmark scheme {scheme!r}; expected one of {BENCHMARK_SCHEMES}")
 
 
@@ -223,21 +260,25 @@ def benchmark_trace(
 ) -> list[TradeoffPoint]:
     """Surplus/profit trace of a benchmark tariff over a parameter sweep.
 
-    The ``eta`` field of each point holds the sweep parameter value.
+    The ``eta`` field of each point holds the sweep parameter value.  A
+    tariff whose prices, cs or rp overflow raises ``NumericalError``.
     """
     _check_horizon(model, cost)
-    points = []
-    for param in np.asarray(sweep, dtype=float):
-        pi = benchmark_prices(scheme, param, cost, tou_ratio, peak_start, peak_end)
-        points.append(
-            TradeoffPoint(eta=float(param), price=pi, cs=expected_cs(model, pi), rp=expected_rp(model, pi, cost))
-        )
-    return points
+    params = np.asarray(sweep, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
+        prices = benchmark_prices(scheme, params, cost, tou_ratio, peak_start, peak_end)
+        if np.all(np.isfinite(prices)):
+            cs, rp = expected_cs(model, prices), expected_rp(model, prices, cost)
+            if np.all(np.isfinite(cs)) and np.all(np.isfinite(rp)):
+                return _points(params, prices, cs, rp)
+    raise NumericalError(f"{scheme} benchmark tariffs overflow: a price, cs or rp is not finite")
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"pricing weight must lie in [0, 1], got {eta}")
+def _check_eta(eta: float | np.ndarray) -> None:
+    eta = np.asarray(eta, dtype=float)
+    bad = eta[~((0.0 <= eta) & (eta <= 1.0))]
+    if bad.size:
+        raise ValueError(f"pricing weight must lie in [0, 1], got {bad[0]}")
 
 
 def _check_horizon(model, cost: WholesaleCost) -> None:

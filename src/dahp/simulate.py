@@ -187,32 +187,3 @@ def baseline_thermostat(params: ConsumerParams, tolerance: float, prices: Sequen
     )
     return _first_row(baseline)
 
-
-def _replicate_days(params: ConsumerParams, prices, weather, seed: int, n_days: int, consumer_id: int):
-    """A population of one, the validated prices and forecast, and
-    ``n_days`` rows of noise from the ``(seed, consumer_id)`` substream."""
-    gen = substream(seed, consumer_id)
-    noise = _draw_day_noise(gen, n_days, params.horizon, params.process_noise_var, params.obs_noise_var)
-    return Population.of([params]), as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
-
-
-def simulate_days(params: ConsumerParams, prices: Sequence[float], weather: Sequence[float], seed: int,
-                  n_days: int, consumer_id: int = 0) -> Outcome:
-    """Replicate days of one consumer for Monte Carlo estimation.
-
-    Returns (consumption, payment, discomfort) stacked over days; surplus is
-    ``-(discomfort + payment)`` rowwise when needed.
-    """
-    population, pi, forecast, v0, w, v = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
-    consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
-    return consumption, consumption @ pi, discomfort
-
-
-def baseline_days(params: ConsumerParams, tolerance: float, prices: Sequence[float], weather: Sequence[float],
-                  seed: int, n_days: int, consumer_id: int = 0) -> Outcome:
-    """Replicate-day version of ``baseline_thermostat`` (shared noise layout
-    with ``simulate_days``, so the two are comparable seed-for-seed)."""
-    population, pi, forecast, _, w, _ = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
-    powers = _baseline_powers(population, forecast, tolerance)
-    discomfort = _baseline_rollout(population, powers, forecast, w)
-    return np.repeat(powers, n_days, axis=0), np.full(n_days, float(powers[0] @ pi)), discomfort

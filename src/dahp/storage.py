@@ -239,33 +239,11 @@ def _validate_plan(plan: ArbitragePlan, battery: BatteryParams) -> None:
         raise InfeasibleConstraintError("arbitrage plan violates capacity bounds")
 
 
-def consumer_surplus_with_storage(
-    model: AffineDemandModel,
-    prices: Sequence[float],
-    battery: BatteryParams,
-) -> float:
-    """Expected surplus of a consumer who owns a battery.
-
-    Net metering separates the decision problems, so the total is the
-    thermal surplus plus the battery's arbitrage profit.
-    """
-    return expected_cs(model, prices) + arbitrage(prices, battery, model.horizon).profit
-
-
 def _net_load(plans: dict[BatteryParams, ArbitragePlan], counts: dict[BatteryParams, int], horizon: int) -> np.ndarray:
     total = np.zeros(horizon)
     for battery, count in counts.items():
         total += count * plans[battery].net_load
     return total
-
-
-def population_net_load(prices: Sequence[float], batteries: Sequence[BatteryParams], horizon: int) -> np.ndarray:
-    """Summed optimal net battery load of a population at one tariff.
-
-    Identical battery specs share a single LP solve.
-    """
-    counts = Counter(batteries)
-    return _net_load({b: arbitrage(prices, b, horizon) for b in counts}, counts, horizon)
 
 
 def _storage_point(
@@ -280,20 +258,6 @@ def _storage_point(
         cs=expected_cs(model, pi) - float(pi @ net),
         rp=expected_rp(model, pi, cost) + float((pi - cost.mean) @ net),
     )
-
-
-def retailer_objective_with_storage(
-    model: AffineDemandModel,
-    cost: WholesaleCost,
-    batteries: Sequence[BatteryParams],
-    prices: Sequence[float],
-    eta: float,
-) -> float:
-    """Weighted retail objective ``rp + eta * cs`` when consumers operate
-    batteries."""
-    pi = as_prices(prices, model.horizon)
-    point = _storage_point(model, cost, pi, population_net_load(pi, batteries, model.horizon), eta)
-    return point.rp + eta * point.cs
 
 
 @dataclass(eq=False)

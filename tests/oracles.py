@@ -7,15 +7,26 @@ storage-plus-HVAC problem from a general-purpose NLP solver.  The batched
 simulator is replayed one consumer, one hour at a time, and the population
 model is rebuilt from each consumer's scalar formulas.  Keeping the
 oracles dumb and slow is the point.
+
+The last section is different: thin drivers over the library's own
+rollouts and evaluators that only tests need (replicate days of one
+consumer for Monte Carlo estimates, mean demand, battery-owner objectives).
 """
 from __future__ import annotations
 
+import warnings
+from collections import Counter
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 import scipy.optimize
 
-from dahp import substream
+from dahp import AffineDemandModel, BatteryParams, ConsumerParams, Population, WholesaleCost, arbitrage, substream
+from dahp.demand import as_forecast, as_prices
+from dahp.pricing import expected_cs
+from dahp.simulate import Outcome, _baseline_powers, _baseline_rollout, _draw_day_noise, _respond_rollout
+from dahp.storage import _net_load, _storage_point
 
 
 # ---------------------------------------------------------------------------
@@ -364,3 +375,93 @@ def steady_state_posterior_variance(alpha, process_noise_var, obs_noise_var) -> 
     coef_b = r - a * r - q
     s = 0.5 * (-coef_b + np.sqrt(coef_b * coef_b + 4.0 * q * r))
     return s * r / (s + r)
+
+
+# ---------------------------------------------------------------------------
+# test-only drivers over the library
+# ---------------------------------------------------------------------------
+
+class NegativeDemandWarning(UserWarning):
+    """Mean demand went negative for at least one hour (price too high)."""
+
+
+def mean_demand(model: AffineDemandModel, prices: Sequence[float]) -> np.ndarray:
+    """Expected hourly demand ``-gain @ prices + intercept_mean``.
+
+    Negative entries are legal (prices above the zero-demand level) but
+    usually indicate a mis-scaled tariff, so they raise
+    ``NegativeDemandWarning`` rather than an error.
+    """
+    pi = as_prices(prices, model.horizon)
+    demand = model.intercept_mean - model.gain @ pi
+    if np.any(demand < 0.0):
+        warnings.warn(
+            "mean demand is negative in at least one hour", NegativeDemandWarning, stacklevel=2
+        )
+    return demand
+
+
+def _replicate_days(params: ConsumerParams, prices, weather, seed: int, n_days: int, consumer_id: int):
+    """A population of one, the validated prices and forecast, and
+    ``n_days`` rows of noise from the ``(seed, consumer_id)`` substream."""
+    gen = substream(seed, consumer_id)
+    noise = _draw_day_noise(gen, n_days, params.horizon, params.process_noise_var, params.obs_noise_var)
+    return Population.of([params]), as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
+
+
+def simulate_days(params: ConsumerParams, prices: Sequence[float], weather: Sequence[float], seed: int,
+                  n_days: int, consumer_id: int = 0) -> Outcome:
+    """Replicate days of one consumer for Monte Carlo estimation.
+
+    Returns (consumption, payment, discomfort) stacked over days; surplus is
+    ``-(discomfort + payment)`` rowwise when needed.
+    """
+    population, pi, forecast, v0, w, v = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
+    consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
+    return consumption, consumption @ pi, discomfort
+
+
+def baseline_days(params: ConsumerParams, tolerance: float, prices: Sequence[float], weather: Sequence[float],
+                  seed: int, n_days: int, consumer_id: int = 0) -> Outcome:
+    """Replicate-day version of ``baseline_thermostat`` (shared noise layout
+    with ``simulate_days``, so the two are comparable seed-for-seed)."""
+    population, pi, forecast, _, w, _ = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
+    powers = _baseline_powers(population, forecast, tolerance)
+    discomfort = _baseline_rollout(population, powers, forecast, w)
+    return np.repeat(powers, n_days, axis=0), np.full(n_days, float(powers[0] @ pi)), discomfort
+
+
+def consumer_surplus_with_storage(
+    model: AffineDemandModel,
+    prices: Sequence[float],
+    battery: BatteryParams,
+) -> float:
+    """Expected surplus of a consumer who owns a battery.
+
+    Net metering separates the decision problems, so the total is the
+    thermal surplus plus the battery's arbitrage profit.
+    """
+    return expected_cs(model, prices) + arbitrage(prices, battery, model.horizon).profit
+
+
+def population_net_load(prices: Sequence[float], batteries: Sequence[BatteryParams], horizon: int) -> np.ndarray:
+    """Summed optimal net battery load of a population at one tariff.
+
+    Identical battery specs share a single LP solve.
+    """
+    counts = Counter(batteries)
+    return _net_load({b: arbitrage(prices, b, horizon) for b in counts}, counts, horizon)
+
+
+def retailer_objective_with_storage(
+    model: AffineDemandModel,
+    cost: WholesaleCost,
+    batteries: Sequence[BatteryParams],
+    prices: Sequence[float],
+    eta: float,
+) -> float:
+    """Weighted retail objective ``rp + eta * cs`` when consumers operate
+    batteries."""
+    pi = as_prices(prices, model.horizon)
+    point = _storage_point(model, cost, pi, population_net_load(pi, batteries, model.horizon), eta)
+    return point.rp + eta * point.cs

@@ -20,21 +20,19 @@ from dahp import (
     WholesaleCost,
     aggregate,
     arbitrage,
-    baseline_days,
     benefit_split,
     build_consumer_model,
-    consumer_surplus_with_storage,
     constrained_optimal_price,
     expected_cs,
     expected_rp,
     optimal_price,
     pareto_front,
     profit_upper_bound,
-    simulate_days,
     tradeoff_point,
 )
 from dahp.cli import main as cli_main
 from dahp.pricing import benchmark_trace
+from oracles import baseline_days, consumer_surplus_with_storage, simulate_days
 
 
 def _finish(index: int, label: str, failures: list, started: float, budget: float) -> None:

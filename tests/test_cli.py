@@ -387,3 +387,21 @@ def test_overflowing_population_model_exit_4(tmp_path, capsys, command, key, val
     config = _demo_config(tmp_path, [(key, value)])
     result = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(*result, 4, "numerical")
+
+
+@pytest.mark.parametrize("ratio", [1e308, 1e-300])
+def test_overflowing_benchmark_tariffs_exit_4(tmp_path, capsys, ratio):
+    config = _demo_config(tmp_path, [("benchmarks.tou_ratio", ratio)])
+    result = _run(["benchmarks", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(*result, 4, "numerical", "tou")
+
+
+@pytest.mark.parametrize("via_flag", [False, True])
+def test_output_dir_naming_a_file_exit_2(tmp_path, capsys, via_flag):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if via_flag:
+        args = ["pareto", "--config", str(_demo_config(tmp_path)), "--out", str(taken)]
+    else:
+        args = ["pareto", "--config", str(_demo_config(tmp_path, [("output_dir", str(taken))]))]
+    _assert_failed(*_run(args, capsys), 2, "config", str(taken))

@@ -271,3 +271,14 @@ def test_unlimited_battery_rates_accepted():
 def test_eta_grid_rejects_nan_and_bools(grid):
     with pytest.raises(ConfigError):
         resolve_eta_grid(grid)
+
+
+@pytest.mark.parametrize("text, value", [("1e3", 1000.0), ("1e-300", 1e-300), ("+1E+3", 1000.0)])
+def test_exponent_without_dot_loads_as_float(tmp_path, text, value):
+    config = load_config(_write(tmp_path, f"seed: 7\nstorage:\n  capacity: {text}\n"))
+    assert config.storage.capacity == value and isinstance(config.storage.capacity, float)
+
+
+def test_quoted_exponent_stays_a_string(tmp_path):
+    with pytest.raises(ConfigError, match="storage.capacity"):
+        load_config(_write(tmp_path, 'seed: 7\nstorage:\n  capacity: "1e3"\n'))

@@ -6,13 +6,12 @@ import helpers
 import oracles
 from dahp import (
     ConsumerParams,
-    NegativeDemandWarning,
     aggregate,
     build_consumer_model,
-    mean_demand,
 )
 from dahp.demand import as_prices
 from dahp.errors import IndefiniteMatrixError, NumericalError
+from oracles import NegativeDemandWarning, mean_demand
 
 
 def test_params_validation():
@@ -195,7 +194,7 @@ def test_estimator_constants_match_monte_carlo():
     # cs_constant and intercept_cov are analytic; check them against the
     # simulator at pi = 0, where the surplus is pure noise-driven discomfort
     # and demand deviations are pure estimator error.
-    from dahp.simulate import simulate_days
+    from oracles import simulate_days
 
     rng = np.random.default_rng(48)
     n_days = 200_000

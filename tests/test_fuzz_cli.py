@@ -60,6 +60,7 @@ PROBES = [
     [(("weather",), {"source": "file", "path": 5})],
     [(("wholesale",), {"source": "file", "path": PRICES})],
     [(("consumers", "beta"), 1e-300)], [(("consumers", "desired_temp"), 1e308)],
+    [(("benchmarks", "tou_ratio"), 1e308)], [(("benchmarks", "tou_ratio"), 1e-300)],
 ]
 
 

@@ -1,5 +1,6 @@
 """Tests for surplus/profit evaluation, optimal tariffs, and the trade-off front."""
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import helpers
 import oracles
 from dahp import (
     InfeasibleConstraintError,
-    NegativeDemandWarning,
+    NumericalError,
     TradeoffPoint,
     WholesaleCost,
     benchmark_prices,
@@ -21,6 +22,11 @@ from dahp import (
     profit_upper_bound,
     tradeoff_point,
 )
+from dahp import experiments
+from dahp.config import load_config
+from oracles import NegativeDemandWarning
+
+DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
 
 
 def test_wholesale_cost_validation():
@@ -314,3 +320,83 @@ def test_benchmarks_never_beat_front():
             for point in benchmark_trace(model, cost, scheme, sweep):
                 bound = profit_upper_bound(model, cost, point.cs)
                 assert point.rp <= bound + 1e-6 * scale, scheme
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+# ---------------------------------------------------------------------------
+
+def _demo_market():
+    ws = experiments._build_workspace(load_config(DEMO))
+    return ws.model, ws.cost
+
+
+def _toy3_market():
+    return helpers.toy3_model(), WholesaleCost(mean=np.array([0.12, 0.31, 0.2]))
+
+
+@pytest.mark.parametrize("market", [_demo_market, _toy3_market])
+def test_stacked_evaluators_match_single_tariffs_bitwise(market):
+    model, cost = market()
+    rng = np.random.default_rng(88)
+    top = 2.0 * float(model.zero_demand_price.max())
+    for k in (1, 7, 200):
+        stack = rng.uniform(0.0, top, size=(k, model.horizon))
+        cs, rp = expected_cs(model, stack), expected_rp(model, stack, cost)
+        assert cs.shape == rp.shape == (k,)
+        for i in range(k):
+            assert cs[i] == expected_cs(model, stack[i])
+            assert rp[i] == expected_rp(model, stack[i], cost)
+
+
+@pytest.mark.parametrize("market", [_demo_market, _toy3_market])
+def test_traces_equal_per_tariff_evaluation(market):
+    model, cost = market()
+    level = float(model.zero_demand_price.mean())
+    sweeps = {"cp": np.linspace(0.01, level, 40), "tou": np.linspace(0.01, level / 1.5, 40),
+              "pmp": np.linspace(0.5, 3.0, 40)}
+    for point in pareto_front(model, cost):
+        assert np.array_equal(point.price, optimal_price(model, cost, point.eta))
+        assert point.cs == expected_cs(model, point.price)
+        assert point.rp == expected_rp(model, point.price, cost)
+    for scheme, sweep in sweeps.items():
+        for point in benchmark_trace(model, cost, scheme, sweep, tou_ratio=1.5, peak_start=1, peak_end=2):
+            price = benchmark_prices(scheme, point.eta, cost, tou_ratio=1.5, peak_start=1, peak_end=2)
+            assert np.array_equal(point.price, price), scheme
+            assert point.cs == expected_cs(model, price), scheme
+            assert point.rp == expected_rp(model, price, cost), scheme
+
+
+def test_stacked_tariffs_validated():
+    model, cost = _toy3_market()
+    for bad in (np.zeros((2, 4)), np.array([[0.1, 0.2, np.nan]]), np.zeros((2, 2, 3))):
+        with pytest.raises(ValueError):
+            expected_cs(model, bad)
+        with pytest.raises(ValueError):
+            expected_rp(model, bad, cost)
+
+
+def test_zero_demand_price_solved_once_per_model():
+    rng = np.random.default_rng(89)
+    model, cost = helpers.random_model(rng)
+    solve, calls = model.solve, []
+    model.solve = lambda rhs: calls.append(rhs) or solve(rhs)
+    pareto_front(model, cost)
+    benchmark_trace(model, cost, "cp", [0.1, 0.2])
+    tradeoff_point(model, cost, 0.3)
+    profit_upper_bound(model, cost, 0.0)
+    assert len(calls) == 1
+    assert np.array_equal(model.zero_demand_price, solve(model.intercept_mean))
+
+
+@pytest.mark.parametrize("scheme, sweep, ratio", [
+    ("tou", [1e-3, 1.0], 1e308),  # peak prices finite, cs and rp not
+    ("tou", [1e-3, 2.0], 1e308),  # a peak price overflows
+    ("cp", [1e-3, 1e300], 1.2),
+])
+def test_overflowing_benchmark_tariffs_raise_numerical_error(scheme, sweep, ratio):
+    model, cost = _demo_market()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            benchmark_trace(model, cost, scheme, sweep, tou_ratio=ratio)

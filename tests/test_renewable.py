@@ -15,11 +15,11 @@ from dahp import (
     expected_cs,
     expected_rp,
     expected_rp_renewable,
-    mean_demand,
     optimal_price,
     optimal_price_renewable,
     uniform_shortfall_expectation,
 )
+from oracles import mean_demand
 
 
 def test_renewable_model_validation():

@@ -12,22 +12,19 @@ from dahp import (
     Population,
     WholesaleCost,
     aggregate,
-    baseline_days,
     baseline_thermostat,
     build_consumer_model,
     experiments,
-    mean_demand,
     optimal_price,
     population_model,
     simulate_day,
-    simulate_days,
     simulate_population_day,
     substream,
 )
 from dahp.config import ExperimentConfig, SeriesSpec, SimulateSpec
 from dahp.pricing import expected_cs
 from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
-from oracles import EstimatorState, kalman_step, optimal_policy_step
+from oracles import EstimatorState, baseline_days, kalman_step, mean_demand, optimal_policy_step, simulate_days
 
 
 def _noise_free(params: ConsumerParams) -> ConsumerParams:

@@ -11,17 +11,15 @@ from dahp import (
     WholesaleCost,
     arbitrage,
     build_consumer_model,
-    consumer_surplus_with_storage,
     expected_cs,
     expected_rp,
     optimal_price,
     optimize_price_with_storage,
-    population_net_load,
-    retailer_objective_with_storage,
 )
 from dahp.demand import aggregate
 from dahp.optim import LpProblem, simplex_solve
 from dahp.storage import _BatteryLp, _reduced_cost_map
+from oracles import consumer_surplus_with_storage, population_net_load, retailer_objective_with_storage
 
 
 def lossless_unit_battery():
