@@ -119,14 +119,14 @@ class RenewableSpec:
 class StorageSpec:
     count: int = _field(1, integer(0))
     capacity: float = _field(10.0, BATTERY_NUMBER)
-    initial_soc: float = _field(0.0, BATTERY_NUMBER)
+    initial_soc: float = _field(0.0, finite(0))
     storage_eff: float = _field(1.0, BATTERY_NUMBER)
     charge_eff: float = _field(0.95, BATTERY_NUMBER)
     discharge_eff: float = _field(0.95, BATTERY_NUMBER)
     charge_limit: float = _field(5.0, BATTERY_NUMBER)
     discharge_limit: float = _field(5.0, BATTERY_NUMBER)
     eta_grid: list = _field([0.0, 0.5, 1.0])  # checked by resolve_eta_grid
-    max_evals: int = _field(1500, integer(1))
+    max_evals: int = _field(4500, integer(1))
 
 
 @dataclass

@@ -71,11 +71,18 @@ def _fmt(value: float) -> str:
     return "0.0000" if text == "-0.0000" else text
 
 
+def _write(path: Path, text: str) -> None:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 @dataclass
@@ -253,5 +260,5 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
         "counters": counters,
     }
     manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return RunSummary(out_dir=out, files=files, manifest=manifest_path)

@@ -7,7 +7,7 @@ tolerances live in ``TOLERANCES`` so library code and tests agree on them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -264,9 +264,8 @@ class PatternSearchResult:
     point: np.ndarray
     value: float
     n_evals: int
-    n_iterations: int
     truncated: bool          # stopped by the evaluation budget
-    trace: list = field(default_factory=list)  # best value after each move
+    trace: list              # the seed's value, then the best after each move
 
 
 def pattern_search(
@@ -289,12 +288,10 @@ def pattern_search(
     x = np.asarray(seed_point, dtype=float).copy()
     best = float(objective(x))
     evals = 1
-    iterations = 0
     trace = [best]
     step = float(step0)
     truncated = False
     while step >= step_min:
-        iterations += 1
         move_best, move_x = best, None
         for idx in range(x.size):
             for sign in (1.0, -1.0):
@@ -316,7 +313,4 @@ def pattern_search(
             step *= 0.5
         if truncated:
             break
-    return PatternSearchResult(
-        point=x, value=best, n_evals=evals, n_iterations=iterations,
-        truncated=truncated, trace=trace,
-    )
+    return PatternSearchResult(point=x, value=best, n_evals=evals, truncated=truncated, trace=trace)

@@ -13,10 +13,15 @@ independent of the thermal load.  The arbitrage plan solves a small LP
 solved by the package's dense simplex.  The retailer, in turn, prices
 against the sum of thermal demand and the batteries' net schedule; that
 objective is piecewise smooth in the tariff (plans switch at indifference
-prices), so the price search is a derivative-free multi-start pattern
-search seeded at the storage-free optimum.  The search result is best
-effort: no local move of the final step size improves it, which is not a
-global optimality claim.
+prices), so the price search is one derivative-free compass search from
+the storage-free optimum.  It converges when its step falls below a floor
+after no coordinate move of that size improved the tariff, the standard
+compass-search stopping test; it is flagged truncated if the evaluation
+budget runs out first.  The result is a local optimum, not a global
+optimality claim.  At ``eta = 1`` the seed is already optimal: the
+storage-free objective peaks at the wholesale mean, the batteries cannot
+earn the retailer more than their arbitrage profit at wholesale prices,
+and every plan optimal at that tariff earns exactly that.
 
 The search evaluates thousands of nearby tariffs but meets only a few
 dozen optimal plans.  The LP's constraints do not depend on the tariff, so
@@ -28,8 +33,9 @@ tariff reuses the first one whose reduced costs are all below
 ``-TOLERANCES["simplex_pivot"]``.  That strict margin makes the optimal
 vertex unique, so the cold simplex would return the same plan, up to
 rounding in the last bits.  Any other tariff is solved cold, and its
-basis is kept when it is strictly optimal there.  The idle tie-break and
-the plan validation run on every plan.
+basis is kept when it is strictly optimal there.  The idle tie-break runs
+on every plan; a basis's point does not depend on the tariff, so it is
+validated once, when the simplex finds it.
 """
 from __future__ import annotations
 
@@ -60,14 +66,16 @@ class BatteryParams:
     def __post_init__(self):
         if self.capacity < 0:
             raise ValueError("capacity must be nonnegative")
-        if not 0.0 <= self.initial_soc <= self.capacity:
-            raise ValueError("initial soc must lie in [0, capacity]")
+        if not (np.isfinite(self.initial_soc) and 0.0 <= self.initial_soc <= self.capacity):
+            raise ValueError("initial soc must be finite and lie in [0, capacity]")
         for name in ("storage_eff", "charge_eff", "discharge_eff"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if not (self.charge_limit >= 0 and self.discharge_limit >= 0):
             raise ValueError("rate limits must be nonnegative")
+        if self.capacity == self.charge_limit == self.discharge_limit == np.inf:
+            raise ValueError("an unlimited capacity needs a finite charge or discharge limit")
 
 
 @dataclass(eq=False)
@@ -190,6 +198,7 @@ class _BatteryLp:
                 f"battery arbitrage LP is {result.status}: the terminal state of "
                 "charge cannot be met with these losses and rate limits"
             )
+        _validate_point(result.x, self.battery)
         entry = (*_reduced_cost_map(result, self.horizon), result.x)
         # A basis tied at its own tariff is not kept: a lossless battery's
         # ties never break, and each of its solves would lengthen the list
@@ -201,16 +210,14 @@ class _BatteryLp:
 
     def _finish(self, pi: np.ndarray, objective: np.ndarray, x: np.ndarray) -> ArbitragePlan:
         """The plan for an optimal LP point: idle on a zero-profit tie when
-        idling is feasible, else the point itself, validated."""
+        idling is feasible, else the point itself."""
         n = self.horizon
         profit = float(objective @ x)
         if abs(profit) <= 1e-12 * max(1.0, float(np.abs(pi).max())) and self.idle_feasible:
             return _idle_plan(self.battery, n)
-        plan = ArbitragePlan(
+        return ArbitragePlan(
             charge=x[:n].copy(), discharge=x[n:2 * n].copy(), soc=x[2 * n:].copy(), profit=profit,
         )
-        _validate_plan(plan, self.battery)
-        return plan
 
 
 def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | None = None) -> ArbitragePlan:
@@ -225,17 +232,19 @@ def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | No
     return _BatteryLp(battery, n).plan(as_prices(prices, n))
 
 
-def _validate_plan(plan: ArbitragePlan, battery: BatteryParams) -> None:
+def _validate_point(x: np.ndarray, battery: BatteryParams) -> None:
+    """Check an LP point (charge, discharge, soc) against the battery."""
     tol = TOLERANCES["plan_feasibility"]
-    prev = np.concatenate([[battery.initial_soc], plan.soc[:-1]])
+    charge, discharge, soc = np.split(x, 3)
+    prev = np.concatenate([[battery.initial_soc], soc[:-1]])
     expected = battery.storage_eff * (
-        prev + battery.charge_eff * plan.charge - plan.discharge / battery.discharge_eff
+        prev + battery.charge_eff * charge - discharge / battery.discharge_eff
     )
-    if np.any(np.abs(plan.soc - expected) > tol):
+    if np.any(np.abs(soc - expected) > tol):
         raise InfeasibleConstraintError("arbitrage plan violates the storage balance")
-    if abs(plan.soc[-1] - battery.initial_soc) > tol:
+    if abs(soc[-1] - battery.initial_soc) > tol:
         raise InfeasibleConstraintError("arbitrage plan misses the terminal state of charge")
-    if np.any(plan.soc < -tol) or np.any(plan.soc > battery.capacity + tol):
+    if np.any(soc < -tol) or np.any(soc > battery.capacity + tol):
         raise InfeasibleConstraintError("arbitrage plan violates capacity bounds")
 
 
@@ -267,11 +276,9 @@ class StoragePricingResult:
     price: np.ndarray
     point: TradeoffPoint   # cs/rp include the batteries' contribution
     objective: float
-    n_starts: int
     n_evals: int
     improved: bool         # beat the storage-free seed tariff
-    truncated: bool        # at least one start hit the evaluation budget
-    trace: list
+    truncated: bool        # the search hit the evaluation budget
     plans: dict            # battery spec -> its ArbitragePlan at ``price``
     lp_solves: int         # battery LPs solved by the simplex
     basis_reuses: int      # battery plans taken from a stored optimal basis
@@ -282,27 +289,23 @@ def optimize_price_with_storage(
     cost: WholesaleCost,
     batteries: Sequence[BatteryParams],
     eta: float,
-    step0: float | None = None,
-    step_min: float = 1e-4,
-    max_evals: int = 4000,
+    max_evals: int = 4500,
 ) -> StoragePricingResult:
     """Search for the tariff maximizing the storage-aware objective.
 
-    Deterministic multi-start compass search seeded at the storage-free
-    optimal tariff and two scaled variants.  Returns the best point found
-    with convergence metadata; see the module docstring for the best-effort
-    caveat.  Each distinct battery spec keeps its optimal LP bases for the
-    length of this call only.
+    One deterministic compass search from the storage-free optimal tariff:
+    its first step is 5 % of that tariff's largest price, its step floor
+    1e-4, and ``max_evals`` bounds its objective evaluations.  Returns the
+    best point found with convergence metadata; see the module docstring
+    for what convergence means.  Each distinct battery spec keeps its
+    optimal LP bases for the length of this call only.
     """
     seed_price = optimal_price(model, cost, eta)
-    if step0 is None:
-        step0 = max(0.05 * float(np.abs(seed_price).max()), 1e-3)
     horizon = model.horizon
     counts = Counter(batteries)
     lps = {battery: _BatteryLp(battery, horizon) for battery in counts}
 
-    def evaluate(prices: np.ndarray) -> tuple[TradeoffPoint, dict[BatteryParams, ArbitragePlan]]:
-        pi = as_prices(prices, horizon)
+    def evaluate(pi: np.ndarray) -> tuple[TradeoffPoint, dict[BatteryParams, ArbitragePlan]]:
         plans = {battery: lp.plan(pi) for battery, lp in lps.items()}
         return _storage_point(model, cost, pi, _net_load(plans, counts, horizon), eta), plans
 
@@ -310,28 +313,17 @@ def optimize_price_with_storage(
         point, _ = evaluate(pi)
         return point.rp + eta * point.cs
 
-    starts = [seed_price, 1.05 * seed_price, 0.95 * seed_price]
-    best = None
-    total_evals = 0
-    truncated = False
-    for start in starts:
-        outcome = pattern_search(objective, start, step0=step0, step_min=step_min, max_evals=max_evals)
-        total_evals += outcome.n_evals
-        truncated = truncated or outcome.truncated
-        if best is None or outcome.value > best.value:
-            best = outcome
-
-    point, plans = evaluate(best.point)
-    seed_value = objective(seed_price)
+    step0 = max(0.05 * float(np.abs(seed_price).max()), 1e-3)
+    search = pattern_search(objective, seed_price, step0=step0, step_min=1e-4, max_evals=max_evals)
+    point, plans = evaluate(search.point)
+    seed_value = search.trace[0]
     return StoragePricingResult(
         price=point.price,
         point=point,
-        objective=best.value,
-        n_starts=len(starts),
-        n_evals=total_evals,
-        improved=best.value > seed_value + 1e-12 * max(1.0, abs(seed_value)),
-        truncated=truncated,
-        trace=best.trace,
+        objective=search.value,
+        n_evals=search.n_evals,
+        improved=search.value > seed_value + 1e-12 * max(1.0, abs(seed_value)),
+        truncated=search.truncated,
         plans=plans,
         lp_solves=sum(lp.lp_solves for lp in lps.values()),
         basis_reuses=sum(lp.basis_reuses for lp in lps.values()),

@@ -201,9 +201,9 @@ def test_storage_manifest_records_search_counters(tiny_config, tmp_path, capsys)
     (search,) = manifest["counters"]["storage_search"]
     assert set(search) == {"eta", "n_evals", "truncated", "improved", "lp_solves", "basis_reuses"}
     assert search["eta"] == 0.5
-    assert search["truncated"] is True  # 30 evaluations per start
-    # one battery spec, planned at every evaluation, the result and the seed
-    assert search["lp_solves"] + search["basis_reuses"] == search["n_evals"] + 2
+    assert search["truncated"] is True  # a budget of 30 evaluations
+    # one battery spec, planned at every evaluation and at the result
+    assert search["lp_solves"] + search["basis_reuses"] == search["n_evals"] + 1
     assert search["lp_solves"] >= 1
 
 
@@ -405,3 +405,22 @@ def test_output_dir_naming_a_file_exit_2(tmp_path, capsys, via_flag):
     else:
         args = ["pareto", "--config", str(_demo_config(tmp_path, [("output_dir", str(taken))]))]
     _assert_failed(*_run(args, capsys), 2, "config", str(taken))
+
+
+@pytest.mark.parametrize("changes, named", [
+    ([("storage.capacity", math.inf), ("storage.initial_soc", math.inf)], "storage.initial_soc"),
+    ([("storage.capacity", math.inf), ("storage.charge_limit", math.inf), ("storage.discharge_limit", math.inf)],
+     "finite charge or discharge limit"),
+], ids=["infinite initial soc", "no finite bound"])
+def test_unlimited_battery_exit_2(tmp_path, capsys, changes, named):
+    config = _demo_config(tmp_path, changes)
+    result = _run(["storage", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(*result, 2, "config", named)
+
+
+@pytest.mark.parametrize("name", ["tradeoff.csv", "manifest.json"])
+def test_output_file_that_is_a_directory_exit_2(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    result = _run(["pareto", "--config", str(_demo_config(tmp_path)), "--out", str(out)], capsys)
+    _assert_failed(*result, 2, "config", name)

@@ -61,6 +61,8 @@ PROBES = [
     [(("wholesale",), {"source": "file", "path": PRICES})],
     [(("consumers", "beta"), 1e-300)], [(("consumers", "desired_temp"), 1e308)],
     [(("benchmarks", "tou_ratio"), 1e308)], [(("benchmarks", "tou_ratio"), 1e-300)],
+    [(("storage", "capacity"), INF), (("storage", "initial_soc"), INF)],
+    [(("storage", "capacity"), INF), (("storage", "charge_limit"), INF), (("storage", "discharge_limit"), INF)],
 ]
 
 
