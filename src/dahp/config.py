@@ -25,10 +25,9 @@ import yaml
 
 from .demand import HOURS_PER_DAY, Population
 from .errors import ConfigError
-from .simulate import substream
+from .simulate import POPULATION_STREAM, substream
 from .storage import BatteryParams
 
-_POPULATION_KEY = 1  # substream tag for population parameter draws
 INF = float("inf")
 
 
@@ -250,7 +249,7 @@ def draw_population(spec: PopulationSpec, seed: int) -> Population:
             values[name] = np.full(spec.count, value, dtype=float)
     if ranged:
         lo, hi = zip(*ranged.values())
-        draws = substream(seed, _POPULATION_KEY).uniform(lo, hi, size=(spec.count, len(ranged)))
+        draws = substream(seed, POPULATION_STREAM).uniform(lo, hi, size=(spec.count, len(ranged)))
         values.update(zip(ranged, draws.T))
     values["desired_temp"] = np.repeat(values["desired_temp"][:, None], HOURS_PER_DAY, axis=1)
     try:

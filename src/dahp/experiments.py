@@ -10,6 +10,7 @@ exactly (the manifest's wall time is the one intentionally volatile field).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .demand import HOURS_PER_DAY, population_model
 from .errors import ConfigError, DataError
 from .pricing import WholesaleCost, benchmark_trace, optimal_price, pareto_front
 from .renewable import RenewableModel, benefit_split
-from .simulate import simulate_population_day
+from .simulate import NOISE_SCHEME, simulate_population_day
 from .storage import optimize_price_with_storage
 from .timeseries import HourlySeries, load_series, mean_day, synthetic_weather, synthetic_wholesale
 
@@ -66,11 +67,6 @@ def _wholesale_cost(spec: SeriesSpec) -> WholesaleCost:
     return WholesaleCost(mean=mean)
 
 
-def _fmt(value: float) -> str:
-    text = f"{value:.4f}"
-    return "0.0000" if text == "-0.0000" else text
-
-
 def _write(path: Path, text: str) -> None:
     try:
         path.write_text(text)
@@ -78,11 +74,14 @@ def _write(path: Path, text: str) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    _write(path, "\n".join(lines) + "\n")
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns, integer ones as integers and float ones
+    to four decimals (``-0.0000`` as ``0.0000``), in one format operation."""
+    line = ",".join("%d" if column.dtype.kind in "iu" else "%.4f" for column in columns) + "\n"
+    cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
+    body = (line * len(columns[0])) % cells
+    # %.4f writes a 4-decimal cell, so "-0.0000" only ever occurs as a whole cell
+    _write(path, ",".join(header) + "\n" + body.replace("-0.0000", "0.0000"))
 
 
 @dataclass
@@ -105,7 +104,7 @@ def run_pareto(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict
     grid = resolve_eta_grid(config.eta_grid)
     points = pareto_front(ws.model, ws.cost, grid)
     rows = [[p.eta, p.cs, p.rp, p.sw, *p.price] for p in points]
-    _write_csv(out_dir / "tradeoff.csv", ["eta", "cs", "rp", "sw", *_PRICE_COLUMNS], rows)
+    _write_csv(out_dir / "tradeoff.csv", ["eta", "cs", "rp", "sw", *_PRICE_COLUMNS], np.array(rows, dtype=float).T)
     return ["tradeoff.csv"], {}
 
 
@@ -130,7 +129,8 @@ def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], 
 
     grid = np.linspace(0.0, 1.0, spec.points)
     points = pareto_front(ws.model, ws.cost, grid)
-    _write_csv(out_dir / "benchmark_dahp.csv", ["param", "cs", "rp"], [[p.eta, p.cs, p.rp] for p in points])
+    _write_csv(out_dir / "benchmark_dahp.csv", ["param", "cs", "rp"],
+               np.array([[p.eta, p.cs, p.rp] for p in points], dtype=float).T)
     files.append("benchmark_dahp.csv")
 
     for scheme, sweep in _default_sweeps(ws, spec.points, spec.tou_ratio).items():
@@ -139,7 +139,8 @@ def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], 
             tou_ratio=spec.tou_ratio, peak_start=spec.peak_start, peak_end=spec.peak_end,
         )
         name = f"benchmark_{scheme}.csv"
-        _write_csv(out_dir / name, ["param", "cs", "rp"], [[p.eta, p.cs, p.rp] for p in trace])
+        _write_csv(out_dir / name, ["param", "cs", "rp"],
+                   np.array([[p.eta, p.cs, p.rp] for p in trace], dtype=float).T)
         files.append(name)
     return files, {}
 
@@ -154,7 +155,8 @@ def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], d
             renew = RenewableModel(capacity=float(capacity), marginal_cost=config.renewable.marginal_cost)
             split = benefit_split(ws.model, ws.cost, renew, float(eta))
             rows.append([float(eta), float(capacity), split.delta_cs, split.delta_rp, split.fraction])
-    _write_csv(out_dir / "renewable.csv", ["eta", "K", "delta_cs", "delta_rp", "fraction"], rows)
+    _write_csv(out_dir / "renewable.csv", ["eta", "K", "delta_cs", "delta_rp", "fraction"],
+               np.array(rows, dtype=float).T)
     return ["renewable.csv"], {}
 
 
@@ -180,7 +182,7 @@ def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dic
     _write_csv(
         out_dir / "storage.csv",
         ["eta", "cs", "rp", "arbitrage_volume", *_PRICE_COLUMNS],
-        rows,
+        np.array(rows, dtype=float).T,
     )
     return ["storage.csv"], {"storage_search": searches}
 
@@ -190,41 +192,46 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], di
 
     Alongside the responsive-policy rows, each configured thermostat
     tolerance is replayed on the same per-(consumer, day) noise so the two
-    policies are comparable seed-for-seed.
+    policies are comparable seed-for-seed.  Rows run day by day, consumer by
+    consumer (and tolerance by tolerance in ``baseline.csv``).
     """
     weather_days = _load_days(config.weather, "weather")
     cost = _wholesale_cost(config.wholesale)
     population = draw_population(config.consumers, config.seed)
     eta = float(config.simulate.eta)
-    tolerances = [float(t) for t in config.simulate.thermostat_tolerances]
+    tolerances = np.array(config.simulate.thermostat_tolerances, dtype=float)
 
-    rows = []
-    baseline_rows = []
-    consumer_ids = [str(c) for c in range(len(population))]
+    payment, discomfort = [], []              # per day: (consumers,)
+    base_payment, base_discomfort = [], []    # per day: (tolerances, consumers)
     for day_index, day in enumerate(weather_days):
         prices = optimal_price(population_model(population, day.values), cost, eta)
-        (_, payment, discomfort), baselines = simulate_population_day(
-            population, prices, day.values, config.seed, day_index, tolerances
+        (_, pay, disc), baselines = simulate_population_day(
+            population, prices, day.values, config.seed, day_index, tolerances.tolist()
         )
-        day_id = str(day_index)
-        for cid, pay, disc in zip(consumer_ids, payment.tolist(), discomfort.tolist()):
-            rows.append([cid, day_id, pay, disc, -(disc + pay)])
-        per_tolerance = [zip(pay.tolist(), disc.tolist()) for _, pay, disc in baselines]
-        for cid, outcomes in zip(consumer_ids, zip(*per_tolerance)):
-            for tolerance, (pay, disc) in zip(tolerances, outcomes):
-                baseline_rows.append([tolerance, cid, day_id, pay, disc, -(disc + pay)])
-    _write_csv(out_dir / "simulate.csv", ["consumer_id", "day", "payment", "discomfort", "surplus"], rows)
+        payment.append(pay)
+        discomfort.append(disc)
+        base_payment.append([pay for _, pay, _ in baselines])
+        base_discomfort.append([disc for _, _, disc in baselines])
+
+    consumers, days = len(population), len(weather_days)
+    ids, day_ids = np.arange(consumers), np.arange(days)
+    pay, disc = np.concatenate(payment), np.concatenate(discomfort)
+    _write_csv(
+        out_dir / "simulate.csv", ["consumer_id", "day", "payment", "discomfort", "surplus"],
+        [np.tile(ids, days), np.repeat(day_ids, consumers), pay, disc, -(disc + pay)],
+    )
     files = ["simulate.csv"]
-    if baseline_rows:
+    if len(tolerances):
+        pay, disc = (np.array(values).transpose(0, 2, 1).ravel() for values in (base_payment, base_discomfort))
         _write_csv(
             out_dir / "baseline.csv",
             ["tolerance", "consumer_id", "day", "payment", "discomfort", "surplus"],
-            baseline_rows,
+            [np.tile(tolerances, consumers * days), np.tile(np.repeat(ids, len(tolerances)), days),
+             np.repeat(day_ids, consumers * len(tolerances)), pay, disc, -(disc + pay)],
         )
         files.append("baseline.csv")
-    consumer_days = len(population) * len(weather_days)
-    # one Philox substream per consumer-day, shared by every policy
-    return files, {"consumer_days": consumer_days, "substreams": consumer_days}
+    # one Philox key per day; consumers read it at their own counter offsets
+    return files, {"consumer_days": consumers * days, "substreams": days}
 
 
 _RUNNERS = {
@@ -258,6 +265,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
         "wall_time_s": round(time.perf_counter() - started, 3),
         "outputs": files,
         "counters": counters,
+        **({"noise_scheme": NOISE_SCHEME} if command == "simulate" else {}),
     }
     manifest_path = out / "manifest.json"
     _write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")

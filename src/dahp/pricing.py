@@ -14,10 +14,12 @@ wholesale cost, zero profit) at 1.  Every optimal tariff blends the
 wholesale price with the zero-demand price ``G^{-1} b``, which each model
 solves once, through its cached SPD factorization.
 
-``expected_cs`` and ``expected_rp`` are the only places the two formulas
-are written.  They take one tariff or a (k, N) stack of tariffs, so a
-whole front or benchmark sweep is one evaluator call; a stacked row gives
-the same bits as the same tariff alone.
+``expected_cs`` and ``expected_rp`` validate their tariffs and call the
+only places the two formulas are written, ``_cs`` and ``_rp``, which
+callers holding already-checked tariffs (the storage search) call
+directly.  They take one tariff or a (k, N) stack of tariffs, so a whole
+front or benchmark sweep is one evaluator call; a stacked row gives the
+same bits as the same tariff alone.
 """
 from __future__ import annotations
 
@@ -94,14 +96,24 @@ def _per_tariff(values: np.ndarray) -> float | np.ndarray:
 # Each row rounds like the 1-D product of that tariff alone, so a value does
 # not depend on the stack it came in; a (k, N) @ (N, N) product would not.
 
-def expected_cs(model: AffineDemandModel, prices: Sequence[float]) -> float | np.ndarray:
-    """Expected consumer surplus at one price vector (a float), or at each
-    tariff of a (k, N) stack (a (k,) array)."""
-    pi = _as_tariffs(prices, model.horizon)
+def _cs(model: AffineDemandModel, pi: np.ndarray) -> np.ndarray:
+    """Consumer surplus of checked tariffs (N,) or (k, N): a 0-d or (k,) array."""
     row, column = pi[..., None, :], pi[..., :, None]
     quadratic = np.matmul(np.matmul(0.5 * row, model.gain), column)
     linear = np.matmul(row, model.intercept_mean[:, None])
-    return _per_tariff((quadratic - linear)[..., 0, 0] + model.cs_constant)
+    return (quadratic - linear)[..., 0, 0] + model.cs_constant
+
+
+def _rp(model: AffineDemandModel, pi: np.ndarray, cost: WholesaleCost) -> np.ndarray:
+    """Retail profit of checked tariffs, shaped as ``_cs``."""
+    demand = model.intercept_mean[:, None] - np.matmul(model.gain, pi[..., :, None])
+    return np.matmul((pi - cost.mean)[..., None, :], demand)[..., 0, 0]
+
+
+def expected_cs(model: AffineDemandModel, prices: Sequence[float]) -> float | np.ndarray:
+    """Expected consumer surplus at one price vector (a float), or at each
+    tariff of a (k, N) stack (a (k,) array)."""
+    return _per_tariff(_cs(model, _as_tariffs(prices, model.horizon)))
 
 
 def expected_rp(model: AffineDemandModel, prices: Sequence[float], cost: WholesaleCost) -> float | np.ndarray:
@@ -109,8 +121,7 @@ def expected_rp(model: AffineDemandModel, prices: Sequence[float], cost: Wholesa
     vector or at each tariff of a stack (as ``expected_cs``)."""
     pi = _as_tariffs(prices, model.horizon)
     _check_horizon(model, cost)
-    demand = model.intercept_mean[:, None] - np.matmul(model.gain, pi[..., :, None])
-    return _per_tariff(np.matmul((pi - cost.mean)[..., None, :], demand)[..., 0, 0])
+    return _per_tariff(_rp(model, pi, cost))
 
 
 def _points(params: np.ndarray, prices: np.ndarray, cs: np.ndarray, rp: np.ndarray) -> list[TradeoffPoint]:

@@ -11,11 +11,24 @@ the closed-form model in ``dahp.demand``.
 Every rollout steps through the hours once with many rows at a time: the
 consumers of a population on one day, or replicate days of one consumer.
 
-Randomness comes from counter-based Philox substreams keyed by
-``(seed, consumer_id, day)``, so population runs are reproducible and
-independent of iteration order.  Each consumer-day's noise is drawn once
-and shared by the responsive rollout and every thermostat tolerance, so
-the policies are compared on identical disturbances.
+Every random stream of a run is hashed from ``(seed, tag, ...)`` with one
+tag per use (the ``*_STREAM`` constants below), so no two uses share a
+Philox key.  Noise is counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011).  Each day has one Philox key,
+hashed from ``(seed, DAY_NOISE_STREAM, day)``; consumer ``c`` reads the
+``W`` words that start at counter ``c * W / 4`` of that key's stream, where
+``W`` is the smallest multiple of 4 holding the word pairs of its
+``2 * horizon + 1`` normals.  A contiguous run of consumer ids is one
+``random_raw`` call, and a consumer's noise depends only on
+``(seed, consumer_id, day)``, not on the batch, its size or its order.
+Box-Muller turns word pair ``k`` into normals ``2k`` (cosine) and
+``2k + 1`` (sine); normal 0 is the initial reading error, the next
+``horizon`` the process noise and the last ``horizon`` the reading errors.
+Every word is drawn whatever the variances, so a noise-free field does not
+shift the others.  Each consumer-day's noise is shared by the responsive
+rollout and every thermostat tolerance, so the policies are compared on
+identical disturbances.  ``NOISE_SCHEME`` numbers this layout in the
+manifest.
 """
 from __future__ import annotations
 
@@ -43,26 +56,76 @@ class DayResult:
     surplus: float
 
 
+NOISE_SCHEME = 2  # keyed block noise; scheme 1 drew one substream per consumer-day
+
+# Stream tags, the first key after the seed.  They are nonzero because
+# SeedSequence pads short entropy with zeros: (seed, 0) would alias (seed,).
+POPULATION_STREAM = 1       # (seed, 1): population parameter draws
+DAY_NOISE_STREAM = 2        # (seed, 2, day): a day's noise, consumers as rows
+REPLICATE_NOISE_STREAM = 3  # (seed, 3, consumer_id): one consumer's replicate days as rows
+
+
+def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    if seed < 0 or any(k < 0 for k in key):
+        raise ValueError("seed and stream keys must be nonnegative integers")
+    return np.random.SeedSequence((int(seed), *map(int, key)))
+
+
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic Philox generator for a (seed, *key) coordinate."""
-    if seed < 0 or any(k < 0 for k in key):
-        raise ValueError("seed and substream keys must be nonnegative integers")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), *map(int, key)))))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *key)))
 
 
-def _draw_day_noise(gen: np.random.Generator, n_days: int, horizon: int,
-                    process_noise_var: float, obs_noise_var: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical noise layout shared by every rollout flavor.
+def _row_words(horizon: int) -> int:
+    """Philox words per noise row: whole 4-word blocks covering the word
+    pairs of ``2 * horizon + 1`` normals."""
+    return 4 * -(-(2 * horizon + 2) // 4)
 
-    Order matters for reproducibility: initial reading noise first, then the
-    process-noise matrix, then the observation-noise matrix.
+
+def _noise_words(seed: int, stream: tuple[int, ...], rows: Sequence[int], width: int) -> np.ndarray:
+    """(len(rows), width) raw words of the Philox stream keyed by
+    ``(seed, *stream)``; row ``r`` starts at counter ``r * width / 4``.
+
+    Each contiguous run of row numbers is one ``random_raw`` call, so memory
+    scales with the rows asked for, not with the largest row number.
     """
-    sv = float(np.sqrt(obs_noise_var))
-    sw = float(np.sqrt(process_noise_var))
-    v0 = gen.normal(0.0, sv, size=n_days) if sv > 0 else np.zeros(n_days)
-    w = gen.normal(0.0, sw, size=(n_days, horizon)) if sw > 0 else np.zeros((n_days, horizon))
-    v = gen.normal(0.0, sv, size=(n_days, horizon)) if sv > 0 else np.zeros((n_days, horizon))
-    return v0, w, v
+    rows = np.asarray(rows, dtype=np.int64)
+    if np.any(rows < 0):
+        raise ValueError("noise row numbers must be nonnegative integers")
+    key = _seed_sequence(seed, *stream).generate_state(2, np.uint64)
+    words = np.empty((len(rows), width), dtype=np.uint64)
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # rows >= 0: the first row starts a run
+    for a, b in zip(starts, starts[1:] + [len(rows)]):
+        philox = np.random.Philox(key=key, counter=[int(rows[a]) * (width // 4), 0, 0, 0])
+        words[a:b] = philox.random_raw((b - a) * width).reshape(b - a, width)
+    return words
+
+
+def _box_muller(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` standard normals of each row of words: uniforms
+    ``((word >> 11) + 0.5) * 2**-53`` in (0, 1), and pair ``k`` gives normal
+    ``2k`` (cosine) and ``2k + 1`` (sine), so each normal depends only on
+    its own two words."""
+    pairs = -(-count // 2)
+    u = ((words[:, :2 * pairs] >> np.uint64(11)) + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    normals = np.empty((len(words), 2 * pairs))
+    normals[:, 0::2] = radius * np.cos(angle)
+    normals[:, 1::2] = radius * np.sin(angle)
+    return normals[:, :count]
+
+
+def _noise(population: Population, seed: int, stream: tuple[int, ...],
+           rows: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """(v0, w, v) of each row from stream ``(seed, *stream)``: initial reading
+    errors (rows,), process noise and reading errors (rows, hours), scaled by
+    the row's consumer (a population of one scales every row alike)."""
+    n = population.horizon
+    z = _box_muller(_noise_words(seed, stream, rows, _row_words(n)), 2 * n + 1)
+    sv = np.sqrt(population.obs_noise_var)[:, None]
+    sw = np.sqrt(population.process_noise_var)[:, None]
+    return sv[:, 0] * z[:, 0], sw * z[:, 1:n + 1], sv * z[:, n + 1:]
 
 
 def _respond_rollout(population: Population, prices: np.ndarray, forecast: np.ndarray,
@@ -123,9 +186,9 @@ def _baseline_rollout(population: Population, powers: np.ndarray, forecast: np.n
 
 
 def _row_payments(consumption: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """One dot product per row, so a consumer's payment does not depend on
-    the batch it ran in (a matrix-vector product rounds differently)."""
-    return np.array([row @ prices for row in consumption])
+    """Each row reduced on its own, so a consumer's payment does not depend
+    on the batch it ran in (a matrix-vector product rounds differently)."""
+    return np.multiply(consumption, prices).sum(axis=1)
 
 
 def simulate_population_day(population: Population, prices: Sequence[float], weather: Sequence[float], seed: int,
@@ -134,20 +197,18 @@ def simulate_population_day(population: Population, prices: Sequence[float], wea
     """Simulate one day of every consumer under the optimal hourly policy
     and under a thermostat baseline per tolerance.
 
-    Consumer ``k`` draws its noise once, from the ``(seed, consumer_ids[k],
-    day)`` substream (ids default to row indices), and every policy
-    experiences it.  Returns ``(responsive, baselines)``: (consumption,
-    payment, discomfort) with consumers on the leading axis, and one such
-    triple per tolerance.
+    Consumer ``k`` reads its noise once, from row ``consumer_ids[k]`` of the
+    day's ``(seed, DAY_NOISE_STREAM, day)`` stream (ids default to row indices), and every
+    policy experiences it.  Returns ``(responsive, baselines)``:
+    (consumption, payment, discomfort) with consumers on the leading axis,
+    and one such triple per tolerance.
     """
     pi = as_prices(prices, population.horizon)
     forecast = as_forecast(weather, population.horizon)
-    ids = range(len(population)) if consumer_ids is None else consumer_ids
-    draws = [
-        _draw_day_noise(substream(seed, cid, day), 1, population.horizon, q, r)
-        for cid, q, r in zip(ids, population.process_noise_var.tolist(), population.obs_noise_var.tolist())
-    ]
-    v0, w, v = (np.concatenate(parts) for parts in zip(*draws))
+    ids = np.arange(len(population)) if consumer_ids is None else consumer_ids
+    if len(ids) != len(population):
+        raise ValueError(f"expected {len(population)} consumer ids, got {len(ids)}")
+    v0, w, v = _noise(population, seed, (DAY_NOISE_STREAM, day), ids)
 
     consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
     baselines = []

@@ -35,7 +35,9 @@ vertex unique, so the cold simplex would return the same plan, up to
 rounding in the last bits.  Any other tariff is solved cold, and its
 basis is kept when it is strictly optimal there.  The idle tie-break runs
 on every plan; a basis's point does not depend on the tariff, so it is
-validated once, when the simplex finds it.
+validated once, when the simplex finds it.  Likewise a searched tariff is
+finite by construction, so its cs and rp come straight from the pricing
+kernels ``_cs`` and ``_rp`` without another check.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ import numpy as np
 from .demand import AffineDemandModel, as_prices
 from .errors import InfeasibleConstraintError
 from .optim import TOLERANCES, LpProblem, LpResult, pattern_search, simplex_solve
-from .pricing import TradeoffPoint, WholesaleCost, expected_cs, expected_rp, optimal_price
+from .pricing import TradeoffPoint, WholesaleCost, _cs, _rp, optimal_price
 
 
 @dataclass(frozen=True)
@@ -258,14 +260,14 @@ def _net_load(plans: dict[BatteryParams, ArbitragePlan], counts: dict[BatteryPar
 def _storage_point(
     model: AffineDemandModel, cost: WholesaleCost, pi: np.ndarray, net: np.ndarray, eta: float
 ) -> TradeoffPoint:
-    """cs and rp at a tariff, the batteries' net load included: it adds
-    ``(prices - wholesale) @ net_load`` to profit and subtracts its energy
-    bill ``prices @ net_load`` from consumer surplus."""
+    """cs and rp at a checked tariff, the batteries' net load included: it
+    adds ``(prices - wholesale) @ net_load`` to profit and subtracts its
+    energy bill ``prices @ net_load`` from consumer surplus."""
     return TradeoffPoint(
         eta=float(eta),
         price=pi,
-        cs=expected_cs(model, pi) - float(pi @ net),
-        rp=expected_rp(model, pi, cost) + float((pi - cost.mean) @ net),
+        cs=float(_cs(model, pi)) - float(pi @ net),
+        rp=float(_rp(model, pi, cost)) + float((pi - cost.mean) @ net),
     )
 
 

@@ -14,6 +14,7 @@ consumer for Monte Carlo estimates, mean demand, battery-owner objectives).
 """
 from __future__ import annotations
 
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -22,10 +23,18 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from dahp import AffineDemandModel, BatteryParams, ConsumerParams, Population, WholesaleCost, arbitrage, substream
+from dahp import AffineDemandModel, BatteryParams, ConsumerParams, Population, WholesaleCost, arbitrage
 from dahp.demand import as_forecast, as_prices
 from dahp.pricing import expected_cs
-from dahp.simulate import Outcome, _baseline_powers, _baseline_rollout, _draw_day_noise, _respond_rollout
+from dahp.simulate import (
+    DAY_NOISE_STREAM,
+    REPLICATE_NOISE_STREAM,
+    Outcome,
+    _baseline_powers,
+    _baseline_rollout,
+    _noise,
+    _respond_rollout,
+)
 from dahp.storage import _net_load, _storage_point
 
 
@@ -190,16 +199,28 @@ def kalman_step(est: EstimatorState, obs, params, applied_power: float,
 
 
 def day_noise(seed: int, consumer_id: int, day: int, params):
-    """The consumer-day's noise: the initial reading error, then hourly
-    process noise, then hourly reading errors, each drawn only when its
-    variance is positive."""
-    gen = substream(seed, consumer_id, day)
+    """The consumer-day's noise, re-derived one consumer and one normal at a
+    time: the initial reading error, then hourly process noise, then hourly
+    reading errors.
+
+    The day's Philox key is hashed from ``(seed, DAY_NOISE_STREAM, day)``;
+    the consumer reads ``width`` words (whole 4-word blocks covering its
+    normals' word pairs) from counter ``consumer_id * width / 4``.  Normal
+    ``j`` is Box-Muller on word pair ``j // 2``: the cosine for even ``j``,
+    the sine for odd.
+    """
     n = params.horizon
-    sv, sw = np.sqrt(params.obs_noise_var), np.sqrt(params.process_noise_var)
-    v0 = gen.normal(0.0, sv) if sv > 0 else 0.0
-    w = gen.normal(0.0, sw, size=n) if sw > 0 else np.zeros(n)
-    v = gen.normal(0.0, sv, size=n) if sv > 0 else np.zeros(n)
-    return v0, w, v
+    width = 4 * math.ceil((2 * n + 2) / 4)
+    key = np.random.SeedSequence((seed, DAY_NOISE_STREAM, day)).generate_state(2, np.uint64)
+    philox = np.random.Philox(key=key, counter=[consumer_id * width // 4, 0, 0, 0])
+    words = [int(word) for word in philox.random_raw(width)]
+    normals = []
+    for j in range(2 * n + 1):
+        u1, u2 = (((word >> 11) + 0.5) / 2**53 for word in words[2 * (j // 2):2 * (j // 2) + 2])
+        wave = math.cos if j % 2 == 0 else math.sin
+        normals.append(math.sqrt(-2.0 * math.log(u1)) * wave(2.0 * math.pi * u2))
+    sv, sw = math.sqrt(params.obs_noise_var), math.sqrt(params.process_noise_var)
+    return sv * normals[0], np.array([sw * z for z in normals[1:n + 1]]), np.array([sv * z for z in normals[n + 1:]])
 
 
 def step_rollout(params, prices, forecast, v0, w, v):
@@ -236,6 +257,18 @@ def step_baseline(params, tolerance, prices, forecast, w):
         x = x + params.alpha * (forecast[i] - x) - params.beta * powers[i] + w[i]
         discomfort += params.mu * (x - params.desired_temp[i]) ** 2
     return powers, float(np.dot(powers, prices)), discomfort
+
+
+def csv_text(header, rows) -> str:
+    """A CSV written one cell at a time: ints as ints, floats to four
+    decimals, and a cell reading ``-0.0000`` replaced by ``0.0000``."""
+    def cell(value) -> str:
+        if isinstance(value, int):
+            return str(value)
+        text = f"{value:.4f}"
+        return "0.0000" if text == "-0.0000" else text
+
+    return "\n".join([",".join(header), *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -403,10 +436,11 @@ def mean_demand(model: AffineDemandModel, prices: Sequence[float]) -> np.ndarray
 
 def _replicate_days(params: ConsumerParams, prices, weather, seed: int, n_days: int, consumer_id: int):
     """A population of one, the validated prices and forecast, and
-    ``n_days`` rows of noise from the ``(seed, consumer_id)`` substream."""
-    gen = substream(seed, consumer_id)
-    noise = _draw_day_noise(gen, n_days, params.horizon, params.process_noise_var, params.obs_noise_var)
-    return Population.of([params]), as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
+    ``n_days`` rows of noise: the simulator's layout with days as rows of
+    the ``(seed, REPLICATE_NOISE_STREAM, consumer_id)`` stream."""
+    population = Population.of([params])
+    noise = _noise(population, seed, (REPLICATE_NOISE_STREAM, consumer_id), np.arange(n_days))
+    return population, as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
 
 
 def simulate_days(params: ConsumerParams, prices: Sequence[float], weather: Sequence[float], seed: int,

@@ -212,8 +212,9 @@ def test_simulate_manifest_records_consumer_days(tiny_config, tmp_path, capsys):
     code, *_ = _run(["simulate", "--config", str(tiny_config), "--out", str(out)], capsys)
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    # 2 consumers x 2 days, one noise substream each for every policy
-    assert manifest["counters"] == {"consumer_days": 4, "substreams": 4}
+    # 2 consumers x 2 days: one noise key per day, shared by every policy
+    assert manifest["counters"] == {"consumer_days": 4, "substreams": 2}
+    assert manifest["noise_scheme"] == 2
 
 
 _TOLERANCES = "  thermostat_tolerances: [0.0, 2.0]\n"

@@ -1,8 +1,10 @@
 """Tests for the consumer simulator: policy, filter, and Monte Carlo means."""
-from dataclasses import astuple
+import statistics
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
+import scipy.stats
 
 import helpers
 import oracles
@@ -23,6 +25,15 @@ from dahp import (
 )
 from dahp.config import ExperimentConfig, SeriesSpec, SimulateSpec
 from dahp.pricing import expected_cs
+from dahp.simulate import (
+    DAY_NOISE_STREAM,
+    POPULATION_STREAM,
+    REPLICATE_NOISE_STREAM,
+    _box_muller,
+    _noise,
+    _noise_words,
+    _row_words,
+)
 from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
 from oracles import EstimatorState, baseline_days, kalman_step, mean_demand, optimal_policy_step, simulate_days
 
@@ -51,6 +62,85 @@ def test_substream_rejects_negative_keys():
         substream(-1)
     with pytest.raises(ValueError):
         substream(3, -2)
+
+
+# ---------------------------------------------------------------------------
+# keyed block noise
+# ---------------------------------------------------------------------------
+
+def test_row_words_cover_the_normals_in_whole_blocks():
+    for horizon in (1, 2, 3, 5, 24, 25):
+        width = _row_words(horizon)
+        assert width % 4 == 0 and 2 * horizon + 2 <= width < 2 * horizon + 6
+
+
+def test_noise_rows_are_philox_counter_offsets():
+    ids = [0, 1, 2, 10, 11, 5, 3, 4, 1000]  # runs, a gap, a step back, a lone far id
+    width = _row_words(24)
+    words = _noise_words(9, (DAY_NOISE_STREAM, 4), ids, width)
+    key = np.random.SeedSequence((9, DAY_NOISE_STREAM, 4)).generate_state(2, np.uint64)
+    for row, cid in zip(words, ids):
+        expected = np.random.Philox(key=key, counter=[cid * width // 4, 0, 0, 0]).random_raw(width)
+        assert row.dtype == np.uint64 and np.array_equal(row, expected)
+
+
+def test_noise_rows_do_not_depend_on_the_population():
+    # strided ids, a permuted population and each consumer alone: same rows per id
+    consumers = _mixed_population(12)
+    ids = [3 * c + 1 for c in range(len(consumers))]
+    stream = (DAY_NOISE_STREAM, 2)
+    batch = _noise(Population.of(consumers), 5, stream, ids)
+    order = np.random.default_rng(65).permutation(len(consumers))
+    permuted = _noise(Population.of([consumers[k] for k in order]), 5, stream, [ids[k] for k in order])
+    for field, shuffled in zip(batch, permuted):
+        assert np.array_equal(field[order], shuffled)
+    for row, (cid, params) in enumerate(zip(ids, consumers)):
+        for field, alone in zip(batch, _noise(Population.of([params]), 5, stream, [cid])):
+            assert np.array_equal(field[row], alone[0])
+
+
+def test_zero_variance_keeps_the_other_fields_draws():
+    params = helpers.random_params(np.random.default_rng(66))
+    stream = (DAY_NOISE_STREAM, 1)
+    v0, w, v = _noise(Population.of([params]), 3, stream, [7])
+    quiet_process = _noise(Population.of([replace(params, process_noise_var=0.0)]), 3, stream, [7])
+    assert np.array_equal(quiet_process[0], v0) and np.array_equal(quiet_process[2], v)
+    assert not np.any(quiet_process[1])
+    quiet_reading = _noise(Population.of([replace(params, obs_noise_var=0.0)]), 3, stream, [7])
+    assert np.array_equal(quiet_reading[1], w)
+    assert not np.any(quiet_reading[0]) and not np.any(quiet_reading[2])
+
+
+@pytest.mark.parametrize("seed, day, ids", [(-1, 0, [0]), (0, -1, [0]), (0, 0, [2, -1])],
+                         ids=["seed", "day", "consumer id"])
+def test_negative_noise_coordinates_raise(seed, day, ids):
+    population = Population.of([helpers.toy3_params()] * len(ids))
+    with pytest.raises(ValueError):
+        simulate_population_day(population, np.zeros(3), np.full(3, 30.0), seed, day, consumer_ids=ids)
+
+
+def test_random_streams_share_no_words():
+    # the population draw (one word per uniform), the noise of days 0..7 and
+    # the replicate days of consumers 0..7 read different Philox keys, so no
+    # 64-bit word appears twice among them
+    seed, consumers, width = 2024, 64, _row_words(24)
+    words = [substream(seed, POPULATION_STREAM).bit_generator.random_raw(consumers * 6)]
+    for index in range(8):
+        for stream in ((DAY_NOISE_STREAM, index), (REPLICATE_NOISE_STREAM, index)):
+            words.append(_noise_words(seed, stream, np.arange(consumers), width).ravel())
+    words = np.concatenate(words)
+    assert len(np.unique(words)) == len(words)
+
+
+def test_noise_normals_are_standard_and_uncorrelated():
+    rows = 4000
+    z = _box_muller(_noise_words(11, (DAY_NOISE_STREAM, 0), np.arange(rows), _row_words(24)), 49)
+    assert scipy.stats.kstest(z.ravel(), "norm").pvalue > 1e-3
+    bound = 4.0 / np.sqrt(rows)  # 4 standard errors of a correlation under independence
+    for j in range(z.shape[1] - 1):  # neighbouring normals, incl. the cos/sin of one word pair
+        assert abs(np.corrcoef(z[:, j], z[:, j + 1])[0, 1]) < bound
+    for j in range(z.shape[1]):  # neighbouring rows, i.e. neighbouring consumers
+        assert abs(np.corrcoef(z[:-1, j], z[1:, j])[0, 1]) < bound
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +297,8 @@ def test_simulate_day_agrees_with_scalar_steps():
 
 
 def test_simulate_days_matches_stacked_single_days():
-    # replicate days share one generator, so only statistical agreement is
-    # guaranteed; check instead the rollout is day-independent: first day of
-    # an n_days batch equals a batch of size 1
+    # replicate day k sits at counter offset k, so the first day of an
+    # n_days batch equals a batch of size 1, bit for bit
     rng = np.random.default_rng(57)
     params = helpers.random_params(rng, horizon=6)
     prices = rng.uniform(0.0, 0.3, size=6)
@@ -217,18 +306,24 @@ def test_simulate_days_matches_stacked_single_days():
     cons1, pay1, disc1 = simulate_days(params, prices, forecast, seed=4, n_days=1)
     assert cons1.shape == (1, 6)
     assert pay1.shape == disc1.shape == (1,)
+    cons5, _, disc5 = simulate_days(params, prices, forecast, seed=4, n_days=5)
+    assert np.array_equal(cons5[:1], cons1) and disc5[0] == disc1[0]
 
 
 def test_monte_carlo_demand_matches_model():
     rng = np.random.default_rng(58)
-    n_days = 20_000
+    # 24 hour-means, two-sided: Bonferroni at a 1 % family-wise false-alarm
+    # rate.  30k days keep the smallest flagged bias (3.53 SE of 30k days,
+    # 2.88 SE of 20k) below the old 3-sigma test's 3 SE of 20k days.
+    threshold = statistics.NormalDist().inv_cdf(1.0 - 0.01 / (2 * 24))
+    n_days = 30_000
     params = helpers.random_params(rng, horizon=24)
     model = build_consumer_model(params, helpers.DEFAULT_WEATHER)
     prices = rng.uniform(0.02, 0.3, size=24)
     cons, _, _ = simulate_days(params, prices, helpers.DEFAULT_WEATHER, seed=60, n_days=n_days)
     expected = mean_demand(model, prices)
     se = cons.std(axis=0, ddof=1) / np.sqrt(n_days)
-    assert np.all(np.abs(cons.mean(axis=0) - expected) < 3.0 * np.maximum(se, 1e-12))
+    assert np.all(np.abs(cons.mean(axis=0) - expected) < threshold * np.maximum(se, 1e-12))
 
 
 def test_monte_carlo_surplus_matches_model():
@@ -361,7 +456,7 @@ def test_run_simulate_rows_match_step_oracle(tmp_path, monkeypatch):
     written = {}
     monkeypatch.setattr(experiments, "draw_population", lambda spec, seed: Population.of(consumers))
     monkeypatch.setattr(experiments, "_write_csv",
-                        lambda path, header, rows: written.__setitem__(path.name, rows))
+                        lambda path, header, columns: written.__setitem__(path.name, list(zip(*columns))))
     config = ExperimentConfig(
         seed=31, weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
         simulate=SimulateSpec(eta=0.6, thermostat_tolerances=tolerances),
@@ -377,12 +472,12 @@ def test_run_simulate_rows_match_step_oracle(tmp_path, monkeypatch):
             v0, w, v = oracles.day_noise(31, cid, day, params)
             _, pay, disc = oracles.step_rollout(params, prices, weather.values, v0, w, v)
             row = next(responsive)
-            assert row[:2] == [str(cid), str(day)]
+            assert row[:2] == (cid, day)
             assert _close_to_row(row[2:], [pay, disc, -(pay + disc)])
             for tolerance in tolerances:
                 _, pay, disc = oracles.step_baseline(params, tolerance, prices, weather.values, w)
                 row = next(baseline)
-                assert row[:3] == [tolerance, str(cid), str(day)]
+                assert row[:3] == (tolerance, cid, day)
                 assert _close_to_row(row[3:], [pay, disc, -(pay + disc)])
     assert next(responsive, None) is None and next(baseline, None) is None
 
