@@ -13,11 +13,12 @@ affine in the day-ahead price vector:
 
     E[demand](prices) = -gain @ prices + intercept_mean
 
-``gain`` is symmetric tridiagonal and positive definite, so one Cholesky
-factorization per model serves every downstream linear solve.  A
-population's model is the sum of its consumers' models; ``population_model``
-builds it from per-population sums over a ``Population`` of parameter
-arrays, and a single consumer is a population of one.
+``gain`` is symmetric tridiagonal and positive definite.  Each model checks
+that once, by a Cholesky decomposition, and then solves against the gain
+with numpy's LAPACK (``np.linalg.solve``).  A population's model is the sum
+of its consumers' models; ``population_model`` builds it from
+per-population sums over a ``Population`` of parameter arrays, and a single
+consumer is a population of one.
 
 Conventions used throughout the package:
 
@@ -37,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .optim import SpdFactorization, spd_factor, spd_solve
+from .optim import check_spd
 
 HOURS_PER_DAY = 24
 
@@ -170,13 +171,13 @@ class AffineDemandModel:
         return self.intercept_mean.size
 
     @cached_property
-    def _factorization(self) -> SpdFactorization:
-        # Factored once per model; doubles as the positive-definiteness check.
-        return spd_factor(self.gain)
+    def _checked_gain(self) -> np.ndarray:
+        # Checked once per model: positive definite, so every solve is well posed.
+        return check_spd(self.gain)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``gain @ x = rhs`` against the cached factorization."""
-        return spd_solve(self._factorization, rhs)
+        """Solve ``gain @ x = rhs`` with LAPACK, once the gain is checked."""
+        return np.linalg.solve(self._checked_gain, rhs)
 
     @cached_property
     def zero_demand_price(self) -> np.ndarray:
@@ -300,6 +301,6 @@ def aggregate(models: Sequence[AffineDemandModel]) -> AffineDemandModel:
         intercept_cov=sum(m.intercept_cov for m in models),
         cs_constant=float(sum(m.cs_constant for m in models)),
     )
-    model._factorization  # noqa: B018 -- eager PD check via Cholesky
+    model._checked_gain  # noqa: B018 -- eager PD check via Cholesky
     return model
 

@@ -2,7 +2,7 @@
 
 Each command builds the population demand model from the configured
 consumers and data, runs one study, and writes schema-stable CSV files plus
-a ``manifest.json`` recording the config hash, package and library
+a ``manifest.json`` recording the config hash, package and numpy
 versions, wall time, and the deterministic solver counters of the run
 (``counters``; per-eta search counters for ``storage``).  Float cells are formatted to four decimals;
 rerunning a command with the same config and seed reproduces the CSV bytes
@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import (
@@ -261,7 +260,6 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
         "config": resolved_dict(config),
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
         "wall_time_s": round(time.perf_counter() - started, 3),
         "outputs": files,
         "counters": counters,

@@ -1,5 +1,5 @@
-"""Numerical kernels: SPD solves, a dense simplex LP solver, and coordinate
-pattern search.
+"""Numerical kernels: a positive-definiteness check, a dense simplex LP
+solver, and coordinate pattern search.
 
 Everything here is deterministic and dense; problem sizes in this package
 are tiny (24-hour horizons), so clarity wins over sparsity tricks.  All
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import IndefiniteMatrixError
 
@@ -27,26 +26,16 @@ TOLERANCES = {
 
 
 # ---------------------------------------------------------------------------
-# symmetric positive definite solves
+# symmetric positive definite check
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class SpdFactorization:
-    """Cholesky factorization ``matrix = lower @ lower.T`` of an SPD matrix."""
+def check_spd(matrix: np.ndarray) -> np.ndarray:
+    """Return ``matrix`` as a float array after checking it is symmetric
+    positive definite.
 
-    matrix: np.ndarray
-    lower: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def spd_factor(matrix: np.ndarray) -> SpdFactorization:
-    """Factor a symmetric positive definite matrix.
-
-    Raises ``IndefiniteMatrixError`` when the matrix is not symmetric or the
-    Cholesky decomposition fails; the failure doubles as the package's
+    Raises ``IndefiniteMatrixError`` when the matrix is not square, finite
+    and symmetric, when the Cholesky decomposition fails, or when its factor
+    does not reconstruct the matrix; the decomposition is the package's
     positive-definiteness test.
     """
     a = np.asarray(matrix, dtype=float)
@@ -66,13 +55,7 @@ def spd_factor(matrix: np.ndarray) -> SpdFactorization:
         raise IndefiniteMatrixError(
             f"factorization reconstruction error {recon:.3e} exceeds tolerance"
         )
-    return SpdFactorization(matrix=a, lower=lower)
-
-
-def spd_solve(factorization: SpdFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``matrix @ x = rhs`` using a cached Cholesky factor."""
-    y = scipy.linalg.solve_triangular(factorization.lower, rhs, lower=True)
-    return scipy.linalg.solve_triangular(factorization.lower.T, y, lower=False)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +67,7 @@ class LpProblem:
     """Linear program ``maximize objective @ x`` subject to
     ``eq_matrix @ x = eq_rhs`` and ``lower <= x <= upper``.
 
-    Upper bounds may be ``np.inf``.  Set ``maximize=False`` to minimize.
+    Upper bounds may be ``np.inf``.  To minimize, negate the objective.
     """
 
     objective: np.ndarray
@@ -92,7 +75,6 @@ class LpProblem:
     eq_rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
-    maximize: bool = True
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -169,8 +151,7 @@ def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> str
 def simplex_solve(problem: LpProblem) -> LpResult:
     """Two-phase dense simplex. Deterministic; Bland's rule prevents cycling."""
     tol = TOLERANCES["simplex_pivot"]
-    c0 = problem.objective if problem.maximize else -problem.objective
-    n = c0.size
+    n = problem.objective.size
 
     # Shift lower bounds to zero and fold finite upper bounds in as rows
     # y_i + s_i = u_i - l_i, so the standard form is A y = b, y >= 0.
@@ -184,7 +165,7 @@ def simplex_solve(problem: LpProblem) -> LpResult:
     for r, j in enumerate(bounded):
         a_std[m0 + r, j] = 1.0
         a_std[m0 + r, n + r] = 1.0
-    c_std = np.concatenate([c0, np.zeros(k)])
+    c_std = np.concatenate([problem.objective, np.zeros(k)])
 
     neg = b_std < 0
     a_std[neg] *= -1.0
@@ -245,7 +226,7 @@ def simplex_solve(problem: LpProblem) -> LpResult:
 
     status = _bland_pivot_loop(tab2, basis, n_std)
     if status == "unbounded":
-        return LpResult(x=None, objective=np.inf if problem.maximize else -np.inf, status="unbounded")
+        return LpResult(x=None, objective=np.inf, status="unbounded")
 
     y = np.zeros(n_std)
     for i in range(m2):

@@ -12,7 +12,7 @@ tariffs that traces the surplus/profit Pareto front as the weight ``eta``
 runs over [0, 1]: profit-greedy at 0, welfare-maximizing (price at
 wholesale cost, zero profit) at 1.  Every optimal tariff blends the
 wholesale price with the zero-demand price ``G^{-1} b``, which each model
-solves once, through its cached SPD factorization.
+solves once and caches.
 
 ``expected_cs`` and ``expected_rp`` validate their tariffs and call the
 only places the two formulas are written, ``_cs`` and ``_rp``, which

@@ -18,10 +18,10 @@ the storage-free optimum.  It converges when its step falls below a floor
 after no coordinate move of that size improved the tariff, the standard
 compass-search stopping test; it is flagged truncated if the evaluation
 budget runs out first.  The result is a local optimum, not a global
-optimality claim.  At ``eta = 1`` the seed is already optimal: the
-storage-free objective peaks at the wholesale mean, the batteries cannot
-earn the retailer more than their arbitrage profit at wholesale prices,
-and every plan optimal at that tariff earns exactly that.
+optimality claim.  At ``eta = 1`` the seed is already optimal, so no
+search runs: the storage-free objective peaks at the wholesale mean, the
+batteries cannot earn the retailer more than their arbitrage profit at
+wholesale prices, and every plan optimal at that tariff earns exactly that.
 
 The search evaluates thousands of nearby tariffs but meets only a few
 dozen optimal plans.  The LP's constraints do not depend on the tariff, so
@@ -299,8 +299,10 @@ def optimize_price_with_storage(
     its first step is 5 % of that tariff's largest price, its step floor
     1e-4, and ``max_evals`` bounds its objective evaluations.  Returns the
     best point found with convergence metadata; see the module docstring
-    for what convergence means.  Each distinct battery spec keeps its
-    optimal LP bases for the length of this call only.
+    for what convergence means.  At ``eta = 1`` the storage-free tariff is
+    returned after its one evaluation, since it is provably optimal there.
+    Each distinct battery spec keeps its optimal LP bases for the length of
+    this call only.
     """
     seed_price = optimal_price(model, cost, eta)
     horizon = model.horizon
@@ -315,17 +317,24 @@ def optimize_price_with_storage(
         point, _ = evaluate(pi)
         return point.rp + eta * point.cs
 
-    step0 = max(0.05 * float(np.abs(seed_price).max()), 1e-3)
-    search = pattern_search(objective, seed_price, step0=step0, step_min=1e-4, max_evals=max_evals)
-    point, plans = evaluate(search.point)
-    seed_value = search.trace[0]
+    if eta == 1.0:
+        # the seed is optimal here (see the module docstring): no search
+        point, plans = evaluate(seed_price)
+        value, n_evals, improved, truncated = point.rp + eta * point.cs, 1, False, False
+    else:
+        step0 = max(0.05 * float(np.abs(seed_price).max()), 1e-3)
+        search = pattern_search(objective, seed_price, step0=step0, step_min=1e-4, max_evals=max_evals)
+        point, plans = evaluate(search.point)
+        value, n_evals, truncated = search.value, search.n_evals, search.truncated
+        seed_value = search.trace[0]
+        improved = value > seed_value + 1e-12 * max(1.0, abs(seed_value))
     return StoragePricingResult(
         price=point.price,
         point=point,
-        objective=search.value,
-        n_evals=search.n_evals,
-        improved=search.value > seed_value + 1e-12 * max(1.0, abs(seed_value)),
-        truncated=search.truncated,
+        objective=value,
+        n_evals=n_evals,
+        improved=improved,
+        truncated=truncated,
         plans=plans,
         lp_solves=sum(lp.lp_solves for lp in lps.values()),
         basis_reuses=sum(lp.basis_reuses for lp in lps.values()),

@@ -9,6 +9,7 @@ import pytest
 import yaml
 
 from dahp.cli import main
+from dahp.experiments import COMMANDS
 
 TINY = """\
 seed: 42
@@ -299,6 +300,20 @@ def test_different_seed_changes_output(tiny_config, tmp_path, capsys):
     assert (out_a / "simulate.csv").read_bytes() != (out_b / "simulate.csv").read_bytes()
 
 
+# Every command in one fresh interpreter through ``dahp.cli.main``; scipy is
+# a test dependency only, so no run may import it.
+_NO_SCIPY_RUN = """\
+import sys
+from dahp.cli import main
+from dahp.experiments import COMMANDS
+config, out = sys.argv[1:]
+for command in COMMANDS:
+    assert main([command, "--config", config, "--out", f"{out}/{command}"]) == 0, command
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded
+"""
+
+
 def test_module_entry_point(tiny_config, tmp_path):
     out = tmp_path / "out"
     proc = subprocess.run(
@@ -308,6 +323,12 @@ def test_module_entry_point(tiny_config, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "tradeoff.csv").exists()
+    runs = tmp_path / "runs"
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(tiny_config), str(runs)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(path.name for path in runs.iterdir()) == sorted(COMMANDS)
 
 
 def test_unknown_command_rejected_by_argparse(capsys):

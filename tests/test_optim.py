@@ -2,30 +2,35 @@
 import numpy as np
 import pytest
 
+from dahp.demand import AffineDemandModel
 from dahp.errors import IndefiniteMatrixError
 from dahp.optim import (
     TOLERANCES,
     LpProblem,
+    check_spd,
     pattern_search,
     simplex_solve,
-    spd_factor,
-    spd_solve,
 )
 
 
 # ---------------------------------------------------------------------------
-# SPD factorization and solves
+# SPD check, and the demand model's solve against its checked gain
 # ---------------------------------------------------------------------------
 
+def _solve(matrix, rhs):
+    n = len(rhs)
+    model = AffineDemandModel(gain=matrix, intercept_mean=np.zeros(n),
+                              intercept_cov=np.zeros((n, n)), cs_constant=0.0)
+    return model.solve(rhs)
+
+
 def test_spd_solve_identity():
-    fact = spd_factor(np.eye(3))
     rhs = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(spd_solve(fact, rhs), rhs, atol=0.0)
+    assert np.allclose(_solve(np.eye(3), rhs), rhs, atol=0.0)
 
 
 def test_spd_solve_diagonal():
-    fact = spd_factor(np.diag([2.0, 4.0]))
-    assert np.allclose(spd_solve(fact, np.array([2.0, 8.0])), [1.0, 2.0])
+    assert np.allclose(_solve(np.diag([2.0, 4.0]), np.array([2.0, 8.0])), [1.0, 2.0])
 
 
 def test_spd_solve_random_residuals():
@@ -35,24 +40,24 @@ def test_spd_solve_random_residuals():
         a = rng.normal(size=(n, n))
         mat = a @ a.T + n * np.eye(n)
         rhs = rng.normal(size=n)
-        x = spd_solve(spd_factor(mat), rhs)
+        x = _solve(mat, rhs)
         residual = np.linalg.norm(mat @ x - rhs)
         assert residual <= TOLERANCES["spd_solve_residual"] * max(1.0, np.linalg.norm(rhs))
 
 
 def test_spd_factor_rejects_indefinite():
     with pytest.raises(IndefiniteMatrixError):
-        spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
+        check_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
 
 
 def test_spd_factor_rejects_asymmetric():
     with pytest.raises(IndefiniteMatrixError):
-        spd_factor(np.array([[2.0, 1.0], [0.0, 2.0]]))
+        check_spd(np.array([[2.0, 1.0], [0.0, 2.0]]))
 
 
 def test_spd_factor_rejects_nonsquare():
     with pytest.raises(IndefiniteMatrixError):
-        spd_factor(np.ones((2, 3)))
+        check_spd(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("entry", [np.inf, np.nan])
@@ -60,7 +65,7 @@ def test_spd_factor_rejects_non_finite(entry):
     matrix = np.eye(3)
     matrix[1, 1] = entry
     with pytest.raises(IndefiniteMatrixError, match="non-finite"):
-        spd_factor(matrix)
+        check_spd(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -75,25 +80,27 @@ def test_simplex_box_only():
     assert res.objective == pytest.approx(1.0, abs=1e-12)
 
 
-def test_simplex_minimize_flag():
-    res = simplex_solve(LpProblem(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                                  np.array([-2.0]), np.array([5.0]), maximize=False))
+def test_simplex_minimizes_the_negated_objective():
+    # min x s.t. -2 <= x <= 5 is max -x
+    res = simplex_solve(LpProblem(-np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
+                                  np.array([-2.0]), np.array([5.0])))
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-2.0, abs=1e-12)
+    assert -res.objective == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_simplex_beale_cycling_instance():
-    # Classic cycling example; Bland's rule must terminate at the optimum
-    # -0.05 at x = (0.04, 0, 1, 0).  Inequality rows carry explicit slacks.
+    # Classic cycling example, a minimization posed as maximizing -obj;
+    # Bland's rule must terminate at the minimum -0.05 at x = (0.04, 0, 1, 0).
+    # Inequality rows carry explicit slacks.
     obj = np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0])
     rows = np.array([
         [0.25, -60.0, -0.04, 9.0, 1.0, 0.0],
         [0.50, -90.0, -0.02, 3.0, 0.0, 1.0],
     ])
     upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
-    res = simplex_solve(LpProblem(obj, rows, np.zeros(2), np.zeros(6), upper, maximize=False))
+    res = simplex_solve(LpProblem(-obj, rows, np.zeros(2), np.zeros(6), upper))
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-0.05, abs=1e-9)
+    assert -res.objective == pytest.approx(-0.05, abs=1e-9)
     assert np.allclose(res.x[:4], [0.04, 0.0, 1.0, 0.0], atol=1e-9)
 
 
@@ -136,7 +143,7 @@ def test_simplex_returns_its_optimal_basis_and_tableau():
         [0.50, -90.0, -0.02, 3.0, 0.0, 1.0],
     ])
     upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
-    res = simplex_solve(LpProblem(obj, rows, np.zeros(2), np.zeros(6), upper, maximize=False))
+    res = simplex_solve(LpProblem(-obj, rows, np.zeros(2), np.zeros(6), upper))
     # one slack column and one row per finite upper bound
     assert res.tableau.shape == (3 + 1, 6 + 1 + 1)
     assert len(res.basis) == 3 and len(set(res.basis)) == 3

@@ -6,6 +6,7 @@ import pytest
 
 import helpers
 import oracles
+from dahp import storage
 from dahp import (
     ArbitragePlan,
     BatteryParams,
@@ -18,9 +19,9 @@ from dahp import (
     optimal_price,
     optimize_price_with_storage,
 )
-from dahp.config import load_config
-from dahp.demand import aggregate
-from dahp.experiments import run_storage
+from dahp.config import batteries_from_spec, load_config
+from dahp.demand import AffineDemandModel, aggregate
+from dahp.experiments import _build_workspace, run_storage
 from dahp.optim import LpProblem, simplex_solve
 from dahp.storage import _BatteryLp, _reduced_cost_map
 from oracles import consumer_surplus_with_storage, population_net_load, retailer_objective_with_storage
@@ -331,7 +332,8 @@ def test_price_search_result_metadata():
     rng = np.random.default_rng(122)
     model, cost = helpers.random_model(rng)
     batteries = [lossless_unit_battery()]
-    result = optimize_price_with_storage(model, cost, batteries, eta=1.0,
+    # eta < 1: at eta = 1 no search runs, so no budget can truncate it
+    result = optimize_price_with_storage(model, cost, batteries, eta=0.5,
                                          max_evals=30)  # tiny budget
     assert result.truncated
     assert result.n_evals == 30
@@ -474,11 +476,46 @@ def test_search_at_eta_one_keeps_the_wholesale_mean(name):
     assert not result.improved and not result.truncated
 
 
+def test_eta_one_returns_the_seed_without_a_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("pattern_search ran at eta = 1")
+
+    monkeypatch.setattr(storage, "pattern_search", no_search)
+    model, cost = helpers.random_model(np.random.default_rng(134))
+    batteries = [REUSE_BATTERIES["lossy"]] * 3
+    result = optimize_price_with_storage(model, cost, batteries, eta=1.0)
+    assert (result.n_evals, result.improved, result.truncated, result.lp_solves) == (1, False, False, 1)
+    assert result.price.tobytes() == cost.mean.tobytes()
+    assert result.objective == retailer_objective_with_storage(model, cost, batteries, cost.mean, 1.0)
+
+
 def test_demo_searches_finish_within_budget(tmp_path):
     config = load_config(DEMO)
     config.storage.eta_grid = [0.0, 0.5]
     _, counters = run_storage(config, tmp_path)
     assert [search["truncated"] for search in counters["storage_search"]] == [False, False]
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.75])
+def test_demo_search_endpoint_survives_a_last_bit_change(eta):
+    # storage.csv states rp + eta * cs to 2e-4 and each price to 1e-3: a
+    # one-ulp change of the gain's diagonal, the size of a solver's rounding
+    # difference, may move the search's endpoint only that far.  (At some
+    # of these weights it does move, by about 1e-4 in price and 0.1 in cs.)
+    config = load_config(DEMO)
+    ws = _build_workspace(config)
+    model = ws.model
+    gain = model.gain.copy()
+    diagonal = np.diag_indices_from(gain)
+    gain[diagonal] = np.nextafter(gain[diagonal], np.inf)
+    nudged = AffineDemandModel(gain=gain, intercept_mean=model.intercept_mean,
+                               intercept_cov=model.intercept_cov, cs_constant=model.cs_constant)
+    assert not np.array_equal(nudged.zero_demand_price, model.zero_demand_price)
+    batteries = batteries_from_spec(config.storage)
+    base, moved = (optimize_price_with_storage(m, ws.cost, batteries, eta) for m in (model, nudged))
+    assert not (base.truncated or moved.truncated)
+    assert abs(moved.objective - base.objective) <= 2e-4
+    assert np.abs(moved.price - base.price).max() <= 1e-3
 
 
 @pytest.mark.parametrize("limit", ["charge_limit", "discharge_limit"])
