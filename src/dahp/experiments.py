@@ -176,6 +176,7 @@ def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dic
             "truncated": result.truncated,
             "improved": result.improved,
             "lp_solves": result.lp_solves,
+            "lp_pivots": result.lp_pivots,
             "basis_reuses": result.basis_reuses,
         })
     _write_csv(

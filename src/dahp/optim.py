@@ -1,5 +1,6 @@
 """Numerical kernels: a positive-definiteness check, a dense simplex LP
-solver, and coordinate pattern search.
+solver that can re-optimize a new objective from an earlier optimal basis,
+and coordinate pattern search.
 
 Everything here is deterministic and dense; problem sizes in this package
 are tiny (24-hour horizons), so clarity wins over sparsity tricks.  All
@@ -7,6 +8,7 @@ tolerances live in ``TOLERANCES`` so library code and tests agree on them.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -107,14 +109,23 @@ class LpResult:
     # bound, and whose last row holds the reduced costs.
     basis: list[int] | None = None
     tableau: np.ndarray | None = None
+    pivots: int = 0  # simplex pivots this solve made, both phases
 
 
-def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> str:
+def _pivot(tableau: np.ndarray, row: int, col: int, work: np.ndarray | None = None) -> None:
+    """Pivot on ``tableau[row, col]`` by one rank-1 update of the other rows."""
+    tableau[row] /= tableau[row, col]
+    eliminate = tableau[:, col].copy()
+    eliminate[row] = 0.0
+    tableau -= np.multiply(eliminate[:, np.newaxis], tableau[row], out=work)
+
+
+def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
     """Run simplex pivots on a tableau whose last row is the (maximize)
     reduced-cost row and last column is the rhs.  Bland's rule: entering
     variable is the lowest-index column with reduced cost above tolerance,
-    leaving row breaks ratio ties by lowest basis index.  Returns "optimal"
-    or "unbounded"; Bland's rule guarantees termination.
+    leaving row breaks ratio ties by lowest basis index, which guarantees
+    termination.  Returns "optimal" or "unbounded" and the pivot count.
     """
     tol = TOLERANCES["simplex_pivot"]
     m = tableau.shape[0] - 1
@@ -122,34 +133,56 @@ def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> str
     work = np.empty_like(tableau)
     ratios = np.empty(m)
     try:
-        while True:
+        for pivots in itertools.count():
             reduced = tableau[m, :n_cols]
             entering = int(np.argmax(reduced > tol))
             if reduced[entering] <= tol:
-                return "optimal"
+                return "optimal", pivots
             if m == 0:
-                return "unbounded"  # improving direction with no blocking row
+                return "unbounded", pivots  # improving direction with no blocking row
             column = tableau[:m, entering]
             positive = column > tol
             ratios.fill(np.inf)
             np.divide(tableau[:m, -1], column, out=ratios, where=positive)
             best = ratios.min()
             if not np.isfinite(best):
-                return "unbounded"
+                return "unbounded", pivots
             tied = np.flatnonzero(ratios <= best + tol)
             leave = int(tied[np.argmin(basis_arr[tied])])
-            tableau[leave] /= tableau[leave, entering]
-            eliminate = tableau[:, entering].copy()
-            eliminate[leave] = 0.0
-            np.multiply(eliminate[:, np.newaxis], tableau[leave], out=work)
-            tableau -= work
+            _pivot(tableau, leave, entering, work)
             basis_arr[leave] = entering
     finally:
         basis[:] = basis_arr.tolist()
 
 
-def simplex_solve(problem: LpProblem) -> LpResult:
-    """Two-phase dense simplex. Deterministic; Bland's rule prevents cycling."""
+def _phase2(problem: LpProblem, tableau: np.ndarray, basis: list[int], pivots: int) -> LpResult:
+    """Phase 2 from a feasible basis: write the reduced costs c - c_B B^-1 A
+    of ``problem.objective`` into the last row, pivot, and read x off."""
+    n = problem.objective.size
+    c = np.zeros(tableau.shape[1])  # the costs, and 0 above the rhs
+    c[:n] = problem.objective
+    tableau[-1] = c
+    for i, j in enumerate(basis):
+        if c[j] != 0.0:
+            tableau[-1] -= c[j] * tableau[i]
+    # row now holds c_j - z_j: positive entries are improving directions
+    status, more = _bland_pivot_loop(tableau, basis, c.size - 1)
+    pivots += more
+    if status == "unbounded":
+        return LpResult(x=None, objective=np.inf, status="unbounded", pivots=pivots)
+    y = np.zeros(c.size - 1)
+    y[basis] = tableau[:-1, -1]
+    x = problem.lower + y[:n]
+    return LpResult(x=x, objective=float(problem.objective @ x), status="optimal", basis=basis,
+                    tableau=tableau, pivots=pivots)
+
+
+def simplex_solve(problem: LpProblem, start: LpResult | None = None) -> LpResult:
+    """Two-phase dense simplex. Deterministic; Bland's rule prevents cycling.
+
+    Given ``start``, an optimal result for the same constraints, phase 2 alone
+    re-optimizes from a copy of its tableau; another width raises ValueError.
+    """
     tol = TOLERANCES["simplex_pivot"]
     n = problem.objective.size
 
@@ -158,6 +191,10 @@ def simplex_solve(problem: LpProblem) -> LpResult:
     span = problem.upper - problem.lower
     bounded = [int(j) for j in np.flatnonzero(np.isfinite(span))]
     k = len(bounded)
+    if start is not None:
+        if start.tableau is None or start.tableau.shape[1] != n + k + 1:
+            raise ValueError("warm start does not match the problem's standard form")
+        return _phase2(problem, start.tableau.copy(), list(start.basis), 0)
     m0 = problem.eq_matrix.shape[0]
     a_std = np.zeros((m0 + k, n + k))
     a_std[:m0, :n] = problem.eq_matrix
@@ -165,7 +202,6 @@ def simplex_solve(problem: LpProblem) -> LpResult:
     for r, j in enumerate(bounded):
         a_std[m0 + r, j] = 1.0
         a_std[m0 + r, n + r] = 1.0
-    c_std = np.concatenate([problem.objective, np.zeros(k)])
 
     neg = b_std < 0
     a_std[neg] *= -1.0
@@ -185,55 +221,26 @@ def simplex_solve(problem: LpProblem) -> LpResult:
     # artificial/slack starting basis
     tableau[m, :n_std] = a_std[:m0].sum(axis=0)
     tableau[m, -1] = b_std[:m0].sum()
-    status = _bland_pivot_loop(tableau, basis, n_std)
+    status, pivots = _bland_pivot_loop(tableau, basis, n_std)
     rhs_scale = max(1.0, float(np.abs(b_std[:m0]).max())) if m0 else 1.0
     if status != "optimal" or tableau[m, -1] > 1e-8 * rhs_scale:
-        return LpResult(x=None, objective=np.nan, status="infeasible")
+        return LpResult(x=None, objective=np.nan, status="infeasible", pivots=pivots)
 
     # Drive any artificial variables out of the basis; drop redundant rows.
     keep_rows = []
     for i in range(m):
         if basis[i] >= n_std:
-            pivot_col = -1
-            for j in range(n_std):
-                if abs(tableau[i, j]) > tol:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
+            col = int(np.argmax(np.abs(tableau[i, :n_std]) > tol))
+            if abs(tableau[i, col]) <= tol:
                 continue  # redundant constraint row
-            pivot = tableau[i, pivot_col]
-            tableau[i] /= pivot
-            for r in range(m + 1):
-                if r != i and tableau[r, pivot_col] != 0.0:
-                    tableau[r] -= tableau[r, pivot_col] * tableau[i]
-            basis[i] = pivot_col
+            _pivot(tableau, i, col)
+            basis[i] = col
+            pivots += 1
         keep_rows.append(i)
 
-    rows = keep_rows
-    basis = [basis[i] for i in rows]
-    # Phase 2 tableau: original columns + rhs, fresh reduced-cost row.
-    body = tableau[np.ix_(rows, list(range(n_std)) + [n_std + m0])]
-    m2 = len(rows)
-    tab2 = np.zeros((m2 + 1, n_std + 1))
-    tab2[:m2] = body
-    tab2[m2, :n_std] = c_std
-    tab2[m2, -1] = 0.0
-    for i in range(m2):
-        cb = c_std[basis[i]]
-        if cb != 0.0:
-            tab2[m2] -= cb * tab2[i]
-    # row now holds c_j - z_j: positive entries are improving directions
-
-    status = _bland_pivot_loop(tab2, basis, n_std)
-    if status == "unbounded":
-        return LpResult(x=None, objective=np.inf, status="unbounded")
-
-    y = np.zeros(n_std)
-    for i in range(m2):
-        y[basis[i]] = tab2[i, -1]
-    x = problem.lower + y[:n]
-    objective = float(problem.objective @ x)
-    return LpResult(x=x, objective=objective, status="optimal", basis=basis, tableau=tab2)
+    # Phase 2 tableau: original columns + rhs; _phase2 rewrites the last row.
+    tab2 = tableau[np.ix_(keep_rows + [m], list(range(n_std)) + [n_std + m0])]
+    return _phase2(problem, tab2, [basis[i] for i in keep_rows], pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -32,12 +32,13 @@ distinct battery spec keeps its bases most recently used first, and a
 tariff reuses the first one whose reduced costs are all below
 ``-TOLERANCES["simplex_pivot"]``.  That strict margin makes the optimal
 vertex unique, so the cold simplex would return the same plan, up to
-rounding in the last bits.  Any other tariff is solved cold, and its
-basis is kept when it is strictly optimal there.  The idle tie-break runs
-on every plan; a basis's point does not depend on the tariff, so it is
-validated once, when the simplex finds it.  Likewise a searched tariff is
-finite by construction, so its cs and rp come straight from the pricing
-kernels ``_cs`` and ``_rp`` without another check.
+rounding in the last bits.  Any other tariff is re-optimized by phase 2
+from the last kept basis, feasible at every tariff, and the basis found is
+kept if it passes the test; a tie may stop that warm start at another
+optimal vertex than a cold solve's, so the cold solve answers then.  The
+idle tie-break runs on every plan; a basis's point is validated once, when
+the simplex finds it.  Searched tariffs are finite by construction, so cs
+and rp come unchecked from the pricing kernels ``_cs`` and ``_rp``.
 """
 from __future__ import annotations
 
@@ -152,8 +153,9 @@ class _BatteryLp:
     reduced costs ``G @ prices`` are nonpositive.  A stored basis is reused
     only where they are all strictly negative: the optimal vertex is then
     unique, so a cold simplex solve would return the same plan up to
-    rounding.  Otherwise the simplex runs, and its basis joins the front of
-    the list if it passes the same test; a reused basis moves to the front.
+    rounding.  Otherwise the simplex runs from the last kept basis, and a
+    basis passing the same test joins the front of the list and becomes
+    the next warm start; a reused basis moves to the front.
     """
 
     def __init__(self, battery: BatteryParams, horizon: int):
@@ -183,7 +185,9 @@ class _BatteryLp:
         ])
         self.idle_feasible = _idle_plan_feasible(battery, n)
         self.entries: list[tuple] = []  # (G rows, G hours, G values, G height, x)
+        self.warm: LpResult | None = None  # the latest kept basis's solve
         self.lp_solves = 0
+        self.lp_pivots = 0
         self.basis_reuses = 0
 
     def plan(self, pi: np.ndarray) -> ArbitragePlan:
@@ -193,21 +197,27 @@ class _BatteryLp:
                 self.entries.insert(0, self.entries.pop(index))
                 self.basis_reuses += 1
                 return self._finish(pi, objective, entry[-1])
-        result = simplex_solve(LpProblem(objective, self.eq_matrix, self.eq_rhs, self.lower, self.upper))
+        problem = LpProblem(objective, self.eq_matrix, self.eq_rhs, self.lower, self.upper)
         self.lp_solves += 1
-        if result.status != "optimal":
-            raise InfeasibleConstraintError(
-                f"battery arbitrage LP is {result.status}: the terminal state of "
-                "charge cannot be met with these losses and rate limits"
-            )
-        _validate_point(result.x, self.battery)
-        entry = (*_reduced_cost_map(result, self.horizon), result.x)
-        # A basis tied at its own tariff is not kept: a lossless battery's
-        # ties never break, and each of its solves would lengthen the list
-        # that every later tariff scans.  Nor is a basis kept twice: a
-        # stored one that passed this test would have been reused.
-        if _strictly_optimal(entry, pi):
-            self.entries.insert(0, entry)
+        # The last kept basis first, then a cold solve.  A basis tied at this
+        # tariff is not kept: a tied warm start may sit at another optimal
+        # vertex than the cold solve's, and a lossless battery never breaks
+        # its ties, so it keeps no basis for later tariffs to scan.  Nor is a
+        # basis kept twice: a stored one that passed this would be reused.
+        for start in [self.warm, None] if self.warm else [None]:
+            result = simplex_solve(problem, start)
+            self.lp_pivots += result.pivots
+            if result.status != "optimal":
+                raise InfeasibleConstraintError(
+                    f"battery arbitrage LP is {result.status}: the terminal state of "
+                    "charge cannot be met with these losses and rate limits"
+                )
+            _validate_point(result.x, self.battery)
+            entry = (*_reduced_cost_map(result, self.horizon), result.x)
+            if _strictly_optimal(entry, pi):
+                self.entries.insert(0, entry)
+                self.warm = result
+                break
         return self._finish(pi, objective, result.x)
 
     def _finish(self, pi: np.ndarray, objective: np.ndarray, x: np.ndarray) -> ArbitragePlan:
@@ -283,6 +293,7 @@ class StoragePricingResult:
     truncated: bool        # the search hit the evaluation budget
     plans: dict            # battery spec -> its ArbitragePlan at ``price``
     lp_solves: int         # battery LPs solved by the simplex
+    lp_pivots: int         # simplex pivots over those solves
     basis_reuses: int      # battery plans taken from a stored optimal basis
 
 
@@ -337,5 +348,6 @@ def optimize_price_with_storage(
         truncated=truncated,
         plans=plans,
         lp_solves=sum(lp.lp_solves for lp in lps.values()),
+        lp_pivots=sum(lp.lp_pivots for lp in lps.values()),
         basis_reuses=sum(lp.basis_reuses for lp in lps.values()),
     )

@@ -16,6 +16,18 @@ from dahp.timeseries import synthetic_weather, synthetic_wholesale
 DEFAULT_WEATHER = synthetic_weather(1)[0].values
 DEFAULT_WHOLESALE = synthetic_wholesale(1)[0].values
 
+# Battery specs of the basis-reuse and warm-start tests.
+REUSE_BATTERIES = {
+    "lossless": BatteryParams(capacity=6.0, initial_soc=0.0, charge_limit=2.0, discharge_limit=2.5),
+    "lossy": BatteryParams(capacity=8.0, initial_soc=0.0, storage_eff=0.99, charge_eff=0.9,
+                           discharge_eff=0.92, charge_limit=3.0, discharge_limit=4.0),
+    # starts charged but can recharge fast enough to make up the decay
+    "leaky": BatteryParams(capacity=10.0, initial_soc=4.0, storage_eff=0.97, charge_eff=0.95,
+                           discharge_eff=0.95, charge_limit=5.0, discharge_limit=5.0),
+    "unlimited": BatteryParams(capacity=10.0, initial_soc=0.0, charge_eff=0.95, discharge_eff=0.95),
+    "leaky_unlimited": BatteryParams(capacity=5.0, initial_soc=2.0, storage_eff=0.98, charge_eff=0.9),
+}
+
 
 def random_params(rng: np.random.Generator, horizon: int = 24, noisy: bool = True) -> ConsumerParams:
     return ConsumerParams(

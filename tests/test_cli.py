@@ -200,7 +200,8 @@ def test_storage_manifest_records_search_counters(tiny_config, tmp_path, capsys)
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     (search,) = manifest["counters"]["storage_search"]
-    assert set(search) == {"eta", "n_evals", "truncated", "improved", "lp_solves", "basis_reuses"}
+    assert set(search) == {"eta", "n_evals", "truncated", "improved", "lp_solves", "lp_pivots",
+                           "basis_reuses"}
     assert search["eta"] == 0.5
     assert search["truncated"] is True  # a budget of 30 evaluations
     # one battery spec, planned at every evaluation and at the result

@@ -1,7 +1,9 @@
 """Tests for the shared numerical kernels."""
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import helpers
 from dahp.demand import AffineDemandModel
 from dahp.errors import IndefiniteMatrixError
 from dahp.optim import (
@@ -11,6 +13,7 @@ from dahp.optim import (
     pattern_search,
     simplex_solve,
 )
+from dahp.storage import _BatteryLp
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +192,83 @@ def test_lp_problem_validates_shapes():
         LpProblem(np.ones(2), np.ones((1, 3)), np.ones(1), np.zeros(2), np.ones(2))
     with pytest.raises(ValueError):
         LpProblem(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2), np.zeros(2))
+
+
+def _battery_problem(battery, pi):
+    """The arbitrage LP of ``battery`` at tariff ``pi``: the constraints do
+    not depend on the tariff, only the objective does."""
+    lp = _BatteryLp(battery, pi.size)
+    return LpProblem(np.concatenate([-pi, pi, np.zeros(pi.size)]), lp.eq_matrix, lp.eq_rhs,
+                     lp.lower, lp.upper)
+
+
+def _strictly_optimal(result):
+    nonbasic = np.ones(result.tableau.shape[1] - 1, dtype=bool)
+    nonbasic[result.basis] = False
+    return bool(result.tableau[-1, :-1][nonbasic].max() < -TOLERANCES["simplex_pivot"])
+
+
+@pytest.mark.parametrize("name", sorted(helpers.REUSE_BATTERIES))
+def test_warm_start_matches_cold_solve_and_linprog(name):
+    battery = helpers.REUSE_BATTERIES[name]
+    rng = np.random.default_rng(24)
+    atol = 64 * np.finfo(float).eps * battery.capacity
+    strict = warm_pivots = cold_pivots = 0
+    for _ in range(20):
+        start = simplex_solve(_battery_problem(battery, rng.uniform(0.05, 0.3, size=24)))
+        problem = _battery_problem(battery, rng.uniform(0.05, 0.3, size=24))
+        warm = simplex_solve(problem, start)
+        cold = simplex_solve(problem)
+        assert warm.status == cold.status == "optimal"
+        reference = linprog(-problem.objective, A_eq=problem.eq_matrix, b_eq=problem.eq_rhs,
+                            bounds=list(zip(problem.lower, problem.upper)), method="highs")
+        assert reference.status == 0
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+        assert warm.objective == pytest.approx(-reference.fun, rel=1e-9, abs=1e-12)
+        if _strictly_optimal(warm):
+            # a unique optimal vertex: the cold solve's, up to rounding
+            assert np.allclose(warm.x, cold.x, rtol=0.0, atol=atol)
+            strict += 1
+        warm_pivots += warm.pivots
+        cold_pivots += cold.pivots
+    lossless = battery.charge_eff * battery.discharge_eff == 1.0
+    assert strict == 0 if lossless else strict > 0
+    assert warm_pivots < cold_pivots
+
+
+@pytest.mark.parametrize("name", sorted(helpers.REUSE_BATTERIES))
+def test_warm_start_at_its_own_objective_makes_no_pivots(name):
+    problem = _battery_problem(helpers.REUSE_BATTERIES[name], helpers.DEFAULT_WHOLESALE * 1.3)
+    start = simplex_solve(problem)
+    again = simplex_solve(problem, start)
+    assert start.pivots > 0 and again.pivots == 0
+    assert again.x.tobytes() == start.x.tobytes()
+    assert again.basis == start.basis and again.basis is not start.basis
+    assert again.tableau is not start.tableau
+
+
+def test_warm_start_of_another_shape_is_rejected():
+    battery = helpers.REUSE_BATTERIES["lossy"]
+    start = simplex_solve(_battery_problem(battery, np.full(24, 0.1)))
+    with pytest.raises(ValueError):
+        simplex_solve(_battery_problem(battery, np.full(12, 0.1)), start)
+    infeasible = simplex_solve(LpProblem(np.ones(2), np.ones((1, 2)), np.array([3.0]),
+                                         np.zeros(2), np.ones(2)))
+    with pytest.raises(ValueError):
+        simplex_solve(LpProblem(np.ones(2), np.ones((1, 2)), np.array([1.0]),
+                                np.zeros(2), np.ones(2)), infeasible)
+
+
+def test_simplex_pivots_a_zero_artificial_out_of_the_basis():
+    # x1 + x2 = 0 and x1 - x2 = 0: phase 1 ends after one pivot with the
+    # second row's artificial basic at level zero, and the drive-out pivots
+    # x2 in for it; both pivots are counted.
+    rows = np.array([[1.0, 1.0], [1.0, -1.0]])
+    res = simplex_solve(LpProblem(np.ones(2), rows, np.zeros(2), np.zeros(2), np.full(2, np.inf)))
+    assert res.status == "optimal" and res.pivots == 2
+    assert res.basis == [0, 1]
+    assert np.array_equal(res.tableau[:-1, :-1], np.eye(2))
+    assert np.array_equal(res.x, np.zeros(2))
 
 
 # ---------------------------------------------------------------------------

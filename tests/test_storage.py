@@ -343,16 +343,7 @@ def test_price_search_result_metadata():
 # optimal-basis reuse
 # ---------------------------------------------------------------------------
 
-REUSE_BATTERIES = {
-    "lossless": BatteryParams(capacity=6.0, initial_soc=0.0, charge_limit=2.0, discharge_limit=2.5),
-    "lossy": BatteryParams(capacity=8.0, initial_soc=0.0, storage_eff=0.99, charge_eff=0.9,
-                           discharge_eff=0.92, charge_limit=3.0, discharge_limit=4.0),
-    # starts charged but can recharge fast enough to make up the decay
-    "leaky": BatteryParams(capacity=10.0, initial_soc=4.0, storage_eff=0.97, charge_eff=0.95,
-                           discharge_eff=0.95, charge_limit=5.0, discharge_limit=5.0),
-    "unlimited": BatteryParams(capacity=10.0, initial_soc=0.0, charge_eff=0.95, discharge_eff=0.95),
-    "leaky_unlimited": BatteryParams(capacity=5.0, initial_soc=2.0, storage_eff=0.98, charge_eff=0.9),
-}
+REUSE_BATTERIES = helpers.REUSE_BATTERIES
 
 
 def _compass_walk(rng, start, step, moves):
@@ -392,7 +383,7 @@ def test_reused_basis_matches_cold_solve_along_compass_walk(name):
         # charging and discharging the same amount in one hour changes
         # nothing, so no optimal vertex is unique: nothing is reused, and
         # nothing is kept for later tariffs to scan
-        assert lp.basis_reuses == 0 and lp.entries == []
+        assert lp.basis_reuses == 0 and lp.entries == [] and lp.warm is None
     else:
         assert lp.basis_reuses > 0
 
@@ -421,15 +412,63 @@ def test_tied_prices_refuse_reuse():
     lp.plan(spread)
     lp.plan(spread)
     assert (lp.lp_solves, lp.basis_reuses) == (1, 1)
-    # a tie between the cheapest and the dearest hour makes the optimal
-    # vertex non-unique, so no stored basis may answer for it
+    # a flat tariff, or a tie between the cheapest and the dearest hour,
+    # leaves no stored basis strictly optimal, so none may answer for it
+    # (the warm start then finds a strictly optimal basis of its own)
     tied = spread.copy()
     tied[np.argmin(tied)] = tied.max()
     for pi in (np.full(24, 0.2), tied):
         solves = lp.lp_solves
         _assert_same_plan(lp.plan(pi), arbitrage(pi, battery), battery)
         assert lp.lp_solves == solves + 1
-    assert lp.basis_reuses == 1
+    assert lp.basis_reuses == 1 and len(lp.entries) == 3
+
+
+def test_tied_prices_fall_back_to_the_cold_solve(monkeypatch):
+    # Without rate limits or decay, hours at one price are interchangeable:
+    # at a flat tariff, and at one rounded to cents, the warm start stops at
+    # a basis with a zero reduced cost.  Its vertex need not be the cold
+    # solve's, so the cold solve answers: the plan is arbitrage(pi)'s, bit
+    # for bit.
+    starts = []
+
+    def recording(problem, start=None):
+        starts.append(start is not None)
+        return simplex_solve(problem, start)
+
+    monkeypatch.setattr(storage, "simplex_solve", recording)
+    battery = REUSE_BATTERIES["unlimited"]
+    lp = _BatteryLp(battery, 24)
+    spread = helpers.DEFAULT_WHOLESALE * 1.3
+    lp.plan(spread)
+    kept = lp.warm
+    assert kept is not None and starts == [False]
+    for pi in (np.full(24, 0.2), np.round(spread, 2)):
+        starts.clear()
+        got = lp.plan(pi)
+        assert starts == [True, False]
+        cold = arbitrage(pi, battery)
+        for name in ("charge", "discharge", "soc"):
+            assert getattr(got, name).tobytes() == getattr(cold, name).tobytes(), name
+        assert got.profit == cold.profit
+    assert lp.warm is kept and lp.lp_solves == 3
+
+
+def test_warm_start_keeps_the_latest_strict_basis():
+    battery = REUSE_BATTERIES["lossy"]
+    lp = _BatteryLp(battery, 24)
+    spread = helpers.DEFAULT_WHOLESALE * 1.3
+    lp.plan(spread)
+    cold_pivots = lp.lp_pivots
+    # the cheapest and the dearest hour swap: the stored basis is not
+    # optimal there, so the simplex re-optimizes from it
+    swapped = spread.copy()
+    low, high = np.argmin(swapped), np.argmax(swapped)
+    swapped[[low, high]] = swapped[[high, low]]
+    _assert_same_plan(lp.plan(swapped), arbitrage(swapped, battery), battery)
+    assert (lp.lp_solves, lp.basis_reuses, len(lp.entries)) == (2, 0, 2)
+    assert 0 < lp.lp_pivots - cold_pivots < cold_pivots
+    assert lp.warm.x is lp.entries[0][-1]
 
 
 def test_infeasible_leaky_battery_still_raises_with_stored_bases():
@@ -455,8 +494,8 @@ def test_back_to_back_searches_are_identical():
     )
     assert first.price.tobytes() == second.price.tobytes()
     assert first.objective == second.objective
-    assert (first.n_evals, first.lp_solves, first.basis_reuses) == (
-        second.n_evals, second.lp_solves, second.basis_reuses)
+    assert (first.n_evals, first.lp_solves, first.lp_pivots, first.basis_reuses) == (
+        second.n_evals, second.lp_solves, second.lp_pivots, second.basis_reuses)
     # every evaluation and the final point plan each spec once
     assert first.lp_solves + first.basis_reuses == 2 * (first.n_evals + 1)
     assert first.basis_reuses > first.lp_solves
@@ -494,6 +533,16 @@ def test_demo_searches_finish_within_budget(tmp_path):
     config.storage.eta_grid = [0.0, 0.5]
     _, counters = run_storage(config, tmp_path)
     assert [search["truncated"] for search in counters["storage_search"]] == [False, False]
+
+
+def test_demo_search_pivots_stay_within_budget(tmp_path):
+    # Warm starts re-optimize in about 5 pivots where a cold two-phase
+    # solve takes about 69; 15 per solve leaves room for the cold fallbacks.
+    config = load_config(DEMO)
+    config.storage.eta_grid = [0.5]
+    _, counters = run_storage(config, tmp_path)
+    (search,) = counters["storage_search"]
+    assert 0 < search["lp_pivots"] <= 15 * search["lp_solves"]
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.75])
