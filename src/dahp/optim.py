@@ -257,7 +257,7 @@ class PatternSearchResult:
 
 
 def pattern_search(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray], np.ndarray],
     seed_point: Sequence[float],
     step0: float,
     step_min: float,
@@ -265,40 +265,40 @@ def pattern_search(
 ) -> PatternSearchResult:
     """Maximize ``objective`` by deterministic compass search.
 
-    Polls +/- step along every coordinate, takes the best improving move,
-    and halves the step when no move improves.  Stops when the step falls
-    below ``step_min`` (no coordinate move of the final polled size
-    improves) or when the evaluation budget runs out, in which case the
-    result is flagged ``truncated``.
+    ``objective`` maps a (k, N) stack of points to their (k,) values.  Each
+    poll is one call on the 2N points +/- step along every coordinate, in
+    the order +e_0, -e_0, +e_1, ...; the search moves to the first of the
+    best values above the current one (a NaN never moves it) and halves
+    the step when none is.  It stops when the step falls below
+    ``step_min`` (no coordinate move of the final polled size improves) or
+    when the evaluation budget runs out, in which case the last poll holds
+    only the points the budget has left and the result is flagged
+    ``truncated``.
     """
     if step0 <= 0 or step_min <= 0 or step_min > step0:
         raise ValueError("need 0 < step_min <= step0")
     x = np.asarray(seed_point, dtype=float).copy()
-    best = float(objective(x))
+    best = float(objective(x[np.newaxis])[0])
     evals = 1
     trace = [best]
     step = float(step0)
     truncated = False
-    while step >= step_min:
-        move_best, move_x = best, None
-        for idx in range(x.size):
-            for sign in (1.0, -1.0):
-                if evals >= max_evals:
-                    truncated = True
-                    break
-                candidate = x.copy()
-                candidate[idx] += sign * step
-                value = float(objective(candidate))
-                evals += 1
-                if value > move_best:
-                    move_best, move_x = value, candidate
-            if truncated:
-                break
-        if move_x is not None:
-            x, best = move_x, move_best
+    coords = np.repeat(np.arange(x.size), 2)
+    signs = np.tile([1.0, -1.0], x.size)
+    while step >= step_min and not truncated:
+        k = min(coords.size, max(max_evals - evals, 0))
+        truncated = k < coords.size
+        if k == 0:
+            break
+        poll = np.repeat(x[np.newaxis], k, axis=0)
+        poll[np.arange(k), coords[:k]] += signs[:k] * step
+        values = np.asarray(objective(poll), dtype=float)
+        evals += k
+        better = values > best
+        if better.any():
+            move = int(np.argmax(np.where(better, values, -np.inf)))
+            x, best = poll[move], float(values[move])
             trace.append(best)
         elif not truncated:
             step *= 0.5
-        if truncated:
-            break
     return PatternSearchResult(point=x, value=best, n_evals=evals, truncated=truncated, trace=trace)

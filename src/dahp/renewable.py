@@ -125,8 +125,8 @@ def optimal_price_renewable(
     objective, concave and piecewise quadratic in ``d``, keeps rising, and
     reclassifies: full steps alone can jump hours back and forth across a
     narrow (0, capacity) band forever.  When capacity does not exceed the
-    lowest optimal demand the start is already exact and the tariff equals
-    the no-renewable one.
+    lowest optimal demand the start is already exact, and the no-renewable
+    tariff is returned as ``optimal_price`` computes it.
     """
     _check_eta(eta)
     if renew.capacity == 0.0:
@@ -134,6 +134,8 @@ def optimal_price_renewable(
     nu = _check_renewable(model, cost, renew)
     margin = cost.mean - nu
     start = (model.intercept_mean - model.gain @ cost.mean) / (2.0 - eta)
+    if renew.capacity <= start.min():
+        return optimal_price(model, cost, eta)  # the same bits, so delta_cs is exactly 0
 
     def availability(d: np.ndarray) -> np.ndarray:
         return np.clip(d / renew.capacity, 0.0, 1.0)

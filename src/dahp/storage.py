@@ -13,32 +13,37 @@ independent of the thermal load.  The arbitrage plan solves a small LP
 solved by the package's dense simplex.  The retailer, in turn, prices
 against the sum of thermal demand and the batteries' net schedule; that
 objective is piecewise smooth in the tariff (plans switch at indifference
-prices), so the price search is one derivative-free compass search from
-the storage-free optimum.  It converges when its step falls below a floor
-after no coordinate move of that size improved the tariff, the standard
-compass-search stopping test; it is flagged truncated if the evaluation
-budget runs out first.  The result is a local optimum, not a global
-optimality claim.  At ``eta = 1`` the seed is already optimal, so no
-search runs: the storage-free objective peaks at the wholesale mean, the
-batteries cannot earn the retailer more than their arbitrage profit at
-wholesale prices, and every plan optimal at that tariff earns exactly that.
+prices), so the price search is one derivative-free compass search from the
+storage-free optimum.  Each poll's 2N tariffs are evaluated as one (2N, N)
+stack: plans, net load, cs and rp for all of them at once.  The search
+converges when its step falls below a floor after no coordinate move of
+that size improved the tariff, the standard compass-search stopping test;
+it is flagged truncated if the evaluation budget runs out first.  The
+result is a local optimum, not a global optimality claim.  At ``eta = 1``
+the seed is already optimal, so no search runs: the storage-free objective
+peaks at the wholesale mean, the batteries cannot earn the retailer more
+than their arbitrage profit at wholesale prices, and every plan optimal at
+that tariff earns exactly that.
 
-The search evaluates thousands of nearby tariffs but meets only a few
-dozen optimal plans.  The LP's constraints do not depend on the tariff, so
-an optimal basis stays feasible everywhere and optimal on the cone of
-tariffs where its reduced costs ``d_N = G @ prices`` are nonpositive; G is
-read off the optimal tableau and stored sparse.  Within one search, each
-distinct battery spec keeps its bases most recently used first, and a
-tariff reuses the first one whose reduced costs are all below
+The search evaluates thousands of nearby tariffs but meets only a few dozen
+optimal plans.  The LP's constraints do not depend on the tariff, so an
+optimal basis stays feasible everywhere and optimal on the cone of tariffs
+where its reduced costs ``d_N = G @ prices`` are nonpositive; G is read off
+the optimal tableau and stored sparse.  Within one search, each distinct
+battery spec keeps its bases most recently used first, and a tariff reuses
+the first one whose reduced costs are all below
 ``-TOLERANCES["simplex_pivot"]``.  That strict margin makes the optimal
 vertex unique, so the cold simplex would return the same plan, up to
 rounding in the last bits.  Any other tariff is re-optimized by phase 2
 from the last kept basis, feasible at every tariff, and the basis found is
 kept if it passes the test; a tie may stop that warm start at another
-optimal vertex than a cold solve's, so the cold solve answers then.  The
-idle tie-break runs on every plan; a basis's point is validated once, when
-the simplex finds it.  Searched tariffs are finite by construction, so cs
-and rp come unchecked from the pricing kernels ``_cs`` and ``_rp``.
+optimal vertex than a cold solve's, so the cold solve answers then.  A
+poll's rows resolve in this order one after another, as single tariffs
+would, but a stored basis is tested once per poll, on the whole stack, when
+a row first reaches it.  The idle tie-break runs on every plan; a basis's
+point is validated once, when the simplex finds it.  Searched tariffs are
+finite by construction, so cs and rp come unchecked from the pricing
+kernels ``_cs`` and ``_rp``.
 """
 from __future__ import annotations
 
@@ -102,12 +107,6 @@ def _idle_plan_feasible(battery: BatteryParams, horizon: int) -> bool:
     return drift <= TOLERANCES["plan_feasibility"]
 
 
-def _idle_plan(battery: BatteryParams, horizon: int) -> ArbitragePlan:
-    soc = battery.initial_soc * battery.storage_eff ** np.arange(1, horizon + 1)
-    zeros = np.zeros(horizon)
-    return ArbitragePlan(charge=zeros, discharge=zeros.copy(), soc=soc, profit=0.0)
-
-
 def _reduced_cost_map(result: LpResult, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sparse matrix G with ``G @ prices`` = the nonbasic reduced costs of
     the result's optimal basis, at any tariff.
@@ -137,11 +136,21 @@ def _reduced_cost_map(result: LpResult, horizon: int) -> tuple[np.ndarray, np.nd
     return rows, hours, values, int(free_cols.size)
 
 
-def _strictly_optimal(entry: tuple, pi: np.ndarray) -> bool:
-    """All reduced costs of a stored basis lie below -tolerance at ``pi``."""
+def _strictly_optimal(entry: tuple, stack: np.ndarray) -> np.ndarray:
+    """Whether all reduced costs of a stored basis lie below -tolerance, at
+    each tariff of a (k, N) stack.  One bincount sums row r of G at tariff j
+    in bin r * k + j, adding the terms in the order a 1-D bincount at that
+    tariff would, so every reduced cost keeps its bits."""
     rows, hours, values, height, _ = entry
-    reduced = np.bincount(rows, weights=values * pi[hours], minlength=height)
-    return bool(reduced.max() < -TOLERANCES["simplex_pivot"])
+    k = stack.shape[0]
+    bins = (rows.astype(np.intp)[:, None] * k + np.arange(k)).ravel()
+    reduced = np.bincount(bins, weights=(values[:, None] * stack.T[hours]).ravel(), minlength=height * k)
+    return reduced.reshape(height, k).max(axis=0) < -TOLERANCES["simplex_pivot"]
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, M) stacks, each rounding like a 1-D dot."""
+    return np.matmul(a[:, np.newaxis, :], b[:, :, np.newaxis])[:, 0, 0]
 
 
 class _BatteryLp:
@@ -184,19 +193,41 @@ class _BatteryLp:
             np.full(n, battery.capacity),
         ])
         self.idle_feasible = _idle_plan_feasible(battery, n)
+        self.idle_point = np.concatenate([np.zeros(2 * n), battery.initial_soc * battery.storage_eff ** (hours + 1)])
         self.entries: list[tuple] = []  # (G rows, G hours, G values, G height, x)
         self.warm: LpResult | None = None  # the latest kept basis's solve
         self.lp_solves = 0
         self.lp_pivots = 0
         self.basis_reuses = 0
 
-    def plan(self, pi: np.ndarray) -> ArbitragePlan:
+    def plans(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Optimal LP points (k, 3N) and profits (k,) at the tariffs of a
+        (k, N) stack, resolved row by row in order; a stored basis's
+        strictness test runs once, on the whole stack, when a row first
+        reaches it.  Idle on a zero-profit tie when idling is feasible."""
+        n, k = self.horizon, stack.shape[0]
+        points = np.empty((k, 3 * n))
+        tested: dict[int, np.ndarray] = {}
+        for i, pi in enumerate(stack):
+            for index, entry in enumerate(self.entries):
+                if id(entry) not in tested:
+                    tested[id(entry)] = _strictly_optimal(entry, stack)
+                if tested[id(entry)][i]:
+                    self.entries.insert(0, self.entries.pop(index))
+                    self.basis_reuses += 1
+                    points[i] = entry[-1]
+                    break
+            else:
+                points[i] = self._solve(pi)
+        objectives = np.concatenate([-stack, stack, np.zeros((k, n))], axis=1)
+        profits = _rowdot(objectives, points)
+        if self.idle_feasible:
+            idle = np.abs(profits) <= 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=1))
+            points[idle], profits[idle] = self.idle_point, 0.0
+        return points, profits
+
+    def _solve(self, pi: np.ndarray) -> np.ndarray:
         objective = np.concatenate([-pi, pi, np.zeros(self.horizon)])
-        for index, entry in enumerate(self.entries):
-            if _strictly_optimal(entry, pi):
-                self.entries.insert(0, self.entries.pop(index))
-                self.basis_reuses += 1
-                return self._finish(pi, objective, entry[-1])
         problem = LpProblem(objective, self.eq_matrix, self.eq_rhs, self.lower, self.upper)
         self.lp_solves += 1
         # The last kept basis first, then a cold solve.  A basis tied at this
@@ -214,22 +245,16 @@ class _BatteryLp:
                 )
             _validate_point(result.x, self.battery)
             entry = (*_reduced_cost_map(result, self.horizon), result.x)
-            if _strictly_optimal(entry, pi):
+            if _strictly_optimal(entry, pi[np.newaxis])[0]:
                 self.entries.insert(0, entry)
                 self.warm = result
                 break
-        return self._finish(pi, objective, result.x)
+        return result.x
 
-    def _finish(self, pi: np.ndarray, objective: np.ndarray, x: np.ndarray) -> ArbitragePlan:
-        """The plan for an optimal LP point: idle on a zero-profit tie when
-        idling is feasible, else the point itself."""
-        n = self.horizon
-        profit = float(objective @ x)
-        if abs(profit) <= 1e-12 * max(1.0, float(np.abs(pi).max())) and self.idle_feasible:
-            return _idle_plan(self.battery, n)
-        return ArbitragePlan(
-            charge=x[:n].copy(), discharge=x[n:2 * n].copy(), soc=x[2 * n:].copy(), profit=profit,
-        )
+
+def _plan(point: np.ndarray, profit: float) -> ArbitragePlan:
+    charge, discharge, soc = np.split(point, 3)
+    return ArbitragePlan(charge=charge, discharge=discharge, soc=soc, profit=float(profit))
 
 
 def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | None = None) -> ArbitragePlan:
@@ -241,7 +266,8 @@ def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | No
     profit resolve to the idle plan whenever idling is feasible.
     """
     n = len(prices) if horizon is None else horizon
-    return _BatteryLp(battery, n).plan(as_prices(prices, n))
+    points, profits = _BatteryLp(battery, n).plans(as_prices(prices, n)[np.newaxis])
+    return _plan(points[0], profits[0])
 
 
 def _validate_point(x: np.ndarray, battery: BatteryParams) -> None:
@@ -258,27 +284,6 @@ def _validate_point(x: np.ndarray, battery: BatteryParams) -> None:
         raise InfeasibleConstraintError("arbitrage plan misses the terminal state of charge")
     if np.any(soc < -tol) or np.any(soc > battery.capacity + tol):
         raise InfeasibleConstraintError("arbitrage plan violates capacity bounds")
-
-
-def _net_load(plans: dict[BatteryParams, ArbitragePlan], counts: dict[BatteryParams, int], horizon: int) -> np.ndarray:
-    total = np.zeros(horizon)
-    for battery, count in counts.items():
-        total += count * plans[battery].net_load
-    return total
-
-
-def _storage_point(
-    model: AffineDemandModel, cost: WholesaleCost, pi: np.ndarray, net: np.ndarray, eta: float
-) -> TradeoffPoint:
-    """cs and rp at a checked tariff, the batteries' net load included: it
-    adds ``(prices - wholesale) @ net_load`` to profit and subtracts its
-    energy bill ``prices @ net_load`` from consumer surplus."""
-    return TradeoffPoint(
-        eta=float(eta),
-        price=pi,
-        cs=float(_cs(model, pi)) - float(pi @ net),
-        rp=float(_rp(model, pi, cost)) + float((pi - cost.mean) @ net),
-    )
 
 
 @dataclass(eq=False)
@@ -320,33 +325,40 @@ def optimize_price_with_storage(
     counts = Counter(batteries)
     lps = {battery: _BatteryLp(battery, horizon) for battery in counts}
 
-    def evaluate(pi: np.ndarray) -> tuple[TradeoffPoint, dict[BatteryParams, ArbitragePlan]]:
-        plans = {battery: lp.plan(pi) for battery, lp in lps.items()}
-        return _storage_point(model, cost, pi, _net_load(plans, counts, horizon), eta), plans
+    def evaluate(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, dict]:
+        """cs and rp at each tariff of a stack, and each spec's plans: with the batteries'
+        net load n, rp gains ``(prices - wholesale) @ n`` and cs loses the bill ``prices @ n``."""
+        net = np.zeros_like(stack)
+        plans = {battery: lp.plans(stack) for battery, lp in lps.items()}
+        for battery, (points, _) in plans.items():
+            net += counts[battery] * (points[:, :horizon] - points[:, horizon:2 * horizon])
+        cs = _cs(model, stack) - _rowdot(stack, net)
+        rp = _rp(model, stack, cost) + _rowdot(stack - cost.mean, net)
+        return cs, rp, plans
 
-    def objective(pi: np.ndarray) -> float:
-        point, _ = evaluate(pi)
-        return point.rp + eta * point.cs
+    def objective(stack: np.ndarray) -> np.ndarray:
+        cs, rp, _ = evaluate(stack)
+        return rp + eta * cs
 
     if eta == 1.0:
         # the seed is optimal here (see the module docstring): no search
-        point, plans = evaluate(seed_price)
-        value, n_evals, improved, truncated = point.rp + eta * point.cs, 1, False, False
+        price, value, n_evals, improved, truncated = seed_price, None, 1, False, False
     else:
         step0 = max(0.05 * float(np.abs(seed_price).max()), 1e-3)
         search = pattern_search(objective, seed_price, step0=step0, step_min=1e-4, max_evals=max_evals)
-        point, plans = evaluate(search.point)
-        value, n_evals, truncated = search.value, search.n_evals, search.truncated
+        price, value, n_evals, truncated = search.point, search.value, search.n_evals, search.truncated
         seed_value = search.trace[0]
         improved = value > seed_value + 1e-12 * max(1.0, abs(seed_value))
+    (cs,), (rp,), plans = evaluate(price[np.newaxis])
+    point = TradeoffPoint(eta=float(eta), price=price, cs=float(cs), rp=float(rp))
     return StoragePricingResult(
-        price=point.price,
+        price=price,
         point=point,
-        objective=value,
+        objective=point.rp + eta * point.cs if value is None else value,
         n_evals=n_evals,
         improved=improved,
         truncated=truncated,
-        plans=plans,
+        plans={battery: _plan(points[0], profits[0]) for battery, (points, profits) in plans.items()},
         lp_solves=sum(lp.lp_solves for lp in lps.values()),
         lp_pivots=sum(lp.lp_pivots for lp in lps.values()),
         basis_reuses=sum(lp.basis_reuses for lp in lps.values()),

@@ -25,7 +25,7 @@ import scipy.optimize
 
 from dahp import AffineDemandModel, BatteryParams, ConsumerParams, Population, WholesaleCost, arbitrage
 from dahp.demand import as_forecast, as_prices
-from dahp.pricing import expected_cs
+from dahp.pricing import expected_cs, expected_rp
 from dahp.simulate import (
     DAY_NOISE_STREAM,
     REPLICATE_NOISE_STREAM,
@@ -35,7 +35,6 @@ from dahp.simulate import (
     _noise,
     _respond_rollout,
 )
-from dahp.storage import _net_load, _storage_point
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +482,10 @@ def population_net_load(prices: Sequence[float], batteries: Sequence[BatteryPara
 
     Identical battery specs share a single LP solve.
     """
-    counts = Counter(batteries)
-    return _net_load({b: arbitrage(prices, b, horizon) for b in counts}, counts, horizon)
+    total = np.zeros(horizon)
+    for battery, count in Counter(batteries).items():
+        total += count * arbitrage(prices, battery, horizon).net_load
+    return total
 
 
 def retailer_objective_with_storage(
@@ -495,7 +496,10 @@ def retailer_objective_with_storage(
     eta: float,
 ) -> float:
     """Weighted retail objective ``rp + eta * cs`` when consumers operate
-    batteries."""
+    batteries: their net load n adds ``(prices - wholesale) @ n`` to profit
+    and subtracts its energy bill ``prices @ n`` from surplus."""
     pi = as_prices(prices, model.horizon)
-    point = _storage_point(model, cost, pi, population_net_load(pi, batteries, model.horizon), eta)
-    return point.rp + eta * point.cs
+    net = population_net_load(pi, batteries, model.horizon)
+    cs = expected_cs(model, pi) - float(pi @ net)
+    rp = expected_rp(model, pi, cost) + float((pi - cost.mean) @ net)
+    return rp + eta * cs

@@ -279,7 +279,7 @@ def test_pattern_search_concave_quadratic():
     target = np.array([1.3, -0.4, 2.2])
 
     def objective(x):
-        return -float(np.sum((x - target) ** 2))
+        return -np.sum((x - target) ** 2, axis=1)
 
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -291,18 +291,129 @@ def test_pattern_search_concave_quadratic():
 
 def test_pattern_search_constant_objective_returns_seed():
     seed = np.array([2.0, 3.0])
-    out = pattern_search(lambda x: 1.0, seed, step0=0.5, step_min=1e-3)
+    out = pattern_search(lambda x: np.ones(len(x)), seed, step0=0.5, step_min=1e-3)
     assert np.array_equal(out.point, seed)
     assert out.value == 1.0
 
 
 def test_pattern_search_budget_flag():
-    out = pattern_search(lambda x: -float(x @ x), np.full(4, 10.0), step0=0.1,
+    out = pattern_search(lambda x: -np.sum(x * x, axis=1), np.full(4, 10.0), step0=0.1,
                          step_min=1e-9, max_evals=20)
     assert out.truncated
     assert out.n_evals <= 20
 
 
+def _sequential_compass_search(objective, seed_point, step0, step_min, max_evals):
+    """Reference: the compass search one point at a time, with a scalar
+    objective; a poll moves to the first of its best values above the
+    current one."""
+    x = np.asarray(seed_point, dtype=float).copy()
+    best, evals, trace, step, truncated = float(objective(x)), 1, [], float(step0), False
+    trace.append(best)
+    while step >= step_min and not truncated:
+        move_best, move_x = best, None
+        for idx in range(x.size):
+            for sign in (1.0, -1.0):
+                if evals >= max_evals:
+                    truncated = True
+                    break
+                candidate = x.copy()
+                candidate[idx] += sign * step
+                value = float(objective(candidate))
+                evals += 1
+                if value > move_best:
+                    move_best, move_x = value, candidate
+            if truncated:
+                break
+        if move_x is not None:
+            x, best = move_x, move_best
+            trace.append(best)
+        elif not truncated:
+            step *= 0.5
+    return x, best, evals, truncated, trace
+
+
+@pytest.mark.parametrize("max_evals", [1, 9, 40, 10_000])
+def test_pattern_search_matches_the_sequential_reference(max_evals):
+    # a rugged objective with plateaus (ties) and a NaN region
+    rng = np.random.default_rng(6)
+    weights = rng.normal(size=(4, 4))
+
+    def scalar(x):
+        value = round(-float(np.sum((x @ weights) ** 2)) + float(np.sin(7.0 * x).sum()), 1)
+        return np.nan if x[0] > 1.5 else value
+
+    for _ in range(5):
+        seed = rng.uniform(-1, 1, size=4)
+        out = pattern_search(lambda stack: np.array([scalar(x) for x in stack]), seed,
+                             step0=0.5, step_min=1e-3, max_evals=max_evals)
+        point, value, evals, truncated, trace = _sequential_compass_search(scalar, seed, 0.5, 1e-3, max_evals)
+        assert out.point.tobytes() == point.tobytes()
+        assert (out.value, out.n_evals, out.truncated, out.trace) == (value, evals, truncated, trace)
+
+
 def test_pattern_search_rejects_bad_steps():
     with pytest.raises(ValueError):
-        pattern_search(lambda x: 0.0, np.zeros(1), step0=0.1, step_min=0.2)
+        pattern_search(lambda x: np.zeros(len(x)), np.zeros(1), step0=0.1, step_min=0.2)
+
+
+def _recording(objective):
+    """``objective`` plus a list of the stacks it was called with."""
+    calls = []
+
+    def recorded(stack):
+        calls.append(stack.copy())
+        return objective(stack)
+
+    return recorded, calls
+
+
+def test_pattern_search_polls_every_neighbour_in_one_call():
+    seed = np.array([0.5, -1.0, 2.0])
+    objective, calls = _recording(lambda x: -np.sum(x * x, axis=1))
+    out = pattern_search(objective, seed, step0=0.25, step_min=0.1)
+    assert [len(stack) for stack in calls] == [1] + [6] * (len(calls) - 1)
+    assert calls[0].tobytes() == seed[np.newaxis].tobytes()
+    # the second call polls the seed in the order +e_0, -e_0, +e_1, ...
+    expected = np.repeat(seed[np.newaxis], 6, axis=0)
+    for row, (idx, sign) in enumerate((i, s) for i in range(3) for s in (1.0, -1.0)):
+        expected[row, idx] += sign * 0.25
+    assert calls[1].tobytes() == expected.tobytes()
+    assert out.n_evals == sum(len(stack) for stack in calls)
+
+
+def test_pattern_search_truncated_poll_holds_what_the_budget_leaves():
+    objective, calls = _recording(lambda x: -np.sum(x * x, axis=1))
+    out = pattern_search(objective, np.full(4, 10.0), step0=0.1, step_min=1e-9, max_evals=20)
+    assert [len(stack) for stack in calls] == [1, 8, 8, 3]
+    assert out.truncated and out.n_evals == 20
+    # a budget spent exactly by a full poll truncates the next one, empty
+    objective, calls = _recording(lambda x: -np.sum(x * x, axis=1))
+    out = pattern_search(objective, np.full(4, 10.0), step0=0.1, step_min=1e-9, max_evals=17)
+    assert [len(stack) for stack in calls] == [1, 8, 8]
+    assert out.truncated and out.n_evals == 17
+
+
+def test_pattern_search_moves_to_the_first_maximum():
+    # every neighbour but the seed ties at 1: the first, +e_0, wins
+    seed = np.zeros(2)
+    out = pattern_search(lambda x: np.where(np.any(x != 0.0, axis=1), 1.0, 0.0), seed,
+                         step0=1.0, step_min=1.0, max_evals=5)
+    assert out.point.tolist() == [1.0, 0.0] and out.trace == [0.0, 1.0]
+    # a tie with the current value is no move
+    out = pattern_search(lambda x: np.zeros(len(x)), seed, step0=1.0, step_min=1.0)
+    assert out.point.tolist() == [0.0, 0.0] and out.trace == [0.0] and not out.truncated
+
+
+def test_pattern_search_ignores_nan_values():
+    def objective(x):
+        # NaN along -e_0, a better value along +e_1 only
+        values = -np.sum(x * x, axis=1)
+        values[x[:, 0] < 0.0] = np.nan
+        return values
+
+    out = pattern_search(objective, np.array([0.0, -1.0]), step0=1.0, step_min=1.0, max_evals=5)
+    assert out.point.tolist() == [0.0, 0.0] and out.value == 0.0
+    # a NaN seed is never improved upon
+    out = pattern_search(lambda x: np.full(len(x), np.nan), np.zeros(2), step0=1.0, step_min=0.5)
+    assert out.point.tolist() == [0.0, 0.0] and np.isnan(out.value)

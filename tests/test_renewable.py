@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -254,6 +256,22 @@ def test_small_capacity_split_all_to_retailer():
         assert abs(split.delta_cs) < 1e-9
         assert split.delta_rp > 0.0
         assert split.fraction == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.filterwarnings("ignore::oracles.NegativeDemandWarning")  # rejected below
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), consumers=st.integers(1, 6), eta=st.floats(0.0, 1.0))
+def test_consumer_share_is_exactly_zero_below_the_threshold(seed, consumers, eta):
+    # K* is the lowest hourly demand at the storage-free optimum: a plant no
+    # larger never runs short of demand, so the tariff and cs cannot move
+    model, cost = helpers.random_model(np.random.default_rng(seed), n_consumers=consumers)
+    k_star = float(mean_demand(model, optimal_price(model, cost, eta)).min())
+    assume(k_star > 0.0)
+    below = benefit_split(model, cost, RenewableModel(capacity=k_star * (1.0 - 1e-6)), eta)
+    assert below.delta_cs == 0.0 and below.fraction == 0.0
+    assert below.delta_rp > 0.0
+    above = benefit_split(model, cost, RenewableModel(capacity=k_star * (1.0 + 1e-6)), eta)
+    assert above.fraction > 0.0
 
 
 def test_profit_gain_positive_for_all_capacities():

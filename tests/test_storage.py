@@ -358,6 +358,12 @@ def _compass_walk(rng, start, step, moves):
         yield pi.copy()
 
 
+def _plan_at(lp, pi):
+    """The plan of ``lp`` at one tariff, evaluated as a one-row stack."""
+    points, profits = lp.plans(pi[np.newaxis])
+    return storage._plan(points[0], profits[0])
+
+
 def _assert_same_plan(got, cold, battery):
     """Same vertex as the cold solve.  A stored basis was reached by another
     pivot path, so its values may differ from the cold ones by rounding:
@@ -377,7 +383,7 @@ def test_reused_basis_matches_cold_solve_along_compass_walk(name):
     lp = _BatteryLp(battery, 24)
     for start in starts:
         for pi in _compass_walk(rng, start, 0.01, 120):
-            _assert_same_plan(lp.plan(pi), arbitrage(pi, battery), battery)
+            _assert_same_plan(_plan_at(lp, pi), arbitrage(pi, battery), battery)
     assert lp.basis_reuses + lp.lp_solves == 3 * 121
     if battery.charge_eff * battery.discharge_eff == 1.0:
         # charging and discharging the same amount in one hour changes
@@ -386,6 +392,60 @@ def test_reused_basis_matches_cold_solve_along_compass_walk(name):
         assert lp.basis_reuses == 0 and lp.entries == [] and lp.warm is None
     else:
         assert lp.basis_reuses > 0
+
+
+def _poll(pi, step):
+    """A compass poll around ``pi``: +/- step along each hour in turn."""
+    poll = np.repeat(pi[np.newaxis], 2 * pi.size, axis=0)
+    poll[np.arange(2 * pi.size), np.repeat(np.arange(pi.size), 2)] += np.tile([1.0, -1.0], pi.size) * step
+    return poll
+
+
+def _same_entry(a, b):
+    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_BATTERIES))
+def test_poll_stack_matches_its_rows_one_at_a_time(name):
+    # Polls around every 40th tariff of the compass walk above: one call on
+    # the whole stack must give each row's plan bit for bit, and leave the
+    # stored bases, the warm start and the counters as one call per row does.
+    battery = REUSE_BATTERIES[name]
+    rng = np.random.default_rng(130)
+    base = helpers.DEFAULT_WHOLESALE * 1.3
+    stacked, single = _BatteryLp(battery, 24), _BatteryLp(battery, 24)
+    for start in [base, np.full(24, 0.12), np.round(base, 2)]:
+        for pi in list(_compass_walk(rng, start, 0.01, 120))[::40]:
+            poll = _poll(pi, 0.01)
+            points, profits = stacked.plans(poll)
+            rows = [single.plans(row[np.newaxis]) for row in poll]
+            assert points.tobytes() == np.concatenate([p for p, _ in rows]).tobytes()
+            assert profits.tobytes() == np.concatenate([q for _, q in rows]).tobytes()
+    counters = ("lp_solves", "lp_pivots", "basis_reuses")
+    assert [getattr(stacked, c) for c in counters] == [getattr(single, c) for c in counters]
+    assert len(stacked.entries) == len(single.entries)
+    assert all(_same_entry(a, b) for a, b in zip(stacked.entries, single.entries))
+    assert (stacked.warm is None) == (single.warm is None)
+    if stacked.warm is not None:
+        assert stacked.warm.x.tobytes() == single.warm.x.tobytes()
+        assert stacked.warm.basis == single.warm.basis
+
+
+def test_stacked_kernels_round_like_one_tariff_at_a_time():
+    # The poll stacks rest on two numpy behaviours: a (1, M) @ (M, 1) matmul
+    # row gives the bits of the 1-D dot it replaces, and one bincount over
+    # bins r * k + j adds each tariff's terms in the order a 1-D bincount
+    # at that tariff does.
+    rng = np.random.default_rng(135)
+    for m in (24, 72):
+        a, b = rng.normal(size=(2, 500, m)) * rng.uniform(0.0, 10.0, size=(2, 500, 1))
+        assert [float(x) for x in storage._rowdot(a, b)] == [float(x @ y) for x, y in zip(a, b)]
+    rows, hours = rng.integers(0, 40, size=600), rng.integers(0, 24, size=600)
+    values, stack = rng.normal(size=600), rng.uniform(0.05, 0.3, size=(48, 24))
+    bins = (rows[:, None] * 48 + np.arange(48)).ravel()
+    stacked = np.bincount(bins, weights=(values[:, None] * stack.T[hours]).ravel(), minlength=40 * 48)
+    single = [np.bincount(rows, weights=values * pi[hours], minlength=40) for pi in stack]
+    assert stacked.reshape(40, 48).T.tobytes() == np.array(single).tobytes()
 
 
 def test_reduced_cost_map_matches_the_tableau():
@@ -409,8 +469,8 @@ def test_tied_prices_refuse_reuse():
     battery = REUSE_BATTERIES["lossy"]
     lp = _BatteryLp(battery, 24)
     spread = helpers.DEFAULT_WHOLESALE * 1.3
-    lp.plan(spread)
-    lp.plan(spread)
+    _plan_at(lp, spread)
+    _plan_at(lp, spread)
     assert (lp.lp_solves, lp.basis_reuses) == (1, 1)
     # a flat tariff, or a tie between the cheapest and the dearest hour,
     # leaves no stored basis strictly optimal, so none may answer for it
@@ -419,7 +479,7 @@ def test_tied_prices_refuse_reuse():
     tied[np.argmin(tied)] = tied.max()
     for pi in (np.full(24, 0.2), tied):
         solves = lp.lp_solves
-        _assert_same_plan(lp.plan(pi), arbitrage(pi, battery), battery)
+        _assert_same_plan(_plan_at(lp, pi), arbitrage(pi, battery), battery)
         assert lp.lp_solves == solves + 1
     assert lp.basis_reuses == 1 and len(lp.entries) == 3
 
@@ -440,12 +500,12 @@ def test_tied_prices_fall_back_to_the_cold_solve(monkeypatch):
     battery = REUSE_BATTERIES["unlimited"]
     lp = _BatteryLp(battery, 24)
     spread = helpers.DEFAULT_WHOLESALE * 1.3
-    lp.plan(spread)
+    _plan_at(lp, spread)
     kept = lp.warm
     assert kept is not None and starts == [False]
     for pi in (np.full(24, 0.2), np.round(spread, 2)):
         starts.clear()
-        got = lp.plan(pi)
+        got = _plan_at(lp, pi)
         assert starts == [True, False]
         cold = arbitrage(pi, battery)
         for name in ("charge", "discharge", "soc"):
@@ -458,14 +518,14 @@ def test_warm_start_keeps_the_latest_strict_basis():
     battery = REUSE_BATTERIES["lossy"]
     lp = _BatteryLp(battery, 24)
     spread = helpers.DEFAULT_WHOLESALE * 1.3
-    lp.plan(spread)
+    _plan_at(lp, spread)
     cold_pivots = lp.lp_pivots
     # the cheapest and the dearest hour swap: the stored basis is not
     # optimal there, so the simplex re-optimizes from it
     swapped = spread.copy()
     low, high = np.argmin(swapped), np.argmax(swapped)
     swapped[[low, high]] = swapped[[high, low]]
-    _assert_same_plan(lp.plan(swapped), arbitrage(swapped, battery), battery)
+    _assert_same_plan(_plan_at(lp, swapped), arbitrage(swapped, battery), battery)
     assert (lp.lp_solves, lp.basis_reuses, len(lp.entries)) == (2, 0, 2)
     assert 0 < lp.lp_pivots - cold_pivots < cold_pivots
     assert lp.warm.x is lp.entries[0][-1]
@@ -477,7 +537,7 @@ def test_infeasible_leaky_battery_still_raises_with_stored_bases():
     lp = _BatteryLp(battery, 24)
     for _ in range(2):
         with pytest.raises(InfeasibleConstraintError):
-            lp.plan(helpers.DEFAULT_WHOLESALE)
+            _plan_at(lp, helpers.DEFAULT_WHOLESALE)
     assert lp.entries == []
     model, cost = helpers.random_model(np.random.default_rng(132))
     with pytest.raises(InfeasibleConstraintError):
@@ -533,6 +593,16 @@ def test_demo_searches_finish_within_budget(tmp_path):
     config.storage.eta_grid = [0.0, 0.5]
     _, counters = run_storage(config, tmp_path)
     assert [search["truncated"] for search in counters["storage_search"]] == [False, False]
+
+
+def test_demo_searches_plan_each_evaluation_once(tmp_path):
+    # The demo's batteries share one spec: every evaluation of a search and
+    # its final point take that spec's plan once, from a solve or a stored
+    # basis; at eta = 1 only the final point is planned.
+    _, counters = run_storage(load_config(DEMO), tmp_path)
+    for search in counters["storage_search"]:
+        planned = search["lp_solves"] + search["basis_reuses"]
+        assert planned == (search["n_evals"] + 1 if search["eta"] < 1 else 1), search
 
 
 def test_demo_search_pivots_stay_within_budget(tmp_path):
