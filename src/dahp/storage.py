@@ -29,7 +29,7 @@ The search evaluates thousands of nearby tariffs but meets only a few dozen
 optimal plans.  The LP's constraints do not depend on the tariff, so an
 optimal basis stays feasible everywhere and optimal on the cone of tariffs
 where its reduced costs ``d_N = G @ prices`` are nonpositive; G is read off
-the optimal tableau and stored sparse.  Within one search, each distinct
+the optimal tableau and stored dense.  Within one search, each distinct
 battery spec keeps its bases most recently used first, and a tariff reuses
 the first one whose reduced costs are all below
 ``-TOLERANCES["simplex_pivot"]``.  That strict margin makes the optimal
@@ -39,11 +39,11 @@ from the last kept basis, feasible at every tariff, and the basis found is
 kept if it passes the test; a tie may stop that warm start at another
 optimal vertex than a cold solve's, so the cold solve answers then.  A
 poll's rows resolve in this order one after another, as single tariffs
-would, but a stored basis is tested once per poll, on the whole stack, when
-a row first reaches it.  The idle tie-break runs on every plan; a basis's
-point is validated once, when the simplex finds it.  Searched tariffs are
-finite by construction, so cs and rp come unchecked from the pricing
-kernels ``_cs`` and ``_rp``.
+would, but a stored basis is tested once per poll, on the whole stack, by
+one matmul when a row first reaches it.  The idle tie-break runs on every
+plan; a basis's point is validated once, when the simplex finds it.
+Searched tariffs are finite by construction, so cs and rp come unchecked
+from the pricing kernels ``_cs`` and ``_rp``.
 """
 from __future__ import annotations
 
@@ -107,45 +107,24 @@ def _idle_plan_feasible(battery: BatteryParams, horizon: int) -> bool:
     return drift <= TOLERANCES["plan_feasibility"]
 
 
-def _reduced_cost_map(result: LpResult, horizon: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sparse matrix G with ``G @ prices`` = the nonbasic reduced costs of
-    the result's optimal basis, at any tariff.
-
-    Only charge and discharge carry a price (-price and +price), so the
-    reduced cost of a nonbasic column j is its own price term minus the
-    tableau rows whose basic variable is priced:
-    d_j = c_j - sum_i c_{B_i} (B^-1 A)_{ij}.  Returns G as (row, hour, value)
-    triplets, a row per nonbasic column, and the number of rows.
-    """
-    n = horizon
-    basis = np.asarray(result.basis)
-    free = np.ones(result.tableau.shape[1] - 1, dtype=bool)
-    free[basis] = False
-    free_cols = np.flatnonzero(free)
-    priced = np.flatnonzero(basis < 2 * n)
-    r, c = np.nonzero(result.tableau[np.ix_(priced, free_cols)])
-    basic = basis[priced[r]]
-    own = np.flatnonzero(free_cols < 2 * n)
-    # the smallest integer type that holds the indices: G is kept per basis
-    rows = np.concatenate([c, own]).astype(np.min_scalar_type(free_cols.size))
-    hours = np.concatenate([basic % n, free_cols[own] % n]).astype(np.min_scalar_type(n))
-    values = np.concatenate([
-        np.where(basic < n, 1.0, -1.0) * result.tableau[priced[r], free_cols[c]],
-        np.where(free_cols[own] < n, -1.0, 1.0),
-    ])
-    return rows, hours, values, int(free_cols.size)
+def _reduced_cost_map(result: LpResult, horizon: int) -> np.ndarray:
+    """Dense (nonbasic x N) matrix G with ``G @ prices`` = the nonbasic
+    reduced costs d_N = c_N - (B^-1 A_N)^T c_B of the result's optimal basis,
+    at any tariff.  With P the map from a tariff to the costs of the
+    standard-form columns (-price on charge, +price on discharge, zero
+    elsewhere), G = P_N - (B^-1 A_N)^T P_B is read off the optimal tableau."""
+    n, inverse_a = horizon, result.tableau[:-1, :-1]
+    price_map = np.vstack([-np.eye(n), np.eye(n), np.zeros((inverse_a.shape[1] - 2 * n, n))])
+    free = np.delete(np.arange(inverse_a.shape[1]), result.basis)
+    return price_map[free] - inverse_a[:, free].T @ price_map[result.basis]
 
 
-def _strictly_optimal(entry: tuple, stack: np.ndarray) -> np.ndarray:
-    """Whether all reduced costs of a stored basis lie below -tolerance, at
-    each tariff of a (k, N) stack.  One bincount sums row r of G at tariff j
-    in bin r * k + j, adding the terms in the order a 1-D bincount at that
-    tariff would, so every reduced cost keeps its bits."""
-    rows, hours, values, height, _ = entry
-    k = stack.shape[0]
-    bins = (rows.astype(np.intp)[:, None] * k + np.arange(k)).ravel()
-    reduced = np.bincount(bins, weights=(values[:, None] * stack.T[hours]).ravel(), minlength=height * k)
-    return reduced.reshape(height, k).max(axis=0) < -TOLERANCES["simplex_pivot"]
+def _strictly_optimal(g: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Whether all reduced costs ``G @ prices`` of a basis lie below
+    -tolerance, at each tariff of a (k, N) stack.  Each row of the stacked
+    matmul rounds like the single-tariff product ``prices @ G.T``."""
+    reduced = np.matmul(stack[:, np.newaxis, :], g.T)[:, 0, :]
+    return reduced.max(axis=1) < -TOLERANCES["simplex_pivot"]
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,7 +143,8 @@ class _BatteryLp:
     unique, so a cold simplex solve would return the same plan up to
     rounding.  Otherwise the simplex runs from the last kept basis, and a
     basis passing the same test joins the front of the list and becomes
-    the next warm start; a reused basis moves to the front.
+    the next warm start; a reused basis moves to the front.  A kept basis
+    is stored as its reduced-cost map G and its point x.
     """
 
     def __init__(self, battery: BatteryParams, horizon: int):
@@ -194,7 +174,7 @@ class _BatteryLp:
         ])
         self.idle_feasible = _idle_plan_feasible(battery, n)
         self.idle_point = np.concatenate([np.zeros(2 * n), battery.initial_soc * battery.storage_eff ** (hours + 1)])
-        self.entries: list[tuple] = []  # (G rows, G hours, G values, G height, x)
+        self.entries: list[tuple] = []  # (G, x)
         self.warm: LpResult | None = None  # the latest kept basis's solve
         self.lp_solves = 0
         self.lp_pivots = 0
@@ -211,7 +191,7 @@ class _BatteryLp:
         for i, pi in enumerate(stack):
             for index, entry in enumerate(self.entries):
                 if id(entry) not in tested:
-                    tested[id(entry)] = _strictly_optimal(entry, stack)
+                    tested[id(entry)] = _strictly_optimal(entry[0], stack)
                 if tested[id(entry)][i]:
                     self.entries.insert(0, self.entries.pop(index))
                     self.basis_reuses += 1
@@ -244,9 +224,9 @@ class _BatteryLp:
                     "charge cannot be met with these losses and rate limits"
                 )
             _validate_point(result.x, self.battery)
-            entry = (*_reduced_cost_map(result, self.horizon), result.x)
-            if _strictly_optimal(entry, pi[np.newaxis])[0]:
-                self.entries.insert(0, entry)
+            g = _reduced_cost_map(result, self.horizon)
+            if _strictly_optimal(g, pi[np.newaxis])[0]:
+                self.entries.insert(0, (g, result.x))
                 self.warm = result
                 break
         return result.x

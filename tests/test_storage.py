@@ -433,36 +433,41 @@ def test_poll_stack_matches_its_rows_one_at_a_time(name):
 
 def test_stacked_kernels_round_like_one_tariff_at_a_time():
     # The poll stacks rest on two numpy behaviours: a (1, M) @ (M, 1) matmul
-    # row gives the bits of the 1-D dot it replaces, and one bincount over
-    # bins r * k + j adds each tariff's terms in the order a 1-D bincount
-    # at that tariff does.
+    # row gives the bits of the 1-D dot it replaces, and each row of the
+    # stacked matmul (k, 1, N) @ (N, h) that tests a stored basis gives the
+    # bits of the single-tariff product ``pi @ G.T``.
     rng = np.random.default_rng(135)
     for m in (24, 72):
         a, b = rng.normal(size=(2, 500, m)) * rng.uniform(0.0, 10.0, size=(2, 500, 1))
         assert [float(x) for x in storage._rowdot(a, b)] == [float(x @ y) for x, y in zip(a, b)]
-    rows, hours = rng.integers(0, 40, size=600), rng.integers(0, 24, size=600)
-    values, stack = rng.normal(size=600), rng.uniform(0.05, 0.3, size=(48, 24))
-    bins = (rows[:, None] * 48 + np.arange(48)).ravel()
-    stacked = np.bincount(bins, weights=(values[:, None] * stack.T[hours]).ravel(), minlength=40 * 48)
-    single = [np.bincount(rows, weights=values * pi[hours], minlength=40) for pi in stack]
-    assert stacked.reshape(40, 48).T.tobytes() == np.array(single).tobytes()
+    for height in (40, 72):
+        g = rng.normal(size=(height, 24)) * rng.uniform(0.0, 10.0, size=(height, 1))
+        stack = rng.uniform(0.05, 0.3, size=(48, 24))
+        stacked = np.matmul(stack[:, np.newaxis, :], g.T)[:, 0, :]
+        assert stacked.tobytes() == np.array([pi @ g.T for pi in stack]).tobytes()
 
 
 def test_reduced_cost_map_matches_the_tableau():
+    # G @ pi must give the tableau's nonbasic reduced costs at the solving
+    # tariff, and c_N - c_B (B^-1 A)_N from the same tableau at any other:
+    # reuse rests on G holding at every tariff.
     rng = np.random.default_rng(131)
     for battery in REUSE_BATTERIES.values():
         lp = _BatteryLp(battery, 24)
         for _ in range(5):
-            pi = rng.uniform(0.05, 0.3, size=24)
+            pi, pi2 = rng.uniform(0.05, 0.3, size=(2, 24))
             result = simplex_solve(LpProblem(np.concatenate([-pi, pi, np.zeros(24)]),
                                              lp.eq_matrix, lp.eq_rhs, lp.lower, lp.upper))
-            rows, hours, values, height = _reduced_cost_map(result, 24)
-            nonbasic = np.ones(result.tableau.shape[1] - 1, dtype=bool)
+            g = _reduced_cost_map(result, 24)
+            inverse_a = result.tableau[:-1, :-1]
+            nonbasic = np.ones(inverse_a.shape[1], dtype=bool)
             nonbasic[result.basis] = False
-            expected = result.tableau[-1, :-1][nonbasic]
-            got = np.bincount(rows, weights=values * pi[hours], minlength=height)
-            assert height == expected.size
-            assert np.allclose(got, expected, rtol=0.0, atol=1e-14)
+            assert g.shape == (np.count_nonzero(nonbasic), 24)
+            assert np.allclose(g @ pi, result.tableau[-1, :-1][nonbasic], rtol=0.0, atol=1e-14)
+            cost = np.zeros(inverse_a.shape[1])
+            cost[:48] = np.concatenate([-pi2, pi2])
+            expected = cost[nonbasic] - cost[result.basis] @ inverse_a[:, nonbasic]
+            assert np.allclose(g @ pi2, expected, rtol=0.0, atol=1e-14)
 
 
 def test_tied_prices_refuse_reuse():
