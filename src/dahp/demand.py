@@ -17,8 +17,9 @@ affine in the day-ahead price vector:
 that once, by a Cholesky decomposition, and then solves against the gain
 with numpy's LAPACK (``np.linalg.solve``).  A population's model is the sum
 of its consumers' models; ``population_model`` builds it from
-per-population sums over a ``Population`` of parameter arrays, and a single
-consumer is a population of one.
+per-population sums over a ``Population`` of parameter arrays, which caches
+the sums that do not depend on the forecast, and a single consumer is a
+population of one.
 
 Conventions used throughout the package:
 
@@ -73,13 +74,18 @@ class ConsumerParams:
         return self.desired_temp.size
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class Population:
     """Parameters of many consumers as arrays, one row per consumer.
 
     The fields mean what they do on ``ConsumerParams``: ``desired_temp`` is
     (consumers, horizon) and every other field is (consumers,).  Iterating
     yields each consumer's ``ConsumerParams``.
+
+    A population is immutable: its fields cannot be rebound and each holds a
+    read-only view of its array, so the terms it caches on first use (the
+    estimator ladder and the forecast-free model terms) cannot go stale as
+    long as no caller changes an array it passed in.
     """
 
     alpha: np.ndarray
@@ -91,7 +97,8 @@ class Population:
 
     def __post_init__(self):
         for name in (*_PARAM_FIELDS, "desired_temp"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            # a view, so the caller's array keeps its own flags
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float).view()))
         rows = self.desired_temp.shape[:1]
         if self.desired_temp.ndim != 2 or 0 in self.desired_temp.shape or any(
             getattr(self, name).shape != rows for name in _PARAM_FIELDS
@@ -117,6 +124,24 @@ class Population:
     @property
     def horizon(self) -> int:
         return self.desired_temp.shape[1]
+
+    @cached_property
+    def estimator_ladder(self) -> tuple[np.ndarray, np.ndarray]:
+        """Prediction variances and Kalman gains, (consumers, hours), of
+        ``_estimator_variance_ladder``: computed once per population."""
+        return tuple(map(_read_only, _estimator_variance_ladder(self)))
+
+    @cached_property
+    def model_terms(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The forecast-free terms of ``population_model``: (gain,
+        intercept_cov, cs_constant), computed once per population."""
+        return _model_terms(self)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only in place."""
+    array.flags.writeable = False
+    return array
 
 
 _PARAM_FIELDS = ("alpha", "beta", "mu", "process_noise_var", "obs_noise_var")
@@ -231,20 +256,41 @@ def population_model(population: Population, weather_forecast: Sequence[float]) 
     """Population demand model under the day's outdoor forecast: the sum of
     every consumer's affine model, computed without building any of them.
 
+    Only the intercept mean depends on the forecast: it is the demand at
+    zero price (exact setpoint tracking), summed over consumers here.  The
+    gain, intercept covariance and surplus constant are the population's
+    cached ``model_terms`` (see ``_model_terms``), shared read-only by every
+    model built from it.  Every sum runs in consumer order.
+    """
+    n = population.horizon
+    forecast = as_forecast(weather_forecast, n)
+    alpha, beta, t = population.alpha, population.beta, population.desired_temp
+    previous = np.concatenate([t[:, :1], t[:, :-1]], axis=1)  # day starts on the first setpoint
+    intercept = _consumer_sum(((1.0 - alpha)[:, None] * previous + alpha[:, None] * forecast - t) / beta[:, None])
+    gain, cov, cs_constant = population.model_terms
+    if not all(np.isfinite(x).all() for x in (intercept, cov, cs_constant)):
+        raise NumericalError("population model overflowed: intercept, covariance or surplus constant not finite")
+    return AffineDemandModel(
+        gain=gain, intercept_mean=intercept, intercept_cov=cov, cs_constant=cs_constant
+    )
+
+
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # population_model raises on overflow
+def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]:
+    """Gain, intercept covariance and surplus constant of the population
+    model: the terms that do not depend on the forecast (arrays read-only).
+
     The gain is the closed-form tridiagonal price sensitivity, fixed by
     three sums over consumers: of u, (1 + (1-alpha)^2) u and (alpha - 1) u
-    with u = 1 / (2 mu beta^2).  The intercept mean is the demand at zero
-    price (exact setpoint tracking); the intercept covariance and surplus
+    with u = 1 / (2 mu beta^2).  The intercept covariance and surplus
     constant come from the estimator's variance ladder, so they are exact
     for the linear-Gaussian model rather than sampled.  A consumer's
     covariance has entries on the diagonal and in the first row and column
     only, so only those are summed.  Every sum runs in consumer order.
     """
     n = population.horizon
-    forecast = as_forecast(weather_forecast, n)
     alpha, beta, mu = population.alpha, population.beta, population.mu
     r = population.obs_noise_var
-    t = population.desired_temp
     keep = 1.0 - alpha
     unit = 1.0 / (2.0 * mu * beta * beta)
 
@@ -256,10 +302,7 @@ def population_model(population: Population, weather_forecast: Sequence[float]) 
     hours = np.arange(1, n)
     gain[hours, hours - 1] = gain[hours - 1, hours] = off
 
-    previous = np.concatenate([t[:, :1], t[:, :-1]], axis=1)  # day starts on the first setpoint
-    intercept = _consumer_sum((keep[:, None] * previous + alpha[:, None] * forecast - t) / beta[:, None])
-
-    pred, gains = _estimator_variance_ladder(population)
+    pred, gains = population.estimator_ladder
     cs_constant = float(_consumer_sum(-mu * pred.sum(axis=1)))
 
     # Demand deviations are (1-alpha)/beta times the estimator's deviation
@@ -273,11 +316,7 @@ def population_model(population: Population, weather_forecast: Sequence[float]) 
     gamma = np.cumprod(np.column_stack([-r, (1.0 - gains[:, :-1]) * keep]), axis=1)
     cov = np.diag(_consumer_sum(scale * xi_var))
     cov[0, 1:] = cov[1:, 0] = _consumer_sum(scale * gains * keep * gamma)
-    if not all(np.isfinite(x).all() for x in (intercept, cov, cs_constant)):
-        raise NumericalError("population model overflowed: intercept, covariance or surplus constant not finite")
-    return AffineDemandModel(
-        gain=gain, intercept_mean=intercept, intercept_cov=cov, cs_constant=cs_constant
-    )
+    return _read_only(gain), _read_only(cov), cs_constant
 
 
 def build_consumer_model(params: ConsumerParams, weather_forecast: Sequence[float]) -> AffineDemandModel:

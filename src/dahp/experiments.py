@@ -10,6 +10,7 @@ exactly (the manifest's wall time is the one intentionally volatile field).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -66,21 +67,133 @@ def _wholesale_cost(spec: SeriesSpec) -> WholesaleCost:
     return WholesaleCost(mean=mean)
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, chunks: Sequence[bytes]) -> None:
     try:
-        path.write_text(text)
+        with path.open("wb") as file:
+            file.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write equal-length columns, integer ones as integers and float ones
-    to four decimals (``-0.0000`` as ``0.0000``), in one format operation."""
+    to four decimals (``-0.0000`` as ``0.0000``)."""
+    _write(path, [(",".join(header) + "\n").encode(), *_csv_body(columns)])
+
+
+_CHUNK_CELLS = 4096  # cells formatted at a time, so no scratch array exceeds 128 KiB
+
+
+def _csv_body(columns: Sequence[np.ndarray]) -> list[bytes]:
+    """The rows as text, in chunks of rows.
+
+    When ``_ticks`` certifies every cell, numpy formats the table
+    (``_fixed_point_body``); any other table, one with a nan, an infinity, a
+    huge value or a value too near a rounding tie, goes through Python's
+    ``%`` formatting (``_percent_body``).  Both give the same bytes.
+    """
+    if len({len(column) for column in columns}) != 1 or any(c.dtype.kind not in "iuf" for c in columns):
+        return [_percent_body(columns).encode()]
+    is_float = np.array([column.dtype.kind == "f" for column in columns])
+    step = max(1, _CHUNK_CELLS // len(columns))
+    chunks = []
+    for start in range(0, len(columns[0]), step):
+        ticks = _ticks([column[start:start + step] for column in columns])
+        if ticks is None:
+            return [_percent_body(columns).encode()]
+        chunks.append(_fixed_point_body(ticks, is_float))
+    return chunks
+
+
+def _percent_body(columns: Sequence[np.ndarray]) -> str:
+    """The rows as ``%d`` and ``%.4f`` cells, in one format operation."""
     line = ",".join("%d" if column.dtype.kind in "iu" else "%.4f" for column in columns) + "\n"
     cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
-    body = (line * len(columns[0])) % cells
     # %.4f writes a 4-decimal cell, so "-0.0000" only ever occurs as a whole cell
-    _write(path, ",".join(header) + "\n" + body.replace("-0.0000", "0.0000"))
+    return ((line * len(columns[0])) % cells).replace("-0.0000", "0.0000")
+
+
+_TICKS = 10_000        # ticks per unit: cells have four decimals
+_TICK_LIMIT = 2.0**40  # |cell * 1e4| below this, so ticks and half-integers are exact
+
+
+def _ticks(columns: Sequence[np.ndarray]) -> np.ndarray | None:
+    """Each cell of equal-length integer and float columns in ticks of
+    1e-4, ``rint(x * 1e4)`` (integers held exactly in float64); None unless
+    every cell is certified.
+
+    The product is within half an ulp of the exact ``x * 10**4``.  A cell is
+    certified when the product is below 2**40 in magnitude and more than
+    ``2**-51 |product|`` (at least 2 ulps) from a half-integer: then both
+    round to the same integer, the one ``%.4f`` prints (for an integer cell,
+    10**4 times the one ``%d`` prints).  nan, infinities, huge values and
+    near ties are not certified.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.column_stack(columns).astype(float, copy=False) * _TICKS
+        ticks = np.rint(scaled)
+        magnitude = np.abs(scaled)
+        certified = (magnitude < _TICK_LIMIT) & (0.5 - np.abs(scaled - ticks) > magnitude * 2.0**-51)
+    return ticks if certified.all() else None
+
+
+def _piece(text: bytes) -> np.uint64:
+    """Up to 8 bytes of text, NUL-padded, as one uint64 (native order)."""
+    return np.frombuffer(text.ljust(8, b"\0"), dtype=np.uint64)[0]
+
+
+# Pieces add without carries: a digit group fills bytes 1 to 4, a sign or
+# point byte 0, a separator after a point and 4 digits byte 5.
+_NOTHING, _MINUS, _POINT = _piece(b""), _piece(b"-"), _piece(b".")
+_COMMA, _NEWLINE = _piece(b"\0" * 5 + b","), _piece(b"\0" * 5 + b"\n")
+_FIRST, _EMPTY = _TICKS, 2 * _TICKS  # offsets into ``_groups()``
+
+
+@functools.cache
+def _groups() -> np.ndarray:
+    """The pieces of 4-digit groups: ``[g]`` is g's 4 digits in bytes 1 to
+    4, ``[_FIRST + g]`` the same without leading zeros (a number's first
+    group) and ``[_EMPTY]`` nothing; read-only, since every call shares it."""
+    g = np.arange(_TICKS, dtype=float)
+    digits = np.zeros((_EMPTY + 1, 8), dtype=np.uint8)
+    for byte, place, shown_from in zip(range(1, 5), (1000.0, 100.0, 10.0, 1.0), (1000.0, 100.0, 10.0, 0.0)):
+        digit = np.floor(g / place) - np.floor(g / (10.0 * place)) * 10.0 + ord("0")
+        digits[:_FIRST, byte] = digit
+        digits[_FIRST:_EMPTY, byte] = np.where(g >= shown_from, digit, 0.0)
+    digits.flags.writeable = False
+    return digits.view(np.uint64).ravel()
+
+
+def _fixed_point_body(ticks: np.ndarray, is_float: np.ndarray) -> bytes:
+    """The rows of certified ``ticks`` as ``%d`` / ``%.4f`` text.
+
+    A cell is a run of NUL-padded 8-byte pieces: one per 4-digit group of
+    its whole part, from its first group on, and a tail with the point,
+    the 4 digits of the fraction and the separator (for an integer cell,
+    the separator alone); the minus sign leads the first piece.  Every cell
+    gets as many pieces as the widest one, in one matrix, and dropping the
+    NULs once leaves the text.  A cell is negative only if its ticks are
+    nonzero, so no ``-0.0000`` is written.  Below 2**40 ticks every
+    quotient here is floored exactly, so float64 holds all the integers.
+    """
+    groups = _groups()
+    magnitude = np.abs(ticks)
+    whole = np.floor(magnitude / _TICKS)
+    count = -(-len(str(int(whole.max(initial=0)))) // 4)  # groups of the widest whole part
+    pieces = np.empty(ticks.shape + (count + 1,), dtype=np.uint64)
+    for k in range(count):
+        above = np.floor(whole / _TICKS ** (count - 1 - k))  # the groups up to k
+        group = above - np.floor(above / _TICKS) * _TICKS
+        index = np.where(above < _TICKS, _FIRST + group, group)
+        if k < count - 1:
+            index = np.where(above > 0.0, index, _EMPTY)
+        pieces[..., k] = groups[index.astype(np.intp)]
+    pieces[..., 0] += np.where(ticks < 0.0, _MINUS, _NOTHING)
+    separators = np.full(ticks.shape[1], _COMMA)
+    separators[-1] = _NEWLINE
+    fraction = groups[(magnitude - whole * _TICKS).astype(np.intp)] + _POINT
+    pieces[..., count] = np.where(is_float, fraction, _NOTHING) + separators
+    return pieces.tobytes().translate(None, b"\0")
 
 
 @dataclass
@@ -267,5 +380,5 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
         **({"noise_scheme": NOISE_SCHEME} if command == "simulate" else {}),
     }
     manifest_path = out / "manifest.json"
-    _write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write(manifest_path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
     return RunSummary(out_dir=out, files=files, manifest=manifest_path)

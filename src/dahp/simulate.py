@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import ConsumerParams, Population, _estimator_variance_ladder, _pow2, as_forecast, as_prices
+from .demand import ConsumerParams, Population, _pow2, as_forecast, as_prices
 
 Outcome = tuple[np.ndarray, np.ndarray, np.ndarray]  # consumption, payment, discomfort per row
 
@@ -138,7 +138,7 @@ def _respond_rollout(population: Population, prices: np.ndarray, forecast: np.nd
     alpha, beta, mu = population.alpha, population.beta, population.mu
     t = population.desired_temp
     n = population.horizon
-    _, gains = _estimator_variance_ladder(population)
+    _, gains = population.estimator_ladder
 
     x = np.full(len(v0), t[:, 0])      # true indoor temperature
     est = t[:, 0] + v0                 # posterior mean, seeded by one reading

@@ -1,4 +1,6 @@
 """Tests for the affine demand model against brute-force oracles."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,10 @@ import helpers
 import oracles
 from dahp import (
     ConsumerParams,
+    Population,
     aggregate,
     build_consumer_model,
+    population_model,
 )
 from dahp.demand import as_prices
 from dahp.errors import IndefiniteMatrixError, NumericalError
@@ -235,3 +239,29 @@ def test_overflowing_model_is_a_numerical_error(field, value):
     params = dict(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(24, 20.0))
     with pytest.raises(NumericalError, match="overflow"):
         build_consumer_model(ConsumerParams(**{**params, field: value}), helpers.DEFAULT_WEATHER)
+
+
+def _bits(model) -> tuple[bytes, ...]:
+    return (model.gain.tobytes(), model.intercept_mean.tobytes(), model.intercept_cov.tobytes(),
+            np.float64(model.cs_constant).tobytes())
+
+
+def test_population_is_read_only():
+    population = Population.of([helpers.random_params(np.random.default_rng(70)) for _ in range(3)])
+    for name in ("alpha", "beta", "mu", "desired_temp", "process_noise_var", "obs_noise_var"):
+        with pytest.raises(ValueError):
+            getattr(population, name)[0] = 0.3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(population, name, np.ones(3))
+    gain, cov, _ = population.model_terms
+    for array in (*population.estimator_ladder, gain, cov):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+def test_cached_model_terms_equal_fresh_builds_bit_for_bit():
+    rng = np.random.default_rng(71)
+    consumers = [helpers.random_params(rng) for _ in range(40)]
+    shared = Population.of(consumers)
+    for weather in (helpers.DEFAULT_WEATHER, helpers.DEFAULT_WEATHER + rng.normal(0.0, 3.0, 24)):
+        assert _bits(population_model(shared, weather)) == _bits(population_model(Population.of(consumers), weather))

@@ -1,10 +1,20 @@
 """Tests for the experiment pipelines' sweep construction and CSV writer."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from dahp.config import BenchmarkSpec, ExperimentConfig, PopulationSpec
-from dahp.experiments import _build_workspace, _default_sweeps, _write_csv
+from dahp.experiments import (
+    _CHUNK_CELLS,
+    _build_workspace,
+    _csv_body,
+    _default_sweeps,
+    _percent_body,
+    _ticks,
+    _write_csv,
+)
 from dahp.pricing import benchmark_prices
 
 
@@ -35,3 +45,66 @@ def test_csv_writer_float_rows(tmp_path):
     _write_csv(tmp_path / "t.csv", ["x", "y", "z"], np.array(rows, dtype=float).T)
     assert (tmp_path / "t.csv").read_text() == oracles.csv_text(["x", "y", "z"], rows)
     assert (tmp_path / "t.csv").read_text() == "x,y,z\n0.5000,0.0000,2.0000\n0.0000,3.2500,-7.0000\n"
+
+
+# Float cells for the writer's fast path and its fallback: any float64
+# (nan, infinities, signed zeros and subnormals included), values a few
+# ulps from a rounding tie k * 1e-4 + 5e-5, values either side of the
+# 2**40 / 1e4 cut below which cells are formatted in numpy, and ordinary
+# values that the fast path certifies.
+def _ulps(x: float, steps: int) -> float:
+    """``x`` moved by ``steps`` ulps."""
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, np.copysign(np.inf, steps)))
+    return x
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+NEAR_TIE = st.builds(lambda k, steps: _ulps(k * 1e-4 + 5e-5, steps),
+                     st.integers(-10**9, 10**9), st.integers(-4, 4))
+AT_CUT = st.builds(lambda sign, steps: sign * _ulps(2.0**40 / 1e4, steps),
+                   st.sampled_from([-1.0, 1.0]), st.integers(-4, 4))
+ORDINARY = st.floats(-1e6, 1e6)
+INTS = st.integers(-10**6, 10**6) | st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def _tables(draw):
+    rows = draw(st.integers(0, 8))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        cells = draw(st.sampled_from([ANY_FLOAT, NEAR_TIE, AT_CUT, ORDINARY, ORDINARY | NEAR_TIE, INTS]))
+        values = draw(st.lists(cells, min_size=rows, max_size=rows))
+        columns.append(np.array(values, dtype=np.int64 if cells is INTS else float))
+    return columns
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_tables())
+def test_csv_writer_matches_the_oracle_on_any_table(tmp_path_factory, columns):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = [f"c{j}" for j in range(len(columns))]
+    _write_csv(path, header, columns)
+    rows = zip(*(column.tolist() for column in columns))
+    assert path.read_text() == oracles.csv_text(header, rows)
+
+
+def test_numpy_formatting_matches_the_percent_path_across_chunks():
+    rng = np.random.default_rng(68)
+    floats = np.concatenate([rng.normal(0.0, 10.0 ** rng.integers(-5, 7, 4000)), [0.0, -0.0, 5e-324, -4e-5]])
+    columns = [np.arange(len(floats)) - 7, floats, -floats, np.round(floats, 4), np.zeros(len(floats), np.uint8)]
+    assert _ticks(columns) is not None and len(floats) * len(columns) > 2 * _CHUNK_CELLS
+    assert b"".join(_csv_body(columns)).decode() == _percent_body(columns)
+
+
+def test_one_uncertifiable_cell_sends_the_table_through_the_fallback(tmp_path):
+    rng = np.random.default_rng(69)
+    floats = rng.normal(0.0, 100.0, _CHUNK_CELLS)
+    ids = np.arange(len(floats))
+    for bad in (np.nan, -np.inf, 2.0**40 / 1e4, 1.00005, -12.34565):
+        column = floats.copy()
+        column[-17] = bad  # in the last chunk
+        assert _ticks([ids, floats]) is not None and _ticks([ids, column]) is None
+        _write_csv(tmp_path / "t.csv", ["id", "x"], [ids, column])
+        rows = zip(ids.tolist(), column.tolist())
+        assert (tmp_path / "t.csv").read_text() == oracles.csv_text(["id", "x"], rows)

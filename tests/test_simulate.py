@@ -16,6 +16,7 @@ from dahp import (
     aggregate,
     baseline_thermostat,
     build_consumer_model,
+    demand,
     experiments,
     optimal_price,
     population_model,
@@ -23,7 +24,7 @@ from dahp import (
     simulate_population_day,
     substream,
 )
-from dahp.config import ExperimentConfig, SeriesSpec, SimulateSpec
+from dahp.config import ExperimentConfig, PopulationSpec, SeriesSpec, SimulateSpec
 from dahp.pricing import expected_cs
 from dahp.simulate import (
     DAY_NOISE_STREAM,
@@ -499,3 +500,13 @@ def test_population_day_rows_equal_single_consumer_days():
                                        consumer_id=cid, day=2)
             assert np.array_equal(base.consumption, powers[row])
             assert (base.payment, base.discomfort) == (base_pay[row], base_disc[row])
+
+
+def test_run_simulate_builds_the_estimator_ladder_once(tmp_path, monkeypatch):
+    calls = []
+    ladder = demand._estimator_variance_ladder
+    monkeypatch.setattr(demand, "_estimator_variance_ladder", lambda population: calls.append(1) or ladder(population))
+    config = ExperimentConfig(seed=8, consumers=PopulationSpec(count=5), weather=SeriesSpec(days=3),
+                              wholesale=SeriesSpec(days=3))
+    experiments.run_simulate(config, tmp_path)
+    assert len(calls) == 1
