@@ -19,7 +19,9 @@ with numpy's LAPACK (``np.linalg.solve``).  A population's model is the sum
 of its consumers' models; ``population_model`` builds it from
 per-population sums over a ``Population`` of parameter arrays, which caches
 the sums that do not depend on the forecast, and a single consumer is a
-population of one.
+population of one.  A parameter every consumer shares bit for bit is one
+row that broadcasting carries to all of them, so per-consumer terms are (rows,
+hours), rows 1 or the consumer count; sums still run in consumer order.
 
 Conventions used throughout the package:
 
@@ -127,8 +129,10 @@ class Population:
 
     @cached_property
     def estimator_ladder(self) -> tuple[np.ndarray, np.ndarray]:
-        """Prediction variances and Kalman gains, (consumers, hours), of
-        ``_estimator_variance_ladder``: computed once per population."""
+        """Prediction variances and Kalman gains, (rows, hours), of
+        ``_estimator_variance_ladder``: computed once per population.  Rows
+        is 1 when ``alpha`` and both noise variances are the same for every
+        consumer, else the consumer count."""
         return tuple(map(_read_only, _estimator_variance_ladder(self)))
 
     @cached_property
@@ -221,25 +225,33 @@ def _pow2(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2.0)
 
 
-def _consumer_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the consumer axis (axis 0) one consumer after another.
+def _shared(x: np.ndarray) -> np.ndarray:
+    """``x[:1]`` when every row of ``x`` holds the same bytes (``-0.0`` is not ``0.0``), else ``x``."""
+    return x[:1] if x.tobytes() == x[:1].tobytes() * len(x) else x
 
-    The same order as adding per-consumer models one by one; numpy's ``sum``
-    may add pairwise, which rounds differently.
+
+def _consumer_sum(x: np.ndarray, count: int) -> np.ndarray:
+    """Sum over ``count`` consumers of ``x``, (rows, ...) with rows 1 or
+    ``count``, one consumer after another.
+
+    The same order as adding per-consumer models one by one, also for a
+    shared row, which ``count * row`` would round differently; numpy's
+    ``sum`` may add pairwise, which rounds differently too.
     """
-    return np.cumsum(x, axis=0)[-1]
+    return np.cumsum(np.broadcast_to(x, (count, *x.shape[1:])), axis=0)[-1]
 
 
 def _estimator_variance_ladder(population: Population) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction variances and Kalman gains, (consumers, hours).
+    """Prediction variances and Kalman gains, (rows, hours): one row when
+    ``alpha`` and both noise variances are ``_shared``, else one per consumer.
 
     Column ``i`` refers to hour ``i+1``; the posterior variance starts at
     ``obs_noise_var`` (estimator seeded from one noisy reading of the known
     initial temperature).
     """
-    q, r = population.process_noise_var, population.obs_noise_var
-    decay = _pow2(1.0 - population.alpha)
-    pred = np.empty((len(population), population.horizon))
+    alpha, q, r = (_shared(getattr(population, name)) for name in ("alpha", "process_noise_var", "obs_noise_var"))
+    decay = _pow2(1.0 - alpha)
+    pred = np.empty((*np.broadcast_shapes(alpha.shape, q.shape, r.shape), population.horizon))
     gains = np.empty_like(pred)
     post = r
     for i in range(population.horizon):
@@ -264,9 +276,9 @@ def population_model(population: Population, weather_forecast: Sequence[float]) 
     """
     n = population.horizon
     forecast = as_forecast(weather_forecast, n)
-    alpha, beta, t = population.alpha, population.beta, population.desired_temp
+    alpha, beta, t = _shared(population.alpha)[:, None], _shared(population.beta)[:, None], population.desired_temp
     previous = np.concatenate([t[:, :1], t[:, :-1]], axis=1)  # day starts on the first setpoint
-    intercept = _consumer_sum(((1.0 - alpha)[:, None] * previous + alpha[:, None] * forecast - t) / beta[:, None])
+    intercept = _consumer_sum(((1.0 - alpha) * previous + alpha * forecast - t) / beta, len(population))
     gain, cov, cs_constant = population.model_terms
     if not all(np.isfinite(x).all() for x in (intercept, cov, cs_constant)):
         raise NumericalError("population model overflowed: intercept, covariance or surplus constant not finite")
@@ -287,23 +299,25 @@ def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]
     for the linear-Gaussian model rather than sampled.  A consumer's
     covariance has entries on the diagonal and in the first row and column
     only, so only those are summed.  Every sum runs in consumer order.
+    A ``_shared`` parameter is one row that broadcasting carries to every
+    consumer, so each array below has one row or one per consumer.
     """
-    n = population.horizon
-    alpha, beta, mu = population.alpha, population.beta, population.mu
-    r = population.obs_noise_var
+    n, count = population.horizon, len(population)
+    alpha, beta, mu = (_shared(getattr(population, name)) for name in ("alpha", "beta", "mu"))
+    pred, gains = population.estimator_ladder
+    r = np.broadcast_to(_shared(population.obs_noise_var), len(pred))
     keep = 1.0 - alpha
     unit = 1.0 / (2.0 * mu * beta * beta)
 
     first, diagonal, off = _consumer_sum(
-        np.stack([unit, (1.0 + _pow2(keep)) * unit, (alpha - 1.0) * unit], axis=1)
+        np.stack(np.broadcast_arrays(unit, (1.0 + _pow2(keep)) * unit, (alpha - 1.0) * unit), axis=1), count
     )
     gain = np.diag(np.full(n, diagonal))
     gain[0, 0] = first
     hours = np.arange(1, n)
     gain[hours, hours - 1] = gain[hours - 1, hours] = off
 
-    pred, gains = population.estimator_ladder
-    cs_constant = float(_consumer_sum(-mu * pred.sum(axis=1)))
+    cs_constant = float(_consumer_sum(-mu * pred.sum(axis=1), count))
 
     # Demand deviations are (1-alpha)/beta times the estimator's deviation
     # from its target one hour earlier.  Those deviations are uncorrelated
@@ -314,8 +328,8 @@ def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]
     xi_var = np.column_stack([r, _pow2(gains) * (pred[:, :-1] + r[:, None])])
     # Cov(initial deviation, filter error) entering each later hour
     gamma = np.cumprod(np.column_stack([-r, (1.0 - gains[:, :-1]) * keep]), axis=1)
-    cov = np.diag(_consumer_sum(scale * xi_var))
-    cov[0, 1:] = cov[1:, 0] = _consumer_sum(scale * gains * keep * gamma)
+    cov = np.diag(_consumer_sum(scale * xi_var, count))
+    cov[0, 1:] = cov[1:, 0] = _consumer_sum(scale * gains * keep * gamma, count)
     return _read_only(gain), _read_only(cov), cs_constant
 
 

@@ -24,7 +24,7 @@ from dahp import (
     simulate_population_day,
     substream,
 )
-from dahp.config import ExperimentConfig, PopulationSpec, SeriesSpec, SimulateSpec
+from dahp.config import ExperimentConfig, PopulationSpec, SeriesSpec, SimulateSpec, draw_population
 from dahp.pricing import expected_cs
 from dahp.simulate import (
     DAY_NOISE_STREAM,
@@ -483,23 +483,42 @@ def test_run_simulate_rows_match_step_oracle(tmp_path, monkeypatch):
     assert next(responsive, None) is None and next(baseline, None) is None
 
 
-def test_population_day_rows_equal_single_consumer_days():
-    # a consumer's outcome must not depend on the batch it is simulated in
-    consumers = _mixed_population()
+def _assert_rows_equal_single_days(population: Population, tolerances: list[float]) -> None:
+    """Every row of one population day, responsive and per tolerance, equals
+    that consumer simulated alone, bit for bit."""
     prices = np.random.default_rng(64).uniform(0.05, 0.3, size=24)
-    ids = [3 * c + 1 for c in range(len(consumers))]
+    ids = [3 * c + 1 for c in range(len(population))]
     (cons, pay, disc), baselines = simulate_population_day(
-        Population.of(consumers), prices, helpers.DEFAULT_WEATHER, 9, 2, [0.0, 1.0], ids
+        population, prices, helpers.DEFAULT_WEATHER, 9, 2, tolerances, ids
     )
-    for row, (cid, params) in enumerate(zip(ids, consumers)):
+    for row, (cid, params) in enumerate(zip(ids, population)):
         one = simulate_day(params, prices, helpers.DEFAULT_WEATHER, 9, consumer_id=cid, day=2)
         assert np.array_equal(one.consumption, cons[row])
         assert (one.payment, one.discomfort) == (pay[row], disc[row])
-        for tolerance, (powers, base_pay, base_disc) in zip([0.0, 1.0], baselines):
+        for tolerance, (powers, base_pay, base_disc) in zip(tolerances, baselines):
             base = baseline_thermostat(params, tolerance, prices, helpers.DEFAULT_WEATHER, 9,
                                        consumer_id=cid, day=2)
             assert np.array_equal(base.consumption, powers[row])
             assert (base.payment, base.discomfort) == (base_pay[row], base_disc[row])
+
+
+def test_population_day_rows_equal_single_consumer_days():
+    # a consumer's outcome must not depend on the batch it is simulated in
+    _assert_rows_equal_single_days(Population.of(_mixed_population()), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("ranged, ladder_rows", [
+    ({}, 1),                                       # the demo: only setpoints differ
+    ({"mu": [0.2, 2.0], "beta": [0.05, 0.2]}, 1),  # the ladder needs alpha and the variances only
+    ({"alpha": [0.3, 0.7]}, 40),
+    ({"obs_noise_var": [0.0, 0.05]}, 40),
+])
+def test_shared_parameter_rows_equal_single_consumer_days(ranged, ladder_rows):
+    # the rollouts read a one-row estimator ladder when the parameters it
+    # depends on are shared, and must still match each consumer alone
+    population = draw_population(PopulationSpec(count=40, desired_temp=[18.0, 22.0], **ranged), seed=17)
+    assert [len(x) for x in population.estimator_ladder] == [ladder_rows] * 2
+    _assert_rows_equal_single_days(population, [0.0, 2.0, 0.5])
 
 
 def test_run_simulate_builds_the_estimator_ladder_once(tmp_path, monkeypatch):
