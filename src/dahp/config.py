@@ -181,16 +181,19 @@ def check_fields(spec: Any, path: str = "") -> None:
             raise ConfigError(f"'{key}' must be {rule.phrase}")
 
 
-class _Loader(yaml.SafeLoader):
-    """YAML 1.1 with YAML 1.2's floats: 1.1 reads an exponent without a dot
-    (``1e3``, ``1e-300``) as a string."""
+def _loader(base: type) -> type:
+    """``base``, a safe loader, with YAML 1.2's floats: YAML 1.1 reads an
+    exponent without a dot (``1e3``, ``1e-300``) as a string."""
+    loader = type("_Loader", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+        list("-+0123456789."),
+    )
+    return loader
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
-    list("-+0123456789."),
-)
+_Loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))  # libyaml's parser where PyYAML has it
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

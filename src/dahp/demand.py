@@ -235,10 +235,15 @@ def _consumer_sum(x: np.ndarray, count: int) -> np.ndarray:
     ``count``, one consumer after another.
 
     The same order as adding per-consumer models one by one, also for a
-    shared row, which ``count * row`` would round differently; numpy's
-    ``sum`` may add pairwise, which rounds differently too.
+    shared row, which ``count * row`` would round differently.  numpy adds
+    a row-major (consumers, width >= 2) array row by row into one row, from
+    ``initial`` (``-0.0`` keeps an all ``-0.0`` sum's sign); a single column
+    it adds pairwise, so there the last entry of the running sum is kept.
     """
-    return np.cumsum(np.broadcast_to(x, (count, *x.shape[1:])), axis=0)[-1]
+    x = np.broadcast_to(np.ascontiguousarray(x), (count, *x.shape[1:]))
+    if x.ndim == 2 and x.shape[1] >= 2:
+        return np.add.reduce(x, axis=0, initial=-0.0)
+    return np.cumsum(x, axis=0)[-1]
 
 
 def _estimator_variance_ladder(population: Population) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +282,14 @@ def population_model(population: Population, weather_forecast: Sequence[float]) 
     n = population.horizon
     forecast = as_forecast(weather_forecast, n)
     alpha, beta, t = _shared(population.alpha)[:, None], _shared(population.beta)[:, None], population.desired_temp
-    previous = np.concatenate([t[:, :1], t[:, :-1]], axis=1)  # day starts on the first setpoint
-    intercept = _consumer_sum(((1.0 - alpha) * previous + alpha * forecast - t) / beta, len(population))
+    # ((1 - alpha) * previous + alpha * forecast - t) / beta, in place; the day starts on the first setpoint
+    demand = np.empty_like(t)
+    demand[:, 0], demand[:, 1:] = t[:, 0], t[:, :-1]
+    demand *= 1.0 - alpha
+    demand += alpha * forecast
+    demand -= t
+    demand /= beta
+    intercept = _consumer_sum(demand, len(population))
     gain, cov, cs_constant = population.model_terms
     if not all(np.isfinite(x).all() for x in (intercept, cov, cs_constant)):
         raise NumericalError("population model overflowed: intercept, covariance or surplus constant not finite")

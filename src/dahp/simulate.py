@@ -178,10 +178,13 @@ def _baseline_rollout(population: Population, powers: np.ndarray, forecast: np.n
     alpha, beta, mu = population.alpha, population.beta, population.mu
     t = population.desired_temp
     x = np.full(len(w), t[:, 0])
-    discomfort = np.zeros(len(w))
+    deviations = np.empty(w.shape)
     for i in range(population.horizon):
         x = x + alpha * (forecast[i] - x) - beta * powers[:, i] + w[:, i]
-        discomfort += mu * _pow2(x - t[:, i])
+        deviations[:, i] = x - t[:, i]
+    discomfort = np.zeros(len(w))
+    for squares in _pow2(deviations).T:  # hour by hour, not a pairwise row sum
+        discomfort += mu * squares
     return discomfort
 
 

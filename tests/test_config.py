@@ -4,7 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from dahp import config as config_module
+from dahp.cli import main
 from dahp.config import (
     ExperimentConfig,
     PopulationSpec,
@@ -282,3 +285,71 @@ def test_exponent_without_dot_loads_as_float(tmp_path, text, value):
 def test_quoted_exponent_stays_a_string(tmp_path):
     with pytest.raises(ConfigError, match="storage.capacity"):
         load_config(_write(tmp_path, 'seed: 7\nstorage:\n  capacity: "1e3"\n'))
+
+
+_LOADER_BASES = [
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="libyaml",
+                 marks=pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")),
+    pytest.param(yaml.SafeLoader, id="python"),
+]
+
+# every documented value form, each under its own key
+_VALUE_FORMS = """\
+seed: 7
+consumers:
+  count: 20
+  alpha: [0.25, 0.75]
+  beta: [-0.2, -1e-1]
+  mu: 1e3
+  desired_temp: +1E+1
+renewable:
+  marginal_cost: 1e-300
+  capacity_grid: [10, 5.0e1, 2e2]
+storage:
+  capacity: .inf
+  charge_limit: -.INF
+  eta_grid: [0.0, 1.0, 5]
+"""
+
+
+@pytest.mark.parametrize("base", _LOADER_BASES)
+def test_both_yaml_parsers_load_equal_documents(base):
+    demo = (Path(__file__).resolve().parents[1] / "configs" / "demo.yaml").read_text()
+    for text in (demo, _VALUE_FORMS):
+        ours = yaml.load(text, Loader=config_module._loader(base))
+        python = yaml.load(text, Loader=config_module._loader(yaml.SafeLoader))
+        assert repr(ours) == repr(python)  # repr tells 1000.0 from 1000
+    forms = yaml.load(_VALUE_FORMS, Loader=config_module._loader(base))
+    assert repr(forms["consumers"]) == repr(
+        {"count": 20, "alpha": [0.25, 0.75], "beta": [-0.2, -0.1], "mu": 1000.0, "desired_temp": 10.0})
+    assert repr(forms["renewable"]) == repr({"marginal_cost": 1e-300, "capacity_grid": [10, 50.0, 200.0]})
+    assert repr(forms["storage"]) == repr({"capacity": math.inf, "charge_limit": -math.inf, "eta_grid": [0.0, 1.0, 5]})
+
+
+@pytest.mark.parametrize("base", _LOADER_BASES)
+@pytest.mark.parametrize("text, message", [
+    ("seed: 7\nstorage:\n  charge_eff: \"0.9\"\n", "'storage.charge_eff' must be"),
+    ("seed: 7\nstorage:\n  capacity: true\n", "'storage.capacity' must be"),
+    ("seed: 7\nconsumers:\n  count: yes\n", "'consumers.count' must be"),
+    ("seed: 7\nconsumers:\n  mu: [false, 1.0]\n", "'consumers.mu' must be"),
+    ("seed: [unclosed\n", "not valid YAML"),
+    ("seed: 7\n  bad: indent\n", "not valid YAML"),
+    ("seed: 7\nstorage: {capacity: 1\n", "not valid YAML"),
+    ("seed: 7\n\x07\n", "not valid YAML"),
+    ("seed: !!python/object:os.system 7\n", "not valid YAML"),
+])
+def test_both_yaml_parsers_reject_the_same_documents(base, text, message, tmp_path, monkeypatch, capsys):
+    # numeric strings and booleans are no numbers, and invalid YAML is a
+    # configuration error: exit 2 on either parser
+    monkeypatch.setattr(config_module, "_Loader", config_module._loader(base))
+    assert main(["pareto", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", _LOADER_BASES)
+def test_both_yaml_parsers_resolve_the_value_forms_alike(base, tmp_path, monkeypatch):
+    monkeypatch.setattr(config_module, "_Loader", config_module._loader(base))
+    config = load_config(_write(tmp_path, _VALUE_FORMS.replace("-.INF", ".inf")))
+    assert (config.consumers.mu, config.renewable.marginal_cost, config.storage.capacity) == (1000.0, 1e-300, math.inf)
+    assert resolve_eta_grid(config.storage.eta_grid).size == 5
+    assert draw_population(config.consumers, config.seed).beta.max() <= -0.1

@@ -19,7 +19,7 @@ from dahp import (
     population_model,
 )
 from dahp.config import PopulationSpec, draw_population
-from dahp.demand import _PARAM_FIELDS, _shared, as_prices
+from dahp.demand import _PARAM_FIELDS, _consumer_sum, _shared, as_prices
 from dahp.errors import IndefiniteMatrixError, NumericalError
 from oracles import NegativeDemandWarning, mean_demand
 
@@ -347,9 +347,11 @@ def test_overflow_with_shared_parameters_is_a_numerical_error(beta):
 
 
 def test_shared_parameters_keep_the_population_model_small():
-    # Shared parameters cost one row, not 10,000 identical ones: about 5.8 MB
-    # at the peak on numpy 2.4, against 15.5 MB when every consumer had its
-    # own row of each forecast-free term.
+    # Shared parameters cost one row, not 10,000 identical ones, and the
+    # intercept is one (consumers, hours) buffer summed without a running
+    # sum: about 2.08 MB at the peak on numpy 2.4 (the buffer is 1.92 MB),
+    # against 5.8 MB with a temporary per operation and a cumsum, and 15.5 MB
+    # when every consumer had its own row of each forecast-free term.
     population = draw_population(PopulationSpec(count=10_000, desired_temp=[18.0, 22.0]), seed=5)
     tracemalloc.start()
     try:
@@ -357,7 +359,7 @@ def test_shared_parameters_keep_the_population_model_small():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8e6
+    assert peak < 3e6
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -369,3 +371,55 @@ def test_cumsum_over_a_broadcast_row_adds_like_over_its_copy(row, count):
     assert view.strides[0] == 0
     with np.errstate(over="ignore", invalid="ignore"):
         assert np.cumsum(view, axis=0).tobytes() == np.cumsum(view.copy(), axis=0).tobytes()
+
+
+def _rows_added_in_order(x: np.ndarray) -> np.ndarray:
+    """The rows of ``x`` added one after another, starting from the first."""
+    total = x[0].copy()
+    for row in x[1:]:
+        total = total + row
+    return total
+
+
+_SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1040, -1e-310, 2.2250738585072014e-308])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(count=st.integers(1, 3000), width=st.integers(1, 30), layout=st.sampled_from(["dense", "row", "fortran"]),
+       first_row_negative_zero=st.booleans(), specials=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_consumer_sum_adds_rows_in_consumer_order(count, width, layout, first_row_negative_zero, specials, seed):
+    # past numpy's 8-wide unrolled and 128-block pairwise sums, over dense
+    # rows, one row broadcast to every consumer (a zero-stride view) and a
+    # column-major copy; signed zeros and subnormals must keep every bit
+    rng = np.random.default_rng(seed)
+    rows = 1 if layout == "row" else count
+    x = rng.normal(size=(rows, width)) * 10.0 ** rng.integers(-12, 12, size=(rows, 1))
+    mask = rng.random(x.shape) < specials
+    x[mask] = rng.choice(_SPECIAL_VALUES, size=mask.sum())
+    if first_row_negative_zero:
+        x[0] = -0.0
+    if layout == "fortran":
+        x = np.asfortranarray(x)
+    expected = _rows_added_in_order(np.broadcast_to(x, (count, width)))
+    assert _consumer_sum(x, count).tobytes() == expected.tobytes()
+    if width == 1:  # a 1-D input, one value per consumer
+        assert _consumer_sum(x[:, 0], count).tobytes() == expected.tobytes()
+
+
+def test_intercept_of_a_thousand_distinct_consumers_is_their_consumer_order_sum():
+    rng = np.random.default_rng(73)
+    count = 1_200
+    population = Population(
+        alpha=rng.uniform(0.05, 0.95, count),
+        beta=rng.uniform(0.02, 0.3, count) * rng.choice([-1.0, 1.0], count),
+        mu=np.full(count, 0.5),
+        desired_temp=rng.uniform(16.0, 24.0, (count, 1)) + rng.uniform(-1.0, 1.0, (count, 24)),
+        process_noise_var=np.full(count, 0.01),
+        obs_noise_var=np.full(count, 0.01),
+    )
+    weather = helpers.DEFAULT_WEATHER + rng.normal(0.0, 3.0, 24)
+    intercept = population_model(population, weather).intercept_mean.tobytes()
+    single = [build_consumer_model(p, weather).intercept_mean for p in population]
+    scalar = [oracles.scalar_consumer_model(p, weather)[1] for p in population]  # hour by hour on Python floats
+    for rows in (single, scalar):
+        assert intercept == _rows_added_in_order(np.array(rows)).tobytes()

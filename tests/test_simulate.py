@@ -30,6 +30,8 @@ from dahp.simulate import (
     DAY_NOISE_STREAM,
     POPULATION_STREAM,
     REPLICATE_NOISE_STREAM,
+    _baseline_powers,
+    _baseline_rollout,
     _box_muller,
     _noise,
     _noise_words,
@@ -529,3 +531,26 @@ def test_run_simulate_builds_the_estimator_ladder_once(tmp_path, monkeypatch):
                               wholesale=SeriesSpec(days=3))
     experiments.run_simulate(config, tmp_path)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("count, horizon", [(300, 24), (30_000, 1)])
+def test_baseline_discomfort_adds_python_float_squares_hour_by_hour(count, horizon):
+    # all hours' deviations squared at once must round like Python float **
+    # (libm pow) of each, and be added hour by hour; a multiply differs in
+    # about one square in a thousand, which one-hour days show undiluted
+    rng = np.random.default_rng(76)
+    population = Population(
+        alpha=rng.uniform(0.2, 0.8, count), beta=rng.uniform(0.05, 0.3, count), mu=rng.uniform(0.2, 2.0, count),
+        desired_temp=rng.uniform(16.0, 24.0, (count, horizon)),
+        process_noise_var=np.zeros(count), obs_noise_var=np.zeros(count),
+    )
+    forecast = helpers.DEFAULT_WEATHER[:horizon]
+    powers = _baseline_powers(population, forecast, 1.0)
+    w = rng.normal(0.0, 0.3, size=powers.shape)
+    discomfort = _baseline_rollout(population, powers, forecast, w)
+    for row, params in enumerate(population):
+        t, x, expected = params.desired_temp.tolist(), params.desired_temp[0].item(), 0.0
+        for i, (a, p, noise) in enumerate(zip(forecast.tolist(), powers[row].tolist(), w[row].tolist())):
+            x = x + params.alpha * (a - x) - params.beta * p + noise
+            expected += params.mu * (x - t[i]) ** 2
+        assert discomfort[row] == expected
