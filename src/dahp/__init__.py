@@ -28,7 +28,7 @@ from .errors import (
     NumericalError,
 )
 from .pricing import (
-    TradeoffPoint,
+    Trace,
     WholesaleCost,
     benchmark_prices,
     benchmark_trace,
@@ -38,7 +38,6 @@ from .pricing import (
     optimal_price,
     pareto_front,
     profit_upper_bound,
-    tradeoff_point,
 )
 from .renewable import (
     BenefitSplit,
@@ -74,7 +73,7 @@ __all__ = [
     "build_consumer_model",
     "population_model",
     # pricing
-    "TradeoffPoint",
+    "Trace",
     "WholesaleCost",
     "benchmark_prices",
     "benchmark_trace",
@@ -84,7 +83,6 @@ __all__ = [
     "optimal_price",
     "pareto_front",
     "profit_upper_bound",
-    "tradeoff_point",
     # renewable
     "BenefitSplit",
     "RenewableModel",

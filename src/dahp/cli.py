@@ -10,6 +10,7 @@ JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -23,6 +24,7 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dahp", description="Day-ahead hourly pricing experiments")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -30,7 +30,7 @@ from .config import (
     resolve_eta_grid,
     resolved_dict,
 )
-from .demand import HOURS_PER_DAY, population_model
+from .demand import HOURS_PER_DAY, AffineDemandModel, population_model
 from .errors import ConfigError, DataError
 from .pricing import WholesaleCost, benchmark_trace, optimal_price, pareto_front
 from .renewable import RenewableModel, benefit_split
@@ -196,35 +196,28 @@ def _fixed_point_body(ticks: np.ndarray, is_float: np.ndarray) -> bytes:
     return pieces.tobytes().translate(None, b"\0")
 
 
-@dataclass
-class _Workspace:
-    """Model and market data shared by the study commands."""
-
-    model: object
-    cost: WholesaleCost
-
-
-def _build_workspace(config: ExperimentConfig) -> _Workspace:
+def _build_workspace(config: ExperimentConfig) -> tuple[AffineDemandModel, WholesaleCost]:
+    """The population's demand model on the mean day, and the wholesale cost."""
     weather_days = _load_days(config.weather, "weather")
     cost = _wholesale_cost(config.wholesale)
-    model = population_model(draw_population(config.consumers, config.seed), mean_day(weather_days))
-    return _Workspace(model=model, cost=cost)
+    return population_model(draw_population(config.consumers, config.seed), mean_day(weather_days)), cost
 
 
 def run_pareto(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
-    ws = _build_workspace(config)
-    grid = resolve_eta_grid(config.eta_grid)
-    points = pareto_front(ws.model, ws.cost, grid)
-    rows = [[p.eta, p.cs, p.rp, p.sw, *p.price] for p in points]
-    _write_csv(out_dir / "tradeoff.csv", ["eta", "cs", "rp", "sw", *_PRICE_COLUMNS], np.array(rows, dtype=float).T)
+    model, cost = _build_workspace(config)
+    front = pareto_front(model, cost, resolve_eta_grid(config.eta_grid))
+    _write_csv(out_dir / "tradeoff.csv", ["eta", "cs", "rp", "sw", *_PRICE_COLUMNS],
+               [front.param, front.cs, front.rp, front.cs + front.rp, *front.price.T])
     return ["tradeoff.csv"], {}
 
 
-def _default_sweeps(ws: _Workspace, points: int, tou_ratio: float) -> dict[str, np.ndarray]:
+def _default_sweeps(
+    model: AffineDemandModel, cost: WholesaleCost, points: int, tou_ratio: float
+) -> dict[str, np.ndarray]:
     """Sweep grids spanning the economically interesting range: from below
     the wholesale level up toward the zero-demand price."""
-    lam = ws.cost.mean
-    level_hi = float(np.mean(ws.model.zero_demand_price))
+    lam = cost.mean
+    level_hi = float(np.mean(model.zero_demand_price))
     level_lo = 0.5 * float(lam.min())
     gamma_hi = max(2.0, level_hi / float(np.mean(lam)))
     return {
@@ -235,37 +228,32 @@ def _default_sweeps(ws: _Workspace, points: int, tou_ratio: float) -> dict[str, 
 
 
 def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
-    ws = _build_workspace(config)
+    model, cost = _build_workspace(config)
     spec = config.benchmarks
-    files = []
+    front = pareto_front(model, cost, np.linspace(0.0, 1.0, spec.points))
+    _write_csv(out_dir / "benchmark_dahp.csv", ["param", "cs", "rp"], [front.param, front.cs, front.rp])
+    files = ["benchmark_dahp.csv"]
 
-    grid = np.linspace(0.0, 1.0, spec.points)
-    points = pareto_front(ws.model, ws.cost, grid)
-    _write_csv(out_dir / "benchmark_dahp.csv", ["param", "cs", "rp"],
-               np.array([[p.eta, p.cs, p.rp] for p in points], dtype=float).T)
-    files.append("benchmark_dahp.csv")
-
-    for scheme, sweep in _default_sweeps(ws, spec.points, spec.tou_ratio).items():
+    for scheme, sweep in _default_sweeps(model, cost, spec.points, spec.tou_ratio).items():
         trace = benchmark_trace(
-            ws.model, ws.cost, scheme, sweep,
+            model, cost, scheme, sweep,
             tou_ratio=spec.tou_ratio, peak_start=spec.peak_start, peak_end=spec.peak_end,
         )
         name = f"benchmark_{scheme}.csv"
-        _write_csv(out_dir / name, ["param", "cs", "rp"],
-                   np.array([[p.eta, p.cs, p.rp] for p in trace], dtype=float).T)
+        _write_csv(out_dir / name, ["param", "cs", "rp"], [trace.param, trace.cs, trace.rp])
         files.append(name)
     return files, {}
 
 
 def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
-    ws = _build_workspace(config)
-    if np.any(ws.cost.mean - config.renewable.marginal_cost <= 0.0):
+    model, cost = _build_workspace(config)
+    if np.any(cost.mean - config.renewable.marginal_cost <= 0.0):
         raise ConfigError("'renewable.marginal_cost' must stay below every hour's wholesale mean price")
     rows = []
     for eta in resolve_eta_grid(config.eta_grid):
         for capacity in config.renewable.capacity_grid:
             renew = RenewableModel(capacity=float(capacity), marginal_cost=config.renewable.marginal_cost)
-            split = benefit_split(ws.model, ws.cost, renew, float(eta))
+            split = benefit_split(model, cost, renew, float(eta))
             rows.append([float(eta), float(capacity), split.delta_cs, split.delta_rp, split.fraction])
     _write_csv(out_dir / "renewable.csv", ["eta", "K", "delta_cs", "delta_rp", "fraction"],
                np.array(rows, dtype=float).T)
@@ -273,16 +261,16 @@ def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], d
 
 
 def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
-    ws = _build_workspace(config)
+    model, cost = _build_workspace(config)
     batteries = batteries_from_spec(config.storage)
     rows = []
     searches = []
     for eta in resolve_eta_grid(config.storage.eta_grid, "storage.eta_grid"):
         result = optimize_price_with_storage(
-            ws.model, ws.cost, batteries, float(eta), max_evals=config.storage.max_evals
+            model, cost, batteries, float(eta), max_evals=config.storage.max_evals
         )
         volume = sum(float(result.plans[b].charge.sum()) for b in batteries)
-        rows.append([result.point.eta, result.point.cs, result.point.rp, volume, *result.price])
+        rows.append([float(eta), result.cs, result.rp, volume, *result.price])
         searches.append({
             "eta": float(eta),
             "n_evals": result.n_evals,

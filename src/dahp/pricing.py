@@ -19,13 +19,15 @@ only places the two formulas are written, ``_cs`` and ``_rp``, which
 callers holding already-checked tariffs (the storage search) call
 directly.  They take one tariff or a (k, N) stack of tariffs, so a whole
 front or benchmark sweep is one evaluator call; a stacked row gives the
-same bits as the same tariff alone.
+same bits as the same tariff alone.  ``pareto_front`` and
+``benchmark_trace`` return that sweep as a ``Trace`` of columns: the
+parameters (k,), the tariffs (k, N), and their cs and rp (k,).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,24 +56,13 @@ class WholesaleCost:
         return self.mean.size
 
 
-@dataclass(eq=False)
-class TradeoffPoint:
-    """One point of a surplus/profit trace.
+class Trace(NamedTuple):
+    """A surplus/profit trace as columns, one row per tariff."""
 
-    ``eta`` holds the pricing weight for optimal tariffs and the sweep
-    parameter for benchmark tariffs.  ``sw`` is set in ``__post_init__`` as
-    ``cs + rp`` so the identity is exact by construction.
-    """
-
-    eta: float
-    price: np.ndarray
-    cs: float
-    rp: float
-    sw: float = field(init=False)
-
-    def __post_init__(self):
-        self.price = np.asarray(self.price, dtype=float)
-        self.sw = self.cs + self.rp
+    param: np.ndarray  # (k,) pricing weights, or a benchmark's sweep parameters
+    price: np.ndarray  # (k, N) tariffs
+    cs: np.ndarray     # (k,) expected consumer surplus
+    rp: np.ndarray     # (k,) expected retail profit
 
 
 def _as_tariffs(prices: Sequence[float], horizon: int) -> np.ndarray:
@@ -124,13 +115,6 @@ def expected_rp(model: AffineDemandModel, prices: Sequence[float], cost: Wholesa
     return _per_tariff(_rp(model, pi, cost))
 
 
-def _points(params: np.ndarray, prices: np.ndarray, cs: np.ndarray, rp: np.ndarray) -> list[TradeoffPoint]:
-    return [
-        TradeoffPoint(eta=param, price=price, cs=c, rp=r)
-        for param, price, c, r in zip(params.tolist(), prices, cs.tolist(), rp.tolist())
-    ]
-
-
 def optimal_price(model: AffineDemandModel, cost: WholesaleCost, eta: float | Sequence[float]) -> np.ndarray:
     """Price maximizing ``rp + eta * cs`` for a weight ``eta`` in [0, 1]; a
     vector of k weights gives a (k, N) stack, one tariff per weight.
@@ -144,24 +128,18 @@ def optimal_price(model: AffineDemandModel, cost: WholesaleCost, eta: float | Se
     return (1.0 / (2.0 - eta)) * cost.mean + ((1.0 - eta) / (2.0 - eta)) * model.zero_demand_price
 
 
-def tradeoff_point(model: AffineDemandModel, cost: WholesaleCost, eta: float) -> TradeoffPoint:
-    """Evaluate the optimal tariff for one weight."""
-    (point,) = pareto_front(model, cost, [eta])
-    return point
-
-
 def pareto_front(
     model: AffineDemandModel, cost: WholesaleCost, eta_grid: Sequence[float] | None = None
-) -> list[TradeoffPoint]:
+) -> Trace:
     """Trace the surplus/profit front over a weight grid (default: 101
-    uniform points on [0, 1]).  Points come out sorted by increasing cs."""
+    uniform points on [0, 1]).  Rows come out sorted by increasing cs."""
     grid = np.linspace(0.0, 1.0, 101) if eta_grid is None else np.asarray(eta_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("eta grid must be a nonempty vector")
     if np.any(np.diff(grid) < 0.0):
         raise ValueError("eta grid must be sorted ascending")
     prices = optimal_price(model, cost, grid)
-    return _points(grid, prices, expected_cs(model, prices), expected_rp(model, prices, cost))
+    return Trace(grid, prices, expected_cs(model, prices), expected_rp(model, prices, cost))
 
 
 def _front_geometry(model: AffineDemandModel, cost: WholesaleCost) -> tuple[float, float]:
@@ -208,24 +186,26 @@ def constrained_optimal_price(
     ``InfeasibleConstraintError`` naming that maximum.
     """
     floor = float(cs_floor)
-    point0, point1 = pareto_front(model, cost, [0.0, 1.0])
-    if floor <= point0.cs:
-        return point0.price, point0.cs, point0.rp
+    ends = pareto_front(model, cost, [0.0, 1.0])
+    (cs0, cs1), (rp0, rp1) = ends.cs.tolist(), ends.rp.tolist()
+    if floor <= cs0:
+        return ends.price[0], cs0, rp0
     scale = max(1.0, abs(floor))
-    if floor > point1.cs + TOLERANCES["surplus_floor_rtol"] * scale:
+    if floor > cs1 + TOLERANCES["surplus_floor_rtol"] * scale:
         raise InfeasibleConstraintError(
             f"surplus floor {floor:.6g} exceeds the maximum achievable "
-            f"expected consumer surplus {point1.cs:.6g}"
+            f"expected consumer surplus {cs1:.6g}"
         )
-    if floor >= point1.cs:
-        return point1.price, point1.cs, point1.rp
+    if floor >= cs1:
+        return ends.price[1], cs1, rp1
     q, k = _front_geometry(model, cost)
-    point = tradeoff_point(model, cost, min(max(_eta_at_cs(q, k, floor), 0.0), 1.0))
-    if abs(point.cs - floor) > TOLERANCES["surplus_floor_rtol"] * scale:
+    eta = min(max(_eta_at_cs(q, k, floor), 0.0), 1.0)
+    _, (price,), (cs,), (rp,) = pareto_front(model, cost, [eta])
+    if abs(cs - floor) > TOLERANCES["surplus_floor_rtol"] * scale:
         raise InfeasibleConstraintError(
-            f"closed-form weight left |cs - floor| = {abs(point.cs - floor):.3e} above tolerance"
+            f"closed-form weight left |cs - floor| = {abs(cs - floor):.3e} above tolerance"
         )
-    return point.price, point.cs, point.rp
+    return price, float(cs), float(rp)
 
 
 def benchmark_prices(
@@ -268,20 +248,21 @@ def benchmark_trace(
     tou_ratio: float = 1.2,
     peak_start: int = 9,
     peak_end: int = 17,
-) -> list[TradeoffPoint]:
-    """Surplus/profit trace of a benchmark tariff over a parameter sweep.
-
-    The ``eta`` field of each point holds the sweep parameter value.  A
-    tariff whose prices, cs or rp overflow raises ``NumericalError``.
+) -> Trace:
+    """Surplus/profit trace of a benchmark tariff over a parameter sweep,
+    whose values are the trace's ``param``.  A tariff whose prices, cs or
+    rp overflow raises ``NumericalError``.
     """
     _check_horizon(model, cost)
     params = np.asarray(sweep, dtype=float)
+    if params.ndim != 1:
+        raise ValueError("benchmark sweep must be a vector")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
         prices = benchmark_prices(scheme, params, cost, tou_ratio, peak_start, peak_end)
         if np.all(np.isfinite(prices)):
             cs, rp = expected_cs(model, prices), expected_rp(model, prices, cost)
             if np.all(np.isfinite(cs)) and np.all(np.isfinite(rp)):
-                return _points(params, prices, cs, rp)
+                return Trace(params, prices, cs, rp)
     raise NumericalError(f"{scheme} benchmark tariffs overflow: a price, cs or rp is not finite")
 
 

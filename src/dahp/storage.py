@@ -56,7 +56,7 @@ import numpy as np
 from .demand import AffineDemandModel, as_prices
 from .errors import InfeasibleConstraintError
 from .optim import TOLERANCES, LpProblem, LpResult, pattern_search, simplex_solve
-from .pricing import TradeoffPoint, WholesaleCost, _cs, _rp, optimal_price
+from .pricing import WholesaleCost, _cs, _rp, optimal_price
 
 
 @dataclass(frozen=True)
@@ -271,7 +271,8 @@ class StoragePricingResult:
     """Outcome of the storage-aware price search."""
 
     price: np.ndarray
-    point: TradeoffPoint   # cs/rp include the batteries' contribution
+    cs: float              # cs and rp include the batteries' contribution
+    rp: float
     objective: float
     n_evals: int
     improved: bool         # beat the storage-free seed tariff
@@ -330,11 +331,12 @@ def optimize_price_with_storage(
         seed_value = search.trace[0]
         improved = value > seed_value + 1e-12 * max(1.0, abs(seed_value))
     (cs,), (rp,), plans = evaluate(price[np.newaxis])
-    point = TradeoffPoint(eta=float(eta), price=price, cs=float(cs), rp=float(rp))
+    cs, rp = float(cs), float(rp)
     return StoragePricingResult(
         price=price,
-        point=point,
-        objective=point.rp + eta * point.cs if value is None else value,
+        cs=cs,
+        rp=rp,
+        objective=rp + eta * cs if value is None else value,
         n_evals=n_evals,
         improved=improved,
         truncated=truncated,

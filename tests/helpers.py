@@ -10,6 +10,7 @@ from dahp import (
     WholesaleCost,
     aggregate,
     build_consumer_model,
+    pareto_front,
 )
 from dahp.timeseries import synthetic_weather, synthetic_wholesale
 
@@ -50,6 +51,13 @@ def random_model(
     model = aggregate(consumers)
     cost = WholesaleCost(mean=np.resize(DEFAULT_WHOLESALE, horizon) * rng.uniform(0.8, 1.2))
     return model, cost
+
+
+def front_point(model: AffineDemandModel, cost: WholesaleCost, eta: float) -> tuple[np.ndarray, float, float]:
+    """``(price, cs, rp)`` of the optimal tariff for one weight, read off a
+    one-weight ``pareto_front``."""
+    _, (price,), (cs,), (rp,) = pareto_front(model, cost, [eta])
+    return price, float(cs), float(rp)
 
 
 def random_battery(rng: np.random.Generator, lossy: bool = True) -> BatteryParams:

@@ -29,7 +29,6 @@ from dahp import (
     optimal_price,
     pareto_front,
     profit_upper_bound,
-    tradeoff_point,
 )
 from dahp.cli import main as cli_main
 from dahp.pricing import benchmark_trace
@@ -64,10 +63,8 @@ def test_02_front_concave_with_matching_slopes():
     started = time.perf_counter()
     rng = np.random.default_rng(402)
     model, cost = helpers.random_model(rng)
-    points = pareto_front(model, cost, np.linspace(0.0, 1.0, 101))
-    cs = np.array([p.cs for p in points])
-    rp = np.array([p.rp for p in points])
-    eta = np.array([p.eta for p in points])
+    front = pareto_front(model, cost, np.linspace(0.0, 1.0, 101))
+    cs, rp, eta = front.cs, front.rp, front.param
     scale = max(1.0, np.abs(rp).max())
     failures = []
     if not np.all(np.diff(rp) <= 1e-12 * scale):
@@ -89,10 +86,10 @@ def test_03_surplus_floor_roundtrip():
     failures = []
     for _ in range(20):
         eta = rng.uniform(0.05, 0.95)
-        direct = tradeoff_point(model, cost, eta)
-        _, _, rp = constrained_optimal_price(model, cost, direct.cs)
-        if abs(rp - direct.rp) > 1e-8:
-            failures.append(f"eta={eta:.3f} round-trip rp gap {abs(rp - direct.rp):.2e}")
+        _, direct_cs, direct_rp = helpers.front_point(model, cost, eta)
+        _, _, rp = constrained_optimal_price(model, cost, direct_cs)
+        if abs(rp - direct_rp) > 1e-8:
+            failures.append(f"eta={eta:.3f} round-trip rp gap {abs(rp - direct_rp):.2e}")
     _finish(3, "surplus floor round-trips the weighted solve", failures, started, 1.0)
 
 
@@ -152,8 +149,8 @@ def test_06_benchmark_tariffs_never_beat_the_front():
     started = time.perf_counter()
     rng = np.random.default_rng(406)
     model, cost = helpers.random_model(rng)
-    greedy = tradeoff_point(model, cost, 0.0)
-    scale = max(1.0, abs(greedy.rp))
+    _, _, greedy_rp = helpers.front_point(model, cost, 0.0)
+    scale = max(1.0, abs(greedy_rp))
     zero_demand = model.solve(model.intercept_mean)
     level_hi = float(zero_demand.mean())
     level_lo = 0.5 * float(cost.mean.min())
@@ -164,14 +161,15 @@ def test_06_benchmark_tariffs_never_beat_the_front():
     }
     failures = []
     for scheme, sweep in sweeps.items():
-        for point in benchmark_trace(model, cost, scheme, sweep, tou_ratio=1.2, peak_start=9, peak_end=17):
-            margin = point.rp - profit_upper_bound(model, cost, point.cs)
+        trace = benchmark_trace(model, cost, scheme, sweep, tou_ratio=1.2, peak_start=9, peak_end=17)
+        for param, cs, rp in zip(trace.param, trace.cs, trace.rp):
+            margin = rp - profit_upper_bound(model, cost, cs)
             if margin > 1e-6 * scale:
-                failures.append(f"{scheme} exceeds the front by {margin:.2e} at param {point.eta:.3f}")
+                failures.append(f"{scheme} exceeds the front by {margin:.2e} at param {param:.3f}")
                 break
-    unit_markup = benchmark_trace(model, cost, "pmp", [1.0])[0]
-    welfare = tradeoff_point(model, cost, 1.0)
-    if abs(unit_markup.cs - welfare.cs) > 1e-10 or abs(unit_markup.rp - welfare.rp) > 1e-10:
+    unit_markup = benchmark_trace(model, cost, "pmp", [1.0])
+    _, welfare_cs, welfare_rp = helpers.front_point(model, cost, 1.0)
+    if abs(unit_markup.cs[0] - welfare_cs) > 1e-10 or abs(unit_markup.rp[0] - welfare_rp) > 1e-10:
         failures.append("unit proportional markup does not reproduce the welfare point")
     _finish(6, "flat/time-of-use/markup tariffs are dominated", failures, started, 5.0)
 

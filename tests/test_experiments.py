@@ -1,4 +1,4 @@
-"""Tests for the experiment pipelines' sweep construction and CSV writer."""
+"""Tests for the experiment pipelines' sweep construction, CSV assembly and CSV writer."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,25 +8,55 @@ import oracles
 from dahp.config import BenchmarkSpec, ExperimentConfig, PopulationSpec
 from dahp.experiments import (
     _CHUNK_CELLS,
+    _PRICE_COLUMNS,
     _build_workspace,
     _csv_body,
     _default_sweeps,
     _percent_body,
     _ticks,
     _write_csv,
+    run_benchmarks,
+    run_pareto,
 )
-from dahp.pricing import benchmark_prices
+from dahp.pricing import benchmark_prices, expected_cs, expected_rp, optimal_price
 
 
 @pytest.mark.parametrize("ratio", [1.2, 2.0])
 def test_tou_sweep_peak_ends_at_zero_demand_price(ratio):
     config = ExperimentConfig(seed=3, consumers=PopulationSpec(count=3), benchmarks=BenchmarkSpec(tou_ratio=ratio))
-    ws = _build_workspace(config)
-    zero_demand_level = float(np.mean(ws.model.solve(ws.model.intercept_mean)))
-    last = _default_sweeps(ws, 5, ratio)["tou"][-1]
-    prices = benchmark_prices("tou", last, ws.cost, ratio, peak_start=9, peak_end=17)
+    model, cost = _build_workspace(config)
+    zero_demand_level = float(np.mean(model.solve(model.intercept_mean)))
+    last = _default_sweeps(model, cost, 5, ratio)["tou"][-1]
+    prices = benchmark_prices("tou", last, cost, ratio, peak_start=9, peak_end=17)
     assert prices[9:17] == pytest.approx(zero_demand_level, rel=1e-14)
     assert prices[:9] == pytest.approx(zero_demand_level / ratio, rel=1e-14)
+
+
+def test_pipeline_csvs_match_rows_built_one_tariff_at_a_time(tmp_path):
+    spec = BenchmarkSpec(points=7, tou_ratio=1.5, peak_start=3, peak_end=20)
+    config = ExperimentConfig(seed=5, consumers=PopulationSpec(count=4), eta_grid=[0.0, 1.0, 11], benchmarks=spec)
+    model, cost = _build_workspace(config)
+
+    def row(param, price):
+        return [float(param), expected_cs(model, price), expected_rp(model, price, cost)]
+
+    assert run_pareto(config, tmp_path) == (["tradeoff.csv"], {})
+    tradeoff = []
+    for eta in np.linspace(0.0, 1.0, 11):
+        price = optimal_price(model, cost, eta)
+        cs, rp = expected_cs(model, price), expected_rp(model, price, cost)
+        tradeoff.append([float(eta), cs, rp, cs + rp, *price.tolist()])
+    header = ["eta", "cs", "rp", "sw", *_PRICE_COLUMNS]
+    assert (tmp_path / "tradeoff.csv").read_text() == oracles.csv_text(header, tradeoff)
+
+    files, _ = run_benchmarks(config, tmp_path)
+    assert files == ["benchmark_dahp.csv", "benchmark_cp.csv", "benchmark_tou.csv", "benchmark_pmp.csv"]
+    expected = {"dahp": [row(eta, optimal_price(model, cost, eta)) for eta in np.linspace(0.0, 1.0, 7)]}
+    for scheme, sweep in _default_sweeps(model, cost, 7, 1.5).items():
+        expected[scheme] = [row(param, benchmark_prices(scheme, param, cost, 1.5, 3, 20)) for param in sweep]
+    for scheme, rows in expected.items():
+        text = (tmp_path / f"benchmark_{scheme}.csv").read_text()
+        assert text == oracles.csv_text(["param", "cs", "rp"], rows), scheme
 
 
 def test_csv_writer_matches_the_cell_by_cell_oracle(tmp_path):

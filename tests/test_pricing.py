@@ -10,7 +10,6 @@ import oracles
 from dahp import (
     InfeasibleConstraintError,
     NumericalError,
-    TradeoffPoint,
     WholesaleCost,
     benchmark_prices,
     benchmark_trace,
@@ -20,7 +19,6 @@ from dahp import (
     optimal_price,
     pareto_front,
     profit_upper_bound,
-    tradeoff_point,
 )
 from dahp import experiments
 from dahp.config import load_config
@@ -36,11 +34,6 @@ def test_wholesale_cost_validation():
         WholesaleCost(mean=np.array([0.1, np.inf]))
     cost = WholesaleCost(mean=np.array([0.1, 0.2]))
     assert cost.horizon == 2
-
-
-def test_tradeoff_point_sw_identity():
-    point = TradeoffPoint(eta=0.5, price=np.zeros(2), cs=-3.25, rp=1.5)
-    assert point.sw == point.cs + point.rp  # exact, set in post-init
 
 
 # ---------------------------------------------------------------------------
@@ -164,27 +157,26 @@ def test_one_hour_front_geometry_frozen_values():
     # gain 100, intercept 50, wholesale 0.1: gap = 0.4, q = 16, k = -12.5
     model = helpers.one_hour_model(gain=100.0, intercept=50.0)
     cost = WholesaleCost(mean=[0.1])
-    p0 = tradeoff_point(model, cost, 0.0)
-    p1 = tradeoff_point(model, cost, 1.0)
-    assert p0.cs == pytest.approx(16.0 / 8.0 - 12.5, abs=1e-12)     # -10.5
-    assert p0.rp == pytest.approx(16.0 / 4.0, abs=1e-12)            # 4
-    assert p1.cs == pytest.approx(16.0 / 2.0 - 12.5, abs=1e-12)     # -4.5
-    assert p1.rp == pytest.approx(0.0, abs=1e-14)
+    _, cs0, rp0 = helpers.front_point(model, cost, 0.0)
+    _, cs1, rp1 = helpers.front_point(model, cost, 1.0)
+    assert cs0 == pytest.approx(16.0 / 8.0 - 12.5, abs=1e-12)     # -10.5
+    assert rp0 == pytest.approx(16.0 / 4.0, abs=1e-12)            # 4
+    assert cs1 == pytest.approx(16.0 / 2.0 - 12.5, abs=1e-12)     # -4.5
+    assert rp1 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_front_shape_and_slopes():
     rng = np.random.default_rng(77)
     model, cost = helpers.random_model(rng)
-    points = pareto_front(model, cost)
-    assert len(points) == 101
-    cs = np.array([p.cs for p in points])
-    rp = np.array([p.rp for p in points])
+    front = pareto_front(model, cost)
+    assert len(front.param) == len(front.price) == 101
+    cs, rp = front.cs, front.rp
     assert np.all(np.diff(cs) > 0)          # cs strictly increasing in eta
     assert np.all(np.diff(rp) <= 1e-12)     # rp non-increasing
     assert abs(rp[-1]) < 1e-10              # welfare endpoint
     assert rp[0] == max(rp)                 # profit-greedy endpoint
     slopes = np.diff(rp) / np.diff(cs)
-    etas = np.array([p.eta for p in points])
+    etas = front.param
     mid_eta = 0.5 * (etas[:-1] + etas[1:])
     assert np.max(np.abs(slopes + mid_eta)) < 0.02
     # discrete concavity of rp as a function of cs
@@ -195,9 +187,9 @@ def test_front_shape_and_slopes():
 def test_front_single_point_grid():
     rng = np.random.default_rng(78)
     model, cost = helpers.random_model(rng)
-    points = pareto_front(model, cost, eta_grid=[1.0])
-    assert len(points) == 1
-    assert abs(points[0].rp) < 1e-10
+    front = pareto_front(model, cost, eta_grid=[1.0])
+    assert len(front.param) == len(front.price) == 1
+    assert abs(front.rp[0]) < 1e-10
 
 
 def test_front_rejects_bad_grid():
@@ -214,7 +206,7 @@ def test_front_rejects_bad_grid():
 def test_random_prices_never_beat_front():
     rng = np.random.default_rng(80)
     model, cost = helpers.random_model(rng)
-    scale = max(1.0, abs(tradeoff_point(model, cost, 0.0).rp))
+    scale = max(1.0, abs(helpers.front_point(model, cost, 0.0)[2]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NegativeDemandWarning)
         for _ in range(10_000):
@@ -232,26 +224,26 @@ def test_constrained_round_trip():
     rng = np.random.default_rng(81)
     model, cost = helpers.random_model(rng)
     for eta in (0.1, 0.3, 0.7, 0.95):
-        reference = tradeoff_point(model, cost, eta)
-        price, cs, rp = constrained_optimal_price(model, cost, reference.cs)
-        assert rp == pytest.approx(reference.rp, abs=1e-8 * max(1.0, abs(reference.rp)))
-        assert np.max(np.abs(price - reference.price)) < 1e-6
+        reference_price, reference_cs, reference_rp = helpers.front_point(model, cost, eta)
+        price, cs, rp = constrained_optimal_price(model, cost, reference_cs)
+        assert rp == pytest.approx(reference_rp, abs=1e-8 * max(1.0, abs(reference_rp)))
+        assert np.max(np.abs(price - reference_price)) < 1e-6
 
 
 def test_constrained_floor_below_greedy_returns_greedy():
     rng = np.random.default_rng(82)
     model, cost = helpers.random_model(rng)
-    greedy = tradeoff_point(model, cost, 0.0)
-    price, cs, rp = constrained_optimal_price(model, cost, greedy.cs - 100.0)
-    assert np.array_equal(price, greedy.price)
-    assert rp == greedy.rp
+    greedy_price, greedy_cs, greedy_rp = helpers.front_point(model, cost, 0.0)
+    price, cs, rp = constrained_optimal_price(model, cost, greedy_cs - 100.0)
+    assert np.array_equal(price, greedy_price)
+    assert rp == greedy_rp
 
 
 def test_constrained_floor_at_welfare_point():
     rng = np.random.default_rng(83)
     model, cost = helpers.random_model(rng)
-    welfare = tradeoff_point(model, cost, 1.0)
-    price, cs, rp = constrained_optimal_price(model, cost, welfare.cs)
+    _, welfare_cs, _ = helpers.front_point(model, cost, 1.0)
+    price, cs, rp = constrained_optimal_price(model, cost, welfare_cs)
     assert np.array_equal(price, cost.mean)
     assert abs(rp) < 1e-10
 
@@ -259,10 +251,10 @@ def test_constrained_floor_at_welfare_point():
 def test_constrained_infeasible_names_max_cs():
     rng = np.random.default_rng(84)
     model, cost = helpers.random_model(rng)
-    welfare = tradeoff_point(model, cost, 1.0)
+    _, welfare_cs, _ = helpers.front_point(model, cost, 1.0)
     with pytest.raises(InfeasibleConstraintError) as info:
-        constrained_optimal_price(model, cost, welfare.cs + 1.0)
-    assert f"{welfare.cs:.6g}" in str(info.value)
+        constrained_optimal_price(model, cost, welfare_cs + 1.0)
+    assert f"{welfare_cs:.6g}" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +276,21 @@ def test_benchmark_prices_shapes():
         benchmark_prices("tou", 0.1, cost, peak_start=20, peak_end=10)
 
 
+def test_benchmark_trace_rejects_a_sweep_that_is_not_a_vector():
+    model, cost = helpers.random_model(np.random.default_rng(90))
+    for sweep in (0.1, [[0.1, 0.2]]):
+        with pytest.raises(ValueError):
+            benchmark_trace(model, cost, "cp", sweep)
+
+
 def test_pmp_gamma_one_is_welfare_point():
     rng = np.random.default_rng(85)
     model, cost = helpers.random_model(rng)
     trace = benchmark_trace(model, cost, "pmp", [0.8, 1.0, 1.2])
-    welfare = tradeoff_point(model, cost, 1.0)
-    gamma_one = trace[1]
-    assert abs(gamma_one.cs - welfare.cs) < 1e-10 * max(1.0, abs(welfare.cs))
-    assert abs(gamma_one.rp - welfare.rp) < 1e-10
+    _, welfare_cs, welfare_rp = helpers.front_point(model, cost, 1.0)
+    gamma_one_cs, gamma_one_rp = trace.cs[1], trace.rp[1]
+    assert abs(gamma_one_cs - welfare_cs) < 1e-10 * max(1.0, abs(welfare_cs))
+    assert abs(gamma_one_rp - welfare_rp) < 1e-10
 
 
 def test_cp_on_flat_wholesale_hits_welfare_point():
@@ -299,16 +298,16 @@ def test_cp_on_flat_wholesale_hits_welfare_point():
     model, _ = helpers.random_model(rng)
     flat_cost = WholesaleCost(mean=np.full(24, 0.11))
     trace = benchmark_trace(model, flat_cost, "cp", [0.11])
-    welfare = tradeoff_point(model, flat_cost, 1.0)
-    assert trace[0].cs == pytest.approx(welfare.cs, abs=1e-12)
-    assert trace[0].rp == pytest.approx(0.0, abs=1e-12)
+    _, welfare_cs, _ = helpers.front_point(model, flat_cost, 1.0)
+    assert trace.cs[0] == pytest.approx(welfare_cs, abs=1e-12)
+    assert trace.rp[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_benchmarks_never_beat_front():
     rng = np.random.default_rng(87)
     model, cost = helpers.random_model(rng)
     zero_price = model.solve(model.intercept_mean)
-    scale = max(1.0, abs(tradeoff_point(model, cost, 0.0).rp))
+    scale = max(1.0, abs(helpers.front_point(model, cost, 0.0)[2]))
     sweeps = {
         "cp": np.linspace(0.5 * cost.mean.min(), float(zero_price.mean()), 50),
         "tou": np.linspace(0.5 * cost.mean.min(), float(zero_price.mean()) / 1.2, 50),
@@ -317,9 +316,10 @@ def test_benchmarks_never_beat_front():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NegativeDemandWarning)
         for scheme, sweep in sweeps.items():
-            for point in benchmark_trace(model, cost, scheme, sweep):
-                bound = profit_upper_bound(model, cost, point.cs)
-                assert point.rp <= bound + 1e-6 * scale, scheme
+            trace = benchmark_trace(model, cost, scheme, sweep)
+            for cs, rp in zip(trace.cs, trace.rp):
+                bound = profit_upper_bound(model, cost, cs)
+                assert rp <= bound + 1e-6 * scale, scheme
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +327,7 @@ def test_benchmarks_never_beat_front():
 # ---------------------------------------------------------------------------
 
 def _demo_market():
-    ws = experiments._build_workspace(load_config(DEMO))
-    return ws.model, ws.cost
+    return experiments._build_workspace(load_config(DEMO))
 
 
 def _toy3_market():
@@ -355,16 +354,17 @@ def test_traces_equal_per_tariff_evaluation(market):
     level = float(model.zero_demand_price.mean())
     sweeps = {"cp": np.linspace(0.01, level, 40), "tou": np.linspace(0.01, level / 1.5, 40),
               "pmp": np.linspace(0.5, 3.0, 40)}
-    for point in pareto_front(model, cost):
-        assert np.array_equal(point.price, optimal_price(model, cost, point.eta))
-        assert point.cs == expected_cs(model, point.price)
-        assert point.rp == expected_rp(model, point.price, cost)
+    for eta, price, cs, rp in zip(*pareto_front(model, cost)):
+        assert np.array_equal(price, optimal_price(model, cost, eta))
+        assert cs == expected_cs(model, price)
+        assert rp == expected_rp(model, price, cost)
     for scheme, sweep in sweeps.items():
-        for point in benchmark_trace(model, cost, scheme, sweep, tou_ratio=1.5, peak_start=1, peak_end=2):
-            price = benchmark_prices(scheme, point.eta, cost, tou_ratio=1.5, peak_start=1, peak_end=2)
-            assert np.array_equal(point.price, price), scheme
-            assert point.cs == expected_cs(model, price), scheme
-            assert point.rp == expected_rp(model, price, cost), scheme
+        trace = benchmark_trace(model, cost, scheme, sweep, tou_ratio=1.5, peak_start=1, peak_end=2)
+        for param, traced, cs, rp in zip(*trace):
+            price = benchmark_prices(scheme, param, cost, tou_ratio=1.5, peak_start=1, peak_end=2)
+            assert np.array_equal(traced, price), scheme
+            assert cs == expected_cs(model, price), scheme
+            assert rp == expected_rp(model, price, cost), scheme
 
 
 def test_stacked_tariffs_validated():
@@ -383,7 +383,7 @@ def test_zero_demand_price_solved_once_per_model():
     model.solve = lambda rhs: calls.append(rhs) or solve(rhs)
     pareto_front(model, cost)
     benchmark_trace(model, cost, "cp", [0.1, 0.2])
-    tradeoff_point(model, cost, 0.3)
+    helpers.front_point(model, cost, 0.3)
     profit_upper_bound(model, cost, 0.0)
     assert len(calls) == 1
     assert np.array_equal(model.zero_demand_price, solve(model.intercept_mean))

@@ -295,8 +295,8 @@ def test_price_search_beats_seed_objective():
     net = population_net_load(result.price, batteries, 24)
     cs = expected_cs(model, result.price) - float(result.price @ net)
     rp = expected_rp(model, result.price, cost) + float((result.price - cost.mean) @ net)
-    assert result.point.cs == pytest.approx(cs, abs=1e-9)
-    assert result.point.rp == pytest.approx(rp, abs=1e-9)
+    assert result.cs == pytest.approx(cs, abs=1e-9)
+    assert result.rp == pytest.approx(rp, abs=1e-9)
 
 
 def test_price_search_two_hour_toy_matches_grid():
@@ -627,8 +627,7 @@ def test_demo_search_endpoint_survives_a_last_bit_change(eta):
     # difference, may move the search's endpoint only that far.  (At some
     # of these weights it does move, by about 1e-4 in price and 0.1 in cs.)
     config = load_config(DEMO)
-    ws = _build_workspace(config)
-    model = ws.model
+    model, cost = _build_workspace(config)
     gain = model.gain.copy()
     diagonal = np.diag_indices_from(gain)
     gain[diagonal] = np.nextafter(gain[diagonal], np.inf)
@@ -636,7 +635,7 @@ def test_demo_search_endpoint_survives_a_last_bit_change(eta):
                                intercept_cov=model.intercept_cov, cs_constant=model.cs_constant)
     assert not np.array_equal(nudged.zero_demand_price, model.zero_demand_price)
     batteries = batteries_from_spec(config.storage)
-    base, moved = (optimize_price_with_storage(m, ws.cost, batteries, eta) for m in (model, nudged))
+    base, moved = (optimize_price_with_storage(m, cost, batteries, eta) for m in (model, nudged))
     assert not (base.truncated or moved.truncated)
     assert abs(moved.objective - base.objective) <= 2e-4
     assert np.abs(moved.price - base.price).max() <= 1e-3
