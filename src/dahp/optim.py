@@ -1,5 +1,5 @@
 """Numerical kernels: a positive-definiteness check, a dense simplex LP
-solver that can re-optimize a new objective from an earlier optimal basis,
+solver whose phase-1 start serves every objective over its constraints,
 and coordinate pattern search.
 
 Everything here is deterministic and dense; problem sizes in this package
@@ -66,25 +66,23 @@ def check_spd(matrix: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class LpProblem:
-    """Linear program ``maximize objective @ x`` subject to
-    ``eq_matrix @ x = eq_rhs`` and ``lower <= x <= upper``.
+    """Constraints ``eq_matrix @ x = eq_rhs`` and ``lower <= x <= upper`` of
+    linear programs that ``simplex_solve`` maximizes objectives over.
 
     Upper bounds may be ``np.inf``.  To minimize, negate the objective.
     """
 
-    objective: np.ndarray
     eq_matrix: np.ndarray
     eq_rhs: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
         self.eq_matrix = np.atleast_2d(np.asarray(self.eq_matrix, dtype=float))
         self.eq_rhs = np.atleast_1d(np.asarray(self.eq_rhs, dtype=float))
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
-        n = self.objective.size
+        n = self.lower.size
         if self.eq_matrix.size == 0:
             self.eq_matrix = self.eq_matrix.reshape(0, n)
         m = self.eq_matrix.shape[0]
@@ -102,14 +100,14 @@ class LpProblem:
 class LpResult:
     x: np.ndarray | None
     objective: float
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    # Optimal solves only: the final basis (standard-form column per
-    # tableau row) and the phase-2 tableau, whose rows are B^-1 A | B^-1 b
-    # over the shifted variables followed by one slack per finite upper
-    # bound, and whose last row holds the reduced costs.
+    status: str  # "feasible" (a start) | "optimal" | "infeasible" | "unbounded"
+    # Starts and optimal solves only: the basis (standard-form column per
+    # tableau row) and the tableau, whose rows are B^-1 A | B^-1 b over the
+    # shifted variables followed by one slack per finite upper bound, and
+    # whose last row holds an optimal solve's reduced costs.
     basis: list[int] | None = None
     tableau: np.ndarray | None = None
-    pivots: int = 0  # simplex pivots this solve made, both phases
+    pivots: int = 0  # simplex pivots this phase made
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int, work: np.ndarray | None = None) -> None:
@@ -155,46 +153,18 @@ def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> tup
         basis[:] = basis_arr.tolist()
 
 
-def _phase2(problem: LpProblem, tableau: np.ndarray, basis: list[int], pivots: int) -> LpResult:
-    """Phase 2 from a feasible basis: write the reduced costs c - c_B B^-1 A
-    of ``problem.objective`` into the last row, pivot, and read x off."""
-    n = problem.objective.size
-    c = np.zeros(tableau.shape[1])  # the costs, and 0 above the rhs
-    c[:n] = problem.objective
-    tableau[-1] = c
-    for i, j in enumerate(basis):
-        if c[j] != 0.0:
-            tableau[-1] -= c[j] * tableau[i]
-    # row now holds c_j - z_j: positive entries are improving directions
-    status, more = _bland_pivot_loop(tableau, basis, c.size - 1)
-    pivots += more
-    if status == "unbounded":
-        return LpResult(x=None, objective=np.inf, status="unbounded", pivots=pivots)
-    y = np.zeros(c.size - 1)
-    y[basis] = tableau[:-1, -1]
-    x = problem.lower + y[:n]
-    return LpResult(x=x, objective=float(problem.objective @ x), status="optimal", basis=basis,
-                    tableau=tableau, pivots=pivots)
-
-
-def simplex_solve(problem: LpProblem, start: LpResult | None = None) -> LpResult:
-    """Two-phase dense simplex. Deterministic; Bland's rule prevents cycling.
-
-    Given ``start``, an optimal result for the same constraints, phase 2 alone
-    re-optimizes from a copy of its tableau; another width raises ValueError.
-    """
+def feasible_start(problem: LpProblem) -> LpResult:
+    """Phase 1 of the dense simplex: a feasible basis of the constraints and
+    its tableau (status "feasible"), from which ``simplex_solve`` maximizes
+    any objective, since phase 1 reads none; or status "infeasible" with neither."""
     tol = TOLERANCES["simplex_pivot"]
-    n = problem.objective.size
+    n = problem.lower.size
 
     # Shift lower bounds to zero and fold finite upper bounds in as rows
     # y_i + s_i = u_i - l_i, so the standard form is A y = b, y >= 0.
     span = problem.upper - problem.lower
     bounded = [int(j) for j in np.flatnonzero(np.isfinite(span))]
     k = len(bounded)
-    if start is not None:
-        if start.tableau is None or start.tableau.shape[1] != n + k + 1:
-            raise ValueError("warm start does not match the problem's standard form")
-        return _phase2(problem, start.tableau.copy(), list(start.basis), 0)
     m0 = problem.eq_matrix.shape[0]
     a_std = np.zeros((m0 + k, n + k))
     a_std[:m0, :n] = problem.eq_matrix
@@ -209,8 +179,8 @@ def simplex_solve(problem: LpProblem, start: LpResult | None = None) -> LpResult
 
     m, n_std = a_std.shape
 
-    # Phase 1: the bound rows start feasible on their own slacks (their rhs
-    # is a nonnegative span), so only the equality rows need artificial
+    # The bound rows start feasible on their own slacks (their rhs is a
+    # nonnegative span), so only the equality rows need artificial
     # variables; maximize minus their sum.
     tableau = np.zeros((m + 1, n_std + m0 + 1))
     tableau[:m, :n_std] = a_std
@@ -238,9 +208,39 @@ def simplex_solve(problem: LpProblem, start: LpResult | None = None) -> LpResult
             pivots += 1
         keep_rows.append(i)
 
-    # Phase 2 tableau: original columns + rhs; _phase2 rewrites the last row.
-    tab2 = tableau[np.ix_(keep_rows + [m], list(range(n_std)) + [n_std + m0])]
-    return _phase2(problem, tab2, [basis[i] for i in keep_rows], pivots)
+    # Original columns + rhs; simplex_solve rewrites the last row.
+    start = tableau[np.ix_(keep_rows + [m], list(range(n_std)) + [n_std + m0])]
+    return LpResult(x=None, objective=np.nan, status="feasible", basis=[basis[i] for i in keep_rows],
+                    tableau=start, pivots=pivots)
+
+
+def simplex_solve(problem: LpProblem, objective: np.ndarray, start: LpResult) -> LpResult:
+    """Phase 2 of the dense simplex, deterministic by Bland's rule: maximize
+    ``objective @ x`` from a copy of ``start``, which is ``feasible_start(problem)``
+    or any optimal result for the same constraints.  An infeasible start
+    gives an infeasible result; one of another width raises ValueError."""
+    n = problem.lower.size
+    if start.status == "infeasible":
+        return LpResult(x=None, objective=np.nan, status="infeasible")
+    width = n + np.count_nonzero(np.isfinite(problem.upper - problem.lower)) + 1
+    if start.tableau is None or start.tableau.shape[1] != width:
+        raise ValueError("the start does not match the problem's standard form")
+    tableau, basis = start.tableau.copy(), list(start.basis)
+    c = np.zeros(width)  # the costs, and 0 above the rhs
+    c[:n] = objective
+    tableau[-1] = c
+    for i, j in enumerate(basis):
+        if c[j] != 0.0:
+            tableau[-1] -= c[j] * tableau[i]
+    # row now holds c_j - z_j: positive entries are improving directions
+    status, pivots = _bland_pivot_loop(tableau, basis, width - 1)
+    if status == "unbounded":
+        return LpResult(x=None, objective=np.inf, status="unbounded", pivots=pivots)
+    y = np.zeros(width - 1)
+    y[basis] = tableau[:-1, -1]
+    x = problem.lower + y[:n]
+    return LpResult(x=x, objective=float(c[:n] @ x), status="optimal", basis=basis,
+                    tableau=tableau, pivots=pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ vertex unique, so the cold simplex would return the same plan, up to
 rounding in the last bits.  Any other tariff is re-optimized by phase 2
 from the last kept basis, feasible at every tariff, and the basis found is
 kept if it passes the test; a tie may stop that warm start at another
-optimal vertex than a cold solve's, so the cold solve answers then.  A
+optimal vertex than a cold solve's, so the cold solve answers then: phase 2
+from the spec's phase-1 start, run once as it never reads the tariff.  A
 poll's rows resolve in this order one after another, as single tariffs
 would, but a stored basis is tested once per poll, on the whole stack, by
 one matmul when a row first reaches it.  The idle tie-break runs on every
@@ -54,8 +55,8 @@ from typing import Sequence
 import numpy as np
 
 from .demand import AffineDemandModel, as_prices
-from .errors import InfeasibleConstraintError
-from .optim import TOLERANCES, LpProblem, LpResult, pattern_search, simplex_solve
+from .errors import InfeasibleConstraintError, NumericalError
+from .optim import TOLERANCES, LpProblem, LpResult, feasible_start, pattern_search, simplex_solve
 from .pricing import WholesaleCost, _cs, _rp, optimal_price
 
 
@@ -107,14 +108,13 @@ def _idle_plan_feasible(battery: BatteryParams, horizon: int) -> bool:
     return drift <= TOLERANCES["plan_feasibility"]
 
 
-def _reduced_cost_map(result: LpResult, horizon: int) -> np.ndarray:
+def _reduced_cost_map(result: LpResult, price_map: np.ndarray) -> np.ndarray:
     """Dense (nonbasic x N) matrix G with ``G @ prices`` = the nonbasic
     reduced costs d_N = c_N - (B^-1 A_N)^T c_B of the result's optimal basis,
-    at any tariff.  With P the map from a tariff to the costs of the
-    standard-form columns (-price on charge, +price on discharge, zero
+    at any tariff.  With P = ``price_map`` the map from a tariff to the costs
+    of the standard-form columns (-price on charge, +price on discharge, zero
     elsewhere), G = P_N - (B^-1 A_N)^T P_B is read off the optimal tableau."""
-    n, inverse_a = horizon, result.tableau[:-1, :-1]
-    price_map = np.vstack([-np.eye(n), np.eye(n), np.zeros((inverse_a.shape[1] - 2 * n, n))])
+    inverse_a = result.tableau[:-1, :-1]
     free = np.delete(np.arange(inverse_a.shape[1]), result.basis)
     return price_map[free] - inverse_a[:, free].T @ price_map[result.basis]
 
@@ -144,8 +144,8 @@ class _BatteryLp:
     rounding.  Otherwise the simplex runs from the last kept basis, and a
     basis passing the same test joins the front of the list and becomes
     the next warm start; a reused basis moves to the front.  A kept basis
-    is stored as its reduced-cost map G and its point x.
-    """
+    is stored as its reduced-cost map G and its point x.  The LP, its phase-1
+    start and the map P of ``_reduced_cost_map`` are built once, here."""
 
     def __init__(self, battery: BatteryParams, horizon: int):
         n = horizon
@@ -162,22 +162,22 @@ class _BatteryLp:
         rhs = np.zeros(n + 1)
         rhs[0] = kappa * battery.initial_soc
         rhs[n] = battery.initial_soc
-        self.battery = battery
-        self.horizon = n
-        self.eq_matrix = rows
-        self.eq_rhs = rhs
-        self.lower = np.zeros(3 * n)
-        self.upper = np.concatenate([
+        upper = np.concatenate([
             np.full(n, battery.charge_limit),
             np.full(n, battery.discharge_limit),
             np.full(n, battery.capacity),
         ])
+        self.battery = battery
+        self.horizon = n
+        self.problem = LpProblem(rows, rhs, np.zeros(3 * n), upper)
+        self.feasible = feasible_start(self.problem)
+        self.price_map = np.vstack([-np.eye(n), np.eye(n), np.zeros((n + np.isfinite(upper).sum(), n))])
         self.idle_feasible = _idle_plan_feasible(battery, n)
         self.idle_point = np.concatenate([np.zeros(2 * n), battery.initial_soc * battery.storage_eff ** (hours + 1)])
         self.entries: list[tuple] = []  # (G, x)
         self.warm: LpResult | None = None  # the latest kept basis's solve
         self.lp_solves = 0
-        self.lp_pivots = 0
+        self.lp_pivots = self.feasible.pivots
         self.basis_reuses = 0
 
     def plans(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -208,23 +208,23 @@ class _BatteryLp:
 
     def _solve(self, pi: np.ndarray) -> np.ndarray:
         objective = np.concatenate([-pi, pi, np.zeros(self.horizon)])
-        problem = LpProblem(objective, self.eq_matrix, self.eq_rhs, self.lower, self.upper)
         self.lp_solves += 1
         # The last kept basis first, then a cold solve.  A basis tied at this
         # tariff is not kept: a tied warm start may sit at another optimal
         # vertex than the cold solve's, and a lossless battery never breaks
         # its ties, so it keeps no basis for later tariffs to scan.  Nor is a
         # basis kept twice: a stored one that passed this would be reused.
-        for start in [self.warm, None] if self.warm else [None]:
-            result = simplex_solve(problem, start)
+        for start in [self.warm, self.feasible] if self.warm else [self.feasible]:
+            result = simplex_solve(self.problem, objective, start)
             self.lp_pivots += result.pivots
-            if result.status != "optimal":
-                raise InfeasibleConstraintError(
-                    f"battery arbitrage LP is {result.status}: the terminal state of "
-                    "charge cannot be met with these losses and rate limits"
-                )
+            if result.status == "infeasible":
+                raise InfeasibleConstraintError("battery arbitrage LP is infeasible: the terminal state of "
+                                                "charge cannot be met with these losses and rate limits")
+            if result.status == "unbounded":
+                raise NumericalError("battery arbitrage LP is unbounded: charging and discharging "
+                                     "in one hour earns without limit at this tariff")
             _validate_point(result.x, self.battery)
-            g = _reduced_cost_map(result, self.horizon)
+            g = _reduced_cost_map(result, self.price_map)
             if _strictly_optimal(g, pi[np.newaxis])[0]:
                 self.entries.insert(0, (g, result.x))
                 self.warm = result
@@ -241,8 +241,8 @@ def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | No
     """Solve the battery's price-arbitrage LP for one day.
 
     Raises ``InfeasibleConstraintError`` when the terminal state of charge
-    is unreachable (possible for a leaky battery starting charged, since
-    idling then decays below the required terminal level).  Ties at zero
+    is unreachable (a leaky battery starting charged may decay below it),
+    and ``NumericalError`` when the profit is unbounded.  Ties at zero
     profit resolve to the idle plan whenever idling is feasible.
     """
     n = len(prices) if horizon is None else horizon

@@ -412,6 +412,17 @@ def test_overflowing_population_model_exit_4(tmp_path, capsys, command, key, val
     _assert_failed(*result, 4, "numerical")
 
 
+def test_unbounded_battery_lp_exit_4(tmp_path, capsys):
+    # Warm set points drive the eta = 0 seed tariff below zero in one hour;
+    # with losses and no rate limits the battery LP is then unbounded, which
+    # is not an unreachable terminal state of charge.
+    config = _demo_config(tmp_path, [("consumers.desired_temp", 40.0), ("storage.charge_limit", math.inf),
+                                     ("storage.discharge_limit", math.inf)])
+    result = _run(["storage", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(*result, 4, "numerical", "unbounded")
+    assert "terminal state" not in json.loads(result[2])["message"]
+
+
 @pytest.mark.parametrize("ratio", [1e308, 1e-300])
 def test_overflowing_benchmark_tariffs_exit_4(tmp_path, capsys, ratio):
     config = _demo_config(tmp_path, [("benchmarks.tou_ratio", ratio)])

@@ -10,6 +10,7 @@ from dahp.optim import (
     TOLERANCES,
     LpProblem,
     check_spd,
+    feasible_start,
     pattern_search,
     simplex_solve,
 )
@@ -75,18 +76,24 @@ def test_spd_factor_rejects_non_finite(entry):
 # simplex
 # ---------------------------------------------------------------------------
 
+def _cold(objective, *constraints):
+    """A cold solve: phase 2 from the constraints' phase-1 start."""
+    problem = LpProblem(*constraints)
+    return simplex_solve(problem, objective, feasible_start(problem))
+
+
 def test_simplex_box_only():
     # max x s.t. 0 <= x <= 1
-    res = simplex_solve(LpProblem(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                                  np.zeros(1), np.ones(1)))
+    res = _cold(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
+                np.zeros(1), np.ones(1))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simplex_minimizes_the_negated_objective():
     # min x s.t. -2 <= x <= 5 is max -x
-    res = simplex_solve(LpProblem(-np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                                  np.array([-2.0]), np.array([5.0])))
+    res = _cold(-np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
+                np.array([-2.0]), np.array([5.0]))
     assert res.status == "optimal"
     assert -res.objective == pytest.approx(-2.0, abs=1e-12)
 
@@ -101,37 +108,37 @@ def test_simplex_beale_cycling_instance():
         [0.50, -90.0, -0.02, 3.0, 0.0, 1.0],
     ])
     upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
-    res = simplex_solve(LpProblem(-obj, rows, np.zeros(2), np.zeros(6), upper))
+    res = _cold(-obj, rows, np.zeros(2), np.zeros(6), upper)
     assert res.status == "optimal"
     assert -res.objective == pytest.approx(-0.05, abs=1e-9)
     assert np.allclose(res.x[:4], [0.04, 0.0, 1.0, 0.0], atol=1e-9)
 
 
 def test_simplex_infeasible_detected():
-    res = simplex_solve(LpProblem(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
-                                  np.array([3.0]), np.zeros(2), np.ones(2)))
+    res = _cold(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
+                np.array([3.0]), np.zeros(2), np.ones(2))
     assert res.status == "infeasible"
     assert res.x is None
 
 
 def test_simplex_unbounded_detected():
-    res = simplex_solve(LpProblem(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]),
-                                  np.array([0.0]), np.zeros(2), np.full(2, np.inf)))
+    res = _cold(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]),
+                np.array([0.0]), np.zeros(2), np.full(2, np.inf))
     assert res.status == "unbounded"
 
 
 def test_simplex_redundant_row_terminates():
     rows = np.array([[1.0, 1.0], [2.0, 2.0]])  # second row redundant
-    res = simplex_solve(LpProblem(np.array([3.0, 1.0]), rows, np.array([1.0, 2.0]),
-                                  np.zeros(2), np.full(2, np.inf)))
+    res = _cold(np.array([3.0, 1.0]), rows, np.array([1.0, 2.0]),
+                np.zeros(2), np.full(2, np.inf))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0, abs=1e-10)
 
 
 def test_simplex_shifted_lower_bounds():
     # max x1 + x2 s.t. x1 + x2 = 3 with 1 <= x <= 2 each
-    res = simplex_solve(LpProblem(np.ones(2), np.ones((1, 2)), np.array([3.0]),
-                                  np.ones(2), np.full(2, 2.0)))
+    res = _cold(np.ones(2), np.ones((1, 2)), np.array([3.0]),
+                np.ones(2), np.full(2, 2.0))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0, abs=1e-12)
     assert np.all(res.x >= 1.0 - 1e-12) and np.all(res.x <= 2.0 + 1e-12)
@@ -146,7 +153,7 @@ def test_simplex_returns_its_optimal_basis_and_tableau():
         [0.50, -90.0, -0.02, 3.0, 0.0, 1.0],
     ])
     upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
-    res = simplex_solve(LpProblem(-obj, rows, np.zeros(2), np.zeros(6), upper))
+    res = _cold(-obj, rows, np.zeros(2), np.zeros(6), upper)
     # one slack column and one row per finite upper bound
     assert res.tableau.shape == (3 + 1, 6 + 1 + 1)
     assert len(res.basis) == 3 and len(set(res.basis)) == 3
@@ -156,8 +163,8 @@ def test_simplex_returns_its_optimal_basis_and_tableau():
     y[res.basis] = res.tableau[:-1, -1]
     assert np.array_equal(y[:6], res.x)
     assert np.all(res.tableau[-1, :-1] <= TOLERANCES["simplex_pivot"])
-    infeasible = simplex_solve(LpProblem(np.ones(2), np.ones((1, 2)), np.array([3.0]),
-                                         np.zeros(2), np.ones(2)))
+    infeasible = _cold(np.ones(2), np.ones((1, 2)), np.array([3.0]),
+                       np.zeros(2), np.ones(2))
     assert infeasible.basis is None and infeasible.tableau is None
 
 
@@ -173,7 +180,7 @@ def test_simplex_random_instances_against_interior_oracle():
         b = a @ interior
         upper = rng.uniform(1.0, 3.0, size=n)
         c = rng.normal(size=n)
-        res = simplex_solve(LpProblem(c, a, b, np.zeros(n), upper))
+        res = _cold(c, a, b, np.zeros(n), upper)
         assert res.status == "optimal"
         assert np.max(np.abs(a @ res.x - b)) < 1e-8
         assert np.all(res.x > -1e-9) and np.all(res.x < upper + 1e-9)
@@ -189,17 +196,15 @@ def test_simplex_random_instances_against_interior_oracle():
 
 def test_lp_problem_validates_shapes():
     with pytest.raises(ValueError):
-        LpProblem(np.ones(2), np.ones((1, 3)), np.ones(1), np.zeros(2), np.ones(2))
+        LpProblem(np.ones((1, 3)), np.ones(1), np.zeros(2), np.ones(2))
     with pytest.raises(ValueError):
-        LpProblem(np.ones(2), np.ones((1, 2)), np.ones(1), np.ones(2), np.zeros(2))
+        LpProblem(np.ones((1, 2)), np.ones(1), np.ones(2), np.zeros(2))
 
 
-def _battery_problem(battery, pi):
-    """The arbitrage LP of ``battery`` at tariff ``pi``: the constraints do
+def _objective(pi):
+    """The arbitrage LP's objective at tariff ``pi``: its constraints do
     not depend on the tariff, only the objective does."""
-    lp = _BatteryLp(battery, pi.size)
-    return LpProblem(np.concatenate([-pi, pi, np.zeros(pi.size)]), lp.eq_matrix, lp.eq_rhs,
-                     lp.lower, lp.upper)
+    return np.concatenate([-pi, pi, np.zeros(pi.size)])
 
 
 def _strictly_optimal(result):
@@ -211,16 +216,18 @@ def _strictly_optimal(result):
 @pytest.mark.parametrize("name", sorted(helpers.REUSE_BATTERIES))
 def test_warm_start_matches_cold_solve_and_linprog(name):
     battery = helpers.REUSE_BATTERIES[name]
+    problem = _BatteryLp(battery, 24).problem
+    feasible = feasible_start(problem)
     rng = np.random.default_rng(24)
     atol = 64 * np.finfo(float).eps * battery.capacity
     strict = warm_pivots = cold_pivots = 0
     for _ in range(20):
-        start = simplex_solve(_battery_problem(battery, rng.uniform(0.05, 0.3, size=24)))
-        problem = _battery_problem(battery, rng.uniform(0.05, 0.3, size=24))
-        warm = simplex_solve(problem, start)
-        cold = simplex_solve(problem)
+        start = simplex_solve(problem, _objective(rng.uniform(0.05, 0.3, size=24)), feasible)
+        objective = _objective(rng.uniform(0.05, 0.3, size=24))
+        warm = simplex_solve(problem, objective, start)
+        cold = simplex_solve(problem, objective, feasible)
         assert warm.status == cold.status == "optimal"
-        reference = linprog(-problem.objective, A_eq=problem.eq_matrix, b_eq=problem.eq_rhs,
+        reference = linprog(-objective, A_eq=problem.eq_matrix, b_eq=problem.eq_rhs,
                             bounds=list(zip(problem.lower, problem.upper)), method="highs")
         assert reference.status == 0
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
@@ -230,7 +237,7 @@ def test_warm_start_matches_cold_solve_and_linprog(name):
             assert np.allclose(warm.x, cold.x, rtol=0.0, atol=atol)
             strict += 1
         warm_pivots += warm.pivots
-        cold_pivots += cold.pivots
+        cold_pivots += feasible.pivots + cold.pivots  # a cold two-phase solve
     lossless = battery.charge_eff * battery.discharge_eff == 1.0
     assert strict == 0 if lossless else strict > 0
     assert warm_pivots < cold_pivots
@@ -238,9 +245,10 @@ def test_warm_start_matches_cold_solve_and_linprog(name):
 
 @pytest.mark.parametrize("name", sorted(helpers.REUSE_BATTERIES))
 def test_warm_start_at_its_own_objective_makes_no_pivots(name):
-    problem = _battery_problem(helpers.REUSE_BATTERIES[name], helpers.DEFAULT_WHOLESALE * 1.3)
-    start = simplex_solve(problem)
-    again = simplex_solve(problem, start)
+    problem = _BatteryLp(helpers.REUSE_BATTERIES[name], 24).problem
+    objective = _objective(helpers.DEFAULT_WHOLESALE * 1.3)
+    start = simplex_solve(problem, objective, feasible_start(problem))
+    again = simplex_solve(problem, objective, start)
     assert start.pivots > 0 and again.pivots == 0
     assert again.x.tobytes() == start.x.tobytes()
     assert again.basis == start.basis and again.basis is not start.basis
@@ -248,24 +256,30 @@ def test_warm_start_at_its_own_objective_makes_no_pivots(name):
 
 
 def test_warm_start_of_another_shape_is_rejected():
-    battery = helpers.REUSE_BATTERIES["lossy"]
-    start = simplex_solve(_battery_problem(battery, np.full(24, 0.1)))
-    with pytest.raises(ValueError):
-        simplex_solve(_battery_problem(battery, np.full(12, 0.1)), start)
-    infeasible = simplex_solve(LpProblem(np.ones(2), np.ones((1, 2)), np.array([3.0]),
-                                         np.zeros(2), np.ones(2)))
-    with pytest.raises(ValueError):
-        simplex_solve(LpProblem(np.ones(2), np.ones((1, 2)), np.array([1.0]),
-                                np.zeros(2), np.ones(2)), infeasible)
+    lp = _BatteryLp(helpers.REUSE_BATTERIES["lossy"], 24)
+    start = simplex_solve(lp.problem, _objective(np.full(24, 0.1)), lp.feasible)
+    short = _BatteryLp(helpers.REUSE_BATTERIES["lossy"], 12).problem
+    for other in (start, lp.feasible):
+        with pytest.raises(ValueError):
+            simplex_solve(short, _objective(np.full(12, 0.1)), other)
+    # an infeasible start answers every objective with "infeasible"
+    infeasible = feasible_start(LpProblem(np.ones((1, 2)), np.array([3.0]), np.zeros(2), np.ones(2)))
+    assert infeasible.status == "infeasible" and infeasible.tableau is None
+    res = simplex_solve(LpProblem(np.ones((1, 2)), np.array([1.0]), np.zeros(2), np.ones(2)),
+                        np.ones(2), infeasible)
+    assert res.status == "infeasible" and res.x is None
 
 
 def test_simplex_pivots_a_zero_artificial_out_of_the_basis():
     # x1 + x2 = 0 and x1 - x2 = 0: phase 1 ends after one pivot with the
     # second row's artificial basic at level zero, and the drive-out pivots
-    # x2 in for it; both pivots are counted.
-    rows = np.array([[1.0, 1.0], [1.0, -1.0]])
-    res = simplex_solve(LpProblem(np.ones(2), rows, np.zeros(2), np.zeros(2), np.full(2, np.inf)))
-    assert res.status == "optimal" and res.pivots == 2
+    # x2 in for it; the start counts both pivots.
+    problem = LpProblem(np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2), np.zeros(2),
+                        np.full(2, np.inf))
+    start = feasible_start(problem)
+    assert start.status == "feasible" and start.pivots == 2
+    res = simplex_solve(problem, np.ones(2), start)
+    assert res.status == "optimal" and res.pivots == 0
     assert res.basis == [0, 1]
     assert np.array_equal(res.tableau[:-1, :-1], np.eye(2))
     assert np.array_equal(res.x, np.zeros(2))

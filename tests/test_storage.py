@@ -11,6 +11,7 @@ from dahp import (
     ArbitragePlan,
     BatteryParams,
     InfeasibleConstraintError,
+    NumericalError,
     WholesaleCost,
     arbitrage,
     build_consumer_model,
@@ -22,7 +23,7 @@ from dahp import (
 from dahp.config import batteries_from_spec, load_config
 from dahp.demand import AffineDemandModel, aggregate
 from dahp.experiments import _build_workspace, run_storage
-from dahp.optim import LpProblem, simplex_solve
+from dahp.optim import feasible_start, simplex_solve
 from dahp.storage import _BatteryLp, _reduced_cost_map
 from oracles import consumer_surplus_with_storage, population_net_load, retailer_objective_with_storage
 
@@ -148,6 +149,18 @@ def test_leaky_charged_battery_can_be_infeasible():
                             charge_limit=0.0, discharge_limit=0.0)
     with pytest.raises(InfeasibleConstraintError):
         arbitrage(np.full(3, 0.1), battery, horizon=3)
+
+
+def test_unbounded_arbitrage_is_not_reported_as_infeasible():
+    # with losses and no rate limits, charging and discharging in one hour
+    # at a negative price earns without bound, though every terminal state
+    # of charge is reachable
+    prices = np.full(24, 0.1)
+    prices[5] = -0.05
+    with pytest.raises(NumericalError, match="unbounded") as raised:
+        arbitrage(prices, helpers.REUSE_BATTERIES["unlimited"])
+    assert not isinstance(raised.value, InfeasibleConstraintError)
+    assert "terminal state" not in str(raised.value)
 
 
 def test_plan_beats_random_feasible_plans():
@@ -456,9 +469,8 @@ def test_reduced_cost_map_matches_the_tableau():
         lp = _BatteryLp(battery, 24)
         for _ in range(5):
             pi, pi2 = rng.uniform(0.05, 0.3, size=(2, 24))
-            result = simplex_solve(LpProblem(np.concatenate([-pi, pi, np.zeros(24)]),
-                                             lp.eq_matrix, lp.eq_rhs, lp.lower, lp.upper))
-            g = _reduced_cost_map(result, 24)
+            result = simplex_solve(lp.problem, np.concatenate([-pi, pi, np.zeros(24)]), lp.feasible)
+            g = _reduced_cost_map(result, lp.price_map)
             inverse_a = result.tableau[:-1, :-1]
             nonbasic = np.ones(inverse_a.shape[1], dtype=bool)
             nonbasic[result.basis] = False
@@ -497,9 +509,9 @@ def test_tied_prices_fall_back_to_the_cold_solve(monkeypatch):
     # for bit.
     starts = []
 
-    def recording(problem, start=None):
-        starts.append(start is not None)
-        return simplex_solve(problem, start)
+    def recording(problem, objective, start):
+        starts.append(start is lp.feasible)
+        return simplex_solve(problem, objective, start)
 
     monkeypatch.setattr(storage, "simplex_solve", recording)
     battery = REUSE_BATTERIES["unlimited"]
@@ -507,16 +519,42 @@ def test_tied_prices_fall_back_to_the_cold_solve(monkeypatch):
     spread = helpers.DEFAULT_WHOLESALE * 1.3
     _plan_at(lp, spread)
     kept = lp.warm
-    assert kept is not None and starts == [False]
+    assert kept is not None and starts == [True]
     for pi in (np.full(24, 0.2), np.round(spread, 2)):
         starts.clear()
         got = _plan_at(lp, pi)
-        assert starts == [True, False]
+        assert starts == [False, True]
         cold = arbitrage(pi, battery)
         for name in ("charge", "discharge", "soc"):
             assert getattr(got, name).tobytes() == getattr(cold, name).tobytes(), name
         assert got.profit == cold.profit
     assert lp.warm is kept and lp.lp_solves == 3
+
+
+def test_phase_one_runs_once_per_spec_and_its_start_is_never_mutated(monkeypatch):
+    # A lossless battery keeps no basis, so every plan along the walk is a
+    # cold solve: phase 2 from the spec's one phase-1 start, on a copy of it.
+    problems = []
+
+    def counting(problem):
+        problems.append(problem)
+        return feasible_start(problem)
+
+    monkeypatch.setattr(storage, "feasible_start", counting)
+    lp = _BatteryLp(REUSE_BATTERIES["lossless"], 24)
+    for pi in _compass_walk(np.random.default_rng(136), helpers.DEFAULT_WHOLESALE * 1.3, 0.01, 120):
+        _plan_at(lp, pi)
+    assert (lp.lp_solves, lp.basis_reuses) == (121, 0)
+    assert problems == [lp.problem]
+    fresh = feasible_start(lp.problem)
+    assert lp.feasible.tableau.tobytes() == fresh.tableau.tobytes()
+    assert lp.feasible.basis == fresh.basis
+    # a search plans each distinct spec through one _BatteryLp
+    problems.clear()
+    model, cost = helpers.random_model(np.random.default_rng(137))
+    batteries = [REUSE_BATTERIES["lossless"]] * 2 + [REUSE_BATTERIES["lossy"]]
+    optimize_price_with_storage(model, cost, batteries, eta=0.5, max_evals=100)
+    assert len(problems) == 2
 
 
 def test_warm_start_keeps_the_latest_strict_basis():
@@ -611,8 +649,9 @@ def test_demo_searches_plan_each_evaluation_once(tmp_path):
 
 
 def test_demo_search_pivots_stay_within_budget(tmp_path):
-    # Warm starts re-optimize in about 5 pivots where a cold two-phase
-    # solve takes about 69; 15 per solve leaves room for the cold fallbacks.
+    # Warm starts re-optimize in about 5 pivots where a cold solve, phase 2
+    # from the spec's feasible start, takes about 41 (phase 1, 26 pivots,
+    # runs once per spec); 15 per solve leaves room for the cold fallbacks.
     config = load_config(DEMO)
     config.storage.eta_grid = [0.5]
     _, counters = run_storage(config, tmp_path)
