@@ -2,13 +2,14 @@
 solver whose phase-1 start serves every objective over its constraints,
 and coordinate pattern search.
 
-Everything here is deterministic and dense; problem sizes in this package
-are tiny (24-hour horizons), so clarity wins over sparsity tricks.  All
+Everything here is deterministic and dense (24-hour horizons are tiny), but
+the simplex skips tableau rows whose update would change no bit.  All
 tolerances live in ``TOLERANCES`` so library code and tests agree on them.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -110,12 +111,14 @@ class LpResult:
     pivots: int = 0  # simplex pivots this phase made
 
 
-def _pivot(tableau: np.ndarray, row: int, col: int, work: np.ndarray | None = None) -> None:
-    """Pivot on ``tableau[row, col]`` by one rank-1 update of the other rows."""
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Pivot on ``tableau[row, col]`` by a rank-1 update of the other rows with a nonzero
+    in the column; updating the rest would at most turn a -0.0 into 0.0, which nothing reads."""
     tableau[row] /= tableau[row, col]
     eliminate = tableau[:, col].copy()
     eliminate[row] = 0.0
-    tableau -= np.multiply(eliminate[:, np.newaxis], tableau[row], out=work)
+    rows = eliminate.nonzero()[0]
+    tableau[rows] -= eliminate[rows, np.newaxis] * tableau[row]
 
 
 def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
@@ -128,12 +131,11 @@ def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> tup
     tol = TOLERANCES["simplex_pivot"]
     m = tableau.shape[0] - 1
     basis_arr = np.asarray(basis, dtype=int)
-    work = np.empty_like(tableau)
     ratios = np.empty(m)
     try:
         for pivots in itertools.count():
             reduced = tableau[m, :n_cols]
-            entering = int(np.argmax(reduced > tol))
+            entering = int((reduced > tol).argmax())
             if reduced[entering] <= tol:
                 return "optimal", pivots
             if m == 0:
@@ -143,11 +145,11 @@ def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> tup
             ratios.fill(np.inf)
             np.divide(tableau[:m, -1], column, out=ratios, where=positive)
             best = ratios.min()
-            if not np.isfinite(best):
+            if not math.isfinite(best):
                 return "unbounded", pivots
-            tied = np.flatnonzero(ratios <= best + tol)
-            leave = int(tied[np.argmin(basis_arr[tied])])
-            _pivot(tableau, leave, entering, work)
+            tied = (ratios <= best + tol).nonzero()[0]
+            leave = int(tied[basis_arr[tied].argmin()])
+            _pivot(tableau, leave, entering)
             basis_arr[leave] = entering
     finally:
         basis[:] = basis_arr.tolist()
@@ -228,11 +230,11 @@ def simplex_solve(problem: LpProblem, objective: np.ndarray, start: LpResult) ->
     tableau, basis = start.tableau.copy(), list(start.basis)
     c = np.zeros(width)  # the costs, and 0 above the rhs
     c[:n] = objective
-    tableau[-1] = c
-    for i, j in enumerate(basis):
-        if c[j] != 0.0:
-            tableau[-1] -= c[j] * tableau[i]
-    # row now holds c_j - z_j: positive entries are improving directions
+    # c minus c_j times each basis row with c_j != 0, subtracted in basis
+    # order: c_j - z_j, whose positive entries are improving directions
+    c_basis = c[basis]
+    costly = c_basis.nonzero()[0]
+    tableau[-1] = np.subtract.reduce(np.vstack([c, c_basis[costly, np.newaxis] * tableau[costly]]), axis=0)
     status, pivots = _bland_pivot_loop(tableau, basis, width - 1)
     if status == "unbounded":
         return LpResult(x=None, objective=np.inf, status="unbounded", pivots=pivots)

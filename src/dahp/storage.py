@@ -41,13 +41,15 @@ optimal vertex than a cold solve's, so the cold solve answers then: phase 2
 from the spec's phase-1 start, run once as it never reads the tariff.  A
 poll's rows resolve in this order one after another, as single tariffs
 would, but a stored basis is tested once per poll, on the whole stack, by
-one matmul when a row first reaches it.  The idle tie-break runs on every
-plan; a basis's point is validated once, when the simplex finds it.
+one 2-D product when a row first reaches it, and rows its rounding-error
+bound cannot certify are tested as single tariffs.  The idle tie-break runs
+on every plan; a basis's point is validated once, when the simplex finds it.
 Searched tariffs are finite by construction, so cs and rp come unchecked
 from the pricing kernels ``_cs`` and ``_rp``.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -119,12 +121,23 @@ def _reduced_cost_map(result: LpResult, price_map: np.ndarray) -> np.ndarray:
     return price_map[free] - inverse_a[:, free].T @ price_map[result.basis]
 
 
-def _strictly_optimal(g: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """Whether all reduced costs ``G @ prices`` of a basis lie below
-    -tolerance, at each tariff of a (k, N) stack.  Each row of the stacked
-    matmul rounds like the single-tariff product ``prices @ G.T``."""
-    reduced = np.matmul(stack[:, np.newaxis, :], g.T)[:, 0, :]
-    return reduced.max(axis=1) < -TOLERANCES["simplex_pivot"]
+def _strictly_optimal(entry: tuple, columns: np.ndarray, size: float) -> np.ndarray:
+    """Whether all reduced costs ``G @ prices`` of a stored basis (G, its
+    largest row 1-norm, x) lie below -tolerance at each tariff of a stack,
+    given as its (N, k) contiguous transpose and largest |price|, as the
+    single-tariff product ``prices @ G.T`` decides.  The 2-D product taken
+    first errs by at most 2 gamma_N max|x| ||y||_1 per dot product x @ y
+    (Higham 2002, section 3.1), within (N + 1) eps; tariffs within that of
+    -tolerance (rounded outward) go to the single-tariff product."""
+    g, g_norm, _ = entry
+    tol = TOLERANCES["simplex_pivot"]
+    margin = (columns.shape[0] + 1) * np.finfo(float).eps * size * g_norm
+    reduced = (g @ columns).max(axis=0)
+    strict = reduced < math.nextafter(-tol - margin, -math.inf)
+    unsure = (reduced < math.nextafter(margin - tol, math.inf)) ^ strict
+    if unsure.any():
+        strict[unsure] = np.matmul(columns.T[unsure, np.newaxis, :], g.T)[:, 0, :].max(axis=1) < -tol
+    return strict
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,7 +157,7 @@ class _BatteryLp:
     rounding.  Otherwise the simplex runs from the last kept basis, and a
     basis passing the same test joins the front of the list and becomes
     the next warm start; a reused basis moves to the front.  A kept basis
-    is stored as its reduced-cost map G and its point x.  The LP, its phase-1
+    is stored as (G, G's largest row 1-norm, x).  The LP, its phase-1
     start and the map P of ``_reduced_cost_map`` are built once, here."""
 
     def __init__(self, battery: BatteryParams, horizon: int):
@@ -174,7 +187,7 @@ class _BatteryLp:
         self.price_map = np.vstack([-np.eye(n), np.eye(n), np.zeros((n + np.isfinite(upper).sum(), n))])
         self.idle_feasible = _idle_plan_feasible(battery, n)
         self.idle_point = np.concatenate([np.zeros(2 * n), battery.initial_soc * battery.storage_eff ** (hours + 1)])
-        self.entries: list[tuple] = []  # (G, x)
+        self.entries: list[tuple] = []  # (G, its largest row 1-norm, x)
         self.warm: LpResult | None = None  # the latest kept basis's solve
         self.lp_solves = 0
         self.lp_pivots = self.feasible.pivots
@@ -187,18 +200,21 @@ class _BatteryLp:
         reaches it.  Idle on a zero-profit tie when idling is feasible."""
         n, k = self.horizon, stack.shape[0]
         points = np.empty((k, 3 * n))
-        tested: dict[int, np.ndarray] = {}
-        for i, pi in enumerate(stack):
+        columns, size = np.ascontiguousarray(stack.T), np.abs(stack).max()
+        tested = [None] * len(self.entries)  # each entry's test on the stack, in entry order
+        for i in range(k):
             for index, entry in enumerate(self.entries):
-                if id(entry) not in tested:
-                    tested[id(entry)] = _strictly_optimal(entry[0], stack)
-                if tested[id(entry)][i]:
+                if tested[index] is None:
+                    tested[index] = _strictly_optimal(entry, columns, size).tolist()
+                if tested[index][i]:
                     self.entries.insert(0, self.entries.pop(index))
+                    tested.insert(0, tested.pop(index))
                     self.basis_reuses += 1
                     points[i] = entry[-1]
                     break
             else:
-                points[i] = self._solve(pi)
+                points[i] = self._solve(stack[i])
+                tested[:0] = [None] * (len(self.entries) - len(tested))  # the basis it kept, if any
         objectives = np.concatenate([-stack, stack, np.zeros((k, n))], axis=1)
         profits = _rowdot(objectives, points)
         if self.idle_feasible:
@@ -225,8 +241,9 @@ class _BatteryLp:
                                      "in one hour earns without limit at this tariff")
             _validate_point(result.x, self.battery)
             g = _reduced_cost_map(result, self.price_map)
-            if _strictly_optimal(g, pi[np.newaxis])[0]:
-                self.entries.insert(0, (g, result.x))
+            entry = (g, np.abs(g).sum(axis=1).max(), result.x)
+            if _strictly_optimal(entry, pi[:, np.newaxis], np.abs(pi).max())[0]:
+                self.entries.insert(0, entry)
                 self.warm = result
                 break
         return result.x
@@ -251,8 +268,9 @@ def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | No
 
 
 def _validate_point(x: np.ndarray, battery: BatteryParams) -> None:
-    """Check an LP point (charge, discharge, soc) against the battery."""
-    tol = TOLERANCES["plan_feasibility"]
+    """Check an LP point (charge, discharge, soc) against the battery, relative to its size."""
+    sizes = np.array([1.0, battery.capacity, battery.charge_limit, battery.discharge_limit])
+    tol = TOLERANCES["plan_feasibility"] * sizes[np.isfinite(sizes)].max()
     charge, discharge, soc = np.split(x, 3)
     prev = np.concatenate([[battery.initial_soc], soc[:-1]])
     expected = battery.storage_eff * (

@@ -5,8 +5,9 @@ brute-force minimization of the consumer's day cost, battery profits from
 grid enumeration, expectations from Monte Carlo, and the joint
 storage-plus-HVAC problem from a general-purpose NLP solver.  The batched
 simulator is replayed one consumer, one hour at a time, and the population
-model is rebuilt from each consumer's scalar formulas.  Keeping the
-oracles dumb and slow is the point.
+model is rebuilt from each consumer's scalar formulas, and the simplex's
+kernels are written out as the row-at-a-time loops and products they
+replace.  Keeping the oracles dumb and slow is the point.
 
 The last section is different: thin drivers over the library's own
 rollouts and evaluators that only tests need (replicate days of one
@@ -381,6 +382,35 @@ def joint_storage_surplus(alpha, beta, mu, setpoints, forecast, prices, battery)
     )
     assert out.success, f"joint oracle failed to converge: {out.message}"
     return -float(out.fun)
+
+
+# ---------------------------------------------------------------------------
+# simplex kernels, one row at a time
+# ---------------------------------------------------------------------------
+
+def objective_row_by_loop(tableau: np.ndarray, basis: Sequence[int], costs: np.ndarray) -> np.ndarray:
+    """Phase 2's first reduced-cost row: the costs minus c_j times each basis
+    row whose cost c_j is nonzero, subtracted one row after another."""
+    row = costs.copy()
+    for i, j in enumerate(basis):
+        if costs[j] != 0.0:
+            row -= costs[j] * tableau[i]
+    return row
+
+
+def dense_pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Pivot on ``tableau[row, col]`` by a rank-1 update of every other row,
+    those with a zero in the pivot column too."""
+    tableau[row] /= tableau[row, col]
+    eliminate = tableau[:, col].copy()
+    eliminate[row] = 0.0
+    tableau -= eliminate[:, np.newaxis] * tableau[row]
+
+
+def strictly_optimal_by_rows(g: np.ndarray, stack: np.ndarray, tol: float) -> np.ndarray:
+    """Whether all reduced costs ``prices @ G.T`` lie below -tol, at each
+    tariff of a stack, from the single-tariff product of each row."""
+    return np.array([(pi @ g.T).max() < -tol for pi in stack], dtype=bool)
 
 
 # ---------------------------------------------------------------------------

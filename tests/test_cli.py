@@ -423,6 +423,17 @@ def test_unbounded_battery_lp_exit_4(tmp_path, capsys):
     assert "terminal state" not in json.loads(result[2])["message"]
 
 
+def test_large_battery_storage_exit_0(tmp_path, capsys):
+    # A 1e12 kWh battery's plans balance only up to rounding of its size,
+    # which the plan check's tolerance, relative to the capacity and rate
+    # limits, allows; an absolute one made this exit 4.
+    config = _demo_config(tmp_path, [("storage.capacity", 1e12), ("storage.charge_limit", 1e12),
+                                     ("storage.discharge_limit", 1e12), ("storage.eta_grid", [0.5]),
+                                     ("storage.max_evals", 100)])
+    code, stdout, stderr = _run(["storage", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert (code, stderr) == (0, "")
+
+
 @pytest.mark.parametrize("ratio", [1e308, 1e-300])
 def test_overflowing_benchmark_tariffs_exit_4(tmp_path, capsys, ratio):
     config = _demo_config(tmp_path, [("benchmarks.tou_ratio", ratio)])

@@ -1,9 +1,13 @@
 """Tests for the shared numerical kernels."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import helpers
+import oracles
+from dahp import optim
 from dahp.demand import AffineDemandModel
 from dahp.errors import IndefiniteMatrixError
 from dahp.optim import (
@@ -14,7 +18,7 @@ from dahp.optim import (
     pattern_search,
     simplex_solve,
 )
-from dahp.storage import _BatteryLp
+from dahp.storage import _BatteryLp, optimize_price_with_storage
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +287,124 @@ def test_simplex_pivots_a_zero_artificial_out_of_the_basis():
     assert res.basis == [0, 1]
     assert np.array_equal(res.tableau[:-1, :-1], np.eye(2))
     assert np.array_equal(res.x, np.zeros(2))
+
+
+_SPECIAL_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1040, -1e-310, 2.2250738585072014e-308])
+
+
+def _with_specials(rng, x, share):
+    """``x`` with about ``share`` of its entries replaced by signed zeros and subnormals."""
+    mask = rng.random(x.shape) < share
+    x[mask] = rng.choice(_SPECIAL_VALUES, size=mask.sum())
+    return x
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n=st.integers(1, 160), data=st.data(), zero_costs=st.floats(0.0, 1.0), specials=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_objective_row_subtracts_the_basis_rows_in_order(n, data, zero_costs, specials, seed):
+    # Phase 2 starts from c minus c_j times each basis row with c_j != 0,
+    # subtracted in basis order; one subtract.reduce over those rows must
+    # keep every bit of the loop it replaces, zero signs and subnormals too.
+    rng = np.random.default_rng(seed)
+    m = data.draw(st.integers(0, n))
+    tableau = _with_specials(rng, rng.normal(size=(m + 1, n + 1)) * 10.0 ** rng.integers(-12, 12, size=(m + 1, 1)),
+                             specials)
+    basis = [int(j) for j in rng.permutation(n)[:m]]
+    objective = _with_specials(rng, rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n), specials)
+    objective[rng.random(n) < zero_costs] = 0.0
+    problem = LpProblem(np.zeros((0, n)), np.zeros(0), np.zeros(n), np.full(n, np.inf))
+    start = optim.LpResult(x=None, objective=np.nan, status="feasible", basis=basis, tableau=tableau)
+    rows = []
+
+    def first_row(tableau, basis, n_cols):
+        rows.append(tableau[-1].copy())
+        return "optimal", 0
+
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
+        patch.setattr(optim, "_bland_pivot_loop", first_row)
+        simplex_solve(problem, objective, start)
+        expected = oracles.objective_row_by_loop(tableau, basis, np.append(objective, 0.0))
+    assert rows[0].tobytes() == expected.tobytes()
+    assert start.tableau is tableau and start.basis == basis
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.integers(2, 100), cols=st.integers(2, 150), zeros=st.floats(0.0, 0.95),
+       seed=st.integers(0, 2**32 - 1))
+def test_pivot_skips_only_rows_a_full_update_leaves_equal(rows, cols, zeros, seed):
+    # _pivot updates only the other rows with a nonzero in the pivot column.
+    # The full rank-1 update subtracts 0 * (pivot row) from the rest, which
+    # changes nothing but turns -0.0 - -0.0 into 0.0: the two tableaus are
+    # equal as floats and differ, if at all, only there.
+    rng = np.random.default_rng(seed)
+    tableau = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, 1))
+    mask = rng.random(tableau.shape) < zeros
+    tableau[mask] = rng.choice([0.0, -0.0], size=mask.sum())
+    row, col = int(rng.integers(rows)), int(rng.integers(cols))
+    tableau[row, col] = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0)
+    sparse, dense = tableau.copy(), tableau.copy()
+    optim._pivot(sparse, row, col)
+    oracles.dense_pivot(dense, row, col)
+    assert np.array_equal(sparse, dense)
+    differ = sparse.view(np.int64) != dense.view(np.int64)
+    assert np.all(sparse[differ] == 0.0)
+    assert np.all(np.signbit(sparse[differ])) and not np.any(np.signbit(dense[differ]))
+    updated = tableau[:, col] != 0.0
+    updated[row] = False  # the full update subtracts 0 * itself from the pivot row too
+    assert not np.any(differ[updated])
+
+
+def test_no_output_reads_the_sign_of_a_skipped_zero(monkeypatch):
+    # The -0.0 that _pivot leaves where the full update writes 0.0 reaches
+    # only comparisons with the tolerance, products and sums, which give
+    # the same nonzero values, and x = lower + y, where lower = 0.0 makes
+    # 0.0 of it either way.  So with the full update every start, solve and
+    # storage search keeps its bits.  Random sparse rows with a negative
+    # rhs start out with -0.0 entries (phase 1 negates those rows), so some
+    # of their tableaus do differ in the sign of a zero.
+    rng = np.random.default_rng(28)
+    problems = []
+    for _ in range(40):
+        n = int(rng.integers(3, 9))
+        a = rng.normal(size=(int(rng.integers(1, n)), n))
+        a[rng.random(a.shape) < 0.4] = 0.0
+        problems.append((rng.normal(size=n), LpProblem(a, a @ rng.uniform(0.2, 0.8, size=n), np.zeros(n),
+                                                        rng.uniform(1.0, 3.0, size=n))))
+    tariffs = np.random.default_rng(26).uniform(0.05, 0.3, size=(8, 24))
+    model, cost = helpers.random_model(np.random.default_rng(27))
+    batteries = [helpers.REUSE_BATTERIES[name] for name in ("lossy", "lossy", "leaky", "unlimited")]
+
+    def solves():
+        results = []
+        for objective, problem in problems:
+            start = feasible_start(problem)
+            results += [start, simplex_solve(problem, objective, start)]
+        for battery in helpers.REUSE_BATTERIES.values():
+            lp = _BatteryLp(battery, 24)
+            results.append(lp.feasible)
+            for pi in tariffs:
+                results += [simplex_solve(lp.problem, _objective(pi), lp.feasible),
+                            simplex_solve(lp.problem, _objective(pi), results[-1])]
+        return results, optimize_price_with_storage(model, cost, batteries, eta=0.5, max_evals=150)
+
+    sparse, search = solves()
+    monkeypatch.setattr(optim, "_pivot", oracles.dense_pivot)
+    dense, dense_search = solves()
+    for a, b in zip(sparse, dense, strict=True):
+        assert (a.status, a.basis, a.pivots) == (b.status, b.basis, b.pivots)
+        assert (a.tableau is None) == (b.tableau is None)
+        assert a.tableau is None or np.array_equal(a.tableau, b.tableau)
+        assert np.asarray(a.x).tobytes() == np.asarray(b.x).tobytes()
+        assert np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    assert any(a.tableau is not None and a.tableau.tobytes() != b.tableau.tobytes() for a, b in zip(sparse, dense))
+    assert search.price.tobytes() == dense_search.price.tobytes()
+    assert (search.objective, search.cs, search.rp) == (dense_search.objective, dense_search.cs, dense_search.rp)
+    assert (search.n_evals, search.lp_solves, search.lp_pivots, search.basis_reuses) == (
+        dense_search.n_evals, dense_search.lp_solves, dense_search.lp_pivots, dense_search.basis_reuses)
+    for battery, plan in search.plans.items():
+        for field in ("charge", "discharge", "soc"):
+            assert getattr(plan, field).tobytes() == getattr(dense_search.plans[battery], field).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 import helpers
 import oracles
@@ -445,19 +446,88 @@ def test_poll_stack_matches_its_rows_one_at_a_time(name):
 
 
 def test_stacked_kernels_round_like_one_tariff_at_a_time():
-    # The poll stacks rest on two numpy behaviours: a (1, M) @ (M, 1) matmul
-    # row gives the bits of the 1-D dot it replaces, and each row of the
-    # stacked matmul (k, 1, N) @ (N, h) that tests a stored basis gives the
-    # bits of the single-tariff product ``pi @ G.T``.
+    # The poll stacks rest on two numpy behaviours.  A (1, M) @ (M, 1)
+    # matmul row gives the bits of the 1-D dot it replaces (the profits).
+    # Each row of the stacked matmul (k, 1, N) @ (N, h) gives the bits of
+    # the single-tariff product ``pi @ G.T``, whichever rows share its
+    # stack: the strictness test decides its uncertain rows by it.  The 2-D
+    # product that test takes first may round otherwise; it is relied on
+    # only to stay within 2 gamma_N |pi| @ |G_j| of the single-tariff one.
     rng = np.random.default_rng(135)
     for m in (24, 72):
         a, b = rng.normal(size=(2, 500, m)) * rng.uniform(0.0, 10.0, size=(2, 500, 1))
         assert [float(x) for x in storage._rowdot(a, b)] == [float(x @ y) for x, y in zip(a, b)]
-    for height in (40, 72):
+    u = np.finfo(float).eps / 2
+    gamma = 24 * u / (1 - 24 * u)
+    for height in (1, 40, 72):
         g = rng.normal(size=(height, 24)) * rng.uniform(0.0, 10.0, size=(height, 1))
         stack = rng.uniform(0.05, 0.3, size=(48, 24))
-        stacked = np.matmul(stack[:, np.newaxis, :], g.T)[:, 0, :]
-        assert stacked.tobytes() == np.array([pi @ g.T for pi in stack]).tobytes()
+        single = np.array([pi @ g.T for pi in stack])
+        assert np.matmul(stack[:, np.newaxis, :], g.T)[:, 0, :].tobytes() == single.tobytes()
+        some = rng.permutation(48)[:7]
+        assert np.matmul(stack[some, np.newaxis, :], g.T)[:, 0, :].tobytes() == single[some].tobytes()
+        two_d = (g @ np.ascontiguousarray(stack.T)).T
+        assert np.all(np.abs(two_d - single) <= 2 * gamma * (np.abs(stack) @ np.abs(g).T))
+
+
+def _decide(g, stack):
+    """``_strictly_optimal`` of a stored basis with map G, at a stack."""
+    entry = (g, np.abs(g).sum(axis=1).max(), None)
+    return storage._strictly_optimal(entry, np.ascontiguousarray(stack.T), np.abs(stack).max())
+
+
+def _near_tolerance(rng, cancelling):
+    """A map G and a stack whose largest reduced cost, in row 0 of G, lies
+    within a few ulps of -tolerance at every tariff (``cancelling``: O(1)
+    terms sum to it, within their rounding); the stack scales one tariff by
+    1 + k eps, for k in -8..8, so the decisions go both ways.  The other
+    rows of G are far below -tolerance."""
+    tol = storage.TOLERANCES["simplex_pivot"]
+    pi = rng.uniform(0.05, 0.3, size=24)
+    g = -rng.uniform(0.5, 1.0, size=(int(rng.integers(1, 72)), 24))
+    v = rng.normal(size=24)
+    if cancelling:
+        v[0] -= (pi @ v + tol) / pi[0]
+    else:
+        v *= -tol / (pi @ v)
+    g[0] = v
+    stack = pi * (1.0 + np.arange(-8, 9)[:, np.newaxis] * np.finfo(float).eps)
+    return g, stack
+
+
+def test_certified_strictness_matches_the_single_tariff_product():
+    # Each decision must be the single-tariff product's: the 2-D product's
+    # where it clears -tolerance by the error bound, the single-tariff
+    # product's elsewhere.  Random rows: reduced-cost maps of battery bases
+    # on compass polls around their tariffs, decided both ways, nearly all
+    # by the 2-D product.  Near rows: every reduced cost within a few ulps
+    # of -tolerance, all decided by the single-tariff product.
+    tol = storage.TOLERANCES["simplex_pivot"]
+    rng = np.random.default_rng(138)
+    decided = set()
+    for battery in REUSE_BATTERIES.values():
+        lp = _BatteryLp(battery, 24)
+        for _ in range(6):
+            pi = rng.uniform(0.05, 0.3, size=24)
+            result = simplex_solve(lp.problem, np.concatenate([-pi, pi, np.zeros(24)]), lp.feasible)
+            g = _reduced_cost_map(result, lp.price_map)
+            for step in (1e-4, 1e-2, 0.1):
+                stack = _poll(pi, step)
+                got = _decide(g, stack)
+                assert got.tobytes() == oracles.strictly_optimal_by_rows(g, stack, tol).tobytes()
+                assert got.tobytes() == _decide(g, stack[::-1])[::-1].tobytes()
+                decided.update(got.tolist())
+    assert decided == {True, False}
+    for cancelling, within in [(False, 32 * np.spacing(tol)), (True, 1e-14)]:
+        decided = set()
+        for _ in range(30):
+            g, stack = _near_tolerance(rng, cancelling)
+            expected = oracles.strictly_optimal_by_rows(g, stack, tol)
+            assert _decide(g, stack).tobytes() == expected.tobytes()
+            assert [bool(_decide(g, pi[np.newaxis])[0]) for pi in stack] == expected.tolist()
+            assert np.abs(np.array([pi @ g[0] for pi in stack]) + tol).max() <= within
+            decided.update(expected.tolist())
+        assert decided == {True, False}
 
 
 def test_reduced_cost_map_matches_the_tableau():
@@ -693,3 +763,26 @@ def test_unlimited_capacity_with_one_rate_limit_is_bounded(limit):
     assert 0.0 < plan.profit < np.inf
     limited = plan.charge if limit == "charge_limit" else plan.discharge
     assert limited.max() <= 2.0 + 1e-9
+
+
+@pytest.mark.parametrize("capacity", [1e3, 1e5, 1e7, 1e8, 1e10])
+def test_large_batteries_match_linprog(capacity):
+    # The plan check's tolerance grows with the battery: a 1e7 kWh plan
+    # balances to about 4e-9 kWh, 4e-16 of its size, which an absolute 1e-9
+    # rejected.  A plan off by 10 tolerances still fails.
+    battery = BatteryParams(capacity=capacity, initial_soc=0.0, charge_eff=0.95, discharge_eff=0.95,
+                            charge_limit=capacity / 2, discharge_limit=capacity / 2)
+    prices = helpers.DEFAULT_WHOLESALE
+    plan = arbitrage(prices, battery)
+    problem = _BatteryLp(battery, 24).problem
+    reference = linprog(np.concatenate([prices, -prices, np.zeros(24)]), A_eq=problem.eq_matrix,
+                        b_eq=problem.eq_rhs, bounds=list(zip(problem.lower, problem.upper)), method="highs")
+    assert reference.status == 0
+    assert plan.profit == pytest.approx(-reference.fun, rel=1e-9)
+    point = np.concatenate([plan.charge, plan.discharge, plan.soc])
+    storage._validate_point(point, battery)
+    for hour in (0, 11, 23):
+        off = point.copy()
+        off[48 + hour] += 10 * storage.TOLERANCES["plan_feasibility"] * capacity
+        with pytest.raises(InfeasibleConstraintError):
+            storage._validate_point(off, battery)
