@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .demand import (
     HOURS_PER_DAY,
     AffineDemandModel,
-    ConsumerParams,
     Population,
     aggregate,
     build_consumer_model,
@@ -48,9 +47,6 @@ from .renewable import (
 )
 from .renewable import uniform_shortfall_expectation
 from .simulate import (
-    DayResult,
-    baseline_thermostat,
-    simulate_day,
     simulate_population_day,
     substream,
 )
@@ -67,7 +63,6 @@ __all__ = [
     "__version__",
     # demand
     "AffineDemandModel",
-    "ConsumerParams",
     "Population",
     "aggregate",
     "build_consumer_model",
@@ -91,9 +86,6 @@ __all__ = [
     "optimal_price_renewable",
     "uniform_shortfall_expectation",
     # simulation
-    "DayResult",
-    "baseline_thermostat",
-    "simulate_day",
     "simulate_population_day",
     "substream",
     # storage

@@ -199,7 +199,7 @@ _Loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))  # libyaml's pa
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse and validate a YAML experiment configuration."""
     try:
-        raw = yaml.load(Path(path).read_text(), Loader=_Loader)
+        raw = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_Loader)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

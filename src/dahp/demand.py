@@ -46,43 +46,21 @@ from .optim import check_spd
 HOURS_PER_DAY = 24
 
 
-@dataclass(eq=False)
-class ConsumerParams:
-    """Physical and preference parameters of one consumer.
-
-    alpha: thermal coupling to outdoor air per hour, in (0, 1).
-    beta: temperature change per unit energy (positive = cooling).
-    mu: discomfort weight in $ per squared degree.
-    desired_temp: hourly setpoint vector; its length sets the horizon.
-    process_noise_var / obs_noise_var: variances of the thermal and
-        measurement noise (degrees squared).
-    """
-
-    alpha: float
-    beta: float
-    mu: float
-    desired_temp: np.ndarray
-    process_noise_var: float = 0.0
-    obs_noise_var: float = 0.0
-
-    def __post_init__(self):
-        self.desired_temp = np.atleast_1d(np.asarray(self.desired_temp, dtype=float))
-        if self.desired_temp.ndim != 1 or self.desired_temp.size < 1:
-            raise ValueError("desired_temp must be a nonempty vector")
-        _check_params(self)
-
-    @property
-    def horizon(self) -> int:
-        return self.desired_temp.size
-
-
 @dataclass(eq=False, frozen=True)
 class Population:
-    """Parameters of many consumers as arrays, one row per consumer.
+    """Physical and preference parameters of consumers as arrays, one row
+    per consumer; a single consumer is a population of one row.
 
-    The fields mean what they do on ``ConsumerParams``: ``desired_temp`` is
-    (consumers, horizon) and every other field is (consumers,).  Iterating
-    yields each consumer's ``ConsumerParams``.
+    alpha: (consumers,) thermal coupling to outdoor air per hour, in (0, 1).
+    beta: (consumers,) temperature change per unit energy (positive = cooling).
+    mu: (consumers,) discomfort weight in $ per squared degree.
+    desired_temp: (consumers, horizon) hourly setpoints; the width sets the
+        horizon.
+    process_noise_var / obs_noise_var: (consumers,) variances of the thermal
+        and measurement noise (degrees squared).
+
+    ``Population.of`` concatenates populations row-wise, and iterating
+    yields each consumer as a one-row population of views into this one.
 
     A population is immutable: its fields cannot be rebound and each holds a
     read-only view of its array, so the terms it caches on first use (the
@@ -98,7 +76,7 @@ class Population:
     obs_noise_var: np.ndarray
 
     def __post_init__(self):
-        for name in (*_PARAM_FIELDS, "desired_temp"):
+        for name in _FIELDS:
             # a view, so the caller's array keeps its own flags
             object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name), dtype=float).view()))
         rows = self.desired_temp.shape[:1]
@@ -109,19 +87,17 @@ class Population:
         _check_params(self)
 
     @classmethod
-    def of(cls, consumers: Sequence[ConsumerParams]) -> "Population":
-        """Stack single consumers into rows; ``np.stack`` rejects an empty
-        list and consumers whose horizons differ."""
-        fields = {name: [getattr(c, name) for c in consumers] for name in _PARAM_FIELDS}
-        return cls(desired_temp=np.stack([c.desired_temp for c in consumers]), **fields)
+    def of(cls, populations: Sequence[Population]) -> Population:
+        """Concatenate populations row-wise; ``np.concatenate`` rejects an
+        empty list and populations whose horizons differ."""
+        return cls(**{name: np.concatenate([getattr(p, name) for p in populations]) for name in _FIELDS})
 
     def __len__(self) -> int:
         return self.alpha.size
 
-    def __iter__(self) -> Iterator[ConsumerParams]:
-        columns = [getattr(self, name).tolist() for name in _PARAM_FIELDS]
-        for row, values in zip(self.desired_temp, zip(*columns)):
-            yield ConsumerParams(desired_temp=row, **dict(zip(_PARAM_FIELDS, values)))
+    def __iter__(self) -> Iterator[Population]:
+        for k in range(len(self)):
+            yield Population(**{name: getattr(self, name)[k:k + 1] for name in _FIELDS})
 
     @property
     def horizon(self) -> int:
@@ -149,11 +125,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 _PARAM_FIELDS = ("alpha", "beta", "mu", "process_noise_var", "obs_noise_var")
+_FIELDS = (*_PARAM_FIELDS, "desired_temp")
 
 
-def _check_params(p: ConsumerParams | Population) -> None:
-    """Reject invalid parameters of one consumer or of every row at once."""
-    alpha, beta, mu, q, r = (np.asarray(getattr(p, name), dtype=float) for name in _PARAM_FIELDS)
+def _check_params(p: Population) -> None:
+    """Reject invalid parameters of every row at once."""
+    alpha, beta, mu, q, r = (getattr(p, name) for name in _PARAM_FIELDS)
     checks = (
         ((0.0 < alpha) & (alpha < 1.0), "alpha must lie strictly in (0, 1)", alpha),
         ((beta != 0.0) & np.isfinite(beta), "beta must be nonzero and finite", beta),
@@ -344,10 +321,10 @@ def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]
     return _read_only(gain), _read_only(cov), cs_constant
 
 
-def build_consumer_model(params: ConsumerParams, weather_forecast: Sequence[float]) -> AffineDemandModel:
-    """Affine demand model of one consumer: ``population_model`` of a
-    population of one."""
-    return population_model(Population.of([params]), weather_forecast)
+def build_consumer_model(consumer: Population, weather_forecast: Sequence[float]) -> AffineDemandModel:
+    """Affine demand model of one consumer: ``population_model`` of its
+    one-row population."""
+    return population_model(consumer, weather_forecast)
 
 
 def aggregate(models: Sequence[AffineDemandModel]) -> AffineDemandModel:

@@ -10,6 +10,8 @@ the closed-form model in ``dahp.demand``.
 
 Every rollout steps through the hours once with many rows at a time: the
 consumers of a population on one day, or replicate days of one consumer.
+A single consumer is a one-row population: ``simulate_population_day``
+with ``consumer_ids=[id]`` simulates its day on its own noise row.
 
 Every random stream of a run is hashed from ``(seed, tag, ...)`` with one
 tag per use (the ``*_STREAM`` constants below), so no two uses share a
@@ -32,28 +34,13 @@ manifest.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .demand import ConsumerParams, Population, _pow2, as_forecast, as_prices
+from .demand import Population, _pow2, as_forecast, as_prices
 
 Outcome = tuple[np.ndarray, np.ndarray, np.ndarray]  # consumption, payment, discomfort per row
-
-
-@dataclass(eq=False)
-class DayResult:
-    """Realized outcome of one simulated day.
-
-    ``surplus`` is computed as ``-(discomfort + payment)`` so the accounting
-    identity holds exactly, not merely to rounding.
-    """
-
-    consumption: np.ndarray
-    payment: float
-    discomfort: float
-    surplus: float
 
 
 NOISE_SCHEME = 2  # keyed block noise; scheme 1 drew one substream per consumer-day
@@ -221,33 +208,3 @@ def simulate_population_day(population: Population, prices: Sequence[float], wea
             (powers, _row_payments(powers, pi), _baseline_rollout(population, powers, forecast, w))
         )
     return (consumption, _row_payments(consumption, pi), discomfort), baselines
-
-
-def _first_row(outcome: Outcome) -> DayResult:
-    consumption, payment, discomfort = outcome
-    pay, disc = float(payment[0]), float(discomfort[0])
-    return DayResult(consumption=consumption[0], payment=pay, discomfort=disc, surplus=-(disc + pay))
-
-
-def simulate_day(params: ConsumerParams, prices: Sequence[float], weather: Sequence[float], seed: int,
-                 consumer_id: int = 0, day: int = 0) -> DayResult:
-    """Simulate one consumer-day under the optimal hourly policy."""
-    responsive, _ = simulate_population_day(
-        Population.of([params]), prices, weather, seed, day, consumer_ids=[consumer_id]
-    )
-    return _first_row(responsive)
-
-
-def baseline_thermostat(params: ConsumerParams, tolerance: float, prices: Sequence[float],
-                        weather: Sequence[float], seed: int, consumer_id: int = 0, day: int = 0) -> DayResult:
-    """Non-responsive benchmark: compute powers from the expected dynamics
-    for a fixed comfort tolerance, then experience the noisy evolution.
-
-    Driven by the same noise as ``simulate_day`` with the same
-    ``(seed, consumer_id, day)``.
-    """
-    _, (baseline,) = simulate_population_day(
-        Population.of([params]), prices, weather, seed, day, [tolerance], [consumer_id]
-    )
-    return _first_row(baseline)
-

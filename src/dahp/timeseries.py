@@ -8,8 +8,9 @@ Two CSV layouts are accepted and auto-detected from the header:
 
 Wholesale price files are expected in $/MWh (the standard market quote) and
 are converted to $/kWh on load; weather files are degrees Celsius and pass
-through unchanged.  Malformed rows raise ``DataError`` listing the 1-based
-line numbers involved.
+through unchanged.  Files are read as UTF-8, and one that is not raises
+``DataError``; malformed rows raise it listing the 1-based line numbers
+involved.
 """
 from __future__ import annotations
 
@@ -54,9 +55,9 @@ def load_series(path: str | Path, kind: str) -> list[HourlySeries]:
         raise ValueError(f"kind must be one of {SERIES_KINDS}, got {kind!r}")
     path = Path(path)
     try:
-        with open(path, newline="") as handle:
+        with open(path, newline="", encoding="utf-8") as handle:
             rows = list(csv.reader(handle))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows or not rows[0]:
         raise DataError(f"{path}: file is empty or starts with a blank line")

@@ -6,7 +6,7 @@ import numpy as np
 from dahp import (
     AffineDemandModel,
     BatteryParams,
-    ConsumerParams,
+    Population,
     WholesaleCost,
     aggregate,
     build_consumer_model,
@@ -30,14 +30,15 @@ REUSE_BATTERIES = {
 }
 
 
-def random_params(rng: np.random.Generator, horizon: int = 24, noisy: bool = True) -> ConsumerParams:
-    return ConsumerParams(
-        alpha=rng.uniform(0.2, 0.8),
-        beta=rng.uniform(0.05, 0.3),
-        mu=rng.uniform(0.2, 2.0),
-        desired_temp=rng.uniform(16.0, 24.0) + rng.uniform(-0.5, 0.5, size=horizon),
-        process_noise_var=rng.uniform(0.001, 0.05) if noisy else 0.0,
-        obs_noise_var=rng.uniform(0.001, 0.05) if noisy else 0.0,
+def random_params(rng: np.random.Generator, horizon: int = 24, noisy: bool = True) -> Population:
+    """One random consumer, a one-row population."""
+    return Population(
+        alpha=[rng.uniform(0.2, 0.8)],
+        beta=[rng.uniform(0.05, 0.3)],
+        mu=[rng.uniform(0.2, 2.0)],
+        desired_temp=[rng.uniform(16.0, 24.0) + rng.uniform(-0.5, 0.5, size=horizon)],
+        process_noise_var=[rng.uniform(0.001, 0.05) if noisy else 0.0],
+        obs_noise_var=[rng.uniform(0.001, 0.05) if noisy else 0.0],
     )
 
 
@@ -83,11 +84,12 @@ def one_hour_model(gain: float, intercept: float, cs_constant: float = 0.0) -> A
     )
 
 
-def toy3_params() -> ConsumerParams:
-    """The three-hour worked example used across the suite."""
-    return ConsumerParams(
-        alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(3, 20.0),
-        process_noise_var=0.0, obs_noise_var=0.0,
+def toy3_params() -> Population:
+    """The three-hour worked example used across the suite, a one-row
+    population."""
+    return Population(
+        alpha=[0.5], beta=[0.1], mu=[0.5], desired_temp=[np.full(3, 20.0)],
+        process_noise_var=[0.0], obs_noise_var=[0.0],
     )
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from dahp import AffineDemandModel, BatteryParams, ConsumerParams, Population, WholesaleCost, arbitrage
+from dahp import AffineDemandModel, BatteryParams, Population, WholesaleCost, arbitrage
 from dahp.demand import as_forecast, as_prices
 from dahp.pricing import expected_cs, expected_rp
 from dahp.simulate import (
@@ -105,12 +105,27 @@ def brute_affine_map(alpha, beta, mu, setpoints, forecast):
     return gain, intercept
 
 
+def _floats(params: Population) -> tuple[float, float, float, float, float]:
+    """(alpha, beta, mu, process_noise_var, obs_noise_var) of a one-row
+    population as Python floats, so ``**`` squares them with libm ``pow``."""
+    return tuple(float(getattr(params, name)[0])
+                 for name in ("alpha", "beta", "mu", "process_noise_var", "obs_noise_var"))
+
+
+def thermal(params: Population) -> tuple[float, float, float, np.ndarray]:
+    """(alpha, beta, mu, setpoints) of a one-row population, the arguments
+    of the brute-force oracles above."""
+    alpha, beta, mu, _, _ = _floats(params)
+    return alpha, beta, mu, params.desired_temp[0]
+
+
 def scalar_consumer_model(params, forecast):
-    """(gain, intercept_mean, intercept_cov, cs_constant) of one consumer,
-    computed hour by hour on Python floats: the reference the population
-    model must match bit for bit when summed consumer by consumer."""
-    alpha, beta, mu = params.alpha, params.beta, params.mu
-    t, n = params.desired_temp, params.horizon
+    """(gain, intercept_mean, intercept_cov, cs_constant) of one consumer, a
+    one-row population, computed hour by hour on Python floats: the
+    reference the population model must match bit for bit when summed
+    consumer by consumer."""
+    alpha, beta, mu, q, r = _floats(params)
+    t, n = params.desired_temp[0], params.horizon
     unit = 1.0 / (2.0 * mu * beta * beta)
     gain = np.zeros((n, n))
     gain[0, 0] = unit
@@ -122,19 +137,19 @@ def scalar_consumer_model(params, forecast):
     for i in range(1, n):
         intercept[i] = ((1.0 - alpha) * t[i - 1] + alpha * forecast[i] - t[i]) / beta
 
-    pred, gains, post = np.empty(n), np.empty(n), params.obs_noise_var
+    pred, gains, post = np.empty(n), np.empty(n), r
     for i in range(n):
-        pred[i] = (1.0 - alpha) ** 2 * post + params.process_noise_var
-        denom = pred[i] + params.obs_noise_var
+        pred[i] = (1.0 - alpha) ** 2 * post + q
+        denom = pred[i] + r
         gains[i] = pred[i] / denom if denom > 0.0 else 0.0
         post = (1.0 - gains[i]) * pred[i]
     scale = ((1.0 - alpha) / beta) ** 2
     xi_var = np.empty(n)
-    xi_var[0] = params.obs_noise_var
+    xi_var[0] = r
     for m in range(1, n):
-        xi_var[m] = gains[m - 1] ** 2 * (pred[m - 1] + params.obs_noise_var)
+        xi_var[m] = gains[m - 1] ** 2 * (pred[m - 1] + r)
     cov = np.diag(scale * xi_var)
-    gamma = -params.obs_noise_var
+    gamma = -r
     for m in range(1, n):
         cov[0, m] = cov[m, 0] = scale * gains[m - 1] * (1.0 - alpha) * gamma
         gamma *= (1.0 - gains[m - 1]) * (1.0 - alpha)
@@ -167,15 +182,14 @@ def optimal_policy_step(est: EstimatorState, prices, hour: int, params) -> float
     The target sits ``(pi_i - (1 - alpha) * pi_{i+1}) / (2 mu beta)`` away
     from the setpoint, with the price beyond the horizon taken as zero.
     """
+    alpha, beta, mu, _, _ = _floats(params)
     n = params.horizon
     if not 1 <= hour <= n:
         raise ValueError(f"hour must be in 1..{n}, got {hour}")
     pi_next = prices[hour] if hour < n else 0.0
-    target = (prices[hour - 1] - (1.0 - params.alpha) * pi_next) / (
-        2.0 * params.mu * params.beta
-    ) + params.desired_temp[hour - 1]
-    drift = (1.0 - params.alpha) * est.indoor_est + params.alpha * est.outdoor_pred
-    return (drift - target) / params.beta
+    target = (prices[hour - 1] - (1.0 - alpha) * pi_next) / (2.0 * mu * beta) + params.desired_temp[0, hour - 1]
+    drift = (1.0 - alpha) * est.indoor_est + alpha * est.outdoor_pred
+    return (drift - target) / beta
 
 
 def kalman_step(est: EstimatorState, obs, params, applied_power: float,
@@ -187,10 +201,10 @@ def kalman_step(est: EstimatorState, obs, params, applied_power: float,
     forecast is treated as known, so the returned state simply carries
     ``next_outdoor_forecast`` (or keeps the current one).
     """
-    alpha, beta = params.alpha, params.beta
+    alpha, beta, _, q, r = _floats(params)
     pred_mean = (1.0 - alpha) * est.indoor_est + alpha * est.outdoor_pred - beta * applied_power
-    pred_var = (1.0 - alpha) ** 2 * est.indoor_var + params.process_noise_var
-    denom = pred_var + params.obs_noise_var
+    pred_var = (1.0 - alpha) ** 2 * est.indoor_var + q
+    denom = pred_var + r
     gain = pred_var / denom if denom > 0.0 else 0.0
     indoor_est = pred_mean + gain * (obs[0] - pred_mean)
     indoor_var = (1.0 - gain) * pred_var
@@ -219,24 +233,25 @@ def day_noise(seed: int, consumer_id: int, day: int, params):
         u1, u2 = (((word >> 11) + 0.5) / 2**53 for word in words[2 * (j // 2):2 * (j // 2) + 2])
         wave = math.cos if j % 2 == 0 else math.sin
         normals.append(math.sqrt(-2.0 * math.log(u1)) * wave(2.0 * math.pi * u2))
-    sv, sw = math.sqrt(params.obs_noise_var), math.sqrt(params.process_noise_var)
+    *_, q, r = _floats(params)
+    sv, sw = math.sqrt(r), math.sqrt(q)
     return sv * normals[0], np.array([sw * z for z in normals[1:n + 1]]), np.array([sv * z for z in normals[n + 1:]])
 
 
 def step_rollout(params, prices, forecast, v0, w, v):
     """(consumption, payment, discomfort) of the filtering consumer, one
     policy step and one filter step per hour."""
-    n = params.horizon
-    est = EstimatorState(indoor_est=params.desired_temp[0] + v0,
-                         indoor_var=params.obs_noise_var, outdoor_pred=forecast[0])
-    x = params.desired_temp[0]
+    alpha, beta, mu, _, r = _floats(params)
+    t, n = params.desired_temp[0], params.horizon
+    est = EstimatorState(indoor_est=t[0] + v0, indoor_var=r, outdoor_pred=forecast[0])
+    x = t[0]
     consumption = np.empty(n)
     discomfort = 0.0
     for hour in range(1, n + 1):
         power = optimal_policy_step(est, prices, hour, params)
         consumption[hour - 1] = power
-        x = x + params.alpha * (forecast[hour - 1] - x) - params.beta * power + w[hour - 1]
-        discomfort += params.mu * (x - params.desired_temp[hour - 1]) ** 2
+        x = x + alpha * (forecast[hour - 1] - x) - beta * power + w[hour - 1]
+        discomfort += mu * (x - t[hour - 1]) ** 2
         nxt = forecast[hour] if hour < n else None
         est = kalman_step(est, (x + v[hour - 1], np.nan), params, power, next_outdoor_forecast=nxt)
     return consumption, float(np.dot(consumption, prices)), discomfort
@@ -245,17 +260,18 @@ def step_rollout(params, prices, forecast, v0, w, v):
 def step_baseline(params, tolerance, prices, forecast, w):
     """(powers, payment, discomfort) of a thermostat holding the noise-free
     temperature at the edge of its tolerance band, hour by hour."""
-    n = params.horizon
-    edge = tolerance if params.beta > 0 else -tolerance
+    alpha, beta, mu, _, _ = _floats(params)
+    t, n = params.desired_temp[0], params.horizon
+    edge = tolerance if beta > 0 else -tolerance
     powers = np.empty(n)
-    planned = x = params.desired_temp[0]
+    planned = x = t[0]
     discomfort = 0.0
     for i in range(n):
-        target = params.desired_temp[i] + edge
-        powers[i] = (planned + params.alpha * (forecast[i] - planned) - target) / params.beta
+        target = t[i] + edge
+        powers[i] = (planned + alpha * (forecast[i] - planned) - target) / beta
         planned = target
-        x = x + params.alpha * (forecast[i] - x) - params.beta * powers[i] + w[i]
-        discomfort += params.mu * (x - params.desired_temp[i]) ** 2
+        x = x + alpha * (forecast[i] - x) - beta * powers[i] + w[i]
+        discomfort += mu * (x - t[i]) ** 2
     return powers, float(np.dot(powers, prices)), discomfort
 
 
@@ -463,34 +479,33 @@ def mean_demand(model: AffineDemandModel, prices: Sequence[float]) -> np.ndarray
     return demand
 
 
-def _replicate_days(params: ConsumerParams, prices, weather, seed: int, n_days: int, consumer_id: int):
-    """A population of one, the validated prices and forecast, and
-    ``n_days`` rows of noise: the simulator's layout with days as rows of
-    the ``(seed, REPLICATE_NOISE_STREAM, consumer_id)`` stream."""
-    population = Population.of([params])
-    noise = _noise(population, seed, (REPLICATE_NOISE_STREAM, consumer_id), np.arange(n_days))
-    return population, as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
+def _replicate_days(params: Population, prices, weather, seed: int, n_days: int, consumer_id: int):
+    """The validated prices and forecast and ``n_days`` rows of noise of a
+    one-row population: the simulator's layout with days as rows of the
+    ``(seed, REPLICATE_NOISE_STREAM, consumer_id)`` stream."""
+    noise = _noise(params, seed, (REPLICATE_NOISE_STREAM, consumer_id), np.arange(n_days))
+    return as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
 
 
-def simulate_days(params: ConsumerParams, prices: Sequence[float], weather: Sequence[float], seed: int,
+def simulate_days(params: Population, prices: Sequence[float], weather: Sequence[float], seed: int,
                   n_days: int, consumer_id: int = 0) -> Outcome:
     """Replicate days of one consumer for Monte Carlo estimation.
 
     Returns (consumption, payment, discomfort) stacked over days; surplus is
     ``-(discomfort + payment)`` rowwise when needed.
     """
-    population, pi, forecast, v0, w, v = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
-    consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
+    pi, forecast, v0, w, v = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
+    consumption, discomfort = _respond_rollout(params, pi, forecast, v0, w, v)
     return consumption, consumption @ pi, discomfort
 
 
-def baseline_days(params: ConsumerParams, tolerance: float, prices: Sequence[float], weather: Sequence[float],
+def baseline_days(params: Population, tolerance: float, prices: Sequence[float], weather: Sequence[float],
                   seed: int, n_days: int, consumer_id: int = 0) -> Outcome:
-    """Replicate-day version of ``baseline_thermostat`` (shared noise layout
-    with ``simulate_days``, so the two are comparable seed-for-seed)."""
-    population, pi, forecast, _, w, _ = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
-    powers = _baseline_powers(population, forecast, tolerance)
-    discomfort = _baseline_rollout(population, powers, forecast, w)
+    """Replicate days of one consumer's thermostat baseline (shared noise
+    layout with ``simulate_days``, so the two are comparable seed-for-seed)."""
+    pi, forecast, _, w, _ = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
+    powers = _baseline_powers(params, forecast, tolerance)
+    discomfort = _baseline_rollout(params, powers, forecast, w)
     return np.repeat(powers, n_days, axis=0), np.full(n_days, float(powers[0] @ pi)), discomfort
 
 

@@ -16,7 +16,7 @@ import helpers
 import oracles
 from dahp import (
     BatteryParams,
-    ConsumerParams,
+    Population,
     RenewableModel,
     WholesaleCost,
     aggregate,
@@ -129,13 +129,9 @@ def test_05_closed_forms_match_brute_force_at_toy_scale():
         model = aggregate([build_consumer_model(params, weather)])
 
         demand = model.intercept_mean - model.gain @ price
-        brute = oracles.brute_demand(
-            params.alpha, params.beta, params.mu, params.desired_temp, weather, price
-        )
+        brute = oracles.brute_demand(*oracles.thermal(params), weather, price)
         d_err = np.linalg.norm(demand - brute) / max(1.0, np.linalg.norm(brute))
-        cs_brute = oracles.brute_surplus(
-            params.alpha, params.beta, params.mu, params.desired_temp, weather, price
-        )
+        cs_brute = oracles.brute_surplus(*oracles.thermal(params), weather, price)
         cs_err = abs(expected_cs(model, price) - cs_brute) / max(1.0, abs(cs_brute))
         rp_brute = float((price - wholesale.mean) @ brute)
         rp_err = abs(expected_rp(model, price, wholesale) - rp_brute) / max(1.0, abs(rp_brute))
@@ -257,9 +253,9 @@ def test_11_responsive_policy_beats_thermostats():
     weather = helpers.DEFAULT_WEATHER
     price = helpers.DEFAULT_WHOLESALE  # retail at wholesale
     population = [
-        ConsumerParams(
-            alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(24, temp),
-            process_noise_var=0.01, obs_noise_var=0.01,
+        Population(
+            alpha=[0.5], beta=[0.1], mu=[0.5], desired_temp=[np.full(24, temp)],
+            process_noise_var=[0.01], obs_noise_var=[0.01],
         )
         for temp in (18.0, 19.0, 20.0, 21.0, 22.0)
     ]

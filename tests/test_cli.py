@@ -404,6 +404,25 @@ def test_non_positive_wholesale_mean_exit_3(tmp_path, capsys, command):
     assert "hours [1]" in json.loads(stderr)["message"]
 
 
+@pytest.mark.parametrize("command", ["pareto", "simulate"])
+def test_non_utf8_data_file_exit_3(tmp_path, capsys, command):
+    weather = tmp_path / "weather.csv"
+    header = "date," + ",".join(f"h{i:02d}" for i in range(1, 25))
+    weather.write_bytes(f"{header}\n2024-01-01,{','.join(['30'] * 24)}\n".encode() + b"\xe9\n")
+    config = _demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)})])
+    code, stdout, stderr = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(code, stdout, stderr, 3, "data", str(weather))
+    assert "utf-8" in json.loads(stderr)["message"]
+
+
+def test_non_utf8_config_exit_2(tmp_path, capsys):
+    config = _demo_config(tmp_path)
+    config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
+    code, stdout, stderr = _run(["pareto", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(code, stdout, stderr, 2, "config", str(config))
+    assert "utf-8" in json.loads(stderr)["message"]
+
+
 @pytest.mark.parametrize("command", ["pareto", "benchmarks", "renewable", "storage", "simulate"])
 @pytest.mark.parametrize("key, value", [("consumers.beta", 1e-300), ("consumers.desired_temp", 1e308)])
 def test_overflowing_population_model_exit_4(tmp_path, capsys, command, key, value):

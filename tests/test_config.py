@@ -184,7 +184,7 @@ def test_population_matches_scalar_draws(spec):
     assert len(population) == len(expected)
     for params, fields in zip(population, expected):
         for name, value in fields.items():
-            assert np.array_equal(getattr(params, name), value), name
+            assert np.array_equal(getattr(params, name)[0], value), name
 
 
 def test_population_bad_range_rejected():

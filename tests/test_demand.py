@@ -12,30 +12,29 @@ from hypothesis import strategies as st
 import helpers
 import oracles
 from dahp import (
-    ConsumerParams,
     Population,
     aggregate,
     build_consumer_model,
     population_model,
 )
 from dahp.config import PopulationSpec, draw_population
-from dahp.demand import _PARAM_FIELDS, _consumer_sum, _shared, as_prices
+from dahp.demand import _FIELDS, _PARAM_FIELDS, _consumer_sum, _shared, as_prices
 from dahp.errors import IndefiniteMatrixError, NumericalError
 from oracles import NegativeDemandWarning, mean_demand
 
 
 def test_params_validation():
-    t = np.full(3, 20.0)
+    toy = helpers.toy3_params()
     with pytest.raises(ValueError):
-        ConsumerParams(alpha=0.0, beta=0.1, mu=0.5, desired_temp=t)
+        dataclasses.replace(toy, alpha=[0.0])
     with pytest.raises(ValueError):
-        ConsumerParams(alpha=1.0, beta=0.1, mu=0.5, desired_temp=t)
+        dataclasses.replace(toy, alpha=[1.0])
     with pytest.raises(ValueError):
-        ConsumerParams(alpha=0.5, beta=0.0, mu=0.5, desired_temp=t)
+        dataclasses.replace(toy, beta=[0.0])
     with pytest.raises(ValueError):
-        ConsumerParams(alpha=0.5, beta=0.1, mu=0.0, desired_temp=t)
+        dataclasses.replace(toy, mu=[0.0])
     with pytest.raises(ValueError):
-        ConsumerParams(alpha=0.5, beta=0.1, mu=0.5, desired_temp=t, obs_noise_var=-1.0)
+        dataclasses.replace(toy, obs_noise_var=[-1.0])
 
 
 def test_as_prices_validation():
@@ -82,9 +81,7 @@ def test_gain_and_intercept_match_brute_force():
         params = helpers.random_params(rng, horizon=3, noisy=False)
         forecast = rng.uniform(25.0, 35.0, size=3)
         model = build_consumer_model(params, forecast)
-        gain, intercept = oracles.brute_affine_map(
-            params.alpha, params.beta, params.mu, params.desired_temp, forecast
-        )
+        gain, intercept = oracles.brute_affine_map(*oracles.thermal(params), forecast)
         assert np.allclose(model.gain, gain, rtol=1e-9, atol=1e-9)
         assert np.allclose(model.intercept_mean, intercept, rtol=1e-9, atol=1e-9)
 
@@ -96,9 +93,7 @@ def test_demand_matches_brute_force_on_random_prices():
         forecast = rng.uniform(25.0, 35.0, size=3)
         prices = rng.uniform(0.0, 0.5, size=3)
         model = build_consumer_model(params, forecast)
-        expected = oracles.brute_demand(
-            params.alpha, params.beta, params.mu, params.desired_temp, forecast, prices
-        )
+        expected = oracles.brute_demand(*oracles.thermal(params), forecast, prices)
         got = model.intercept_mean - model.gain @ prices
         assert np.max(np.abs(got - expected)) <= 1e-4 * max(1.0, np.max(np.abs(expected)))
 
@@ -106,10 +101,7 @@ def test_demand_matches_brute_force_on_random_prices():
 def test_gain_independent_of_noise_levels():
     rng = np.random.default_rng(43)
     quiet = helpers.random_params(rng, horizon=4, noisy=False)
-    noisy = ConsumerParams(
-        alpha=quiet.alpha, beta=quiet.beta, mu=quiet.mu, desired_temp=quiet.desired_temp,
-        process_noise_var=0.05, obs_noise_var=0.02,
-    )
+    noisy = dataclasses.replace(quiet, process_noise_var=[0.05], obs_noise_var=[0.02])
     forecast = rng.uniform(25.0, 35.0, size=4)
     a = build_consumer_model(quiet, forecast)
     b = build_consumer_model(noisy, forecast)
@@ -118,9 +110,9 @@ def test_gain_independent_of_noise_levels():
 
 
 def test_alpha_near_one_decouples_hours():
-    params = ConsumerParams(alpha=1.0 - 1e-9, beta=0.1, mu=0.5, desired_temp=np.full(3, 20.0))
+    params = dataclasses.replace(helpers.toy3_params(), alpha=[1.0 - 1e-9])
     model = build_consumer_model(params, np.full(3, 30.0))
-    unit = 1.0 / (2.0 * params.mu * params.beta**2)
+    unit = 1.0 / (2.0 * 0.5 * 0.1**2)
     off_diag = model.gain[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off_diag)) < 1e-5 * unit
     assert np.allclose(np.diag(model.gain), unit, rtol=1e-8)
@@ -235,16 +227,15 @@ def test_squares_round_like_python_floats():
 
 @pytest.mark.parametrize("field", ["mu", "process_noise_var", "obs_noise_var"])
 def test_params_reject_nan(field):
-    params = dict(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(3, 20.0))
     with pytest.raises(ValueError):
-        ConsumerParams(**{**params, field: np.nan})
+        dataclasses.replace(helpers.toy3_params(), **{field: [np.nan]})
 
 
 @pytest.mark.parametrize("field, value", [("beta", 1e-300), ("desired_temp", np.full(24, 1e308))])
 def test_overflowing_model_is_a_numerical_error(field, value):
-    params = dict(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(24, 20.0))
+    params = dataclasses.replace(helpers.toy3_params(), **{"desired_temp": [np.full(24, 20.0)], field: [value]})
     with pytest.raises(NumericalError, match="overflow"):
-        build_consumer_model(ConsumerParams(**{**params, field: value}), helpers.DEFAULT_WEATHER)
+        build_consumer_model(params, helpers.DEFAULT_WEATHER)
 
 
 def _bits(model) -> tuple[bytes, ...]:
@@ -263,6 +254,20 @@ def test_population_is_read_only():
     for array in (*population.estimator_ladder, gain, cov):
         with pytest.raises(ValueError):
             array[0] = 0.0
+
+
+def test_population_of_concatenates_and_iterates_one_row_views():
+    rng = np.random.default_rng(74)
+    joined = Population.of([Population.of([helpers.random_params(rng) for _ in range(2)]), helpers.random_params(rng)])
+    rows = list(joined)
+    assert len(joined) == 3 and [len(row) for row in rows] == [1, 1, 1]
+    for name in _FIELDS:
+        assert np.array_equal(getattr(joined, name), np.concatenate([getattr(row, name) for row in rows]))
+        assert all(np.shares_memory(getattr(row, name), getattr(joined, name)) for row in rows)
+    with pytest.raises(ValueError):
+        Population.of([])
+    with pytest.raises(ValueError):
+        Population.of([helpers.random_params(rng, horizon=3), helpers.random_params(rng, horizon=4)])
 
 
 def test_cached_model_terms_equal_fresh_builds_bit_for_bit():

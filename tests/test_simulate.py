@@ -9,18 +9,14 @@ import scipy.stats
 import helpers
 import oracles
 from dahp import (
-    ConsumerParams,
-    DayResult,
     Population,
     WholesaleCost,
     aggregate,
-    baseline_thermostat,
     build_consumer_model,
     demand,
     experiments,
     optimal_price,
     population_model,
-    simulate_day,
     simulate_population_day,
     substream,
 )
@@ -39,13 +35,6 @@ from dahp.simulate import (
 )
 from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
 from oracles import EstimatorState, baseline_days, kalman_step, mean_demand, optimal_policy_step, simulate_days
-
-
-def _noise_free(params: ConsumerParams) -> ConsumerParams:
-    return ConsumerParams(
-        alpha=params.alpha, beta=params.beta, mu=params.mu,
-        desired_temp=params.desired_temp, process_noise_var=0.0, obs_noise_var=0.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -98,18 +87,18 @@ def test_noise_rows_do_not_depend_on_the_population():
     for field, shuffled in zip(batch, permuted):
         assert np.array_equal(field[order], shuffled)
     for row, (cid, params) in enumerate(zip(ids, consumers)):
-        for field, alone in zip(batch, _noise(Population.of([params]), 5, stream, [cid])):
+        for field, alone in zip(batch, _noise(params, 5, stream, [cid])):
             assert np.array_equal(field[row], alone[0])
 
 
 def test_zero_variance_keeps_the_other_fields_draws():
     params = helpers.random_params(np.random.default_rng(66))
     stream = (DAY_NOISE_STREAM, 1)
-    v0, w, v = _noise(Population.of([params]), 3, stream, [7])
-    quiet_process = _noise(Population.of([replace(params, process_noise_var=0.0)]), 3, stream, [7])
+    v0, w, v = _noise(params, 3, stream, [7])
+    quiet_process = _noise(replace(params, process_noise_var=[0.0]), 3, stream, [7])
     assert np.array_equal(quiet_process[0], v0) and np.array_equal(quiet_process[2], v)
     assert not np.any(quiet_process[1])
-    quiet_reading = _noise(Population.of([replace(params, obs_noise_var=0.0)]), 3, stream, [7])
+    quiet_reading = _noise(replace(params, obs_noise_var=[0.0]), 3, stream, [7])
     assert np.array_equal(quiet_reading[1], w)
     assert not np.any(quiet_reading[0]) and not np.any(quiet_reading[2])
 
@@ -152,28 +141,30 @@ def test_noise_normals_are_standard_and_uncorrelated():
 
 def test_policy_zero_price_targets_setpoint():
     params = helpers.toy3_params()
+    alpha, beta = params.alpha.item(), params.beta.item()
     est = EstimatorState(indoor_est=22.0, indoor_var=0.0, outdoor_pred=30.0)
     power = optimal_policy_step(est, np.zeros(3), 1, params)
     # applying this power moves the expected temperature onto the setpoint
-    x_next = (1 - params.alpha) * 22.0 + params.alpha * 30.0 - params.beta * power
-    assert x_next == pytest.approx(params.desired_temp[0], abs=1e-12)
+    x_next = (1 - alpha) * 22.0 + alpha * 30.0 - beta * power
+    assert x_next == pytest.approx(params.desired_temp[0, 0], abs=1e-12)
 
 
 def test_policy_constant_price_offsets():
     params = helpers.toy3_params()
+    alpha, beta, mu, t = params.alpha.item(), params.beta.item(), params.mu.item(), params.desired_temp[0]
     c = 0.12
     prices = np.full(3, c)
     est = EstimatorState(indoor_est=20.0, indoor_var=0.0, outdoor_pred=30.0)
-    two_mu_beta = 2.0 * params.mu * params.beta
+    two_mu_beta = 2.0 * mu * beta
     for hour in (1, 2):
         power = optimal_policy_step(est, prices, hour, params)
-        x_next = (1 - params.alpha) * 20.0 + params.alpha * 30.0 - params.beta * power
-        target = params.alpha * c / two_mu_beta + params.desired_temp[hour - 1]
+        x_next = (1 - alpha) * 20.0 + alpha * 30.0 - beta * power
+        target = alpha * c / two_mu_beta + t[hour - 1]
         assert x_next == pytest.approx(target, abs=1e-12)
     # final hour has no successor price
     power = optimal_policy_step(est, prices, 3, params)
-    x_next = (1 - params.alpha) * 20.0 + params.alpha * 30.0 - params.beta * power
-    assert x_next == pytest.approx(c / two_mu_beta + params.desired_temp[2], abs=1e-12)
+    x_next = (1 - alpha) * 20.0 + alpha * 30.0 - beta * power
+    assert x_next == pytest.approx(c / two_mu_beta + t[2], abs=1e-12)
 
 
 def test_policy_rejects_bad_hour():
@@ -191,11 +182,9 @@ def test_policy_sequence_matches_brute_force_two_hours():
         params = helpers.random_params(rng, horizon=2, noisy=False)
         forecast = rng.uniform(25.0, 35.0, size=2)
         prices = rng.uniform(0.0, 0.4, size=2)
-        oracle = oracles.brute_demand(
-            params.alpha, params.beta, params.mu, params.desired_temp, forecast, prices
-        )
-        result = simulate_day(params, prices, forecast, seed=0)
-        assert np.max(np.abs(result.consumption - oracle)) < 1e-6
+        oracle = oracles.brute_demand(*oracles.thermal(params), forecast, prices)
+        (consumption, _, _), _ = simulate_population_day(params, prices, forecast, seed=0)
+        assert np.max(np.abs(consumption[0] - oracle)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +192,8 @@ def test_policy_sequence_matches_brute_force_two_hours():
 # ---------------------------------------------------------------------------
 
 def test_kalman_perfect_observation():
-    params = ConsumerParams(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(3, 20.0),
-                            process_noise_var=0.3, obs_noise_var=0.0)
+    params = Population(alpha=[0.5], beta=[0.1], mu=[0.5], desired_temp=[np.full(3, 20.0)],
+                        process_noise_var=[0.3], obs_noise_var=[0.0])
     est = EstimatorState(indoor_est=21.0, indoor_var=1.0, outdoor_pred=30.0)
     out = kalman_step(est, (19.4, 30.0), params, applied_power=2.0)
     assert out.indoor_est == pytest.approx(19.4, abs=1e-12)
@@ -213,21 +202,22 @@ def test_kalman_perfect_observation():
 
 def test_kalman_deterministic_system_tracks_truth():
     params = helpers.toy3_params()  # zero noise
+    alpha, beta = params.alpha.item(), params.beta.item()
     est = EstimatorState(indoor_est=20.0, indoor_var=0.0, outdoor_pred=30.0)
     x = 20.0
     for power in (1.0, -0.5, 2.0):
-        x = (1 - params.alpha) * x + params.alpha * 30.0 - params.beta * power
+        x = (1 - alpha) * x + alpha * 30.0 - beta * power
         est = kalman_step(est, (x, 30.0), params, applied_power=power)
         assert est.indoor_est == pytest.approx(x, abs=1e-12)
         assert est.indoor_var == 0.0
 
 
 def test_kalman_variance_non_increasing_on_update():
-    params = ConsumerParams(alpha=0.4, beta=0.1, mu=0.5, desired_temp=np.full(3, 20.0),
-                            process_noise_var=0.02, obs_noise_var=0.05)
+    params = Population(alpha=[0.4], beta=[0.1], mu=[0.5], desired_temp=[np.full(3, 20.0)],
+                        process_noise_var=[0.02], obs_noise_var=[0.05])
     est = EstimatorState(indoor_est=20.0, indoor_var=0.5, outdoor_pred=30.0)
     out = kalman_step(est, (20.3, 30.0), params, applied_power=0.0)
-    predicted = (1 - params.alpha) ** 2 * 0.5 + params.process_noise_var
+    predicted = (1 - params.alpha.item()) ** 2 * 0.5 + params.process_noise_var.item()
     assert out.indoor_var <= predicted
 
 
@@ -237,9 +227,9 @@ def test_kalman_steady_state_matches_riccati_root():
         alpha = rng.uniform(0.2, 0.8)
         q = rng.uniform(0.001, 0.1)
         r = rng.uniform(0.001, 0.1)
-        params = ConsumerParams(alpha=alpha, beta=0.1, mu=0.5,
-                                desired_temp=np.full(3, 20.0),
-                                process_noise_var=q, obs_noise_var=r)
+        params = Population(alpha=[alpha], beta=[0.1], mu=[0.5],
+                            desired_temp=[np.full(3, 20.0)],
+                            process_noise_var=[q], obs_noise_var=[r])
         est = EstimatorState(indoor_est=20.0, indoor_var=r, outdoor_pred=30.0)
         for _ in range(1000):
             est = kalman_step(est, (20.0, 30.0), params, applied_power=0.0)
@@ -260,31 +250,36 @@ def test_kalman_carries_next_forecast():
 # day simulation
 # ---------------------------------------------------------------------------
 
-def test_simulate_day_accounting_identity_exact():
-    rng = np.random.default_rng(54)
-    for trial in range(20):
-        params = helpers.random_params(rng, horizon=24)
-        prices = rng.uniform(0.0, 0.4, size=24)
-        result = simulate_day(params, prices, helpers.DEFAULT_WEATHER, seed=trial)
-        assert result.surplus == -(result.discomfort + result.payment)  # bitwise
+def test_simulate_surplus_accounting_identity_exact(tmp_path, monkeypatch):
+    # both CSVs' surplus is -(discomfort + payment) of the same floats, bitwise
+    written = {}
+    monkeypatch.setattr(experiments, "_write_csv",
+                        lambda path, header, columns: written.__setitem__(path.name, dict(zip(header, columns))))
+    config = ExperimentConfig(seed=54, consumers=PopulationSpec(count=20, alpha=[0.2, 0.8], mu=[0.2, 2.0]),
+                              weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
+                              simulate=SimulateSpec(thermostat_tolerances=[0.0, 1.0]))
+    experiments.run_simulate(config, tmp_path)
+    for name in ("simulate.csv", "baseline.csv"):
+        columns = written[name]
+        assert np.array_equal(columns["surplus"], -(columns["discomfort"] + columns["payment"]))
 
 
 def test_simulate_day_seed_determinism_bitwise():
     params = helpers.random_params(np.random.default_rng(55))
     prices = np.full(24, 0.1)
-    a = simulate_day(params, prices, helpers.DEFAULT_WEATHER, seed=9, consumer_id=3, day=2)
-    b = simulate_day(params, prices, helpers.DEFAULT_WEATHER, seed=9, consumer_id=3, day=2)
-    assert np.array_equal(a.consumption, b.consumption)
-    assert (a.payment, a.discomfort, a.surplus) == (b.payment, b.discomfort, b.surplus)
-    c = simulate_day(params, prices, helpers.DEFAULT_WEATHER, seed=9, consumer_id=3, day=3)
-    assert not np.array_equal(a.consumption, c.consumption)
+    a, _ = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[3])
+    b, _ = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[3])
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
+    c, _ = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 3, consumer_ids=[3])
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_zero_noise_zero_price_tracks_setpoint():
     params = helpers.toy3_params()
     weather = np.full(3, 32.0)
-    result = simulate_day(params, np.zeros(3), weather, seed=1)
-    assert result.discomfort == pytest.approx(0.0, abs=1e-18)
+    (_, _, discomfort), _ = simulate_population_day(params, np.zeros(3), weather, seed=1)
+    assert discomfort[0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_simulate_day_agrees_with_scalar_steps():
@@ -294,9 +289,9 @@ def test_simulate_day_agrees_with_scalar_steps():
     params = helpers.random_params(rng, horizon=5)
     prices = rng.uniform(0.0, 0.3, size=5)
     forecast = rng.uniform(25.0, 35.0, size=5)
-    result = simulate_day(params, prices, forecast, seed=77, consumer_id=2, day=4)
+    (result, _, _), _ = simulate_population_day(params, prices, forecast, 77, 4, consumer_ids=[2])
     consumption, _, _ = oracles.step_rollout(params, prices, forecast, *oracles.day_noise(77, 2, 4, params))
-    assert np.allclose(result.consumption, consumption, rtol=1e-12, atol=1e-12)
+    assert np.allclose(result[0], consumption, rtol=1e-12, atol=1e-12)
 
 
 def test_simulate_days_matches_stacked_single_days():
@@ -372,20 +367,19 @@ def test_empirical_affinity_recovers_gain():
 def test_baseline_rejects_negative_tolerance():
     params = helpers.toy3_params()
     with pytest.raises(ValueError):
-        baseline_thermostat(params, -0.1, np.zeros(3), np.full(3, 30.0), seed=0)
+        simulate_population_day(params, np.zeros(3), np.full(3, 30.0), seed=0, tolerances=[-0.1])
 
 
 def test_baseline_zero_tolerance_zero_noise_tracks_setpoint():
     params = helpers.toy3_params()
     weather = np.full(3, 32.0)
-    result = baseline_thermostat(params, 0.0, np.full(3, 0.2), weather, seed=0)
-    assert result.discomfort == pytest.approx(0.0, abs=1e-18)
-    assert result.surplus == -(result.discomfort + result.payment)
+    _, [(_, _, discomfort)] = simulate_population_day(params, np.full(3, 0.2), weather, seed=0, tolerances=[0.0])
+    assert discomfort[0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_baseline_tolerance_trades_payment_for_discomfort():
-    params = ConsumerParams(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(24, 20.0),
-                            process_noise_var=0.01, obs_noise_var=0.01)
+    params = Population(alpha=[0.5], beta=[0.1], mu=[0.5], desired_temp=[np.full(24, 20.0)],
+                        process_noise_var=[0.01], obs_noise_var=[0.01])
     prices = np.full(24, 0.2)
     weather = helpers.DEFAULT_WEATHER
     _, pay0, disc0 = baseline_days(params, 0.0, prices, weather, seed=3, n_days=2000)
@@ -395,8 +389,8 @@ def test_baseline_tolerance_trades_payment_for_discomfort():
 
 
 def test_optimal_policy_beats_baselines_on_shared_noise():
-    params = ConsumerParams(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(24, 20.0),
-                            process_noise_var=0.01, obs_noise_var=0.01)
+    params = Population(alpha=[0.5], beta=[0.1], mu=[0.5], desired_temp=[np.full(24, 20.0)],
+                        process_noise_var=[0.01], obs_noise_var=[0.01])
     prices = np.full(24, 0.15)
     weather = helpers.DEFAULT_WEATHER
     n_days = 5000
@@ -407,24 +401,19 @@ def test_optimal_policy_beats_baselines_on_shared_noise():
         assert dr_surplus >= -(disc_b + pay_b).mean()
 
 
-def test_day_result_is_plain_record():
-    result = DayResult(consumption=np.zeros(3), payment=1.0, discomfort=2.0, surplus=-3.0)
-    assert result.payment == 1.0 and result.surplus == -3.0
-
-
 # ---------------------------------------------------------------------------
 # population batch path against one-consumer oracles
 # ---------------------------------------------------------------------------
 
-def _mixed_population(count: int = 60) -> list[ConsumerParams]:
-    """Varied consumers, one of them heating (beta < 0) and one noise-free."""
+def _mixed_population(count: int = 60) -> list[Population]:
+    """Varied one-row consumers, one of them heating (beta < 0) and one noise-free."""
     rng = np.random.default_rng(63)
     consumers = [helpers.random_params(rng) for _ in range(count)]
-    consumers.append(ConsumerParams(alpha=0.35, beta=-0.15, mu=1.2,
-                                    desired_temp=21.0 + rng.uniform(-1.0, 1.0, size=24),
-                                    process_noise_var=0.03, obs_noise_var=0.02))
-    consumers.append(ConsumerParams(alpha=0.6, beta=0.08, mu=0.4, desired_temp=np.full(24, 19.0),
-                                    process_noise_var=0.0, obs_noise_var=0.0))
+    consumers.append(Population(alpha=[0.35], beta=[-0.15], mu=[1.2],
+                                desired_temp=[21.0 + rng.uniform(-1.0, 1.0, size=24)],
+                                process_noise_var=[0.03], obs_noise_var=[0.02]))
+    consumers.append(Population(alpha=[0.6], beta=[0.08], mu=[0.4], desired_temp=[np.full(24, 19.0)],
+                                process_noise_var=[0.0], obs_noise_var=[0.0]))
     return consumers
 
 
@@ -494,14 +483,17 @@ def _assert_rows_equal_single_days(population: Population, tolerances: list[floa
         population, prices, helpers.DEFAULT_WEATHER, 9, 2, tolerances, ids
     )
     for row, (cid, params) in enumerate(zip(ids, population)):
-        one = simulate_day(params, prices, helpers.DEFAULT_WEATHER, 9, consumer_id=cid, day=2)
-        assert np.array_equal(one.consumption, cons[row])
-        assert (one.payment, one.discomfort) == (pay[row], disc[row])
+        (one_cons, one_pay, one_disc), _ = simulate_population_day(
+            params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[cid]
+        )
+        assert np.array_equal(one_cons[0], cons[row])
+        assert (one_pay[0], one_disc[0]) == (pay[row], disc[row])
         for tolerance, (powers, base_pay, base_disc) in zip(tolerances, baselines):
-            base = baseline_thermostat(params, tolerance, prices, helpers.DEFAULT_WEATHER, 9,
-                                       consumer_id=cid, day=2)
-            assert np.array_equal(base.consumption, powers[row])
-            assert (base.payment, base.discomfort) == (base_pay[row], base_disc[row])
+            _, [(alone_powers, alone_pay, alone_disc)] = simulate_population_day(
+                params, prices, helpers.DEFAULT_WEATHER, 9, 2, [tolerance], [cid]
+            )
+            assert np.array_equal(alone_powers[0], powers[row])
+            assert (alone_pay[0], alone_disc[0]) == (base_pay[row], base_disc[row])
 
 
 def test_population_day_rows_equal_single_consumer_days():
@@ -549,8 +541,10 @@ def test_baseline_discomfort_adds_python_float_squares_hour_by_hour(count, horiz
     w = rng.normal(0.0, 0.3, size=powers.shape)
     discomfort = _baseline_rollout(population, powers, forecast, w)
     for row, params in enumerate(population):
-        t, x, expected = params.desired_temp.tolist(), params.desired_temp[0].item(), 0.0
+        alpha, beta, mu = params.alpha.item(), params.beta.item(), params.mu.item()
+        t = params.desired_temp[0].tolist()
+        x, expected = t[0], 0.0
         for i, (a, p, noise) in enumerate(zip(forecast.tolist(), powers[row].tolist(), w[row].tolist())):
-            x = x + params.alpha * (a - x) - params.beta * p + noise
-            expected += params.mu * (x - t[i]) ** 2
+            x = x + alpha * (a - x) - beta * p + noise
+            expected += mu * (x - t[i]) ** 2
         assert discomfort[row] == expected

@@ -1,4 +1,5 @@
 """Tests for battery arbitrage and storage-aware retail pricing."""
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -225,8 +226,7 @@ def test_separation_matches_joint_oracle():
                                 charge_limit=1.5, discharge_limit=1.5)
         ours = consumer_surplus_with_storage(model, prices, battery)
         joint = oracles.joint_storage_surplus(
-            params.alpha, params.beta, params.mu, params.desired_temp,
-            forecast, prices, battery,
+            *oracles.thermal(params), forecast, prices, battery,
         )
         assert ours == pytest.approx(joint, rel=1e-4, abs=1e-6)
 
@@ -315,8 +315,7 @@ def test_price_search_beats_seed_objective():
 
 def test_price_search_two_hour_toy_matches_grid():
     # two-hour aggregate model, one lossless battery: exhaustive price grid
-    params = helpers.toy3_params()
-    two_hour = type(params)(alpha=0.5, beta=0.1, mu=0.5, desired_temp=np.full(2, 20.0))
+    two_hour = dataclasses.replace(helpers.toy3_params(), desired_temp=[np.full(2, 20.0)])
     forecast = np.full(2, 32.0)
     model = aggregate([build_consumer_model(two_hour, forecast)])
     cost = WholesaleCost(mean=np.array([0.08, 0.12]))
