@@ -254,7 +254,7 @@ def draw_population(spec: PopulationSpec, seed: int) -> Population:
         lo, hi = zip(*ranged.values())
         draws = substream(seed, POPULATION_STREAM).uniform(lo, hi, size=(spec.count, len(ranged)))
         values.update(zip(ranged, draws.T))
-    values["desired_temp"] = np.repeat(values["desired_temp"][:, None], HOURS_PER_DAY, axis=1)
+    values["desired_temp"] = np.broadcast_to(values["desired_temp"][:, None], (spec.count, HOURS_PER_DAY))
     try:
         return Population(**values)
     except ValueError as exc:

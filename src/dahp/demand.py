@@ -54,8 +54,8 @@ class Population:
     alpha: (consumers,) thermal coupling to outdoor air per hour, in (0, 1).
     beta: (consumers,) temperature change per unit energy (positive = cooling).
     mu: (consumers,) discomfort weight in $ per squared degree.
-    desired_temp: (consumers, horizon) hourly setpoints; the width sets the
-        horizon.
+    desired_temp: (consumers, horizon) hourly setpoints, possibly a read-only
+        broadcast view (``draw_population``'s); the width sets the horizon.
     process_noise_var / obs_noise_var: (consumers,) variances of the thermal
         and measurement noise (degrees squared).
 
@@ -96,8 +96,10 @@ class Population:
         return self.alpha.size
 
     def __iter__(self) -> Iterator[Population]:
-        for k in range(len(self)):
-            yield Population(**{name: getattr(self, name)[k:k + 1] for name in _FIELDS})
+        for k in range(len(self)):  # a row of a checked, read-only population skips __init__'s checks
+            row = object.__new__(Population)
+            row.__dict__.update((name, getattr(self, name)[k:k + 1]) for name in _FIELDS)
+            yield row
 
     @property
     def horizon(self) -> int:

@@ -9,7 +9,8 @@ discomfort, and surplus are reported per day; their sample means validate
 the closed-form model in ``dahp.demand``.
 
 Every rollout steps through the hours once with many rows at a time: the
-consumers of a population on one day, or replicate days of one consumer.
+consumers of a population on one day, or replicate days of one consumer;
+the thermostat baselines step the consumers of every tolerance at once.
 A single consumer is a one-row population: ``simulate_population_day``
 with ``consumer_ids=[id]`` simulates its day on its own noise row.
 
@@ -126,6 +127,7 @@ def _respond_rollout(population: Population, prices: np.ndarray, forecast: np.nd
     t = population.desired_temp
     n = population.horizon
     _, gains = population.estimator_ladder
+    keep, scale = 1.0 - alpha, 2.0 * mu * beta
 
     x = np.full(len(v0), t[:, 0])      # true indoor temperature
     est = t[:, 0] + v0                 # posterior mean, seeded by one reading
@@ -133,52 +135,52 @@ def _respond_rollout(population: Population, prices: np.ndarray, forecast: np.nd
     discomfort = np.zeros(len(v0))
     for i in range(1, n + 1):
         pi_next = prices[i] if i < n else 0.0
-        target = (prices[i - 1] - (1.0 - alpha) * pi_next) / (2.0 * mu * beta) + t[:, i - 1]
-        power = ((1.0 - alpha) * est + alpha * forecast[i - 1] - target) / beta
+        target = (prices[i - 1] - keep * pi_next) / scale + t[:, i - 1]
+        expected = keep * est + alpha * forecast[i - 1]  # the next estimate at zero power
+        power = (expected - target) / beta
         consumption[:, i - 1] = power
 
         x = x + alpha * (forecast[i - 1] - x) - beta * power + w[:, i - 1]
         discomfort += mu * (x - t[:, i - 1]) ** 2
 
-        pred_mean = (1.0 - alpha) * est + alpha * forecast[i - 1] - beta * power
+        pred_mean = expected - beta * power
         est = pred_mean + gains[:, i - 1] * (x + v[:, i - 1] - pred_mean)
     return consumption, discomfort
 
 
-def _baseline_powers(population: Population, forecast: np.ndarray, tolerance: float) -> np.ndarray:
-    """Open-loop powers, (consumers, hours), holding the noise-free
-    trajectory at the tolerance band edge (above the setpoint when the unit
-    cools, below when it heats)."""
-    if tolerance < 0:
+def _baselines(population: Population, prices: np.ndarray, forecast: np.ndarray,
+               tolerances: Sequence[float], w: np.ndarray) -> list[Outcome]:
+    """(powers, payment, discomfort) of each tolerance's thermostat baseline
+    on noise ``w``: open-loop powers hold the noise-free trajectory at the
+    band edge (above the setpoint when the unit cools, below when it heats).
+    One hour-major (hours, tolerances, consumers) stack rolls out all
+    tolerances, each entry with the operations of a lone tolerance's rollout."""
+    tol = np.asarray(tolerances, dtype=float)[:, None]
+    if np.any(tol < 0):
         raise ValueError("tolerance must be nonnegative")
-    alpha, beta = population.alpha[:, None], population.beta[:, None]
-    t = population.desired_temp
-    band = t + np.where(beta > 0, tolerance, -tolerance)
-    previous = np.concatenate([t[:, :1], band[:, :-1]], axis=1)
-    return ((1.0 - alpha) * previous + alpha * forecast - band) / beta
+    alpha, beta, mu, t = population.alpha, population.beta, population.mu, population.desired_temp.T
+    band = t[:, None] + np.where(beta > 0, tol, -tol)
+    # ((1 - alpha) * previous + alpha * forecast - band) / beta in place; the day starts on the setpoint
+    powers = np.concatenate([np.broadcast_to(t[:1, None], band[:1].shape), band[:-1]])
+    powers *= 1.0 - alpha
+    powers += alpha * forecast[:, None, None]
+    powers -= band
+    powers /= beta
 
-
-def _baseline_rollout(population: Population, powers: np.ndarray, forecast: np.ndarray,
-                      w: np.ndarray) -> np.ndarray:
-    """Discomfort per row of the noisy evolution under open-loop ``powers``
-    (rows as in ``_respond_rollout``)."""
-    alpha, beta, mu = population.alpha, population.beta, population.mu
-    t = population.desired_temp
-    x = np.full(len(w), t[:, 0])
-    deviations = np.empty(w.shape)
-    for i in range(population.horizon):
-        x = x + alpha * (forecast[i] - x) - beta * powers[:, i] + w[:, i]
-        deviations[:, i] = x - t[:, i]
-    discomfort = np.zeros(len(w))
-    for squares in _pow2(deviations).T:  # hour by hour, not a pairwise row sum
-        discomfort += mu * squares
-    return discomfort
+    x = t[0]  # broadcast to (tolerances, consumers) by the first step
+    deviations = np.empty_like(band)
+    for i, noise in enumerate(w.T):
+        x = x + alpha * (forecast[i] - x) - beta * powers[i] + noise
+        deviations[i] = x - t[i]
+    discomfort = sum(mu * squares for squares in _pow2(deviations))  # hour by hour, not a pairwise sum
+    powers = np.ascontiguousarray(powers.transpose(1, 2, 0))  # (tolerances, consumers, hours)
+    return list(zip(powers, _row_payments(powers, prices), discomfort))
 
 
 def _row_payments(consumption: np.ndarray, prices: np.ndarray) -> np.ndarray:
     """Each row reduced on its own, so a consumer's payment does not depend
     on the batch it ran in (a matrix-vector product rounds differently)."""
-    return np.multiply(consumption, prices).sum(axis=1)
+    return np.multiply(consumption, prices).sum(axis=-1)
 
 
 def simulate_population_day(population: Population, prices: Sequence[float], weather: Sequence[float], seed: int,
@@ -201,10 +203,5 @@ def simulate_population_day(population: Population, prices: Sequence[float], wea
     v0, w, v = _noise(population, seed, (DAY_NOISE_STREAM, day), ids)
 
     consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
-    baselines = []
-    for tolerance in tolerances:
-        powers = _baseline_powers(population, forecast, tolerance)
-        baselines.append(
-            (powers, _row_payments(powers, pi), _baseline_rollout(population, powers, forecast, w))
-        )
+    baselines = _baselines(population, pi, forecast, tolerances, w)
     return (consumption, _row_payments(consumption, pi), discomfort), baselines

@@ -11,7 +11,9 @@ replace.  Keeping the oracles dumb and slow is the point.
 
 The last section is different: thin drivers over the library's own
 rollouts and evaluators that only tests need (replicate days of one
-consumer for Monte Carlo estimates, mean demand, battery-owner objectives).
+consumer for Monte Carlo estimates, mean demand, battery-owner objectives),
+and the one-tolerance-at-a-time thermostat baseline that the simulator's
+stacked rollout of every tolerance must match bit for bit.
 """
 from __future__ import annotations
 
@@ -25,14 +27,12 @@ import numpy as np
 import scipy.optimize
 
 from dahp import AffineDemandModel, BatteryParams, Population, WholesaleCost, arbitrage
-from dahp.demand import as_forecast, as_prices
+from dahp.demand import _pow2, as_forecast, as_prices
 from dahp.pricing import expected_cs, expected_rp
 from dahp.simulate import (
     DAY_NOISE_STREAM,
     REPLICATE_NOISE_STREAM,
     Outcome,
-    _baseline_powers,
-    _baseline_rollout,
     _noise,
     _respond_rollout,
 )
@@ -479,6 +479,36 @@ def mean_demand(model: AffineDemandModel, prices: Sequence[float]) -> np.ndarray
     return demand
 
 
+def baseline_powers(params: Population, forecast: np.ndarray, tolerance: float) -> np.ndarray:
+    """Open-loop powers of one tolerance, (consumers, hours), holding the
+    noise-free trajectory at the tolerance band edge (above the setpoint
+    when the unit cools, below when it heats)."""
+    if tolerance < 0:
+        raise ValueError("tolerance must be nonnegative")
+    alpha, beta = params.alpha[:, None], params.beta[:, None]
+    t = params.desired_temp
+    band = t + np.where(beta > 0, tolerance, -tolerance)
+    previous = np.concatenate([t[:, :1], band[:, :-1]], axis=1)
+    return ((1.0 - alpha) * previous + alpha * forecast - band) / beta
+
+
+def baseline_rollout(params: Population, powers: np.ndarray, forecast: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Discomfort per row of the noisy evolution under open-loop ``powers``:
+    row ``k`` is consumer ``k``, or, for a population of one, replicate
+    day ``k``."""
+    alpha, beta, mu = params.alpha, params.beta, params.mu
+    t = params.desired_temp
+    x = np.full(len(w), t[:, 0])
+    deviations = np.empty(w.shape)
+    for i in range(params.horizon):
+        x = x + alpha * (forecast[i] - x) - beta * powers[:, i] + w[:, i]
+        deviations[:, i] = x - t[:, i]
+    discomfort = np.zeros(len(w))
+    for squares in _pow2(deviations).T:  # hour by hour, not a pairwise row sum
+        discomfort += mu * squares
+    return discomfort
+
+
 def _replicate_days(params: Population, prices, weather, seed: int, n_days: int, consumer_id: int):
     """The validated prices and forecast and ``n_days`` rows of noise of a
     one-row population: the simulator's layout with days as rows of the
@@ -504,8 +534,8 @@ def baseline_days(params: Population, tolerance: float, prices: Sequence[float],
     """Replicate days of one consumer's thermostat baseline (shared noise
     layout with ``simulate_days``, so the two are comparable seed-for-seed)."""
     pi, forecast, _, w, _ = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
-    powers = _baseline_powers(params, forecast, tolerance)
-    discomfort = _baseline_rollout(params, powers, forecast, w)
+    powers = baseline_powers(params, forecast, tolerance)
+    discomfort = baseline_rollout(params, powers, forecast, w)
     return np.repeat(powers, n_days, axis=0), np.full(n_days, float(powers[0] @ pi)), discomfort
 
 

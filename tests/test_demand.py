@@ -15,6 +15,7 @@ from dahp import (
     Population,
     aggregate,
     build_consumer_model,
+    demand,
     population_model,
 )
 from dahp.config import PopulationSpec, draw_population
@@ -268,6 +269,29 @@ def test_population_of_concatenates_and_iterates_one_row_views():
         Population.of([])
     with pytest.raises(ValueError):
         Population.of([helpers.random_params(rng, horizon=3), helpers.random_params(rng, horizon=4)])
+
+
+@pytest.mark.parametrize("population", [
+    draw_population(PopulationSpec(count=50, alpha=[0.3, 0.7], desired_temp=[18.0, 22.0]), seed=9),
+    Population.of([helpers.random_params(np.random.default_rng(75)) for _ in range(5)]),  # hourly setpoints
+], ids=["drawn", "hourly"])
+def test_iterating_checks_no_row_again_and_yields_read_only_rows(population, monkeypatch):
+    # the rows of a checked, read-only population are valid as they stand
+    calls = []
+    check = demand._check_params
+    monkeypatch.setattr(demand, "_check_params", lambda p: calls.append(p) or check(p))
+    rows = list(population)
+    assert calls == []
+    assert len(rows) == len(population)
+    for k, row in enumerate(rows):
+        assert isinstance(row, Population) and len(row) == 1 and row.horizon == population.horizon
+        for name in _FIELDS:
+            field = getattr(row, name)
+            assert field.shape == getattr(population, name)[k:k + 1].shape
+            assert field.tobytes() == getattr(population, name)[k:k + 1].tobytes()
+            assert not field.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.alpha = np.ones(1)
 
 
 def test_cached_model_terms_equal_fresh_builds_bit_for_bit():

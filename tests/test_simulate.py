@@ -5,6 +5,8 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -26,8 +28,7 @@ from dahp.simulate import (
     DAY_NOISE_STREAM,
     POPULATION_STREAM,
     REPLICATE_NOISE_STREAM,
-    _baseline_powers,
-    _baseline_rollout,
+    _baselines,
     _box_muller,
     _noise,
     _noise_words,
@@ -537,9 +538,8 @@ def test_baseline_discomfort_adds_python_float_squares_hour_by_hour(count, horiz
         process_noise_var=np.zeros(count), obs_noise_var=np.zeros(count),
     )
     forecast = helpers.DEFAULT_WEATHER[:horizon]
-    powers = _baseline_powers(population, forecast, 1.0)
-    w = rng.normal(0.0, 0.3, size=powers.shape)
-    discomfort = _baseline_rollout(population, powers, forecast, w)
+    w = rng.normal(0.0, 0.3, size=(count, horizon))
+    [(powers, _, discomfort)] = _baselines(population, helpers.DEFAULT_WHOLESALE[:horizon], forecast, [1.0], w)
     for row, params in enumerate(population):
         alpha, beta, mu = params.alpha.item(), params.beta.item(), params.mu.item()
         t = params.desired_temp[0].tolist()
@@ -548,3 +548,54 @@ def test_baseline_discomfort_adds_python_float_squares_hour_by_hour(count, horiz
             x = x + alpha * (a - x) - beta * p + noise
             expected += mu * (x - t[i]) ** 2
         assert discomfort[row] == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12), horizon=st.integers(1, 30),
+       shared=st.booleans(), hourly=st.booleans(),
+       tolerances=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(0.0, 3.0)), max_size=3))
+def test_stacked_baselines_equal_one_tolerance_at_a_time(seed, count, horizon, shared, hourly, tolerances):
+    # every tolerance in one hour-major stack must give each tolerance's own
+    # rollout bit for bit, its payments each row's own sum (past numpy's
+    # 8-wide unrolled sums), for shared or per-consumer parameters, heating
+    # or cooling units, and setpoints that vary by hour or are broadcast
+    rng = np.random.default_rng(seed)
+
+    def column(lo, hi):
+        return np.full(count, rng.uniform(lo, hi)) if shared else rng.uniform(lo, hi, count)
+
+    setpoints = rng.uniform(16.0, 24.0, (count, 1))
+    population = Population(
+        alpha=column(0.05, 0.95), beta=column(0.02, 0.3) * rng.choice([-1.0, 1.0], count), mu=column(0.1, 2.0),
+        desired_temp=(setpoints + rng.uniform(-1.0, 1.0, (count, horizon)) if hourly
+                      else np.broadcast_to(setpoints, (count, horizon))),
+        process_noise_var=column(0.0, 0.05), obs_noise_var=column(0.0, 0.05),
+    )
+    forecast = np.resize(helpers.DEFAULT_WEATHER, horizon) + rng.normal(0.0, 2.0, horizon)
+    prices = np.resize(helpers.DEFAULT_WHOLESALE, horizon) * rng.uniform(0.5, 2.0, horizon)
+    w = rng.normal(0.0, 0.2, (count, horizon))
+    baselines = _baselines(population, prices, forecast, tolerances, w)
+    assert len(baselines) == len(tolerances)
+    for tolerance, (powers, payment, discomfort) in zip(tolerances, baselines):
+        expected = oracles.baseline_powers(population, forecast, tolerance)
+        assert powers.tobytes() == expected.tobytes()
+        assert payment.tobytes() == np.array([np.multiply(row, prices).sum() for row in expected]).tobytes()
+        assert discomfort.tobytes() == oracles.baseline_rollout(population, expected, forecast, w).tobytes()
+
+
+@pytest.mark.parametrize("ranged", [{}, {"alpha": [0.3, 0.7], "beta": [-0.2, -0.05], "mu": [0.2, 2.0]}])
+def test_broadcast_setpoints_give_the_bytes_of_their_copy(ranged):
+    # the model and a simulated day read a zero-stride setpoint view exactly
+    # like the materialized (consumers, hours) copy it stands for
+    drawn = draw_population(PopulationSpec(count=300, desired_temp=[18.0, 22.0], **ranged), seed=23)
+    copy = replace(drawn, desired_temp=np.array(drawn.desired_temp))
+    assert drawn.desired_temp.strides[1] == 0 and copy.desired_temp.strides[1] == 8
+    weather = helpers.DEFAULT_WEATHER + 2.0
+    models = [population_model(p, weather) for p in (drawn, copy)]
+    assert len({b"".join(np.asarray(x).tobytes() for x in astuple(m)) for m in models}) == 1
+    prices = optimal_price(models[0], WholesaleCost(mean=helpers.DEFAULT_WHOLESALE), 0.5)
+    days = [simulate_population_day(p, prices, weather, 41, 3, [0.0, 1.5, 0.0]) for p in (drawn, copy)]
+    (responsive, baselines), (copy_responsive, copy_baselines) = days
+    assert len(baselines) == len(copy_baselines) == 3
+    for ours, theirs in zip([responsive, *baselines], [copy_responsive, *copy_baselines]):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
