@@ -31,7 +31,6 @@ from .pricing import (
     WholesaleCost,
     benchmark_prices,
     benchmark_trace,
-    constrained_optimal_price,
     expected_cs,
     expected_rp,
     optimal_price,
@@ -72,7 +71,6 @@ __all__ = [
     "WholesaleCost",
     "benchmark_prices",
     "benchmark_trace",
-    "constrained_optimal_price",
     "expected_cs",
     "expected_rp",
     "optimal_price",

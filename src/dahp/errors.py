@@ -34,4 +34,4 @@ class IndefiniteMatrixError(NumericalError):
 
 
 class InfeasibleConstraintError(NumericalError):
-    """A constrained problem has no feasible point (LP or surplus floor)."""
+    """A constrained problem has no feasible point (a battery LP or plan)."""

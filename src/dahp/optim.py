@@ -23,7 +23,6 @@ TOLERANCES = {
     "spd_reconstruction": 1e-10,   # ||L L^T - A||_inf relative to ||A||_inf
     "spd_solve_residual": 1e-9,    # ||A x - rhs|| relative to ||rhs||
     "simplex_pivot": 1e-11,        # reduced-cost / pivot-element threshold
-    "surplus_floor_rtol": 1e-8,    # |cs - floor| <= rtol * max(1, |floor|)
     "plan_feasibility": 1e-9,      # battery plan constraint slack
 }
 

@@ -32,8 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .demand import AffineDemandModel, as_prices
-from .errors import InfeasibleConstraintError, NumericalError
-from .optim import TOLERANCES
+from .errors import NumericalError
 
 BENCHMARK_SCHEMES = ("cp", "tou", "pmp")
 
@@ -173,39 +172,6 @@ def profit_upper_bound(model: AffineDemandModel, cost: WholesaleCost, cs_value: 
         return q / 4.0
     eta = _eta_at_cs(q, k, cs_value)
     return q * (1.0 - eta) / (2.0 - eta) ** 2
-
-
-def constrained_optimal_price(
-    model: AffineDemandModel, cost: WholesaleCost, cs_floor: float
-) -> tuple[np.ndarray, float, float]:
-    """Maximize profit subject to ``cs >= cs_floor``.
-
-    Equivalent to picking the weight whose optimal tariff meets the floor,
-    which the front geometry gives in closed form.  Returns
-    ``(price, cs, rp)``.  Floors above the maximum achievable surplus raise
-    ``InfeasibleConstraintError`` naming that maximum.
-    """
-    floor = float(cs_floor)
-    ends = pareto_front(model, cost, [0.0, 1.0])
-    (cs0, cs1), (rp0, rp1) = ends.cs.tolist(), ends.rp.tolist()
-    if floor <= cs0:
-        return ends.price[0], cs0, rp0
-    scale = max(1.0, abs(floor))
-    if floor > cs1 + TOLERANCES["surplus_floor_rtol"] * scale:
-        raise InfeasibleConstraintError(
-            f"surplus floor {floor:.6g} exceeds the maximum achievable "
-            f"expected consumer surplus {cs1:.6g}"
-        )
-    if floor >= cs1:
-        return ends.price[1], cs1, rp1
-    q, k = _front_geometry(model, cost)
-    eta = min(max(_eta_at_cs(q, k, floor), 0.0), 1.0)
-    _, (price,), (cs,), (rp,) = pareto_front(model, cost, [eta])
-    if abs(cs - floor) > TOLERANCES["surplus_floor_rtol"] * scale:
-        raise InfeasibleConstraintError(
-            f"closed-form weight left |cs - floor| = {abs(cs - floor):.3e} above tolerance"
-        )
-    return price, float(cs), float(rp)
 
 
 def benchmark_prices(

@@ -3,18 +3,26 @@
 Two CSV layouts are accepted and auto-detected from the header:
 
 * wide: ``date,h01,...,h24`` with one row per day;
-* long: ``timestamp,value`` with one row per hour, grouped into days that
-  must cover hours 00-23 exactly once.
+* long: ``timestamp,value`` with one row per hour.
+
+Each data row, in either layout, is read as ``(day, first hour, values)``
+(a wide row is a day's 24 hours from hour 0, a long row one hour), and one
+loop checks the rows of both: days come out in date order and must cover
+hours 00-23 exactly once.  Blank lines are skipped.  A row that is
+malformed, holds a non-finite value or repeats an hour already given raises
+``DataError`` naming the file and the rows' 1-based line numbers, as does a
+day with missing hours.
 
 Wholesale price files are expected in $/MWh (the standard market quote) and
 are converted to $/kWh on load; weather files are degrees Celsius and pass
 through unchanged.  Files are read as UTF-8, and one that is not raises
-``DataError``; malformed rows raise it listing the 1-based line numbers
-involved.
+``DataError``.
 """
 from __future__ import annotations
 
 import csv
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -25,7 +33,6 @@ from .demand import HOURS_PER_DAY
 from .errors import DataError
 
 SERIES_KINDS = ("weather", "price")
-_WIDE_HEADER = ["date"] + [f"h{i:02d}" for i in range(1, HOURS_PER_DAY + 1)]
 _UNIT = {"weather": "degC", "price": "usd_per_kwh"}
 
 
@@ -46,7 +53,7 @@ class HourlySeries:
 
 
 def load_series(path: str | Path, kind: str) -> list[HourlySeries]:
-    """Load a CSV of hourly data as a list of day series.
+    """Load a CSV of hourly data as a list of day series in date order.
 
     ``kind`` is "weather" or "price"; prices are converted from $/MWh to
     $/kWh here so everything downstream works in consumer units.
@@ -56,84 +63,68 @@ def load_series(path: str | Path, kind: str) -> list[HourlySeries]:
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
+            reader = csv.reader(handle)
+            rows = [(reader.line_num, row) for row in reader]  # a quoted cell may span lines
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows or not rows[0]:
+    if not rows or not rows[0][1]:
         raise DataError(f"{path}: file is empty or starts with a blank line")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header == _WIDE_HEADER:
-        days = _parse_wide(rows, path)
-    elif header == ["timestamp", "value"]:
-        days = _parse_long(rows, path)
-    else:
+    header = rows[0][1]
+    read = _LAYOUTS.get(tuple(cell.strip().lower() for cell in header))
+    if read is None:
         raise DataError(
-            f"{path}: unrecognized header {rows[0]!r}; expected 'date,h01..h24' or 'timestamp,value'"
+            f"{path}: unrecognized header {header!r}; expected 'date,h01..h24' or 'timestamp,value'"
         )
-    scale = 1e-3 if kind == "price" else 1.0  # $/MWh -> $/kWh
-    return [HourlySeries(date=d, values=scale * values, unit=_UNIT[kind]) for d, values in days]
-
-
-def _parse_wide(rows: list[list[str]], path: Path) -> list[tuple[str, np.ndarray]]:
-    days = []
+    days = defaultdict(lambda: ([None] * HOURS_PER_DAY, []))  # day -> (its values, None if not given; its lines)
     bad_lines = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in rows[1:]:
         if not row:
             continue
-        if len(row) != HOURS_PER_DAY + 1:
-            bad_lines.append(line_no)
-            continue
         try:
-            day = date.fromisoformat(row[0].strip()).isoformat()
-            values = np.array([float(cell) for cell in row[1:]])
+            day, first, values = read(row)
         except ValueError:
             bad_lines.append(line_no)
             continue
-        days.append((day, values))
+        hours, lines = days[day]
+        given = slice(first, first + len(values))
+        if not all(map(math.isfinite, values)) or hours[given].count(None) < len(values):
+            bad_lines.append(line_no)
+            continue
+        hours[given] = values
+        lines.append(line_no)
     if bad_lines:
-        raise DataError(f"{path}: malformed rows at lines {bad_lines}")
+        raise DataError(f"{path}: malformed, non-finite or duplicate rows at lines {bad_lines}")
     if not days:
         raise DataError(f"{path}: no data rows")
-    return days
+    scale = 1e-3 if kind == "price" else 1.0  # $/MWh -> $/kWh
+    series = []
+    for day in sorted(days):
+        hours, lines = days[day]
+        if None in hours:
+            missing = [hour for hour, value in enumerate(hours) if value is None]
+            raise DataError(f"{path}: day {day} (lines {lines}) is missing hours {missing}")
+        series.append(HourlySeries(date=day, values=scale * np.array(hours), unit=_UNIT[kind]))
+    return series
 
 
-def _parse_long(rows: list[list[str]], path: Path) -> list[tuple[str, np.ndarray]]:
-    by_day: dict[str, dict[int, float]] = {}
-    lines_by_day: dict[str, list[int]] = {}
-    bad_lines = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            bad_lines.append(line_no)
-            continue
-        try:
-            stamp = datetime.fromisoformat(row[0].strip())
-            value = float(row[1])
-        except ValueError:
-            bad_lines.append(line_no)
-            continue
-        day = stamp.date().isoformat()
-        hours = by_day.setdefault(day, {})
-        if stamp.hour in hours:
-            bad_lines.append(line_no)
-            continue
-        hours[stamp.hour] = value
-        lines_by_day.setdefault(day, []).append(line_no)
-    if bad_lines:
-        raise DataError(f"{path}: malformed or duplicate rows at lines {bad_lines}")
-    if not by_day:
-        raise DataError(f"{path}: no data rows")
-    days = []
-    for day in sorted(by_day):
-        hours = by_day[day]
-        missing = sorted(set(range(HOURS_PER_DAY)) - set(hours))
-        if missing:
-            raise DataError(
-                f"{path}: day {day} (lines {lines_by_day[day]}) is missing hours {missing}"
-            )
-        days.append((day, np.array([hours[h] for h in range(HOURS_PER_DAY)])))
-    return days
+def _wide_row(row: list[str]) -> tuple[str, int, list[float]]:
+    """A ``date,h01..h24`` row: its day's 24 values from hour 0."""
+    if len(row) != HOURS_PER_DAY + 1:
+        raise ValueError(f"expected {HOURS_PER_DAY + 1} cells")
+    return date.fromisoformat(row[0].strip()).isoformat(), 0, [float(cell) for cell in row[1:]]
+
+
+def _long_row(row: list[str]) -> tuple[str, int, list[float]]:
+    """A ``timestamp,value`` row: one hour's value."""
+    stamp_text, value = row
+    stamp = datetime.fromisoformat(stamp_text.strip())
+    return stamp.date().isoformat(), stamp.hour, [float(value)]
+
+
+_LAYOUTS = {  # header -> its row reader
+    ("date", *(f"h{i:02d}" for i in range(1, HOURS_PER_DAY + 1))): _wide_row,
+    ("timestamp", "value"): _long_row,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -101,3 +101,20 @@ def toy3_model() -> AffineDemandModel:
     weather = np.full(3, 20.0 + 60.0 * 0.1 / 0.5)
     consumer = build_consumer_model(params, weather)
     return aggregate([consumer])
+
+
+_SERIES_HEADERS = {"wide": "date," + ",".join(f"h{h:02d}" for h in range(1, 25)), "long": "timestamp,value"}
+
+
+def series_rows(dates, days, layout: str) -> list[str]:
+    """The CSV data rows of ``days`` (24 values per date) in the wide or the
+    long layout, each value written by ``repr`` so that it reads back bit-equal."""
+    if layout == "wide":
+        return [f"{day}," + ",".join(repr(float(v)) for v in values) for day, values in zip(dates, days)]
+    return [f"{day}T{hour:02d}:00:00,{float(v)!r}" for day, values in zip(dates, days) for hour, v in enumerate(values)]
+
+
+def write_series(path, layout: str, rows: list[str]):
+    """Write a series CSV of ``rows`` under the layout's header; return its path."""
+    path.write_text("\n".join([_SERIES_HEADERS[layout], *rows]) + "\n")
+    return path

@@ -11,7 +11,8 @@ replace.  Keeping the oracles dumb and slow is the point.
 
 The last section is different: thin drivers over the library's own
 rollouts and evaluators that only tests need (replicate days of one
-consumer for Monte Carlo estimates, mean demand, battery-owner objectives),
+consumer for Monte Carlo estimates, mean demand, battery-owner objectives,
+the most profitable tariff above a surplus floor),
 and the one-tolerance-at-a-time thermostat baseline that the simulator's
 stacked rollout of every tolerance must match bit for bit.
 """
@@ -26,9 +27,9 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from dahp import AffineDemandModel, BatteryParams, Population, WholesaleCost, arbitrage
+from dahp import AffineDemandModel, BatteryParams, InfeasibleConstraintError, Population, WholesaleCost, arbitrage
 from dahp.demand import _pow2, as_forecast, as_prices
-from dahp.pricing import expected_cs, expected_rp
+from dahp.pricing import _eta_at_cs, _front_geometry, expected_cs, expected_rp, pareto_front
 from dahp.simulate import (
     DAY_NOISE_STREAM,
     REPLICATE_NOISE_STREAM,
@@ -578,3 +579,39 @@ def retailer_objective_with_storage(
     cs = expected_cs(model, pi) - float(pi @ net)
     rp = expected_rp(model, pi, cost) + float((pi - cost.mean) @ net)
     return rp + eta * cs
+
+
+SURPLUS_FLOOR_RTOL = 1e-8  # |cs - floor| <= rtol * max(1, |floor|)
+
+
+def constrained_optimal_price(
+    model: AffineDemandModel, cost: WholesaleCost, cs_floor: float
+) -> tuple[np.ndarray, float, float]:
+    """Maximize profit subject to ``cs >= cs_floor``.
+
+    Equivalent to picking the weight whose optimal tariff meets the floor,
+    which the front geometry gives in closed form.  Returns
+    ``(price, cs, rp)``.  Floors above the maximum achievable surplus raise
+    ``InfeasibleConstraintError`` naming that maximum.
+    """
+    floor = float(cs_floor)
+    ends = pareto_front(model, cost, [0.0, 1.0])
+    (cs0, cs1), (rp0, rp1) = ends.cs.tolist(), ends.rp.tolist()
+    if floor <= cs0:
+        return ends.price[0], cs0, rp0
+    scale = max(1.0, abs(floor))
+    if floor > cs1 + SURPLUS_FLOOR_RTOL * scale:
+        raise InfeasibleConstraintError(
+            f"surplus floor {floor:.6g} exceeds the maximum achievable "
+            f"expected consumer surplus {cs1:.6g}"
+        )
+    if floor >= cs1:
+        return ends.price[1], cs1, rp1
+    q, k = _front_geometry(model, cost)
+    eta = min(max(_eta_at_cs(q, k, floor), 0.0), 1.0)
+    _, (price,), (cs,), (rp,) = pareto_front(model, cost, [eta])
+    if abs(cs - floor) > SURPLUS_FLOOR_RTOL * scale:
+        raise InfeasibleConstraintError(
+            f"closed-form weight left |cs - floor| = {abs(cs - floor):.3e} above tolerance"
+        )
+    return price, float(cs), float(rp)

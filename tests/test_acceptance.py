@@ -23,7 +23,6 @@ from dahp import (
     arbitrage,
     benefit_split,
     build_consumer_model,
-    constrained_optimal_price,
     expected_cs,
     expected_rp,
     optimal_price,
@@ -87,7 +86,7 @@ def test_03_surplus_floor_roundtrip():
     for _ in range(20):
         eta = rng.uniform(0.05, 0.95)
         _, direct_cs, direct_rp = helpers.front_point(model, cost, eta)
-        _, _, rp = constrained_optimal_price(model, cost, direct_cs)
+        _, _, rp = oracles.constrained_optimal_price(model, cost, direct_cs)
         if abs(rp - direct_rp) > 1e-8:
             failures.append(f"eta={eta:.3f} round-trip rp gap {abs(rp - direct_rp):.2e}")
     _finish(3, "surplus floor round-trips the weighted solve", failures, started, 1.0)

@@ -1,15 +1,20 @@
 """End-to-end tests for the command-line front end."""
 import json
 import math
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
+import helpers
 from dahp.cli import main
 from dahp.experiments import COMMANDS
+from dahp.timeseries import synthetic_weather, synthetic_wholesale
 
 TINY = """\
 seed: 42
@@ -488,3 +493,77 @@ def test_output_file_that_is_a_directory_exit_2(tmp_path, capsys, name):
     (out / name).mkdir(parents=True)
     result = _run(["pareto", "--config", str(_demo_config(tmp_path)), "--out", str(out)], capsys)
     _assert_failed(*result, 2, "config", name)
+
+
+# A week of distinct days, in a file whose rows are out of date order.
+WEEK_DATES = [f"2021-07-{day:02d}" for day in (4, 1, 7, 2, 6, 3, 5)]
+
+
+def _week_config(tmp_path, layout):
+    """The cut demo config on a seeded week of weather and $/MWh prices,
+    both files in ``layout`` with their rows shuffled and a blank line."""
+    rng = np.random.default_rng(2105)
+    weather = np.round(synthetic_weather(1)[0].values + rng.normal(0.0, 0.5, (7, 24)), 3)
+    prices = np.round(1000.0 * synthetic_wholesale(1)[0].values * rng.uniform(0.8, 1.2, (7, 24)), 3)
+    sources = []
+    for name, days in (("weather", weather), ("wholesale", prices)):
+        rows = helpers.series_rows(WEEK_DATES, days, layout)
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        rows.insert(3, "")
+        path = helpers.write_series(tmp_path / f"{name}.csv", layout, rows)
+        sources.append((name, {"source": "file", "path": str(path)}))
+    return _demo_config(tmp_path, [*sources, ("storage.eta_grid", [0.5])])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_shuffled_week_gives_the_same_bytes_in_either_layout(tmp_path, capsys, command):
+    outputs = {}
+    for layout in ("wide", "long"):
+        out = tmp_path / layout / "out"
+        out.parent.mkdir()
+        config = _week_config(out.parent, layout)
+        code, _, stderr = _run([command, "--config", str(config), "--out", str(out)], capsys)
+        assert (code, stderr) == (0, "")
+        names = json.loads((out / "manifest.json").read_text())["outputs"]
+        outputs[layout] = {name: (out / name).read_bytes() for name in names}
+    assert outputs["wide"] == outputs["long"]
+
+
+def _defective_rows(layout, defect):
+    """Two days of rows in ``layout`` with one defect, and a 1-based line
+    that the error must list."""
+    rows = helpers.series_rows(WEEK_DATES[:2], np.full((2, 24), 20.0), layout)
+    if defect == "duplicate":
+        return [*rows, rows[0]], len(rows) + 2  # a repeated date, or hour
+    if defect == "missing hour" and layout == "long":
+        return rows[:1] + rows[2:], 3  # day one lacks hour 01; the error lists that day's lines
+    head = rows[1].rsplit(",", 1)[0]  # line 3 without its last cell
+    rows[1] = {"cell count": head, "missing hour": head + ","}.get(defect, f"{head},{defect}")
+    return rows, 3
+
+
+@pytest.mark.parametrize("defect", ["cell count", "oops", "nan", "inf", "-inf", "1e309", "duplicate", "missing hour"])
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_defective_data_rows_exit_3_naming_file_and_line(tmp_path, capsys, layout, defect):
+    rows, line = _defective_rows(layout, defect)
+    weather = helpers.write_series(tmp_path / "weather.csv", layout, rows)
+    config = _demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)})])
+    code, stdout, stderr = _run(["pareto", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(code, stdout, stderr, 3, "data", str(weather))
+    listed = re.search(r"lines \[([\d, ]+)\]", json.loads(stderr)["message"]).group(1)
+    assert line in [int(number) for number in listed.split(",")]
+
+
+@pytest.mark.parametrize("command", ["pareto", "renewable", "storage", "benchmarks"])
+def test_non_finite_study_outputs_exit_4(tmp_path, capsys, command):
+    # 1e300 degC is finite, so the data loads, but every surplus overflows
+    rows = helpers.series_rows(["2024-07-01"], np.full((1, 24), 1e300), "wide")
+    weather = helpers.write_series(tmp_path / "weather.csv", "wide", rows)
+    config = _demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)}),
+                                     ("storage.eta_grid", [0.5])])
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # pytest would record a warning instead of letting it reach stderr
+        result = _run([command, "--config", str(config), "--out", str(out)], capsys)
+    _assert_failed(*result, 4, "numerical", "not finite")
+    assert list(out.iterdir()) == []

@@ -13,7 +13,6 @@ from dahp import (
     WholesaleCost,
     benchmark_prices,
     benchmark_trace,
-    constrained_optimal_price,
     expected_cs,
     expected_rp,
     optimal_price,
@@ -225,7 +224,7 @@ def test_constrained_round_trip():
     model, cost = helpers.random_model(rng)
     for eta in (0.1, 0.3, 0.7, 0.95):
         reference_price, reference_cs, reference_rp = helpers.front_point(model, cost, eta)
-        price, cs, rp = constrained_optimal_price(model, cost, reference_cs)
+        price, cs, rp = oracles.constrained_optimal_price(model, cost, reference_cs)
         assert rp == pytest.approx(reference_rp, abs=1e-8 * max(1.0, abs(reference_rp)))
         assert np.max(np.abs(price - reference_price)) < 1e-6
 
@@ -234,7 +233,7 @@ def test_constrained_floor_below_greedy_returns_greedy():
     rng = np.random.default_rng(82)
     model, cost = helpers.random_model(rng)
     greedy_price, greedy_cs, greedy_rp = helpers.front_point(model, cost, 0.0)
-    price, cs, rp = constrained_optimal_price(model, cost, greedy_cs - 100.0)
+    price, cs, rp = oracles.constrained_optimal_price(model, cost, greedy_cs - 100.0)
     assert np.array_equal(price, greedy_price)
     assert rp == greedy_rp
 
@@ -243,7 +242,7 @@ def test_constrained_floor_at_welfare_point():
     rng = np.random.default_rng(83)
     model, cost = helpers.random_model(rng)
     _, welfare_cs, _ = helpers.front_point(model, cost, 1.0)
-    price, cs, rp = constrained_optimal_price(model, cost, welfare_cs)
+    price, cs, rp = oracles.constrained_optimal_price(model, cost, welfare_cs)
     assert np.array_equal(price, cost.mean)
     assert abs(rp) < 1e-10
 
@@ -253,7 +252,7 @@ def test_constrained_infeasible_names_max_cs():
     model, cost = helpers.random_model(rng)
     _, welfare_cs, _ = helpers.front_point(model, cost, 1.0)
     with pytest.raises(InfeasibleConstraintError) as info:
-        constrained_optimal_price(model, cost, welfare_cs + 1.0)
+        oracles.constrained_optimal_price(model, cost, welfare_cs + 1.0)
     assert f"{welfare_cs:.6g}" in str(info.value)
 
 

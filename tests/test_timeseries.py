@@ -1,6 +1,12 @@
 """Tests for CSV ingestion and the synthetic data generators."""
+from datetime import date
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
 
 from dahp.errors import DataError
 from dahp.timeseries import (
@@ -52,6 +58,26 @@ def test_long_format_equals_wide_format(tmp_path):
     for x, y in zip(a, b):
         assert x.date == y.date
         assert np.allclose(x.values, y.values, atol=0.0)
+
+
+DAY_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=24, max_size=24)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_shuffled_wide_and_long_files_load_the_same_days_in_date_order(tmp_path_factory, data):
+    ordinals = data.draw(st.lists(st.integers(730_000, 740_000), min_size=1, max_size=5, unique=True))
+    dates = [date.fromordinal(ordinal).isoformat() for ordinal in ordinals]
+    days = np.array(data.draw(st.lists(DAY_VALUES, min_size=len(dates), max_size=len(dates))))
+    expected = days[np.argsort(dates)].view(np.uint64)
+    for layout in ("wide", "long"):
+        rows = data.draw(st.permutations(helpers.series_rows(dates, days, layout)))
+        for at in data.draw(st.lists(st.integers(0, len(rows)), max_size=3)):
+            rows.insert(at, "")
+        series = load_series(helpers.write_series(tmp_path_factory.mktemp(layout) / "weather.csv", layout, rows),
+                             "weather")
+        assert [s.date for s in series] == sorted(dates), layout
+        assert np.array_equal(np.array([s.values for s in series]).view(np.uint64), expected), layout
 
 
 def test_price_unit_conversion(tmp_path):
@@ -141,6 +167,17 @@ def test_blank_rows_skipped_but_numbering_kept(tmp_path):
     with pytest.raises(DataError) as info:
         load_series(f, "weather")
     assert "4" in str(info.value)
+
+
+def test_line_numbers_count_the_lines_of_a_quoted_multi_line_cell(tmp_path):
+    f = tmp_path / "weather.csv"
+    _write_wide(f, [("2024-07-01", np.full(24, 20.0)), ("2024-07-02", np.full(24, 20.0))])
+    content = f.read_text().splitlines()
+    content[1] = content[1].replace("20.000000", '"20.000000\n"', 1)  # lines 2 and 3 hold one row
+    content[2] = content[2].replace("20.000000", "oops", 1)  # on line 4
+    f.write_text("\n".join(content) + "\n")
+    with pytest.raises(DataError, match=r"lines \[4\]"):
+        load_series(f, "weather")
 
 
 def test_hourly_series_validation():
