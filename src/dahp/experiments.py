@@ -294,10 +294,11 @@ def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dic
 def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
     """Per-day population simulation under that day's optimal tariff.
 
-    Alongside the responsive-policy rows, each configured thermostat
-    tolerance is replayed on the same per-(consumer, day) noise so the two
-    policies are comparable seed-for-seed.  Rows run day by day, consumer by
-    consumer (and tolerance by tolerance in ``baseline.csv``).
+    Each configured thermostat tolerance is replayed on the responsive
+    policy's per-(consumer, day) noise, so the policies are comparable
+    seed-for-seed.  ``simulate.csv`` is policy 0 of the (days, policies,
+    consumers) results and ``baseline.csv`` the rest; rows run day by day,
+    consumer by consumer (and tolerance by tolerance in ``baseline.csv``).
     """
     weather_days = _load_days(config.weather, "weather")
     cost = _wholesale_cost(config.wholesale)
@@ -305,33 +306,28 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], di
     eta = float(config.simulate.eta)
     tolerances = np.array(config.simulate.thermostat_tolerances, dtype=float)
 
-    payment, discomfort = [], []              # per day: (consumers,)
-    base_payment, base_discomfort = [], []    # per day: (tolerances, consumers)
+    days, consumers = len(weather_days), len(population)
+    payment, discomfort = np.empty((2, days, 1 + len(tolerances), consumers))
     for day_index, day in enumerate(weather_days):
         prices = optimal_price(population_model(population, day.values), cost, eta)
-        (_, pay, disc), baselines = simulate_population_day(
+        _, payment[day_index], discomfort[day_index] = simulate_population_day(
             population, prices, day.values, config.seed, day_index, tolerances.tolist()
         )
-        payment.append(pay)
-        discomfort.append(disc)
-        base_payment.append([pay for _, pay, _ in baselines])
-        base_discomfort.append([disc for _, _, disc in baselines])
+    surplus = -(discomfort + payment)
 
-    consumers, days = len(population), len(weather_days)
-    ids, day_ids = np.arange(consumers), np.arange(days)
-    pay, disc = np.concatenate(payment), np.concatenate(discomfort)
+    day_ids, ids = np.indices((days, consumers))
     _write_csv(
         out_dir / "simulate.csv", ["consumer_id", "day", "payment", "discomfort", "surplus"],
-        [np.tile(ids, days), np.repeat(day_ids, consumers), pay, disc, -(disc + pay)],
+        [ids.ravel(), day_ids.ravel(), *(values[:, 0].ravel() for values in (payment, discomfort, surplus))],
     )
     files = ["simulate.csv"]
     if len(tolerances):
-        pay, disc = (np.array(values).transpose(0, 2, 1).ravel() for values in (base_payment, base_discomfort))
+        day_ids, ids, tolerance = np.indices((days, consumers, len(tolerances)))
         _write_csv(
             out_dir / "baseline.csv",
             ["tolerance", "consumer_id", "day", "payment", "discomfort", "surplus"],
-            [np.tile(tolerances, consumers * days), np.tile(np.repeat(ids, len(tolerances)), days),
-             np.repeat(day_ids, consumers * len(tolerances)), pay, disc, -(disc + pay)],
+            [tolerances[tolerance.ravel()], ids.ravel(), day_ids.ravel(),
+             *(values[:, 1:].transpose(0, 2, 1).ravel() for values in (payment, discomfort, surplus))],
         )
         files.append("baseline.csv")
     # one Philox key per day; consumers read it at their own counter offsets

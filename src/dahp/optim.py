@@ -21,7 +21,6 @@ from .errors import IndefiniteMatrixError
 # solvers themselves; change values here, nowhere else.
 TOLERANCES = {
     "spd_reconstruction": 1e-10,   # ||L L^T - A||_inf relative to ||A||_inf
-    "spd_solve_residual": 1e-9,    # ||A x - rhs|| relative to ||rhs||
     "simplex_pivot": 1e-11,        # reduced-cost / pivot-element threshold
     "plan_feasibility": 1e-9,      # battery plan constraint slack
 }

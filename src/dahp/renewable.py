@@ -32,27 +32,24 @@ from .pricing import WholesaleCost, expected_cs, expected_rp, optimal_price, _ch
 class RenewableModel:
     """Owned renewable resource: hourly output uniform on [0, capacity].
 
-    ``marginal_cost`` is the per-kWh operating cost; scalar values broadcast
-    across hours.
+    ``marginal_cost`` is the per-kWh operating cost, the same every hour.
     """
 
     capacity: float
-    marginal_cost: np.ndarray | float = 0.0
+    marginal_cost: float = 0.0
 
     def __post_init__(self):
         self.capacity = float(self.capacity)
         if self.capacity < 0.0 or not np.isfinite(self.capacity):
             raise ValueError("capacity must be finite and nonnegative")
-        self.marginal_cost = np.atleast_1d(np.asarray(self.marginal_cost, dtype=float))
-        if np.any(self.marginal_cost < 0.0) or not np.all(np.isfinite(self.marginal_cost)):
+        if np.ndim(self.marginal_cost) != 0:
+            raise ValueError("marginal cost must be a scalar")
+        self.marginal_cost = float(self.marginal_cost)
+        if self.marginal_cost < 0.0 or not np.isfinite(self.marginal_cost):
             raise ValueError("marginal cost must be finite and nonnegative")
 
     def cost_vector(self, horizon: int) -> np.ndarray:
-        if self.marginal_cost.size == 1:
-            return np.full(horizon, float(self.marginal_cost[0]))
-        if self.marginal_cost.shape != (horizon,):
-            raise ValueError("marginal cost must be scalar or match the horizon")
-        return self.marginal_cost
+        return np.full(horizon, self.marginal_cost)
 
 
 @dataclass(eq=False)

@@ -4,9 +4,10 @@ The simulator rolls the thermal model forward with process and observation
 noise while each consumer runs a scalar Kalman filter and applies the
 certainty-equivalent hourly policy: drive the predicted indoor temperature
 to a price-shifted setpoint.  Thermostat baselines instead apply open-loop
-powers planned for a fixed comfort tolerance.  Realized payment,
-discomfort, and surplus are reported per day; their sample means validate
-the closed-form model in ``dahp.demand``.
+powers planned for a fixed comfort tolerance.  A day's realized
+consumption, payment and discomfort stack the policies on a leading axis,
+the optimal one first; their sample means validate the closed-form model in
+``dahp.demand``.
 
 Every rollout steps through the hours once with many rows at a time: the
 consumers of a population on one day, or replicate days of one consumer;
@@ -40,9 +41,6 @@ from typing import Sequence
 import numpy as np
 
 from .demand import Population, _pow2, as_forecast, as_prices
-
-Outcome = tuple[np.ndarray, np.ndarray, np.ndarray]  # consumption, payment, discomfort per row
-
 
 NOISE_SCHEME = 2  # keyed block noise; scheme 1 drew one substream per consumer-day
 
@@ -148,13 +146,14 @@ def _respond_rollout(population: Population, prices: np.ndarray, forecast: np.nd
     return consumption, discomfort
 
 
-def _baselines(population: Population, prices: np.ndarray, forecast: np.ndarray,
-               tolerances: Sequence[float], w: np.ndarray) -> list[Outcome]:
-    """(powers, payment, discomfort) of each tolerance's thermostat baseline
-    on noise ``w``: open-loop powers hold the noise-free trajectory at the
-    band edge (above the setpoint when the unit cools, below when it heats).
-    One hour-major (hours, tolerances, consumers) stack rolls out all
-    tolerances, each entry with the operations of a lone tolerance's rollout."""
+def _baselines(population: Population, forecast: np.ndarray, tolerances: Sequence[float],
+               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Powers (tolerances, consumers, hours) and discomfort (tolerances,
+    consumers) of each tolerance's thermostat baseline on noise ``w``:
+    open-loop powers hold the noise-free trajectory at the band edge (above
+    the setpoint when the unit cools, below when it heats).  One hour-major
+    (hours, tolerances, consumers) stack rolls out all tolerances, each
+    entry with the operations of a lone tolerance's rollout."""
     tol = np.asarray(tolerances, dtype=float)[:, None]
     if np.any(tol < 0):
         raise ValueError("tolerance must be nonnegative")
@@ -173,27 +172,27 @@ def _baselines(population: Population, prices: np.ndarray, forecast: np.ndarray,
         x = x + alpha * (forecast[i] - x) - beta * powers[i] + noise
         deviations[i] = x - t[i]
     discomfort = sum(mu * squares for squares in _pow2(deviations))  # hour by hour, not a pairwise sum
-    powers = np.ascontiguousarray(powers.transpose(1, 2, 0))  # (tolerances, consumers, hours)
-    return list(zip(powers, _row_payments(powers, prices), discomfort))
+    return powers.transpose(1, 2, 0), discomfort
 
 
 def _row_payments(consumption: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """Each row reduced on its own, so a consumer's payment does not depend
-    on the batch it ran in (a matrix-vector product rounds differently)."""
-    return np.multiply(consumption, prices).sum(axis=-1)
+    """Each row laid out and reduced on its own, so a consumer's payment does
+    not depend on the batch or stack it ran in (a matrix-vector product, or
+    a sum along strided rows, rounds differently)."""
+    return np.multiply(consumption, prices, order="C").sum(axis=-1)
 
 
 def simulate_population_day(population: Population, prices: Sequence[float], weather: Sequence[float], seed: int,
                             day: int = 0, tolerances: Sequence[float] = (),
-                            consumer_ids: Sequence[int] | None = None) -> tuple[Outcome, list[Outcome]]:
+                            consumer_ids: Sequence[int] | None = None) -> tuple[np.ndarray, ...]:
     """Simulate one day of every consumer under the optimal hourly policy
     and under a thermostat baseline per tolerance.
 
     Consumer ``k`` reads its noise once, from row ``consumer_ids[k]`` of the
     day's ``(seed, DAY_NOISE_STREAM, day)`` stream (ids default to row indices), and every
-    policy experiences it.  Returns ``(responsive, baselines)``:
-    (consumption, payment, discomfort) with consumers on the leading axis,
-    and one such triple per tolerance.
+    policy experiences it.  Returns consumption (policies, consumers, hours),
+    payment and discomfort (policies, consumers): policy 0 is the optimal
+    policy and policy ``1 + j`` the baseline of ``tolerances[j]``.
     """
     pi = as_prices(prices, population.horizon)
     forecast = as_forecast(weather, population.horizon)
@@ -203,5 +202,6 @@ def simulate_population_day(population: Population, prices: Sequence[float], wea
     v0, w, v = _noise(population, seed, (DAY_NOISE_STREAM, day), ids)
 
     consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
-    baselines = _baselines(population, pi, forecast, tolerances, w)
-    return (consumption, _row_payments(consumption, pi), discomfort), baselines
+    powers, base_discomfort = _baselines(population, forecast, tolerances, w)
+    consumption = np.concatenate([consumption[None], powers])
+    return consumption, _row_payments(consumption, pi), np.concatenate([discomfort[None], base_discomfort])

@@ -115,9 +115,11 @@ def _wide_row(row: list[str]) -> tuple[str, int, list[float]]:
 
 
 def _long_row(row: list[str]) -> tuple[str, int, list[float]]:
-    """A ``timestamp,value`` row: one hour's value."""
+    """A ``timestamp,value`` row stamped on the hour: that hour's value."""
     stamp_text, value = row
     stamp = datetime.fromisoformat(stamp_text.strip())
+    if stamp.minute or stamp.second or stamp.microsecond:
+        raise ValueError("timestamp is not on the hour")
     return stamp.date().isoformat(), stamp.hour, [float(value)]
 
 

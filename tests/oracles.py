@@ -33,10 +33,11 @@ from dahp.pricing import _eta_at_cs, _front_geometry, expected_cs, expected_rp, 
 from dahp.simulate import (
     DAY_NOISE_STREAM,
     REPLICATE_NOISE_STREAM,
-    Outcome,
     _noise,
     _respond_rollout,
 )
+
+Outcome = tuple[np.ndarray, np.ndarray, np.ndarray]  # consumption, payment, discomfort per row
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,15 @@ def test_numerical_error_exit_4(tmp_path, capsys):
     assert json.loads(stderr)["error"] == "numerical"
 
 
+def test_unplanned_error_exits_1_with_one_json_line(tiny_config, tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("dahp.cli.run_experiment", fail)
+    code, stdout, stderr = _run(["pareto", "--config", str(tiny_config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(code, stdout, stderr, 1, "internal", "boom")
+
+
 @pytest.mark.parametrize("marginal_cost", [-0.1, 1e6])
 def test_invalid_marginal_cost_exit_2(tiny_config, tmp_path, capsys, marginal_cost):
     # negative is rejected up front; at or above wholesale fails in the solve
@@ -545,7 +554,17 @@ def _defective_rows(layout, defect):
 @pytest.mark.parametrize("defect", ["cell count", "oops", "nan", "inf", "-inf", "1e309", "duplicate", "missing hour"])
 @pytest.mark.parametrize("layout", ["wide", "long"])
 def test_defective_data_rows_exit_3_naming_file_and_line(tmp_path, capsys, layout, defect):
-    rows, line = _defective_rows(layout, defect)
+    _assert_rows_exit_3_naming_line(tmp_path, capsys, layout, *_defective_rows(layout, defect))
+
+
+@pytest.mark.parametrize("stamp", ["05:30:00", "05:00:01", "05:00:00.250"])
+def test_long_row_off_the_hour_exits_3_naming_file_and_line(tmp_path, capsys, stamp):
+    rows = helpers.series_rows(WEEK_DATES[:1], np.full((1, 24), 20.0), "long")
+    rows[5] = rows[5].replace("05:00:00", stamp)
+    _assert_rows_exit_3_naming_line(tmp_path, capsys, "long", rows, 7)
+
+
+def _assert_rows_exit_3_naming_line(tmp_path, capsys, layout, rows, line):
     weather = helpers.write_series(tmp_path / "weather.csv", layout, rows)
     config = _demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)})])
     code, stdout, stderr = _run(["pareto", "--config", str(config), "--out", str(tmp_path / "o")], capsys)

@@ -38,6 +38,28 @@ def test_params_validation():
         dataclasses.replace(toy, obs_noise_var=[-1.0])
 
 
+@pytest.mark.parametrize("change", [
+    {"alpha": [0.5, 0.5]},                   # two values for one consumer
+    {"desired_temp": np.full(3, 20.0)},      # setpoints without a consumer axis
+    {"desired_temp": np.empty((1, 0))},      # no hours
+], ids=["alpha length", "1-D setpoints", "no hours"])
+def test_population_rejects_mismatched_field_shapes(change):
+    with pytest.raises(ValueError, match="a population needs"):
+        dataclasses.replace(helpers.toy3_params(), **change)
+
+
+@pytest.mark.parametrize("setpoint", [np.nan, np.inf])
+def test_population_rejects_non_finite_setpoints(setpoint):
+    with pytest.raises(ValueError, match="desired_temp must be finite"):
+        dataclasses.replace(helpers.toy3_params(), desired_temp=[[20.0, setpoint, 20.0]])
+
+
+def test_population_model_rejects_a_forecast_of_another_length():
+    population = helpers.random_params(np.random.default_rng(45))
+    with pytest.raises(ValueError, match="24 finite hours"):
+        population_model(population, helpers.DEFAULT_WEATHER[:23])
+
+
 def test_as_prices_validation():
     assert np.array_equal(as_prices([1.0, 2.0], 2), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

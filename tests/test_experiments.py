@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dahp.config import BenchmarkSpec, ExperimentConfig, PopulationSpec
-from dahp.errors import NumericalError
+from dahp.errors import ConfigError, NumericalError
 from dahp.experiments import (
     _CHUNK_CELLS,
     _PRICE_COLUMNS,
@@ -17,6 +17,7 @@ from dahp.experiments import (
     _ticks,
     _write_csv,
     run_benchmarks,
+    run_experiment,
     run_pareto,
 )
 from dahp.pricing import benchmark_prices, expected_cs, expected_rp, optimal_price
@@ -147,3 +148,9 @@ def test_a_non_finite_cell_is_a_numerical_error_and_writes_nothing(tmp_path, bad
     with pytest.raises(NumericalError, match=r"t\.csv: column 'x' is not finite"):
         _write_csv(tmp_path / "t.csv", ["id", "x"], [np.arange(3), column])
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_unknown_command_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="unknown command 'plot'"):
+        run_experiment(ExperimentConfig(seed=1), "plot", tmp_path / "out")
+    assert not (tmp_path / "out").exists()

@@ -25,6 +25,9 @@ from dahp.storage import _BatteryLp, optimize_price_with_storage
 # SPD check, and the demand model's solve against its checked gain
 # ---------------------------------------------------------------------------
 
+SPD_SOLVE_RESIDUAL = 1e-9  # ||A x - rhs|| relative to max(1, ||rhs||)
+
+
 def _solve(matrix, rhs):
     n = len(rhs)
     model = AffineDemandModel(gain=matrix, intercept_mean=np.zeros(n),
@@ -50,7 +53,7 @@ def test_spd_solve_random_residuals():
         rhs = rng.normal(size=n)
         x = _solve(mat, rhs)
         residual = np.linalg.norm(mat @ x - rhs)
-        assert residual <= TOLERANCES["spd_solve_residual"] * max(1.0, np.linalg.norm(rhs))
+        assert residual <= SPD_SOLVE_RESIDUAL * max(1.0, np.linalg.norm(rhs))
 
 
 def test_spd_factor_rejects_indefinite():
@@ -131,6 +134,12 @@ def test_simplex_unbounded_detected():
     assert res.status == "unbounded"
 
 
+def test_simplex_unbounded_without_constraint_rows():
+    # max x with x >= 0 and no row at all: the improving column has nothing to block it
+    res = _cold(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.zeros(1), np.full(1, np.inf))
+    assert res.status == "unbounded"
+
+
 def test_simplex_redundant_row_terminates():
     rows = np.array([[1.0, 1.0], [2.0, 2.0]])  # second row redundant
     res = _cold(np.array([3.0, 1.0]), rows, np.array([1.0, 2.0]),
@@ -203,6 +212,17 @@ def test_lp_problem_validates_shapes():
         LpProblem(np.ones((1, 3)), np.ones(1), np.zeros(2), np.ones(2))
     with pytest.raises(ValueError):
         LpProblem(np.ones((1, 2)), np.ones(1), np.ones(2), np.zeros(2))
+
+
+def test_lp_problem_rejects_bounds_of_another_length():
+    with pytest.raises(ValueError, match="bounds must match"):
+        LpProblem(np.ones((1, 2)), np.ones(1), np.zeros(2), np.ones(3))
+
+
+@pytest.mark.parametrize("rhs", [np.inf, np.nan])
+def test_lp_problem_rejects_a_non_finite_rhs(rhs):
+    with pytest.raises(ValueError, match="rhs must be finite"):
+        LpProblem(np.ones((1, 2)), [rhs], np.zeros(2), np.ones(2))
 
 
 def _objective(pi):

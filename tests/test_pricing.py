@@ -21,6 +21,7 @@ from dahp import (
 )
 from dahp import experiments
 from dahp.config import load_config
+from dahp.pricing import _front_geometry
 from oracles import NegativeDemandWarning
 
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
@@ -200,6 +201,24 @@ def test_front_rejects_bad_grid():
         pareto_front(model, cost, eta_grid=[0.5, 1.5])
     with pytest.raises(ValueError):
         pareto_front(model, cost, eta_grid=[])
+
+
+def test_profit_bound_at_or_below_the_greedy_surplus_is_the_greedy_profit():
+    model, cost = helpers.random_model(np.random.default_rng(81))
+    q, k = _front_geometry(model, cost)
+    _, cs_greedy, rp_greedy = helpers.front_point(model, cost, 0.0)
+    assert q / 8.0 + k == pytest.approx(cs_greedy, rel=1e-12)
+    for cs in (q / 8.0 + k, q / 8.0 + k - 1.0):
+        assert profit_upper_bound(model, cost, cs) == q / 4.0 == pytest.approx(rp_greedy, rel=1e-12)
+
+
+def test_profit_bound_is_zero_when_wholesale_is_the_zero_demand_price():
+    model, _ = helpers.random_model(np.random.default_rng(82))
+    cost = WholesaleCost(mean=model.zero_demand_price)
+    q, k = _front_geometry(model, cost)
+    assert q == 0.0
+    for cs in (k - 1.0, k + 1.0):
+        assert profit_upper_bound(model, cost, cs) == 0.0
 
 
 def test_random_prices_never_beat_front():

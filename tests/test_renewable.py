@@ -35,6 +35,13 @@ def test_renewable_model_validation():
         RenewableModel(capacity=5.0, marginal_cost=np.zeros(7)).cost_vector(24)
 
 
+def test_renewable_rejects_a_wholesale_cost_of_another_horizon():
+    model, cost = helpers.random_model(np.random.default_rng(140))
+    short = WholesaleCost(mean=cost.mean[:23])
+    with pytest.raises(ValueError, match="horizon does not match"):
+        optimal_price_renewable(model, short, RenewableModel(capacity=5.0), 0.5)
+
+
 # ---------------------------------------------------------------------------
 # shortfall expectation
 # ---------------------------------------------------------------------------

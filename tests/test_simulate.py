@@ -184,8 +184,8 @@ def test_policy_sequence_matches_brute_force_two_hours():
         forecast = rng.uniform(25.0, 35.0, size=2)
         prices = rng.uniform(0.0, 0.4, size=2)
         oracle = oracles.brute_demand(*oracles.thermal(params), forecast, prices)
-        (consumption, _, _), _ = simulate_population_day(params, prices, forecast, seed=0)
-        assert np.max(np.abs(consumption[0] - oracle)) < 1e-6
+        consumption, _, _ = simulate_population_day(params, prices, forecast, seed=0)
+        assert np.max(np.abs(consumption[0, 0] - oracle)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +268,19 @@ def test_simulate_surplus_accounting_identity_exact(tmp_path, monkeypatch):
 def test_simulate_day_seed_determinism_bitwise():
     params = helpers.random_params(np.random.default_rng(55))
     prices = np.full(24, 0.1)
-    a, _ = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[3])
-    b, _ = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[3])
+    a = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[3])
+    b = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[3])
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    c, _ = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 3, consumer_ids=[3])
+    c = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 3, consumer_ids=[3])
     assert not np.array_equal(a[0], c[0])
 
 
 def test_zero_noise_zero_price_tracks_setpoint():
     params = helpers.toy3_params()
     weather = np.full(3, 32.0)
-    (_, _, discomfort), _ = simulate_population_day(params, np.zeros(3), weather, seed=1)
-    assert discomfort[0] == pytest.approx(0.0, abs=1e-18)
+    _, _, discomfort = simulate_population_day(params, np.zeros(3), weather, seed=1)
+    assert discomfort[0, 0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_simulate_day_agrees_with_scalar_steps():
@@ -290,9 +290,9 @@ def test_simulate_day_agrees_with_scalar_steps():
     params = helpers.random_params(rng, horizon=5)
     prices = rng.uniform(0.0, 0.3, size=5)
     forecast = rng.uniform(25.0, 35.0, size=5)
-    (result, _, _), _ = simulate_population_day(params, prices, forecast, 77, 4, consumer_ids=[2])
+    result, _, _ = simulate_population_day(params, prices, forecast, 77, 4, consumer_ids=[2])
     consumption, _, _ = oracles.step_rollout(params, prices, forecast, *oracles.day_noise(77, 2, 4, params))
-    assert np.allclose(result[0], consumption, rtol=1e-12, atol=1e-12)
+    assert np.allclose(result[0, 0], consumption, rtol=1e-12, atol=1e-12)
 
 
 def test_simulate_days_matches_stacked_single_days():
@@ -374,8 +374,8 @@ def test_baseline_rejects_negative_tolerance():
 def test_baseline_zero_tolerance_zero_noise_tracks_setpoint():
     params = helpers.toy3_params()
     weather = np.full(3, 32.0)
-    _, [(_, _, discomfort)] = simulate_population_day(params, np.full(3, 0.2), weather, seed=0, tolerances=[0.0])
-    assert discomfort[0] == pytest.approx(0.0, abs=1e-18)
+    _, _, discomfort = simulate_population_day(params, np.full(3, 0.2), weather, seed=0, tolerances=[0.0])
+    assert discomfort[1, 0] == pytest.approx(0.0, abs=1e-18)
 
 
 def test_baseline_tolerance_trades_payment_for_discomfort():
@@ -480,21 +480,19 @@ def _assert_rows_equal_single_days(population: Population, tolerances: list[floa
     that consumer simulated alone, bit for bit."""
     prices = np.random.default_rng(64).uniform(0.05, 0.3, size=24)
     ids = [3 * c + 1 for c in range(len(population))]
-    (cons, pay, disc), baselines = simulate_population_day(
-        population, prices, helpers.DEFAULT_WEATHER, 9, 2, tolerances, ids
-    )
+    cons, pay, disc = simulate_population_day(population, prices, helpers.DEFAULT_WEATHER, 9, 2, tolerances, ids)
     for row, (cid, params) in enumerate(zip(ids, population)):
-        (one_cons, one_pay, one_disc), _ = simulate_population_day(
+        one_cons, one_pay, one_disc = simulate_population_day(
             params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[cid]
         )
-        assert np.array_equal(one_cons[0], cons[row])
-        assert (one_pay[0], one_disc[0]) == (pay[row], disc[row])
-        for tolerance, (powers, base_pay, base_disc) in zip(tolerances, baselines):
-            _, [(alone_powers, alone_pay, alone_disc)] = simulate_population_day(
+        assert np.array_equal(one_cons[0, 0], cons[0, row])
+        assert (one_pay[0, 0], one_disc[0, 0]) == (pay[0, row], disc[0, row])
+        for policy, tolerance in enumerate(tolerances, 1):
+            alone_powers, alone_pay, alone_disc = simulate_population_day(
                 params, prices, helpers.DEFAULT_WEATHER, 9, 2, [tolerance], [cid]
             )
-            assert np.array_equal(alone_powers[0], powers[row])
-            assert (alone_pay[0], alone_disc[0]) == (base_pay[row], base_disc[row])
+            assert np.array_equal(alone_powers[1, 0], cons[policy, row])
+            assert (alone_pay[1, 0], alone_disc[1, 0]) == (pay[policy, row], disc[policy, row])
 
 
 def test_population_day_rows_equal_single_consumer_days():
@@ -539,7 +537,7 @@ def test_baseline_discomfort_adds_python_float_squares_hour_by_hour(count, horiz
     )
     forecast = helpers.DEFAULT_WEATHER[:horizon]
     w = rng.normal(0.0, 0.3, size=(count, horizon))
-    [(powers, _, discomfort)] = _baselines(population, helpers.DEFAULT_WHOLESALE[:horizon], forecast, [1.0], w)
+    (powers,), (discomfort,) = _baselines(population, forecast, [1.0], w)
     for row, params in enumerate(population):
         alpha, beta, mu = params.alpha.item(), params.beta.item(), params.mu.item()
         t = params.desired_temp[0].tolist()
@@ -556,9 +554,10 @@ def test_baseline_discomfort_adds_python_float_squares_hour_by_hour(count, horiz
        tolerances=st.lists(st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(0.0, 3.0)), max_size=3))
 def test_stacked_baselines_equal_one_tolerance_at_a_time(seed, count, horizon, shared, hourly, tolerances):
     # every tolerance in one hour-major stack must give each tolerance's own
-    # rollout bit for bit, its payments each row's own sum (past numpy's
-    # 8-wide unrolled sums), for shared or per-consumer parameters, heating
-    # or cooling units, and setpoints that vary by hour or are broadcast
+    # rollout bit for bit, and every policy's payments, the optimal policy's
+    # stacked with the baselines', each row's own sum (past numpy's 8-wide
+    # unrolled sums), for shared or per-consumer parameters, heating or
+    # cooling units, and setpoints that vary by hour or are broadcast
     rng = np.random.default_rng(seed)
 
     def column(lo, hi):
@@ -573,14 +572,15 @@ def test_stacked_baselines_equal_one_tolerance_at_a_time(seed, count, horizon, s
     )
     forecast = np.resize(helpers.DEFAULT_WEATHER, horizon) + rng.normal(0.0, 2.0, horizon)
     prices = np.resize(helpers.DEFAULT_WHOLESALE, horizon) * rng.uniform(0.5, 2.0, horizon)
-    w = rng.normal(0.0, 0.2, (count, horizon))
-    baselines = _baselines(population, prices, forecast, tolerances, w)
-    assert len(baselines) == len(tolerances)
-    for tolerance, (powers, payment, discomfort) in zip(tolerances, baselines):
+    consumption, payment, discomfort = simulate_population_day(population, prices, forecast, seed, 0, tolerances)
+    _, w, _ = _noise(population, seed, (DAY_NOISE_STREAM, 0), np.arange(count))
+    assert consumption.shape == (1 + len(tolerances), count, horizon)
+    for tolerance, powers, rollout in zip(tolerances, consumption[1:], discomfort[1:]):
         expected = oracles.baseline_powers(population, forecast, tolerance)
         assert powers.tobytes() == expected.tobytes()
-        assert payment.tobytes() == np.array([np.multiply(row, prices).sum() for row in expected]).tobytes()
-        assert discomfort.tobytes() == oracles.baseline_rollout(population, expected, forecast, w).tobytes()
+        assert rollout.tobytes() == oracles.baseline_rollout(population, expected, forecast, w).tobytes()
+    rows = np.array([[np.multiply(row, prices).sum() for row in policy] for policy in consumption])
+    assert payment.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("ranged", [{}, {"alpha": [0.3, 0.7], "beta": [-0.2, -0.05], "mu": [0.2, 2.0]}])
@@ -594,8 +594,6 @@ def test_broadcast_setpoints_give_the_bytes_of_their_copy(ranged):
     models = [population_model(p, weather) for p in (drawn, copy)]
     assert len({b"".join(np.asarray(x).tobytes() for x in astuple(m)) for m in models}) == 1
     prices = optimal_price(models[0], WholesaleCost(mean=helpers.DEFAULT_WHOLESALE), 0.5)
-    days = [simulate_population_day(p, prices, weather, 41, 3, [0.0, 1.5, 0.0]) for p in (drawn, copy)]
-    (responsive, baselines), (copy_responsive, copy_baselines) = days
-    assert len(baselines) == len(copy_baselines) == 3
-    for ours, theirs in zip([responsive, *baselines], [copy_responsive, *copy_baselines]):
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
+    ours, theirs = (simulate_population_day(p, prices, weather, 41, 3, [0.0, 1.5, 0.0]) for p in (drawn, copy))
+    assert len(ours[0]) == len(theirs[0]) == 4  # the optimal policy and three baselines
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))

@@ -785,3 +785,26 @@ def test_large_batteries_match_linprog(capacity):
         off[48 + hour] += 10 * storage.TOLERANCES["plan_feasibility"] * capacity
         with pytest.raises(InfeasibleConstraintError):
             storage._validate_point(off, battery)
+
+
+def _one_charge_point(amount: float, discharged_at_end: bool) -> np.ndarray:
+    """A lossless 24-hour (charge, discharge, soc) point that charges
+    ``amount`` in hour 0 and holds it, or discharges it in the last hour."""
+    charge, discharge = np.zeros(24), np.zeros(24)
+    charge[0] = amount
+    discharge[-1] = amount if discharged_at_end else 0.0
+    return np.concatenate([charge, discharge, np.cumsum(charge - discharge)])
+
+
+def test_plan_check_rejects_a_missed_terminal_state_of_charge():
+    battery = BatteryParams(capacity=10.0, initial_soc=0.0)
+    storage._validate_point(_one_charge_point(4.0, True), battery)
+    with pytest.raises(InfeasibleConstraintError, match="terminal state of charge"):
+        storage._validate_point(_one_charge_point(4.0, False), battery)
+
+
+def test_plan_check_rejects_a_state_of_charge_above_capacity():
+    battery = BatteryParams(capacity=10.0, initial_soc=0.0)
+    storage._validate_point(_one_charge_point(10.0, True), battery)
+    with pytest.raises(InfeasibleConstraintError, match="capacity bounds"):
+        storage._validate_point(_one_charge_point(10.5, True), battery)

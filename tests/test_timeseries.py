@@ -146,6 +146,14 @@ def test_empty_file_rejected(tmp_path):
         load_series(f, "weather")
 
 
+@pytest.mark.parametrize("header", ["timestamp,value", "date," + ",".join(f"h{i:02d}" for i in range(1, 25))])
+def test_header_and_blank_lines_only_rejected(tmp_path, header):
+    f = tmp_path / "weather.csv"
+    f.write_text(header + "\n\n\n")
+    with pytest.raises(DataError, match="no data rows"):
+        load_series(f, "weather")
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(DataError):
         load_series(tmp_path / "nope.csv", "weather")
