@@ -93,6 +93,8 @@ class LpProblem:
             raise ValueError("lower bound exceeds upper bound")
         if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.eq_rhs))):
             raise ValueError("lower bounds and rhs must be finite")
+        if np.any(np.isnan(self.upper)):
+            raise ValueError("upper bounds must not be NaN")
 
 
 @dataclass(eq=False)

@@ -9,11 +9,14 @@ consumption, payment and discomfort stack the policies on a leading axis,
 the optimal one first; their sample means validate the closed-form model in
 ``dahp.demand``.
 
-Every rollout steps through the hours once with many rows at a time: the
-consumers of a population on one day, or replicate days of one consumer;
-the thermostat baselines step the consumers of every tolerance at once.
-A single consumer is a one-row population: ``simulate_population_day``
-with ``consumer_ids=[id]`` simulates its day on its own noise row.
+One rollout steps every policy through the hours at once, as a
+(policies, rows) stack of temperatures: the rows are the consumers of a
+population on one day, or replicate days of one consumer.  The baselines'
+powers are planned before the first hour and the optimal policy's are
+set hour by hour from its Kalman estimate; every policy squares its
+deviations with one multiply.  A single consumer is a one-row population:
+``simulate_population_day`` with ``consumer_ids=[id]`` simulates its day on
+its own noise row.
 
 Every random stream of a run is hashed from ``(seed, tag, ...)`` with one
 tag per use (the ``*_STREAM`` constants below), so no two uses share a
@@ -40,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import Population, _pow2, as_forecast, as_prices
+from .demand import Population, as_forecast, as_prices
 
 NOISE_SCHEME = 2  # keyed block noise; scheme 1 drew one substream per consumer-day
 
@@ -114,64 +117,51 @@ def _noise(population: Population, seed: int, stream: tuple[int, ...],
     return sv[:, 0] * z[:, 0], sw * z[:, 1:n + 1], sv * z[:, n + 1:]
 
 
-def _respond_rollout(population: Population, prices: np.ndarray, forecast: np.ndarray,
-                     v0: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rollout of filtering consumers over stacked rows.
+def _rollout(population: Population, prices: np.ndarray, forecast: np.ndarray, tolerances: Sequence[float],
+             v0: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Consumption (policies, rows, hours) and discomfort (policies, rows)
+    of every policy on the same noise.
 
     Row ``k`` is consumer ``k`` of ``population``, or, for a population of
-    one, replicate day ``k``.  Returns (consumption, discomfort).
-    """
-    alpha, beta, mu = population.alpha, population.beta, population.mu
-    t = population.desired_temp
-    n = population.horizon
-    _, gains = population.estimator_ladder
-    keep, scale = 1.0 - alpha, 2.0 * mu * beta
-
-    x = np.full(len(v0), t[:, 0])      # true indoor temperature
-    est = t[:, 0] + v0                 # posterior mean, seeded by one reading
-    consumption = np.empty((len(v0), n))
-    discomfort = np.zeros(len(v0))
-    for i in range(1, n + 1):
-        pi_next = prices[i] if i < n else 0.0
-        target = (prices[i - 1] - keep * pi_next) / scale + t[:, i - 1]
-        expected = keep * est + alpha * forecast[i - 1]  # the next estimate at zero power
-        power = (expected - target) / beta
-        consumption[:, i - 1] = power
-
-        x = x + alpha * (forecast[i - 1] - x) - beta * power + w[:, i - 1]
-        discomfort += mu * (x - t[:, i - 1]) ** 2
-
-        pred_mean = expected - beta * power
-        est = pred_mean + gains[:, i - 1] * (x + v[:, i - 1] - pred_mean)
-    return consumption, discomfort
-
-
-def _baselines(population: Population, forecast: np.ndarray, tolerances: Sequence[float],
-               w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Powers (tolerances, consumers, hours) and discomfort (tolerances,
-    consumers) of each tolerance's thermostat baseline on noise ``w``:
+    one, replicate day ``k``.  Policy 0 is the filtering consumer; policy
+    ``1 + j`` is the thermostat baseline of ``tolerances[j]``, whose
     open-loop powers hold the noise-free trajectory at the band edge (above
     the setpoint when the unit cools, below when it heats).  One hour-major
-    (hours, tolerances, consumers) stack rolls out all tolerances, each
-    entry with the operations of a lone tolerance's rollout."""
+    (hours, policies, rows) stack of powers steps every policy at once.
+    """
     tol = np.asarray(tolerances, dtype=float)[:, None]
     if np.any(tol < 0):
         raise ValueError("tolerance must be nonnegative")
     alpha, beta, mu, t = population.alpha, population.beta, population.mu, population.desired_temp.T
+    n = population.horizon
+    _, gains = population.estimator_ladder
+    keep, scale = 1.0 - alpha, 2.0 * mu * beta
+
+    powers = np.empty((n, 1 + len(tol), len(v0)))
     band = t[:, None] + np.where(beta > 0, tol, -tol)
     # ((1 - alpha) * previous + alpha * forecast - band) / beta in place; the day starts on the setpoint
-    powers = np.concatenate([np.broadcast_to(t[:1, None], band[:1].shape), band[:-1]])
-    powers *= 1.0 - alpha
-    powers += alpha * forecast[:, None, None]
-    powers -= band
-    powers /= beta
+    planned = powers[:, 1:]
+    planned[0] = t[0]
+    planned[1:] = band[:-1]
+    planned *= keep
+    planned += alpha * forecast[:, None, None]
+    planned -= band
+    planned /= beta
 
-    x = t[0]  # broadcast to (tolerances, consumers) by the first step
-    deviations = np.empty_like(band)
-    for i, noise in enumerate(w.T):
-        x = x + alpha * (forecast[i] - x) - beta * powers[i] + noise
-        deviations[i] = x - t[i]
-    discomfort = sum(mu * squares for squares in _pow2(deviations))  # hour by hour, not a pairwise sum
+    x = t[0]           # true indoor temperature, broadcast to (policies, rows) by the first step
+    est = t[0] + v0    # policy 0's posterior mean, seeded by one reading
+    discomfort = np.zeros(powers.shape[1:])
+    for i in range(n):
+        pi_next = prices[i + 1] if i + 1 < n else 0.0
+        target = (prices[i] - keep * pi_next) / scale + t[i]
+        expected = keep * est + alpha * forecast[i]  # the next estimate at zero power
+        powers[i, 0] = (expected - target) / beta
+
+        x = x + alpha * (forecast[i] - x) - beta * powers[i] + w[:, i]
+        discomfort += mu * (x - t[i]) ** 2
+
+        pred_mean = expected - beta * powers[i, 0]
+        est = pred_mean + gains[:, i] * (x[0] + v[:, i] - pred_mean)
     return powers.transpose(1, 2, 0), discomfort
 
 
@@ -201,7 +191,5 @@ def simulate_population_day(population: Population, prices: Sequence[float], wea
         raise ValueError(f"expected {len(population)} consumer ids, got {len(ids)}")
     v0, w, v = _noise(population, seed, (DAY_NOISE_STREAM, day), ids)
 
-    consumption, discomfort = _respond_rollout(population, pi, forecast, v0, w, v)
-    powers, base_discomfort = _baselines(population, forecast, tolerances, w)
-    consumption = np.concatenate([consumption[None], powers])
-    return consumption, _row_payments(consumption, pi), np.concatenate([discomfort[None], base_discomfort])
+    consumption, discomfort = _rollout(population, pi, forecast, tolerances, v0, w, v)
+    return consumption, _row_payments(consumption, pi), discomfort

@@ -11,7 +11,9 @@ loop checks the rows of both: days come out in date order and must cover
 hours 00-23 exactly once.  Blank lines are skipped.  A row that is
 malformed, holds a non-finite value or repeats an hour already given raises
 ``DataError`` naming the file and the rows' 1-based line numbers, as does a
-day with missing hours.
+day with missing hours, and so do long-layout stamps whose UTC offset is not
+the first stamp's (a naive stamp is one more offset): hours are read off the
+wall clock, so mixed offsets would put a day's hours out of order.
 
 Wholesale price files are expected in $/MWh (the standard market quote) and
 are converted to $/kWh on load; weather files are degrees Celsius and pass
@@ -76,15 +78,16 @@ def load_series(path: str | Path, kind: str) -> list[HourlySeries]:
             f"{path}: unrecognized header {header!r}; expected 'date,h01..h24' or 'timestamp,value'"
         )
     days = defaultdict(lambda: ([None] * HOURS_PER_DAY, []))  # day -> (its values, None if not given; its lines)
-    bad_lines = []
+    bad_lines, offsets = [], []  # offsets: (line, UTC offset) of each parsed row; None when naive or wide
     for line_no, row in rows[1:]:
         if not row:
             continue
         try:
-            day, first, values = read(row)
+            day, first, values, offset = read(row)
         except ValueError:
             bad_lines.append(line_no)
             continue
+        offsets.append((line_no, offset))
         hours, lines = days[day]
         given = slice(first, first + len(values))
         if not all(map(math.isfinite, values)) or hours[given].count(None) < len(values):
@@ -96,6 +99,10 @@ def load_series(path: str | Path, kind: str) -> list[HourlySeries]:
         raise DataError(f"{path}: malformed, non-finite or duplicate rows at lines {bad_lines}")
     if not days:
         raise DataError(f"{path}: no data rows")
+    (first_line, first_offset), *_ = offsets
+    mixed = [line for line, offset in offsets if offset != first_offset]
+    if mixed:
+        raise DataError(f"{path}: timestamps at lines {mixed} have a UTC offset other than line {first_line}'s")
     scale = 1e-3 if kind == "price" else 1.0  # $/MWh -> $/kWh
     series = []
     for day in sorted(days):
@@ -107,20 +114,22 @@ def load_series(path: str | Path, kind: str) -> list[HourlySeries]:
     return series
 
 
-def _wide_row(row: list[str]) -> tuple[str, int, list[float]]:
-    """A ``date,h01..h24`` row: its day's 24 values from hour 0."""
+def _wide_row(row: list[str]) -> tuple[str, int, list[float], None]:
+    """A ``date,h01..h24`` row: its day's 24 values from hour 0, no offset."""
     if len(row) != HOURS_PER_DAY + 1:
         raise ValueError(f"expected {HOURS_PER_DAY + 1} cells")
-    return date.fromisoformat(row[0].strip()).isoformat(), 0, [float(cell) for cell in row[1:]]
+    return date.fromisoformat(row[0].strip()).isoformat(), 0, [float(cell) for cell in row[1:]], None
 
 
-def _long_row(row: list[str]) -> tuple[str, int, list[float]]:
-    """A ``timestamp,value`` row stamped on the hour: that hour's value."""
+def _long_row(row: list[str]) -> tuple[str, int, list[float], timedelta | None]:
+    """A ``timestamp,value`` row stamped on the hour: that hour's value and
+    the stamp's UTC offset."""
     stamp_text, value = row
-    stamp = datetime.fromisoformat(stamp_text.strip())
+    stamp_text = stamp_text.strip()  # Python 3.10's fromisoformat rejects a trailing 'Z'
+    stamp = datetime.fromisoformat(stamp_text[:-1] + "+00:00" if stamp_text.endswith("Z") else stamp_text)
     if stamp.minute or stamp.second or stamp.microsecond:
         raise ValueError("timestamp is not on the hour")
-    return stamp.date().isoformat(), stamp.hour, [float(value)]
+    return stamp.date().isoformat(), stamp.hour, [float(value)], stamp.utcoffset()
 
 
 _LAYOUTS = {  # header -> its row reader

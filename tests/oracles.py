@@ -28,13 +28,13 @@ import numpy as np
 import scipy.optimize
 
 from dahp import AffineDemandModel, BatteryParams, InfeasibleConstraintError, Population, WholesaleCost, arbitrage
-from dahp.demand import _pow2, as_forecast, as_prices
+from dahp.demand import as_forecast, as_prices
 from dahp.pricing import _eta_at_cs, _front_geometry, expected_cs, expected_rp, pareto_front
 from dahp.simulate import (
     DAY_NOISE_STREAM,
     REPLICATE_NOISE_STREAM,
     _noise,
-    _respond_rollout,
+    _rollout,
 )
 
 Outcome = tuple[np.ndarray, np.ndarray, np.ndarray]  # consumption, payment, discomfort per row
@@ -501,13 +501,11 @@ def baseline_rollout(params: Population, powers: np.ndarray, forecast: np.ndarra
     alpha, beta, mu = params.alpha, params.beta, params.mu
     t = params.desired_temp
     x = np.full(len(w), t[:, 0])
-    deviations = np.empty(w.shape)
+    discomfort = np.zeros(len(w))
     for i in range(params.horizon):
         x = x + alpha * (forecast[i] - x) - beta * powers[:, i] + w[:, i]
-        deviations[:, i] = x - t[:, i]
-    discomfort = np.zeros(len(w))
-    for squares in _pow2(deviations).T:  # hour by hour, not a pairwise row sum
-        discomfort += mu * squares
+        deviation = x - t[:, i]
+        discomfort += mu * (deviation * deviation)  # hour by hour, not a pairwise row sum
     return discomfort
 
 
@@ -527,7 +525,7 @@ def simulate_days(params: Population, prices: Sequence[float], weather: Sequence
     ``-(discomfort + payment)`` rowwise when needed.
     """
     pi, forecast, v0, w, v = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
-    consumption, discomfort = _respond_rollout(params, pi, forecast, v0, w, v)
+    (consumption,), (discomfort,) = _rollout(params, pi, forecast, (), v0, w, v)
     return consumption, consumption @ pi, discomfort
 
 

@@ -564,6 +564,16 @@ def test_long_row_off_the_hour_exits_3_naming_file_and_line(tmp_path, capsys, st
     _assert_rows_exit_3_naming_line(tmp_path, capsys, "long", rows, 7)
 
 
+@pytest.mark.parametrize("first, other", [("Z", "+02:00"), ("", "+00:00"), ("-05:00", "")],
+                         ids=["utc-and-plus-2", "naive-then-utc", "offset-then-naive"])
+def test_long_rows_with_mixed_utc_offsets_exit_3_naming_file_and_line(tmp_path, capsys, first, other):
+    # hours are read off the wall clock, so an offset other than the first
+    # stamp's would misplace the hour; a naive stamp counts as one more offset
+    rows = helpers.series_rows(WEEK_DATES[:1], np.arange(24.0)[None], "long")
+    rows = [row.replace(":00:00,", f":00:00{other if hour % 2 else first},") for hour, row in enumerate(rows)]
+    _assert_rows_exit_3_naming_line(tmp_path, capsys, "long", rows, 3)
+
+
 def _assert_rows_exit_3_naming_line(tmp_path, capsys, layout, rows, line):
     weather = helpers.write_series(tmp_path / "weather.csv", layout, rows)
     config = _demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)})])

@@ -225,6 +225,15 @@ def test_lp_problem_rejects_a_non_finite_rhs(rhs):
         LpProblem(np.ones((1, 2)), [rhs], np.zeros(2), np.ones(2))
 
 
+@pytest.mark.parametrize("lower, upper, message", [
+    ([0.0, np.nan], [1.0, 1.0], "lower bounds and rhs must be finite"),
+    ([0.0, 0.0], [np.nan, np.inf], "upper bounds must not be NaN"),  # 0 <= x <= NaN read as unbounded
+])
+def test_lp_problem_rejects_a_nan_bound(lower, upper, message):
+    with pytest.raises(ValueError, match=message):
+        LpProblem(np.ones((1, 2)), [1.0], lower, upper)
+
+
 def _objective(pi):
     """The arbitrage LP's objective at tariff ``pi``: its constraints do
     not depend on the tariff, only the objective does."""

@@ -28,11 +28,11 @@ from dahp.simulate import (
     DAY_NOISE_STREAM,
     POPULATION_STREAM,
     REPLICATE_NOISE_STREAM,
-    _baselines,
     _box_muller,
     _noise,
     _noise_words,
     _row_words,
+    _rollout,
 )
 from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
 from oracles import EstimatorState, baseline_days, kalman_step, mean_demand, optimal_policy_step, simulate_days
@@ -263,6 +263,23 @@ def test_simulate_surplus_accounting_identity_exact(tmp_path, monkeypatch):
     for name in ("simulate.csv", "baseline.csv"):
         columns = written[name]
         assert np.array_equal(columns["surplus"], -(columns["discomfort"] + columns["payment"]))
+
+
+def test_run_simulate_without_tolerances_writes_the_same_simulate_csv(tmp_path):
+    # an empty baseline stack leaves the optimal policy's rows as they are
+    # and writes no baseline.csv
+    outputs = {}
+    for tolerances in ([], [0.0, 2.0]):
+        out = tmp_path / str(len(tolerances))
+        out.mkdir()
+        config = ExperimentConfig(seed=12, consumers=PopulationSpec(count=7, alpha=[0.2, 0.8], beta=[0.05, 0.3]),
+                                  weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
+                                  simulate=SimulateSpec(thermostat_tolerances=tolerances))
+        files, _ = experiments.run_simulate(config, out)
+        outputs[len(tolerances)] = (files, sorted(p.name for p in out.iterdir()), (out / "simulate.csv").read_bytes())
+    assert outputs[0][:2] == (["simulate.csv"], ["simulate.csv"])
+    assert outputs[2][:2] == (["simulate.csv", "baseline.csv"], ["baseline.csv", "simulate.csv"])
+    assert outputs[0][2] == outputs[2][2]
 
 
 def test_simulate_day_seed_determinism_bitwise():
@@ -525,10 +542,11 @@ def test_run_simulate_builds_the_estimator_ladder_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("count, horizon", [(300, 24), (30_000, 1)])
-def test_baseline_discomfort_adds_python_float_squares_hour_by_hour(count, horizon):
-    # all hours' deviations squared at once must round like Python float **
-    # (libm pow) of each, and be added hour by hour; a multiply differs in
-    # about one square in a thousand, which one-hour days show undiluted
+def test_every_policy_discomfort_adds_python_float_squares_hour_by_hour(count, horizon):
+    # every policy's deviations must be squared with one multiply, like
+    # Python float d * d, and added hour by hour; libm pow differs from a
+    # multiply in about one square in a thousand, which one-hour days show
+    # undiluted
     rng = np.random.default_rng(76)
     population = Population(
         alpha=rng.uniform(0.2, 0.8, count), beta=rng.uniform(0.05, 0.3, count), mu=rng.uniform(0.2, 2.0, count),
@@ -536,16 +554,21 @@ def test_baseline_discomfort_adds_python_float_squares_hour_by_hour(count, horiz
         process_noise_var=np.zeros(count), obs_noise_var=np.zeros(count),
     )
     forecast = helpers.DEFAULT_WEATHER[:horizon]
+    prices = rng.uniform(0.02, 0.3, horizon)
     w = rng.normal(0.0, 0.3, size=(count, horizon))
-    (powers,), (discomfort,) = _baselines(population, forecast, [1.0], w)
+    consumption, discomfort = _rollout(population, prices, forecast, [0.0, 1.0],
+                                       np.zeros(count), w, np.zeros((count, horizon)))
+    assert consumption.shape == (3, count, horizon) and discomfort.shape == (3, count)
     for row, params in enumerate(population):
         alpha, beta, mu = params.alpha.item(), params.beta.item(), params.mu.item()
         t = params.desired_temp[0].tolist()
-        x, expected = t[0], 0.0
-        for i, (a, p, noise) in enumerate(zip(forecast.tolist(), powers[row].tolist(), w[row].tolist())):
-            x = x + alpha * (a - x) - beta * p + noise
-            expected += mu * (x - t[i]) ** 2
-        assert discomfort[row] == expected
+        for powers, rollout in zip(consumption[:, row].tolist(), discomfort[:, row].tolist()):
+            x, expected = t[0], 0.0
+            for i, (a, p, noise) in enumerate(zip(forecast.tolist(), powers, w[row].tolist())):
+                x = x + alpha * (a - x) - beta * p + noise
+                deviation = x - t[i]
+                expected += mu * (deviation * deviation)
+            assert rollout == expected
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

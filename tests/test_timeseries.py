@@ -1,5 +1,5 @@
 """Tests for CSV ingestion and the synthetic data generators."""
-from datetime import date
+from datetime import date, datetime
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import helpers
 
+from dahp import timeseries
 from dahp.errors import DataError
 from dahp.timeseries import (
     HourlySeries,
@@ -78,6 +79,37 @@ def test_shuffled_wide_and_long_files_load_the_same_days_in_date_order(tmp_path_
                              "weather")
         assert [s.date for s in series] == sorted(dates), layout
         assert np.array_equal(np.array([s.values for s in series]).view(np.uint64), expected), layout
+
+
+@pytest.mark.parametrize("offset", ["Z", "+02:00", "-05:30"])
+def test_long_stamps_with_one_utc_offset_load_like_naive_stamps(tmp_path, offset):
+    # one offset throughout keeps the wall-clock hours, as a naive file does
+    rows = helpers.series_rows(["2021-07-01", "2021-07-02"], np.arange(48.0).reshape(2, 24), "long")
+    naive = load_series(helpers.write_series(tmp_path / "naive.csv", "long", rows), "weather")
+    aware = [row.replace(":00:00,", f":00:00{offset},") for row in rows]
+    zoned = load_series(helpers.write_series(tmp_path / "zoned.csv", "long", aware), "weather")
+    assert [s.date for s in zoned] == [s.date for s in naive] == ["2021-07-01", "2021-07-02"]
+    assert all(a.values.tobytes() == b.values.tobytes() for a, b in zip(naive, zoned))
+
+
+def test_z_stamps_load_where_fromisoformat_rejects_z(tmp_path, monkeypatch):
+    # Python 3.10's datetime.fromisoformat rejects a trailing 'Z' (3.11 added
+    # it); a 'Z' stamp must read as '+00:00' on either
+    class NoZDatetime(datetime):
+        @classmethod
+        def fromisoformat(cls, text):
+            if text.endswith("Z"):
+                raise ValueError(f"Invalid isoformat string: {text!r}")
+            return super().fromisoformat(text)
+
+    monkeypatch.setattr(timeseries, "datetime", NoZDatetime)
+    rows = helpers.series_rows(["2021-07-01"], np.arange(24.0)[None], "long")
+    utc = [row.replace(":00:00,", ":00:00+00:00,") for row in rows]
+    zulu = [row.replace(":00:00,", ":00:00Z,") for row in rows]
+    expected = load_series(helpers.write_series(tmp_path / "utc.csv", "long", utc), "weather")
+    series = load_series(helpers.write_series(tmp_path / "zulu.csv", "long", zulu), "weather")
+    assert [s.date for s in series] == [s.date for s in expected] == ["2021-07-01"]
+    assert series[0].values.tobytes() == expected[0].values.tobytes()
 
 
 def test_price_unit_conversion(tmp_path):
