@@ -12,30 +12,30 @@ the optimal one first; their sample means validate the closed-form model in
 One rollout steps every policy through the hours at once, as a
 (policies, rows) stack of temperatures: the rows are the consumers of a
 population on one day, or replicate days of one consumer.  The baselines'
-powers are planned before the first hour and the optimal policy's are
-set hour by hour from its Kalman estimate; every policy squares its
-deviations with one multiply.  A single consumer is a one-row population:
+powers and the optimal policy's targets are planned before the first
+hour; each hour sets the optimal policy's powers from its Kalman estimate
+and steps every policy in preallocated buffers, squaring deviations with
+one multiply.  A single consumer is a one-row population:
 ``simulate_population_day`` with ``consumer_ids=[id]`` simulates its day on
 its own noise row.
 
 Every random stream of a run is hashed from ``(seed, tag, ...)`` with one
 tag per use (the ``*_STREAM`` constants below), so no two uses share a
 Philox key.  Noise is counter-based (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011).  Each day has one Philox key,
-hashed from ``(seed, DAY_NOISE_STREAM, day)``; consumer ``c`` reads the
-``W`` words that start at counter ``c * W / 4`` of that key's stream, where
-``W`` is the smallest multiple of 4 holding the word pairs of its
-``2 * horizon + 1`` normals.  A contiguous run of consumer ids is one
-``random_raw`` call, and a consumer's noise depends only on
-``(seed, consumer_id, day)``, not on the batch, its size or its order.
-Box-Muller turns word pair ``k`` into normals ``2k`` (cosine) and
-``2k + 1`` (sine); normal 0 is the initial reading error, the next
-``horizon`` the process noise and the last ``horizon`` the reading errors.
-Every word is drawn whatever the variances, so a noise-free field does not
-shift the others.  Each consumer-day's noise is shared by the responsive
-rollout and every thermostat tolerance, so the policies are compared on
-identical disturbances.  ``NOISE_SCHEME`` numbers this layout in the
-manifest.
+numbers: as easy as 1, 2, 3", SC 2011).  Each day has one Philox key, hashed
+from ``(seed, DAY_NOISE_STREAM, day)``; consumer ``c`` reads the ``W`` words
+that start at counter ``c * W / 4`` of that key's stream, where ``W`` is the
+smallest multiple of 4 holding the word pairs of its ``2 * horizon + 1``
+normals.  A contiguous run of consumer ids is one ``random_raw`` call, and a
+consumer's noise depends only on ``(seed, consumer_id, day)``, not on the
+batch, its size or its order.  Box-Muller turns word pair ``k`` into normals
+``2k`` (cosine) and ``2k + 1`` (sine) in the words' own buffer; normal 0 is
+the initial reading error, the next ``horizon`` the process noise and the
+last ``horizon`` the reading errors.  Every word is drawn whatever the
+variances, so a noise-free field does not shift the others.  Each
+consumer-day's noise is shared by the responsive rollout and every
+thermostat tolerance, so the policies are compared on identical
+disturbances.  ``NOISE_SCHEME`` numbers this layout in the manifest.
 """
 from __future__ import annotations
 
@@ -55,7 +55,7 @@ REPLICATE_NOISE_STREAM = 3  # (seed, 3, consumer_id): one consumer's replicate d
 
 
 def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    if seed < 0 or any(k < 0 for k in key):
+    if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (seed, *key)):
         raise ValueError("seed and stream keys must be nonnegative integers")
     return np.random.SeedSequence((int(seed), *map(int, key)))
 
@@ -75,34 +75,42 @@ def _noise_words(seed: int, stream: tuple[int, ...], rows: Sequence[int], width:
     """(len(rows), width) raw words of the Philox stream keyed by
     ``(seed, *stream)``; row ``r`` starts at counter ``r * width / 4``.
 
-    Each contiguous run of row numbers is one ``random_raw`` call, so memory
-    scales with the rows asked for, not with the largest row number.
+    Each contiguous run of row numbers is one ``random_raw`` call, and one
+    run's array is returned as it is: memory scales with the rows asked
+    for, not with the largest row number.
     """
-    rows = np.asarray(rows, dtype=np.int64)
-    if np.any(rows < 0):
+    rows = np.asarray(rows)
+    if rows.dtype.kind not in "iu" and rows.size or np.any(rows < 0):
         raise ValueError("noise row numbers must be nonnegative integers")
     key = _seed_sequence(seed, *stream).generate_state(2, np.uint64)
-    words = np.empty((len(rows), width), dtype=np.uint64)
     starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # rows >= 0: the first row starts a run
-    for a, b in zip(starts, starts[1:] + [len(rows)]):
-        philox = np.random.Philox(key=key, counter=[int(rows[a]) * (width // 4), 0, 0, 0])
-        words[a:b] = philox.random_raw((b - a) * width).reshape(b - a, width)
-    return words
+    blocks = [np.random.Philox(key=key, counter=[int(rows[a]) * (width // 4), 0, 0, 0]).random_raw((b - a) * width)
+              for a, b in zip(starts, starts[1:] + [len(rows)])]
+    words = blocks[0] if len(blocks) == 1 else np.concatenate([np.empty(0, np.uint64), *blocks])
+    return words.reshape(len(rows), width)
 
 
 def _box_muller(words: np.ndarray, count: int) -> np.ndarray:
-    """The first ``count`` standard normals of each row of words: uniforms
-    ``((word >> 11) + 0.5) * 2**-53`` in (0, 1), and pair ``k`` gives normal
-    ``2k`` (cosine) and ``2k + 1`` (sine), so each normal depends only on
-    its own two words."""
+    """The first ``count`` standard normals of each row of words, made in
+    place in the words' float64 view: uniforms ``((word >> 11) + 0.5) *
+    2**-53`` in (0, 1), and pair ``k`` gives normal ``2k`` (cosine) and
+    ``2k + 1`` (sine), so each normal depends only on its own two words."""
     pairs = -(-count // 2)
-    u = ((words[:, :2 * pairs] >> np.uint64(11)) + 0.5) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    angle = 2.0 * np.pi * u[:, 1::2]
-    normals = np.empty((len(words), 2 * pairs))
-    normals[:, 0::2] = radius * np.cos(angle)
-    normals[:, 1::2] = radius * np.sin(angle)
-    return normals[:, :count]
+    words >>= np.uint64(11)
+    u = words.view(np.float64)
+    # each pair's radius in one contiguous buffer, its angle in the float
+    # slot of its first word, then the cosine there and the sine beside it
+    radius = np.add(words[:, 0:2 * pairs:2], 0.5)
+    np.log(np.multiply(radius, 2.0**-53, radius), radius)
+    np.sqrt(np.multiply(radius, -2.0, radius), radius)
+    cos, sin = u[:, 0:2 * pairs:2], u[:, 1:2 * pairs:2]
+    np.multiply(np.add(words[:, 1:2 * pairs:2], 0.5, cos), 2.0**-53, cos)
+    cos *= 2.0 * np.pi
+    np.sin(cos, sin)
+    np.cos(cos, cos)
+    cos *= radius
+    sin *= radius
+    return u[:, :count]
 
 
 def _noise(population: Population, seed: int, stream: tuple[int, ...],
@@ -112,9 +120,11 @@ def _noise(population: Population, seed: int, stream: tuple[int, ...],
     the row's consumer (a population of one scales every row alike)."""
     n = population.horizon
     z = _box_muller(_noise_words(seed, stream, rows, _row_words(n)), 2 * n + 1)
-    sv = np.sqrt(population.obs_noise_var)[:, None]
-    sw = np.sqrt(population.process_noise_var)[:, None]
-    return sv[:, 0] * z[:, 0], sw * z[:, 1:n + 1], sv * z[:, n + 1:]
+    v0, w, v = z[:, 0], z[:, 1:n + 1], z[:, n + 1:]  # scaled in place
+    v0 *= np.sqrt(population.obs_noise_var)
+    w *= np.sqrt(population.process_noise_var)[:, None]
+    v *= np.sqrt(population.obs_noise_var)[:, None]
+    return v0, w, v
 
 
 def _rollout(population: Population, prices: np.ndarray, forecast: np.ndarray, tolerances: Sequence[float],
@@ -130,38 +140,43 @@ def _rollout(population: Population, prices: np.ndarray, forecast: np.ndarray, t
     (hours, policies, rows) stack of powers steps every policy at once.
     """
     tol = np.asarray(tolerances, dtype=float)[:, None]
-    if np.any(tol < 0):
-        raise ValueError("tolerance must be nonnegative")
+    if not np.all((tol >= 0) & (tol < np.inf)):
+        raise ValueError("tolerance must be finite and nonnegative")
     alpha, beta, mu, t = population.alpha, population.beta, population.mu, population.desired_temp.T
     n = population.horizon
     _, gains = population.estimator_ladder
     keep, scale = 1.0 - alpha, 2.0 * mu * beta
 
     powers = np.empty((n, 1 + len(tol), len(v0)))
-    band = t[:, None] + np.where(beta > 0, tol, -tol)
-    # ((1 - alpha) * previous + alpha * forecast - band) / beta in place; the day starts on the setpoint
-    planned = powers[:, 1:]
+    first, planned = powers[:, 0], powers[:, 1:]
+    forced, edge = alpha * forecast[:, None], np.where(beta > 0, tol, -tol)
+    # ((1 - alpha) * previous band + alpha * forecast - band) / beta in place,
+    # a tolerance's band at a time in policy 0's column; the day starts on the setpoint
     planned[0] = t[0]
-    planned[1:] = band[:-1]
+    np.add(t[:-1, None], edge, planned[1:])
     planned *= keep
-    planned += alpha * forecast[:, None, None]
-    planned -= band
+    planned += forced[:, None]
+    for j, e in enumerate(edge):
+        planned[:, j] -= np.add(t, e, first)
     planned /= beta
-
-    x = t[0]           # true indoor temperature, broadcast to (policies, rows) by the first step
-    est = t[0] + v0    # policy 0's posterior mean, seeded by one reading
-    discomfort = np.zeros(powers.shape[1:])
-    for i in range(n):
-        pi_next = prices[i + 1] if i + 1 < n else 0.0
-        target = (prices[i] - keep * pi_next) / scale + t[i]
-        expected = keep * est + alpha * forecast[i]  # the next estimate at zero power
-        powers[i, 0] = (expected - target) / beta
-
-        x = x + alpha * (forecast[i] - x) - beta * powers[i] + w[:, i]
-        discomfort += mu * (x - t[i]) ** 2
-
-        pred_mean = expected - beta * powers[i, 0]
-        est = pred_mean + gains[:, i] * (x[0] + v[:, i] - pred_mean)
+    # policy 0's targets, (prices[i] - keep * prices[i + 1]) / scale + t[i]
+    np.subtract(prices[:, None], np.multiply(keep, np.append(prices[1:], 0.0)[:, None], first), first)
+    np.add(np.divide(first, scale, first), t, first)
+    # the hour loop turns policy 0's targets into its powers and steps in these buffers
+    x = np.broadcast_to(t[0], powers.shape[1:]).copy()  # true indoor temperatures
+    d, discomfort = np.empty_like(x), np.zeros_like(x)
+    est, expected = t[0] + v0, np.empty(len(v0))  # policy 0's posterior mean, seeded by one reading
+    for i, p0 in enumerate(first):
+        np.add(np.multiply(keep, est, expected), forced[i], expected)  # the next estimate at zero power
+        np.divide(np.subtract(expected, p0, p0), beta, p0)
+        x += np.multiply(alpha, np.subtract(forecast[i], x, d), d)
+        x -= np.multiply(beta, powers[i], d)
+        x += w[:, i]
+        discomfort += np.multiply(mu, np.square(np.subtract(x, t[i], d), d), d)  # d * d, then * mu
+        expected -= np.multiply(beta, p0, est)  # the predicted mean
+        np.subtract(np.add(x[0], v[:, i], est), expected, est)  # the reading's innovation
+        est *= gains[:, i]
+        est += expected
     return powers.transpose(1, 2, 0), discomfort
 
 

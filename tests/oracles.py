@@ -4,10 +4,11 @@ Nothing in here reuses the library's closed forms: demand comes from
 brute-force minimization of the consumer's day cost, battery profits from
 grid enumeration, expectations from Monte Carlo, and the joint
 storage-plus-HVAC problem from a general-purpose NLP solver.  The batched
-simulator is replayed one consumer, one hour at a time, and the population
-model is rebuilt from each consumer's scalar formulas, and the simplex's
-kernels are written out as the row-at-a-time loops and products they
-replace.  Keeping the oracles dumb and slow is the point.
+simulator is replayed one consumer, one hour at a time, and its noise is
+made out of place, one fresh array per step.  The population model is
+rebuilt from each consumer's scalar formulas, and the simplex's kernels
+are written out as the row-at-a-time loops and products they replace.
+Keeping the oracles dumb and slow is the point.
 
 The last section is different: thin drivers over the library's own
 rollouts and evaluators that only tests need (replicate days of one
@@ -238,6 +239,36 @@ def day_noise(seed: int, consumer_id: int, day: int, params):
     *_, q, r = _floats(params)
     sv, sw = math.sqrt(r), math.sqrt(q)
     return sv * normals[0], np.array([sw * z for z in normals[1:n + 1]]), np.array([sv * z for z in normals[n + 1:]])
+
+
+def box_muller(words: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` standard normals of each row of words, out of
+    place: uniforms ``((word >> 11) + 0.5) * 2**-53``, and pair ``k`` gives
+    normal ``2k`` (cosine) and ``2k + 1`` (sine), each step a fresh
+    array."""
+    pairs = -(-count // 2)
+    u = ((words[:, :2 * pairs] >> np.uint64(11)) + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    normals = np.empty((len(words), 2 * pairs))
+    normals[:, 0::2] = radius * np.cos(angle)
+    normals[:, 1::2] = radius * np.sin(angle)
+    return normals[:, :count]
+
+
+def block_noise(population: Population, seed: int, stream: tuple[int, ...], rows: Sequence[int]):
+    """(v0, w, v) of each row of the ``(seed, *stream)`` noise stream: each
+    row's words drawn from its own Philox counter, made into normals by
+    ``box_muller`` and scaled by fresh products."""
+    n = population.horizon
+    width = 4 * math.ceil((2 * n + 2) / 4)
+    key = np.random.SeedSequence((seed, *stream)).generate_state(2, np.uint64)
+    words = np.array([np.random.Philox(key=key, counter=[row * width // 4, 0, 0, 0]).random_raw(width)
+                      for row in rows])
+    z = box_muller(words, 2 * n + 1)
+    sv = np.sqrt(population.obs_noise_var)[:, None]
+    sw = np.sqrt(population.process_noise_var)[:, None]
+    return sv[:, 0] * z[:, 0], sw * z[:, 1:n + 1], sv * z[:, n + 1:]
 
 
 def step_rollout(params, prices, forecast, v0, w, v):

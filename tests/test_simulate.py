@@ -1,5 +1,6 @@
 """Tests for the consumer simulator: policy, filter, and Monte Carlo means."""
 import statistics
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -104,9 +105,11 @@ def test_zero_variance_keeps_the_other_fields_draws():
     assert not np.any(quiet_reading[0]) and not np.any(quiet_reading[2])
 
 
-@pytest.mark.parametrize("seed, day, ids", [(-1, 0, [0]), (0, -1, [0]), (0, 0, [2, -1])],
-                         ids=["seed", "day", "consumer id"])
-def test_negative_noise_coordinates_raise(seed, day, ids):
+@pytest.mark.parametrize("seed, day, ids", [
+    (-1, 0, [0]), (0, -1, [0]), (0, 0, [2, -1]), (2.5, 0, [0, 1]), (0, 2.5, [0, 1]), (0, 0, [0.9, 1.7]),
+], ids=["seed", "day", "consumer id", "fractional seed", "fractional day", "fractional ids"])
+def test_negative_or_fractional_noise_coordinates_raise(seed, day, ids):
+    # truncating a fractional one would read another day's or consumer's noise
     population = Population.of([helpers.toy3_params()] * len(ids))
     with pytest.raises(ValueError):
         simulate_population_day(population, np.zeros(3), np.full(3, 30.0), seed, day, consumer_ids=ids)
@@ -134,6 +137,63 @@ def test_noise_normals_are_standard_and_uncorrelated():
         assert abs(np.corrcoef(z[:, j], z[:, j + 1])[0, 1]) < bound
     for j in range(z.shape[1]):  # neighbouring rows, i.e. neighbouring consumers
         assert abs(np.corrcoef(z[:-1, j], z[1:, j])[0, 1]) < bound
+
+
+_NOISE_ROWS = {
+    "one row": [7],
+    "contiguous": list(range(1000)),
+    "gapped": [*range(40), *range(100, 140), 999],
+    "unsorted": [5, 3, 4, 0, 1, 2, 90, 11, 10],
+}
+
+
+@pytest.mark.parametrize("horizon", [1, 24, 25])
+@pytest.mark.parametrize("layout", list(_NOISE_ROWS))
+def test_noise_equals_the_out_of_place_reference_bitwise(layout, horizon):
+    # normals made in the word buffer through strided and in-place operands
+    # must round like the fresh arrays of the reference, for odd and even
+    # pair counts, one run of ids or several, and zero variances
+    ids = _NOISE_ROWS[layout]
+    rng = np.random.default_rng(67)
+    count = len(ids)
+    process, obs = rng.uniform(0.001, 0.05, count), rng.uniform(0.001, 0.05, count)
+    process[::3], obs[1::3] = 0.0, 0.0
+    population = Population(alpha=np.full(count, 0.5), beta=np.full(count, 0.1), mu=np.full(count, 0.5),
+                            desired_temp=np.full((count, horizon), 20.0),
+                            process_noise_var=process, obs_noise_var=obs)
+    stream = (DAY_NOISE_STREAM, 3)
+    ours = _noise(population, 8, stream, ids)
+    for field, reference in zip(ours, oracles.block_noise(population, 8, stream, ids)):
+        assert field.shape == reference.shape and field.tobytes() == reference.tobytes()
+    assert not ours[1][::3].any() and not ours[2][1::3].any()
+
+
+def test_replicate_noise_equals_the_out_of_place_reference_bitwise():
+    # a population of one scales all of its replicate rows alike
+    params = helpers.random_params(np.random.default_rng(68))
+    stream = (REPLICATE_NOISE_STREAM, 4)
+    for field, reference in zip(_noise(params, 8, stream, np.arange(1000)),
+                                oracles.block_noise(params, 8, stream, np.arange(1000))):
+        assert field.shape == reference.shape and field.tobytes() == reference.tobytes()
+
+
+def test_noise_peaks_near_its_word_buffer():
+    # the normals are made in the Philox word buffer with one extra
+    # (rows, pairs) buffer, so a day's noise never holds several
+    # (rows, words) temporaries at once; numpy reports its data buffers
+    # to tracemalloc, whatever the C allocator does with them
+    population = draw_population(PopulationSpec(count=1000), seed=3)
+    ids = np.arange(1000)
+    _noise(population, 5, (DAY_NOISE_STREAM, 0), ids)  # first-call costs outside the window
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        noise = _noise(population, 5, (DAY_NOISE_STREAM, 0), ids)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert noise[1].shape == (1000, 24)
+    assert peak <= 2.25 * 1000 * _row_words(24) * 8
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +442,12 @@ def test_empirical_affinity_recovers_gain():
 # baseline thermostat
 # ---------------------------------------------------------------------------
 
-def test_baseline_rejects_negative_tolerance():
+@pytest.mark.parametrize("tolerance", [-0.1, float("nan"), float("inf")])
+def test_baseline_rejects_negative_or_non_finite_tolerance(tolerance):
+    # a non-finite band would give non-finite baseline rows
     params = helpers.toy3_params()
     with pytest.raises(ValueError):
-        simulate_population_day(params, np.zeros(3), np.full(3, 30.0), seed=0, tolerances=[-0.1])
+        simulate_population_day(params, np.zeros(3), np.full(3, 30.0), seed=0, tolerances=[1.0, tolerance])
 
 
 def test_baseline_zero_tolerance_zero_noise_tracks_setpoint():
