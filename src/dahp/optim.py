@@ -3,8 +3,10 @@ solver whose phase-1 start serves every objective over its constraints,
 and coordinate pattern search.
 
 Everything here is deterministic and dense (24-hour horizons are tiny), but
-the simplex skips tableau rows whose update would change no bit.  All
-tolerances live in ``TOLERANCES`` so library code and tests agree on them.
+the simplex skips tableau rows whose update would change no bit.  A basis
+is an ``np.intp`` array of standard-form column indices, one per tableau
+row, updated in place by the pivots.  All tolerances live in
+``TOLERANCES`` so library code and tests agree on them.
 """
 from __future__ import annotations
 
@@ -102,11 +104,12 @@ class LpResult:
     x: np.ndarray | None
     objective: float
     status: str  # "feasible" (a start) | "optimal" | "infeasible" | "unbounded"
-    # Starts and optimal solves only: the basis (standard-form column per
-    # tableau row) and the tableau, whose rows are B^-1 A | B^-1 b over the
-    # shifted variables followed by one slack per finite upper bound, and
-    # whose last row holds an optimal solve's reduced costs.
-    basis: list[int] | None = None
+    # Starts and optimal solves only: the basis (an np.intp array of each
+    # tableau row's standard-form column) and the tableau, whose rows are
+    # B^-1 A | B^-1 b over the shifted variables followed by one slack per
+    # finite upper bound, and whose last row holds an optimal solve's
+    # reduced costs.
+    basis: np.ndarray | None = None
     tableau: np.ndarray | None = None
     pivots: int = 0  # simplex pivots this phase made
 
@@ -121,38 +124,30 @@ def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau[rows] -= eliminate[rows, np.newaxis] * tableau[row]
 
 
-def _bland_pivot_loop(tableau: np.ndarray, basis: list[int], n_cols: int) -> tuple[str, int]:
+def _bland_pivot_loop(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> tuple[str, int]:
     """Run simplex pivots on a tableau whose last row is the (maximize)
-    reduced-cost row and last column is the rhs.  Bland's rule: entering
-    variable is the lowest-index column with reduced cost above tolerance,
-    leaving row breaks ratio ties by lowest basis index, which guarantees
-    termination.  Returns "optimal" or "unbounded" and the pivot count.
+    reduced-cost row and last column is the rhs, updating ``basis`` in
+    place.  Bland's rule: entering variable is the lowest-index column with
+    reduced cost above tolerance, leaving row breaks ratio ties by lowest
+    basis index, which guarantees termination.  Returns "optimal" or
+    "unbounded" and the pivot count.
     """
     tol = TOLERANCES["simplex_pivot"]
     m = tableau.shape[0] - 1
-    basis_arr = np.asarray(basis, dtype=int)
-    ratios = np.empty(m)
-    try:
-        for pivots in itertools.count():
-            reduced = tableau[m, :n_cols]
-            entering = int((reduced > tol).argmax())
-            if reduced[entering] <= tol:
-                return "optimal", pivots
-            if m == 0:
-                return "unbounded", pivots  # improving direction with no blocking row
-            column = tableau[:m, entering]
-            positive = column > tol
-            ratios.fill(np.inf)
-            np.divide(tableau[:m, -1], column, out=ratios, where=positive)
-            best = ratios.min()
-            if not math.isfinite(best):
-                return "unbounded", pivots
-            tied = (ratios <= best + tol).nonzero()[0]
-            leave = int(tied[basis_arr[tied].argmin()])
-            _pivot(tableau, leave, entering)
-            basis_arr[leave] = entering
-    finally:
-        basis[:] = basis_arr.tolist()
+    reduced, rhs = tableau[m, :n_cols], tableau[:m, -1]  # views: _pivot writes in place
+    for pivots in itertools.count():
+        entering = int((reduced > tol).argmax())
+        if reduced[entering] <= tol:
+            return "optimal", pivots
+        column = tableau[:m, entering]
+        rows = (column > tol).nonzero()[0]
+        ratios = rhs[rows] / column[rows]
+        if rows.size == 0 or not math.isfinite(best := ratios.min()):
+            return "unbounded", pivots  # an improving direction no row blocks
+        tied = rows[ratios <= best + tol]
+        leave = int(tied[basis[tied].argmin()])
+        _pivot(tableau, leave, entering)
+        basis[leave] = entering
 
 
 def feasible_start(problem: LpProblem) -> LpResult:
@@ -188,7 +183,7 @@ def feasible_start(problem: LpProblem) -> LpResult:
     tableau[:m, :n_std] = a_std
     tableau[:m0, n_std:n_std + m0] = np.eye(m0)
     tableau[:m, -1] = b_std
-    basis = [n_std + i for i in range(m0)] + [n + r for r in range(k)]
+    basis = np.array([n_std + i for i in range(m0)] + [n + r for r in range(k)], dtype=np.intp)
     # reduced costs for a cost of -1 per artificial with the mixed
     # artificial/slack starting basis
     tableau[m, :n_std] = a_std[:m0].sum(axis=0)
@@ -212,7 +207,7 @@ def feasible_start(problem: LpProblem) -> LpResult:
 
     # Original columns + rhs; simplex_solve rewrites the last row.
     start = tableau[np.ix_(keep_rows + [m], list(range(n_std)) + [n_std + m0])]
-    return LpResult(x=None, objective=np.nan, status="feasible", basis=[basis[i] for i in keep_rows],
+    return LpResult(x=None, objective=np.nan, status="feasible", basis=basis[keep_rows],
                     tableau=start, pivots=pivots)
 
 
@@ -220,25 +215,33 @@ def simplex_solve(problem: LpProblem, objective: np.ndarray, start: LpResult) ->
     """Phase 2 of the dense simplex, deterministic by Bland's rule: maximize
     ``objective @ x`` from a copy of ``start``, which is ``feasible_start(problem)``
     or any optimal result for the same constraints.  An infeasible start
-    gives an infeasible result; one of another width raises ValueError."""
+    gives an infeasible result.  A start of another width, or whose vertex
+    misses an equality row by over 1e-8 max(1, max |x|), raises ValueError."""
     n = problem.lower.size
     if start.status == "infeasible":
         return LpResult(x=None, objective=np.nan, status="infeasible")
     width = n + np.count_nonzero(np.isfinite(problem.upper - problem.lower)) + 1
     if start.tableau is None or start.tableau.shape[1] != width:
         raise ValueError("the start does not match the problem's standard form")
-    tableau, basis = start.tableau.copy(), list(start.basis)
+    tableau, basis, y = start.tableau.copy(), start.basis.copy(), np.zeros(width - 1)
+    y[basis] = tableau[:-1, -1]
+    x = problem.lower + y[:n]
+    if np.abs(problem.eq_matrix @ x - problem.eq_rhs).max(initial=0.0) > 1e-8 * np.abs(x).max(initial=1.0):
+        raise ValueError("the start's vertex misses the problem's equality rows")
     c = np.zeros(width)  # the costs, and 0 above the rhs
     c[:n] = objective
     # c minus c_j times each basis row with c_j != 0, subtracted in basis
-    # order: c_j - z_j, whose positive entries are improving directions
+    # order into one buffer: c_j - z_j, whose positive entries improve
     c_basis = c[basis]
     costly = c_basis.nonzero()[0]
-    tableau[-1] = np.subtract.reduce(np.vstack([c, c_basis[costly, np.newaxis] * tableau[costly]]), axis=0)
+    rows = np.empty((costly.size + 1, width))
+    rows[0] = c
+    np.multiply(c_basis[costly, np.newaxis], tableau[costly], out=rows[1:])
+    np.subtract.reduce(rows, axis=0, out=tableau[-1])
     status, pivots = _bland_pivot_loop(tableau, basis, width - 1)
     if status == "unbounded":
         return LpResult(x=None, objective=np.inf, status="unbounded", pivots=pivots)
-    y = np.zeros(width - 1)
+    y.fill(0.0)
     y[basis] = tableau[:-1, -1]
     x = problem.lower + y[:n]
     return LpResult(x=x, objective=float(c[:n] @ x), status="optimal", basis=basis,
@@ -277,9 +280,11 @@ def pattern_search(
     only the points the budget has left and the result is flagged
     ``truncated``.
     """
-    if step0 <= 0 or step_min <= 0 or step_min > step0:
-        raise ValueError("need 0 < step_min <= step0")
+    if not 0 < step_min <= step0 < math.inf:
+        raise ValueError("need 0 < step_min <= step0 < inf")
     x = np.asarray(seed_point, dtype=float).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the seed point must be finite")
     best = float(objective(x[np.newaxis])[0])
     evals = 1
     trace = [best]

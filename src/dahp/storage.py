@@ -117,8 +117,12 @@ def _reduced_cost_map(result: LpResult, price_map: np.ndarray) -> np.ndarray:
     of the standard-form columns (-price on charge, +price on discharge, zero
     elsewhere), G = P_N - (B^-1 A_N)^T P_B is read off the optimal tableau."""
     inverse_a = result.tableau[:-1, :-1]
-    free = np.delete(np.arange(inverse_a.shape[1]), result.basis)
+    free = np.ones(inverse_a.shape[1], dtype=bool)
+    free[result.basis] = False
     return price_map[free] - inverse_a[:, free].T @ price_map[result.basis]
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _strictly_optimal(entry: tuple, columns: np.ndarray, size: float) -> np.ndarray:
@@ -131,11 +135,11 @@ def _strictly_optimal(entry: tuple, columns: np.ndarray, size: float) -> np.ndar
     -tolerance (rounded outward) go to the single-tariff product."""
     g, g_norm, _ = entry
     tol = TOLERANCES["simplex_pivot"]
-    margin = (columns.shape[0] + 1) * np.finfo(float).eps * size * g_norm
-    reduced = (g @ columns).max(axis=0)
+    margin = (columns.shape[0] + 1) * _EPS * size * g_norm
+    reduced = np.maximum.reduce(g @ columns, axis=0)
     strict = reduced < math.nextafter(-tol - margin, -math.inf)
     unsure = (reduced < math.nextafter(margin - tol, math.inf)) ^ strict
-    if unsure.any():
+    if np.count_nonzero(unsure):
         strict[unsure] = np.matmul(columns.T[unsure, np.newaxis, :], g.T)[:, 0, :].max(axis=1) < -tol
     return strict
 
@@ -185,6 +189,8 @@ class _BatteryLp:
         self.problem = LpProblem(rows, rhs, np.zeros(3 * n), upper)
         self.feasible = feasible_start(self.problem)
         self.price_map = np.vstack([-np.eye(n), np.eye(n), np.zeros((n + np.isfinite(upper).sum(), n))])
+        sizes = [1.0, battery.capacity, battery.charge_limit, battery.discharge_limit]
+        self.tolerance = TOLERANCES["plan_feasibility"] * max(s for s in sizes if math.isfinite(s))
         self.idle_feasible = _idle_plan_feasible(battery, n)
         self.idle_point = np.concatenate([np.zeros(2 * n), battery.initial_soc * battery.storage_eff ** (hours + 1)])
         self.entries: list[tuple] = []  # (G, its largest row 1-norm, x)
@@ -197,24 +203,29 @@ class _BatteryLp:
         """Optimal LP points (k, 3N) and profits (k,) at the tariffs of a
         (k, N) stack, resolved row by row in order; a stored basis's
         strictness test runs once, on the whole stack, when a row first
-        reaches it.  Idle on a zero-profit tie when idling is feasible."""
+        reaches it; the rows from there that it answers take its point at
+        once.  Idle on a zero-profit tie when idling is feasible."""
         n, k = self.horizon, stack.shape[0]
         points = np.empty((k, 3 * n))
         columns, size = np.ascontiguousarray(stack.T), np.abs(stack).max()
-        tested = [None] * len(self.entries)  # each entry's test on the stack, in entry order
-        for i in range(k):
+        tested = [None] * len(self.entries)  # each entry's test on the stack, then a False ending its runs
+        i = 0
+        while i < k:
             for index, entry in enumerate(self.entries):
                 if tested[index] is None:
-                    tested[index] = _strictly_optimal(entry, columns, size).tolist()
+                    tested[index] = _strictly_optimal(entry, columns, size).tolist() + [False]
                 if tested[index][i]:
-                    self.entries.insert(0, self.entries.pop(index))
-                    tested.insert(0, tested.pop(index))
-                    self.basis_reuses += 1
-                    points[i] = entry[-1]
+                    if index:
+                        self.entries.insert(0, self.entries.pop(index))
+                        tested.insert(0, tested.pop(index))
+                    end = tested[0].index(False, i)  # it stays first until a row it fails
+                    self.basis_reuses += end - i
+                    points[i:end], i = entry[-1], end
                     break
             else:
                 points[i] = self._solve(stack[i])
                 tested[:0] = [None] * (len(self.entries) - len(tested))  # the basis it kept, if any
+                i += 1
         objectives = np.concatenate([-stack, stack, np.zeros((k, n))], axis=1)
         profits = _rowdot(objectives, points)
         if self.idle_feasible:
@@ -239,7 +250,7 @@ class _BatteryLp:
             if result.status == "unbounded":
                 raise NumericalError("battery arbitrage LP is unbounded: charging and discharging "
                                      "in one hour earns without limit at this tariff")
-            _validate_point(result.x, self.battery)
+            _validate_point(result.x, self.battery, self.tolerance)
             g = _reduced_cost_map(result, self.price_map)
             entry = (g, np.abs(g).sum(axis=1).max(), result.x)
             if _strictly_optimal(entry, pi[:, np.newaxis], np.abs(pi).max())[0]:
@@ -267,15 +278,16 @@ def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | No
     return _plan(points[0], profits[0])
 
 
-def _validate_point(x: np.ndarray, battery: BatteryParams) -> None:
-    """Check an LP point (charge, discharge, soc) against the battery, relative to its size."""
-    sizes = np.array([1.0, battery.capacity, battery.charge_limit, battery.discharge_limit])
-    tol = TOLERANCES["plan_feasibility"] * sizes[np.isfinite(sizes)].max()
-    charge, discharge, soc = np.split(x, 3)
-    prev = np.concatenate([[battery.initial_soc], soc[:-1]])
-    expected = battery.storage_eff * (
-        prev + battery.charge_eff * charge - discharge / battery.discharge_eff
-    )
+def _validate_point(x: np.ndarray, battery: BatteryParams, tol: float) -> None:
+    """Check an LP point (charge, discharge, soc) against the battery, within
+    ``tol``: the spec's ``_BatteryLp.tolerance``, relative to its size."""
+    n = x.size // 3
+    charge, discharge, soc = x[:n], x[n:2 * n], x[2 * n:]
+    expected = np.empty(n)  # the previous soc, then the balance it implies
+    expected[0], expected[1:] = battery.initial_soc, soc[:-1]
+    expected += battery.charge_eff * charge
+    expected -= discharge / battery.discharge_eff
+    expected *= battery.storage_eff
     if np.any(np.abs(soc - expected) > tol):
         raise InfeasibleConstraintError("arbitrage plan violates the storage balance")
     if abs(soc[-1] - battery.initial_soc) > tol:

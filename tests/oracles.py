@@ -6,8 +6,10 @@ grid enumeration, expectations from Monte Carlo, and the joint
 storage-plus-HVAC problem from a general-purpose NLP solver.  The batched
 simulator is replayed one consumer, one hour at a time, and its noise is
 made out of place, one fresh array per step.  The population model is
-rebuilt from each consumer's scalar formulas, and the simplex's kernels
-are written out as the row-at-a-time loops and products they replace.
+rebuilt from each consumer's scalar formulas, the simplex's kernels are
+written out as the row-at-a-time loops and products they replace, and the
+battery LP's reduced-cost map and plan check as the ``np.delete`` and
+``np.split`` forms their index-array versions replace.
 Keeping the oracles dumb and slow is the point.
 
 The last section is different: thin drivers over the library's own
@@ -434,7 +436,7 @@ def joint_storage_surplus(alpha, beta, mu, setpoints, forecast, prices, battery)
 
 
 # ---------------------------------------------------------------------------
-# simplex kernels, one row at a time
+# simplex and battery-plan kernels, one row at a time
 # ---------------------------------------------------------------------------
 
 def objective_row_by_loop(tableau: np.ndarray, basis: Sequence[int], costs: np.ndarray) -> np.ndarray:
@@ -454,6 +456,33 @@ def dense_pivot(tableau: np.ndarray, row: int, col: int) -> None:
     eliminate = tableau[:, col].copy()
     eliminate[row] = 0.0
     tableau -= eliminate[:, np.newaxis] * tableau[row]
+
+
+def reduced_cost_map_by_delete(result, price_map: np.ndarray) -> np.ndarray:
+    """The battery LP's map G from a tariff to its nonbasic reduced costs,
+    with the nonbasic columns listed by ``np.delete`` of the basis."""
+    inverse_a = result.tableau[:-1, :-1]
+    free = np.delete(np.arange(inverse_a.shape[1]), result.basis)
+    return price_map[free] - inverse_a[:, free].T @ price_map[result.basis]
+
+
+def validate_point_by_split(x: np.ndarray, battery: BatteryParams, plan_feasibility: float) -> None:
+    """The battery plan check from the battery alone: its tolerance scaled
+    by the largest finite size, the point cut by ``np.split``, and each
+    hour's previous state of charge concatenated."""
+    sizes = np.array([1.0, battery.capacity, battery.charge_limit, battery.discharge_limit])
+    tol = plan_feasibility * sizes[np.isfinite(sizes)].max()
+    charge, discharge, soc = np.split(x, 3)
+    prev = np.concatenate([[battery.initial_soc], soc[:-1]])
+    expected = battery.storage_eff * (
+        prev + battery.charge_eff * charge - discharge / battery.discharge_eff
+    )
+    if np.any(np.abs(soc - expected) > tol):
+        raise InfeasibleConstraintError("arbitrage plan violates the storage balance")
+    if abs(soc[-1] - battery.initial_soc) > tol:
+        raise InfeasibleConstraintError("arbitrage plan misses the terminal state of charge")
+    if np.any(soc < -tol) or np.any(soc > battery.capacity + tol):
+        raise InfeasibleConstraintError("arbitrage plan violates capacity bounds")
 
 
 def strictly_optimal_by_rows(g: np.ndarray, stack: np.ndarray, tol: float) -> np.ndarray:

@@ -284,7 +284,7 @@ def test_warm_start_at_its_own_objective_makes_no_pivots(name):
     again = simplex_solve(problem, objective, start)
     assert start.pivots > 0 and again.pivots == 0
     assert again.x.tobytes() == start.x.tobytes()
-    assert again.basis == start.basis and again.basis is not start.basis
+    assert np.array_equal(again.basis, start.basis) and again.basis is not start.basis
     assert again.tableau is not start.tableau
 
 
@@ -303,6 +303,23 @@ def test_warm_start_of_another_shape_is_rejected():
     assert res.status == "infeasible" and res.x is None
 
 
+def test_start_of_another_lp_of_the_same_width_is_rejected():
+    # Both problems have three unbounded variables, so their starts share a
+    # width; a row count would not tell them apart either, as phase 1 drops
+    # redundant rows.  p1's start sits at x = [1, 0, 0], which misses p2's
+    # second row; from its own start p2's optimum is [1, 0, 1].
+    unbounded = (np.zeros(3), np.full(3, np.inf))
+    p1 = LpProblem(np.ones((1, 3)), [1.0], *unbounded)
+    p2 = LpProblem(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), [1.0, 1.0], *unbounded)
+    objective = np.array([1.0, 0.0, 0.0])
+    other = feasible_start(p1)
+    for start in (other, simplex_solve(p1, objective, other)):
+        with pytest.raises(ValueError, match="equality rows"):
+            simplex_solve(p2, objective, start)
+    res = simplex_solve(p2, objective, feasible_start(p2))
+    assert res.status == "optimal" and np.array_equal(res.x, [1.0, 0.0, 1.0])
+
+
 def test_simplex_pivots_a_zero_artificial_out_of_the_basis():
     # x1 + x2 = 0 and x1 - x2 = 0: phase 1 ends after one pivot with the
     # second row's artificial basic at level zero, and the drive-out pivots
@@ -313,7 +330,7 @@ def test_simplex_pivots_a_zero_artificial_out_of_the_basis():
     assert start.status == "feasible" and start.pivots == 2
     res = simplex_solve(problem, np.ones(2), start)
     assert res.status == "optimal" and res.pivots == 0
-    assert res.basis == [0, 1]
+    assert np.array_equal(res.basis, [0, 1])
     assert np.array_equal(res.tableau[:-1, :-1], np.eye(2))
     assert np.array_equal(res.x, np.zeros(2))
 
@@ -339,11 +356,11 @@ def test_objective_row_subtracts_the_basis_rows_in_order(n, data, zero_costs, sp
     m = data.draw(st.integers(0, n))
     tableau = _with_specials(rng, rng.normal(size=(m + 1, n + 1)) * 10.0 ** rng.integers(-12, 12, size=(m + 1, 1)),
                              specials)
-    basis = [int(j) for j in rng.permutation(n)[:m]]
+    basis = rng.permutation(n)[:m].astype(np.intp)
     objective = _with_specials(rng, rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n), specials)
     objective[rng.random(n) < zero_costs] = 0.0
     problem = LpProblem(np.zeros((0, n)), np.zeros(0), np.zeros(n), np.full(n, np.inf))
-    start = optim.LpResult(x=None, objective=np.nan, status="feasible", basis=basis, tableau=tableau)
+    start = optim.LpResult(x=None, objective=np.nan, status="feasible", basis=basis.copy(), tableau=tableau)
     rows = []
 
     def first_row(tableau, basis, n_cols):
@@ -355,7 +372,7 @@ def test_objective_row_subtracts_the_basis_rows_in_order(n, data, zero_costs, sp
         simplex_solve(problem, objective, start)
         expected = oracles.objective_row_by_loop(tableau, basis, np.append(objective, 0.0))
     assert rows[0].tobytes() == expected.tobytes()
-    assert start.tableau is tableau and start.basis == basis
+    assert start.tableau is tableau and np.array_equal(start.basis, basis)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -421,7 +438,7 @@ def test_no_output_reads_the_sign_of_a_skipped_zero(monkeypatch):
     monkeypatch.setattr(optim, "_pivot", oracles.dense_pivot)
     dense, dense_search = solves()
     for a, b in zip(sparse, dense, strict=True):
-        assert (a.status, a.basis, a.pivots) == (b.status, b.basis, b.pivots)
+        assert (a.status, a.pivots) == (b.status, b.pivots) and np.array_equal(a.basis, b.basis)
         assert (a.tableau is None) == (b.tableau is None)
         assert a.tableau is None or np.array_equal(a.tableau, b.tableau)
         assert np.asarray(a.x).tobytes() == np.asarray(b.x).tobytes()
@@ -520,6 +537,23 @@ def test_pattern_search_matches_the_sequential_reference(max_evals):
 def test_pattern_search_rejects_bad_steps():
     with pytest.raises(ValueError):
         pattern_search(lambda x: np.zeros(len(x)), np.zeros(1), step0=0.1, step_min=0.2)
+
+
+@pytest.mark.parametrize("step0, step_min", [(np.nan, 1e-3), (0.5, np.nan), (np.inf, 1e-3)],
+                         ids=["nan-step0", "nan-step_min", "inf-step0"])
+def test_pattern_search_rejects_non_finite_steps(step0, step_min):
+    # A NaN step fails every comparison, so it would stop the search at the
+    # seed as converged; an infinite one would poll at infinity until the
+    # budget runs out.
+    with pytest.raises(ValueError, match="step"):
+        pattern_search(lambda x: -np.sum(x * x, axis=1), np.ones(2), step0=step0, step_min=step_min,
+                       max_evals=100)
+
+
+@pytest.mark.parametrize("seed", [[0.0, np.nan], [np.inf, 0.0]], ids=["nan", "inf"])
+def test_pattern_search_rejects_a_non_finite_seed(seed):
+    with pytest.raises(ValueError, match="seed point must be finite"):
+        pattern_search(lambda x: -np.sum(x * x, axis=1), seed, step0=0.5, step_min=1e-3, max_evals=100)
 
 
 def _recording(objective):

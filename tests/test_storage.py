@@ -441,7 +441,7 @@ def test_poll_stack_matches_its_rows_one_at_a_time(name):
     assert (stacked.warm is None) == (single.warm is None)
     if stacked.warm is not None:
         assert stacked.warm.x.tobytes() == single.warm.x.tobytes()
-        assert stacked.warm.basis == single.warm.basis
+        assert np.array_equal(stacked.warm.basis, single.warm.basis)
 
 
 def test_stacked_kernels_round_like_one_tariff_at_a_time():
@@ -551,6 +551,47 @@ def test_reduced_cost_map_matches_the_tableau():
             assert np.allclose(g @ pi2, expected, rtol=0.0, atol=1e-14)
 
 
+def _verdict(check, *args) -> str | None:
+    """The plan check's rejection message, or None when it accepts."""
+    try:
+        check(*args)
+    except InfeasibleConstraintError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(REUSE_BATTERIES))
+def test_array_kernels_match_their_references(name):
+    # At 100 seeded tariffs per spec, from cold and warm starts: G from the
+    # boolean mask of nonbasic columns is bitwise the np.delete form's, and
+    # the plan check at the spec's tolerance accepts and rejects as the
+    # split form does, on the solved point, on one moved by up to three
+    # tolerances in one coordinate, and on one whose state of charge moves
+    # by as much from hour 0 on, bought in hour 0 (a balance kept within
+    # (1 - storage_eff) of that, so the terminal check decides).
+    battery = REUSE_BATTERIES[name]
+    lp = _BatteryLp(battery, 24)
+    rng = np.random.default_rng(139)
+    plan_feasibility = storage.TOLERANCES["plan_feasibility"]
+    start, verdicts = lp.feasible, set()
+    for _ in range(100):
+        pi = rng.uniform(0.05, 0.3, size=24)
+        result = simplex_solve(lp.problem, np.concatenate([-pi, pi, np.zeros(24)]), start)
+        g = _reduced_cost_map(result, lp.price_map)
+        assert g.tobytes() == oracles.reduced_cost_map_by_delete(result, lp.price_map).tobytes()
+        moved = result.x.copy()
+        moved[rng.integers(72)] += rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 3.0) * lp.tolerance
+        shifted, delta = result.x.copy(), rng.uniform(-3.0, 3.0) * lp.tolerance
+        shifted[48:] += delta
+        shifted[0] += delta / (battery.storage_eff * battery.charge_eff)
+        for point in (result.x, moved, shifted):
+            verdict = _verdict(storage._validate_point, point, battery, lp.tolerance)
+            assert verdict == _verdict(oracles.validate_point_by_split, point, battery, plan_feasibility)
+            verdicts.add(verdict)
+        start = result if start is lp.feasible else lp.feasible
+    assert None in verdicts and any("terminal" in str(verdict) for verdict in verdicts)
+
+
 def test_tied_prices_refuse_reuse():
     battery = REUSE_BATTERIES["lossy"]
     lp = _BatteryLp(battery, 24)
@@ -617,7 +658,7 @@ def test_phase_one_runs_once_per_spec_and_its_start_is_never_mutated(monkeypatch
     assert problems == [lp.problem]
     fresh = feasible_start(lp.problem)
     assert lp.feasible.tableau.tobytes() == fresh.tableau.tobytes()
-    assert lp.feasible.basis == fresh.basis
+    assert np.array_equal(lp.feasible.basis, fresh.basis)
     # a search plans each distinct spec through one _BatteryLp
     problems.clear()
     model, cost = helpers.random_model(np.random.default_rng(137))
@@ -764,6 +805,11 @@ def test_unlimited_capacity_with_one_rate_limit_is_bounded(limit):
     assert limited.max() <= 2.0 + 1e-9
 
 
+def _check_point(point: np.ndarray, battery: BatteryParams) -> None:
+    """The plan check of ``point`` at the battery spec's own tolerance."""
+    storage._validate_point(point, battery, _BatteryLp(battery, point.size // 3).tolerance)
+
+
 @pytest.mark.parametrize("capacity", [1e3, 1e5, 1e7, 1e8, 1e10])
 def test_large_batteries_match_linprog(capacity):
     # The plan check's tolerance grows with the battery: a 1e7 kWh plan
@@ -779,12 +825,12 @@ def test_large_batteries_match_linprog(capacity):
     assert reference.status == 0
     assert plan.profit == pytest.approx(-reference.fun, rel=1e-9)
     point = np.concatenate([plan.charge, plan.discharge, plan.soc])
-    storage._validate_point(point, battery)
+    _check_point(point, battery)
     for hour in (0, 11, 23):
         off = point.copy()
         off[48 + hour] += 10 * storage.TOLERANCES["plan_feasibility"] * capacity
         with pytest.raises(InfeasibleConstraintError):
-            storage._validate_point(off, battery)
+            _check_point(off, battery)
 
 
 def _one_charge_point(amount: float, discharged_at_end: bool) -> np.ndarray:
@@ -798,13 +844,13 @@ def _one_charge_point(amount: float, discharged_at_end: bool) -> np.ndarray:
 
 def test_plan_check_rejects_a_missed_terminal_state_of_charge():
     battery = BatteryParams(capacity=10.0, initial_soc=0.0)
-    storage._validate_point(_one_charge_point(4.0, True), battery)
+    _check_point(_one_charge_point(4.0, True), battery)
     with pytest.raises(InfeasibleConstraintError, match="terminal state of charge"):
-        storage._validate_point(_one_charge_point(4.0, False), battery)
+        _check_point(_one_charge_point(4.0, False), battery)
 
 
 def test_plan_check_rejects_a_state_of_charge_above_capacity():
     battery = BatteryParams(capacity=10.0, initial_soc=0.0)
-    storage._validate_point(_one_charge_point(10.0, True), battery)
+    _check_point(_one_charge_point(10.0, True), battery)
     with pytest.raises(InfeasibleConstraintError, match="capacity bounds"):
-        storage._validate_point(_one_charge_point(10.5, True), battery)
+        _check_point(_one_charge_point(10.5, True), battery)
