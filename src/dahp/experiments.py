@@ -75,14 +75,19 @@ def _write(path: Path, chunks: Sequence[bytes]) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: Path, header: Sequence[str], columns: Sequence[np.ndarray]) -> None:
-    """Write equal-length numeric columns, integer ones as integers and
-    float ones to four decimals (``-0.0000`` as ``0.0000``); a column with
-    a nan or an infinity is a failed study and raises ``NumericalError``."""
-    if not np.isfinite(columns).all():  # one stacked test: a test per column costs ~1 us each
-        name = next(name for name, column in zip(header, columns) if not np.isfinite(column).all())
-        raise NumericalError(f"{path}: column {name!r} is not finite")
-    _write(path, [(",".join(header) + "\n").encode(), *_csv_body(columns)])
+def _write_tables(out_dir: Path, tables: dict[str, tuple[Sequence[str], Sequence[np.ndarray]]]) -> list[str]:
+    """Write each table, file name -> (header, equal-length numeric
+    columns), into ``out_dir``, integer columns as integers and float ones
+    to four decimals (``-0.0000`` as ``0.0000``); return the file names.  A
+    column with a nan or an infinity is a failed study: it raises
+    ``NumericalError`` before any file is written."""
+    for name, (header, columns) in tables.items():
+        if not np.isfinite(columns).all():  # one stacked test: a test per column costs ~1 us each
+            column = next(column for column, cells in zip(header, columns) if not np.isfinite(cells).all())
+            raise NumericalError(f"{out_dir / name}: column {column!r} is not finite")
+    for name, (header, columns) in tables.items():
+        _write(out_dir / name, [(",".join(header) + "\n").encode(), *_csv_body(columns)])
+    return list(tables)
 
 
 _CHUNK_CELLS = 4096  # cells formatted at a time, so no scratch array exceeds 128 KiB
@@ -209,9 +214,8 @@ def _build_workspace(config: ExperimentConfig) -> tuple[AffineDemandModel, Whole
 def run_pareto(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
     model, cost = _build_workspace(config)
     front = pareto_front(model, cost, resolve_eta_grid(config.eta_grid))
-    _write_csv(out_dir / "tradeoff.csv", ["eta", "cs", "rp", "sw", *_PRICE_COLUMNS],
-               [front.param, front.cs, front.rp, front.cs + front.rp, *front.price.T])
-    return ["tradeoff.csv"], {}
+    columns = [front.param, front.cs, front.rp, front.cs + front.rp, *front.price.T]
+    return _write_tables(out_dir, {"tradeoff.csv": (["eta", "cs", "rp", "sw", *_PRICE_COLUMNS], columns)}), {}
 
 
 def _default_sweeps(
@@ -234,18 +238,14 @@ def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], 
     model, cost = _build_workspace(config)
     spec = config.benchmarks
     front = pareto_front(model, cost, np.linspace(0.0, 1.0, spec.points))
-    _write_csv(out_dir / "benchmark_dahp.csv", ["param", "cs", "rp"], [front.param, front.cs, front.rp])
-    files = ["benchmark_dahp.csv"]
-
+    tables = {"benchmark_dahp.csv": (["param", "cs", "rp"], [front.param, front.cs, front.rp])}
     for scheme, sweep in _default_sweeps(model, cost, spec.points, spec.tou_ratio).items():
         trace = benchmark_trace(
             model, cost, scheme, sweep,
             tou_ratio=spec.tou_ratio, peak_start=spec.peak_start, peak_end=spec.peak_end,
         )
-        name = f"benchmark_{scheme}.csv"
-        _write_csv(out_dir / name, ["param", "cs", "rp"], [trace.param, trace.cs, trace.rp])
-        files.append(name)
-    return files, {}
+        tables[f"benchmark_{scheme}.csv"] = (["param", "cs", "rp"], [trace.param, trace.cs, trace.rp])
+    return _write_tables(out_dir, tables), {}
 
 
 def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
@@ -258,9 +258,8 @@ def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], d
             renew = RenewableModel(capacity=float(capacity), marginal_cost=config.renewable.marginal_cost)
             split = benefit_split(model, cost, renew, float(eta))
             rows.append([float(eta), float(capacity), split.delta_cs, split.delta_rp, split.fraction])
-    _write_csv(out_dir / "renewable.csv", ["eta", "K", "delta_cs", "delta_rp", "fraction"],
-               np.array(rows, dtype=float).T)
-    return ["renewable.csv"], {}
+    table = (["eta", "K", "delta_cs", "delta_rp", "fraction"], np.array(rows, dtype=float).T)
+    return _write_tables(out_dir, {"renewable.csv": table}), {}
 
 
 def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
@@ -283,12 +282,8 @@ def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dic
             "lp_pivots": result.lp_pivots,
             "basis_reuses": result.basis_reuses,
         })
-    _write_csv(
-        out_dir / "storage.csv",
-        ["eta", "cs", "rp", "arbitrage_volume", *_PRICE_COLUMNS],
-        np.array(rows, dtype=float).T,
-    )
-    return ["storage.csv"], {"storage_search": searches}
+    table = (["eta", "cs", "rp", "arbitrage_volume", *_PRICE_COLUMNS], np.array(rows, dtype=float).T)
+    return _write_tables(out_dir, {"storage.csv": table}), {"storage_search": searches}
 
 
 def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
@@ -316,22 +311,19 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], di
     surplus = -(discomfort + payment)
 
     day_ids, ids = np.indices((days, consumers))
-    _write_csv(
-        out_dir / "simulate.csv", ["consumer_id", "day", "payment", "discomfort", "surplus"],
+    tables = {"simulate.csv": (
+        ["consumer_id", "day", "payment", "discomfort", "surplus"],
         [ids.ravel(), day_ids.ravel(), *(values[:, 0].ravel() for values in (payment, discomfort, surplus))],
-    )
-    files = ["simulate.csv"]
+    )}
     if len(tolerances):
         day_ids, ids, tolerance = np.indices((days, consumers, len(tolerances)))
-        _write_csv(
-            out_dir / "baseline.csv",
+        tables["baseline.csv"] = (
             ["tolerance", "consumer_id", "day", "payment", "discomfort", "surplus"],
             [tolerances[tolerance.ravel()], ids.ravel(), day_ids.ravel(),
              *(values[:, 1:].transpose(0, 2, 1).ravel() for values in (payment, discomfort, surplus))],
         )
-        files.append("baseline.csv")
     # one Philox key per day; consumers read it at their own counter offsets
-    return files, {"consumer_days": consumers * days, "substreams": days}
+    return _write_tables(out_dir, tables), {"consumer_days": consumers * days, "substreams": days}
 
 
 _RUNNERS = {
@@ -353,7 +345,7 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     started = time.perf_counter()
-    # an overflow surfaces as a non-finite cell, which _write_csv reports
+    # an overflow surfaces as a non-finite cell, which _write_tables reports
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         files, counters = _RUNNERS[command](config, out)
     manifest = {

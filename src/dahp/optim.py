@@ -1,6 +1,7 @@
 """Numerical kernels: a positive-definiteness check, a dense simplex LP
-solver whose phase-1 start serves every objective over its constraints,
-and coordinate pattern search.
+solver whose phase-1 start carries its program and serves every objective
+over it, the reduced-cost maps of its optimal bases, and coordinate pattern
+search.
 
 Everything here is deterministic and dense (24-hour horizons are tiny), but
 the simplex skips tableau rows whose update would change no bit.  A basis
@@ -66,52 +67,19 @@ def check_spd(matrix: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(eq=False)
-class LpProblem:
-    """Constraints ``eq_matrix @ x = eq_rhs`` and ``lower <= x <= upper`` of
-    linear programs that ``simplex_solve`` maximizes objectives over.
-
-    Upper bounds may be ``np.inf``.  To minimize, negate the objective.
-    """
-
-    eq_matrix: np.ndarray
-    eq_rhs: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.eq_matrix = np.atleast_2d(np.asarray(self.eq_matrix, dtype=float))
-        self.eq_rhs = np.atleast_1d(np.asarray(self.eq_rhs, dtype=float))
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        n = self.lower.size
-        if self.eq_matrix.size == 0:
-            self.eq_matrix = self.eq_matrix.reshape(0, n)
-        m = self.eq_matrix.shape[0]
-        if self.eq_matrix.shape != (m, n) or self.eq_rhs.shape != (m,):
-            raise ValueError("inconsistent LP constraint dimensions")
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("bounds must match the number of variables")
-        if np.any(self.lower > self.upper):
-            raise ValueError("lower bound exceeds upper bound")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.eq_rhs))):
-            raise ValueError("lower bounds and rhs must be finite")
-        if np.any(np.isnan(self.upper)):
-            raise ValueError("upper bounds must not be NaN")
-
-
-@dataclass(eq=False)
 class LpResult:
     x: np.ndarray | None
     objective: float
     status: str  # "feasible" (a start) | "optimal" | "infeasible" | "unbounded"
     # Starts and optimal solves only: the basis (an np.intp array of each
     # tableau row's standard-form column) and the tableau, whose rows are
-    # B^-1 A | B^-1 b over the shifted variables followed by one slack per
-    # finite upper bound, and whose last row holds an optimal solve's
-    # reduced costs.
+    # B^-1 A | B^-1 b over the program's ``variables`` columns followed by
+    # one slack per finite upper bound, and whose last row holds an optimal
+    # solve's reduced costs.  Together they are the program phase 2 solves.
     basis: np.ndarray | None = None
     tableau: np.ndarray | None = None
     pivots: int = 0  # simplex pivots this phase made
+    variables: int = 0  # the program's variable count
 
 
 def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
@@ -150,25 +118,25 @@ def _bland_pivot_loop(tableau: np.ndarray, basis: np.ndarray, n_cols: int) -> tu
         basis[leave] = entering
 
 
-def feasible_start(problem: LpProblem) -> LpResult:
-    """Phase 1 of the dense simplex: a feasible basis of the constraints and
-    its tableau (status "feasible"), from which ``simplex_solve`` maximizes
-    any objective, since phase 1 reads none; or status "infeasible" with neither."""
+def feasible_start(eq_matrix: np.ndarray, eq_rhs: np.ndarray, upper: np.ndarray) -> LpResult:
+    """Phase 1 of the dense simplex for ``eq_matrix @ x = eq_rhs`` and
+    ``0 <= x <= upper`` (upper bounds may be ``np.inf``): a feasible basis
+    and its tableau (status "feasible"), a start that carries the program,
+    from which ``simplex_solve`` maximizes any objective over it, since
+    phase 1 reads none; or status "infeasible" with neither."""
     tol = TOLERANCES["simplex_pivot"]
-    n = problem.lower.size
+    upper = np.asarray(upper, dtype=float)
+    n = upper.size
 
-    # Shift lower bounds to zero and fold finite upper bounds in as rows
-    # y_i + s_i = u_i - l_i, so the standard form is A y = b, y >= 0.
-    span = problem.upper - problem.lower
-    bounded = [int(j) for j in np.flatnonzero(np.isfinite(span))]
-    k = len(bounded)
-    m0 = problem.eq_matrix.shape[0]
+    # Fold finite upper bounds in as rows x_i + s_i = u_i, so the standard
+    # form is A y = b, y >= 0.
+    bounded = np.flatnonzero(np.isfinite(upper))
+    k, m0 = bounded.size, len(eq_rhs)
     a_std = np.zeros((m0 + k, n + k))
-    a_std[:m0, :n] = problem.eq_matrix
-    b_std = np.concatenate([problem.eq_rhs - problem.eq_matrix @ problem.lower, span[bounded]])
-    for r, j in enumerate(bounded):
-        a_std[m0 + r, j] = 1.0
-        a_std[m0 + r, n + r] = 1.0
+    a_std[:m0, :n] = eq_matrix
+    bound_rows = m0 + np.arange(k)
+    a_std[bound_rows, bounded] = a_std[bound_rows, n + np.arange(k)] = 1.0
+    b_std = np.concatenate([eq_rhs, upper[bounded]])
 
     neg = b_std < 0
     a_std[neg] *= -1.0
@@ -177,13 +145,13 @@ def feasible_start(problem: LpProblem) -> LpResult:
     m, n_std = a_std.shape
 
     # The bound rows start feasible on their own slacks (their rhs is a
-    # nonnegative span), so only the equality rows need artificial
+    # nonnegative bound), so only the equality rows need artificial
     # variables; maximize minus their sum.
     tableau = np.zeros((m + 1, n_std + m0 + 1))
     tableau[:m, :n_std] = a_std
     tableau[:m0, n_std:n_std + m0] = np.eye(m0)
     tableau[:m, -1] = b_std
-    basis = np.array([n_std + i for i in range(m0)] + [n + r for r in range(k)], dtype=np.intp)
+    basis = np.concatenate([n_std + np.arange(m0), n + np.arange(k)]).astype(np.intp)
     # reduced costs for a cost of -1 per artificial with the mixed
     # artificial/slack starting basis
     tableau[m, :n_std] = a_std[:m0].sum(axis=0)
@@ -208,26 +176,18 @@ def feasible_start(problem: LpProblem) -> LpResult:
     # Original columns + rhs; simplex_solve rewrites the last row.
     start = tableau[np.ix_(keep_rows + [m], list(range(n_std)) + [n_std + m0])]
     return LpResult(x=None, objective=np.nan, status="feasible", basis=basis[keep_rows],
-                    tableau=start, pivots=pivots)
+                    tableau=start, pivots=pivots, variables=n)
 
 
-def simplex_solve(problem: LpProblem, objective: np.ndarray, start: LpResult) -> LpResult:
+def simplex_solve(start: LpResult, objective: np.ndarray) -> LpResult:
     """Phase 2 of the dense simplex, deterministic by Bland's rule: maximize
-    ``objective @ x`` from a copy of ``start``, which is ``feasible_start(problem)``
-    or any optimal result for the same constraints.  An infeasible start
-    gives an infeasible result.  A start of another width, or whose vertex
-    misses an equality row by over 1e-8 max(1, max |x|), raises ValueError."""
-    n = problem.lower.size
+    ``objective @ x`` over the program of ``start``, which is a
+    ``feasible_start`` or any optimal result grown from one, from a copy of
+    its basis and tableau.  An infeasible start gives an infeasible result."""
     if start.status == "infeasible":
         return LpResult(x=None, objective=np.nan, status="infeasible")
-    width = n + np.count_nonzero(np.isfinite(problem.upper - problem.lower)) + 1
-    if start.tableau is None or start.tableau.shape[1] != width:
-        raise ValueError("the start does not match the problem's standard form")
-    tableau, basis, y = start.tableau.copy(), start.basis.copy(), np.zeros(width - 1)
-    y[basis] = tableau[:-1, -1]
-    x = problem.lower + y[:n]
-    if np.abs(problem.eq_matrix @ x - problem.eq_rhs).max(initial=0.0) > 1e-8 * np.abs(x).max(initial=1.0):
-        raise ValueError("the start's vertex misses the problem's equality rows")
+    n, width = start.variables, start.tableau.shape[1]
+    tableau, basis = start.tableau.copy(), start.basis.copy()
     c = np.zeros(width)  # the costs, and 0 above the rhs
     c[:n] = objective
     # c minus c_j times each basis row with c_j != 0, subtracted in basis
@@ -241,11 +201,25 @@ def simplex_solve(problem: LpProblem, objective: np.ndarray, start: LpResult) ->
     status, pivots = _bland_pivot_loop(tableau, basis, width - 1)
     if status == "unbounded":
         return LpResult(x=None, objective=np.inf, status="unbounded", pivots=pivots)
-    y.fill(0.0)
+    y = np.zeros(width - 1)
     y[basis] = tableau[:-1, -1]
-    x = problem.lower + y[:n]
+    x = 0.0 + y[:n]  # a -0.0 left by _pivot becomes 0.0
     return LpResult(x=x, objective=float(c[:n] @ x), status="optimal", basis=basis,
-                    tableau=tableau, pivots=pivots)
+                    tableau=tableau, pivots=pivots, variables=n)
+
+
+def reduced_cost_map(result: LpResult, cost_map: np.ndarray) -> np.ndarray:
+    """Dense (nonbasic x N) matrix G with ``G @ p`` = the nonbasic reduced
+    costs d_N = c_N - (B^-1 A_N)^T c_B of an optimal result's basis at the
+    objective ``c = cost_map @ p``, for any p; ``cost_map`` is (variables, N).
+    With P that map padded by a zero row per slack, G = P_N - (B^-1 A_N)^T P_B
+    is read off the optimal tableau."""
+    inverse_a = result.tableau[:-1, :-1]
+    padded = np.zeros((inverse_a.shape[1], cost_map.shape[1]))
+    padded[:result.variables] = cost_map
+    free = np.ones(inverse_a.shape[1], dtype=bool)
+    free[result.basis] = False
+    return padded[free] - inverse_a[:, free].T @ padded[result.basis]
 
 
 # ---------------------------------------------------------------------------

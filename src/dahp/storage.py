@@ -58,7 +58,7 @@ import numpy as np
 
 from .demand import AffineDemandModel, as_prices
 from .errors import InfeasibleConstraintError, NumericalError
-from .optim import TOLERANCES, LpProblem, LpResult, feasible_start, pattern_search, simplex_solve
+from .optim import TOLERANCES, LpResult, feasible_start, pattern_search, reduced_cost_map, simplex_solve
 from .pricing import WholesaleCost, _cs, _rp, optimal_price
 
 
@@ -110,18 +110,6 @@ def _idle_plan_feasible(battery: BatteryParams, horizon: int) -> bool:
     return drift <= TOLERANCES["plan_feasibility"]
 
 
-def _reduced_cost_map(result: LpResult, price_map: np.ndarray) -> np.ndarray:
-    """Dense (nonbasic x N) matrix G with ``G @ prices`` = the nonbasic
-    reduced costs d_N = c_N - (B^-1 A_N)^T c_B of the result's optimal basis,
-    at any tariff.  With P = ``price_map`` the map from a tariff to the costs
-    of the standard-form columns (-price on charge, +price on discharge, zero
-    elsewhere), G = P_N - (B^-1 A_N)^T P_B is read off the optimal tableau."""
-    inverse_a = result.tableau[:-1, :-1]
-    free = np.ones(inverse_a.shape[1], dtype=bool)
-    free[result.basis] = False
-    return price_map[free] - inverse_a[:, free].T @ price_map[result.basis]
-
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -161,8 +149,11 @@ class _BatteryLp:
     rounding.  Otherwise the simplex runs from the last kept basis, and a
     basis passing the same test joins the front of the list and becomes
     the next warm start; a reused basis moves to the front.  A kept basis
-    is stored as (G, G's largest row 1-norm, x).  The LP, its phase-1
-    start and the map P of ``_reduced_cost_map`` are built once, here."""
+    is stored as (G, G's largest row 1-norm, x).  The constraint arrays,
+    the phase-1 start, which carries them into every solve, and the map
+    from a tariff to the variables' costs (-price on charge, +price on
+    discharge, zero on soc) are built once, here; an infeasible spec raises
+    ``InfeasibleConstraintError`` then."""
 
     def __init__(self, battery: BatteryParams, horizon: int):
         n = horizon
@@ -170,25 +161,23 @@ class _BatteryLp:
         rho = battery.discharge_eff
         hours = np.arange(n)
         # Variables: charge (n), discharge (n), soc (n).
-        rows = np.zeros((n + 1, 3 * n))
+        rows = self.eq_matrix = np.zeros((n + 1, 3 * n))
         rows[hours, 2 * n + hours] = 1.0
         rows[hours, hours] = -kappa * tau
         rows[hours, n + hours] = kappa / rho
         rows[hours[1:], 2 * n + hours[:-1]] = -kappa
         rows[n, 3 * n - 1] = 1.0  # terminal soc pinned to the initial one
-        rhs = np.zeros(n + 1)
+        rhs = self.eq_rhs = np.zeros(n + 1)
         rhs[0] = kappa * battery.initial_soc
         rhs[n] = battery.initial_soc
-        upper = np.concatenate([
-            np.full(n, battery.charge_limit),
-            np.full(n, battery.discharge_limit),
-            np.full(n, battery.capacity),
-        ])
+        self.upper = np.repeat([battery.charge_limit, battery.discharge_limit, battery.capacity], n)
         self.battery = battery
         self.horizon = n
-        self.problem = LpProblem(rows, rhs, np.zeros(3 * n), upper)
-        self.feasible = feasible_start(self.problem)
-        self.price_map = np.vstack([-np.eye(n), np.eye(n), np.zeros((n + np.isfinite(upper).sum(), n))])
+        self.feasible = feasible_start(rows, rhs, self.upper)
+        if self.feasible.status == "infeasible":
+            raise InfeasibleConstraintError("battery arbitrage LP is infeasible: the terminal state of "
+                                            "charge cannot be met with these losses and rate limits")
+        self.cost_map = np.vstack([-np.eye(n), np.eye(n), np.zeros((n, n))])
         sizes = [1.0, battery.capacity, battery.charge_limit, battery.discharge_limit]
         self.tolerance = TOLERANCES["plan_feasibility"] * max(s for s in sizes if math.isfinite(s))
         self.idle_feasible = _idle_plan_feasible(battery, n)
@@ -242,16 +231,13 @@ class _BatteryLp:
         # its ties, so it keeps no basis for later tariffs to scan.  Nor is a
         # basis kept twice: a stored one that passed this would be reused.
         for start in [self.warm, self.feasible] if self.warm else [self.feasible]:
-            result = simplex_solve(self.problem, objective, start)
+            result = simplex_solve(start, objective)
             self.lp_pivots += result.pivots
-            if result.status == "infeasible":
-                raise InfeasibleConstraintError("battery arbitrage LP is infeasible: the terminal state of "
-                                                "charge cannot be met with these losses and rate limits")
             if result.status == "unbounded":
                 raise NumericalError("battery arbitrage LP is unbounded: charging and discharging "
                                      "in one hour earns without limit at this tariff")
             _validate_point(result.x, self.battery, self.tolerance)
-            g = _reduced_cost_map(result, self.price_map)
+            g = reduced_cost_map(result, self.cost_map)
             entry = (g, np.abs(g).sum(axis=1).max(), result.x)
             if _strictly_optimal(entry, pi[:, np.newaxis], np.abs(pi).max())[0]:
                 self.entries.insert(0, entry)
@@ -265,7 +251,7 @@ def _plan(point: np.ndarray, profit: float) -> ArbitragePlan:
     return ArbitragePlan(charge=charge, discharge=discharge, soc=soc, profit=float(profit))
 
 
-def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | None = None) -> ArbitragePlan:
+def arbitrage(prices: Sequence[float], battery: BatteryParams) -> ArbitragePlan:
     """Solve the battery's price-arbitrage LP for one day.
 
     Raises ``InfeasibleConstraintError`` when the terminal state of charge
@@ -273,8 +259,8 @@ def arbitrage(prices: Sequence[float], battery: BatteryParams, horizon: int | No
     and ``NumericalError`` when the profit is unbounded.  Ties at zero
     profit resolve to the idle plan whenever idling is feasible.
     """
-    n = len(prices) if horizon is None else horizon
-    points, profits = _BatteryLp(battery, n).plans(as_prices(prices, n)[np.newaxis])
+    pi = as_prices(prices, len(prices))
+    points, profits = _BatteryLp(battery, pi.size).plans(pi[np.newaxis])
     return _plan(points[0], profits[0])
 
 

@@ -458,10 +458,13 @@ def dense_pivot(tableau: np.ndarray, row: int, col: int) -> None:
     tableau -= eliminate[:, np.newaxis] * tableau[row]
 
 
-def reduced_cost_map_by_delete(result, price_map: np.ndarray) -> np.ndarray:
+def reduced_cost_map_by_delete(result, cost_map: np.ndarray) -> np.ndarray:
     """The battery LP's map G from a tariff to its nonbasic reduced costs,
-    with the nonbasic columns listed by ``np.delete`` of the basis."""
+    with the (variables, N) ``cost_map`` stacked over a zero row per slack
+    and the nonbasic columns listed by ``np.delete`` of the basis."""
     inverse_a = result.tableau[:-1, :-1]
+    slacks = np.zeros((inverse_a.shape[1] - result.variables, cost_map.shape[1]))
+    price_map = np.vstack([cost_map, slacks])
     free = np.delete(np.arange(inverse_a.shape[1]), result.basis)
     return price_map[free] - inverse_a[:, free].T @ price_map[result.basis]
 
@@ -609,7 +612,7 @@ def consumer_surplus_with_storage(
     Net metering separates the decision problems, so the total is the
     thermal surplus plus the battery's arbitrage profit.
     """
-    return expected_cs(model, prices) + arbitrage(prices, battery, model.horizon).profit
+    return expected_cs(model, prices) + arbitrage(prices, battery).profit
 
 
 def population_net_load(prices: Sequence[float], batteries: Sequence[BatteryParams], horizon: int) -> np.ndarray:
@@ -619,7 +622,7 @@ def population_net_load(prices: Sequence[float], batteries: Sequence[BatteryPara
     """
     total = np.zeros(horizon)
     for battery, count in Counter(batteries).items():
-        total += count * arbitrage(prices, battery, horizon).net_load
+        total += count * arbitrage(prices, battery).net_load
     return total
 
 

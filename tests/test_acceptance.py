@@ -211,7 +211,7 @@ def test_09_battery_dispatch_matches_grid_search():
         discharge_eff=1.0, charge_limit=1.0, discharge_limit=1.0,
     )
     toy_prices = np.array([0.1, 0.3])
-    plan = arbitrage(toy_prices, toy, 2)
+    plan = arbitrage(toy_prices, toy)
     if abs(plan.profit - 0.2) > 1e-9:
         failures.append(f"two-hour toy profit {plan.profit:.6f} != 0.2")
     if abs(oracles.battery_grid_profit(toy_prices, toy) - 0.2) > 1e-9:
@@ -222,7 +222,7 @@ def test_09_battery_dispatch_matches_grid_search():
     for trial in range(50):
         battery = dataclasses.replace(helpers.random_battery(rng), initial_soc=0.0)
         prices = rng.uniform(0.01, 0.5, size=2)
-        lp = arbitrage(prices, battery, 2)
+        lp = arbitrage(prices, battery)
         grid = oracles.battery_grid_profit(prices, battery, step=step)
         one_step = step * prices.sum() * (1.0 + 1.0 / battery.discharge_eff)
         if lp.profit < grid - 1e-9 or lp.profit - grid > one_step:
@@ -239,7 +239,7 @@ def test_10_storage_surplus_separates():
         battery = dataclasses.replace(helpers.random_battery(rng), initial_soc=0.0)
         price = rng.uniform(0.01, 0.4, size=24)
         gain = consumer_surplus_with_storage(model, price, battery) - expected_cs(model, price)
-        profit = arbitrage(price, battery, 24).profit
+        profit = arbitrage(price, battery).profit
         if abs(gain - profit) > 1e-9:
             failures.append(f"trial {trial}: surplus gain {gain:.3e} != profit {profit:.3e}")
         if gain < -1e-12:

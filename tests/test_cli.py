@@ -474,6 +474,32 @@ def test_overflowing_benchmark_tariffs_exit_4(tmp_path, capsys, ratio):
     _assert_failed(*result, 4, "numerical", "tou")
 
 
+@pytest.mark.parametrize("command, change, named", [
+    ("benchmarks", ("benchmarks.tou_ratio", 1e308), "tou"),
+    ("simulate", ("simulate.thermostat_tolerances", [0.0, 1e308]), "baseline.csv"),
+])
+def test_a_study_that_exits_nonzero_writes_no_csv(tmp_path, capsys, command, change, named):
+    # each study fails after it has made a finite table, which must not
+    # reach the output directory either, nor must a manifest
+    config = _demo_config(tmp_path, [change])
+    out = tmp_path / "o"
+    result = _run([command, "--config", str(config), "--out", str(out)], capsys)
+    _assert_failed(*result, 4, "numerical", named)
+    assert list(out.iterdir()) == []
+
+
+def test_infeasible_battery_exit_4_before_any_plan(tmp_path, capsys):
+    # a charged battery that loses half its charge an hour and cannot
+    # recharge misses its terminal state of charge: its LP raises when it
+    # is built, and the run writes nothing
+    config = _demo_config(tmp_path, [("storage.initial_soc", 10.0), ("storage.storage_eff", 0.5),
+                                     ("storage.charge_limit", 0.0), ("storage.discharge_limit", 0.0)])
+    out = tmp_path / "o"
+    result = _run(["storage", "--config", str(config), "--out", str(out)], capsys)
+    _assert_failed(*result, 4, "numerical", "terminal state")
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("via_flag", [False, True])
 def test_output_dir_naming_a_file_exit_2(tmp_path, capsys, via_flag):
     taken = tmp_path / "taken"

@@ -15,7 +15,7 @@ from dahp.experiments import (
     _default_sweeps,
     _percent_body,
     _ticks,
-    _write_csv,
+    _write_tables,
     run_benchmarks,
     run_experiment,
     run_pareto,
@@ -67,14 +67,14 @@ def test_csv_writer_matches_the_cell_by_cell_oracle(tmp_path):
     floats = np.concatenate([edges, rng.normal(0.0, 10.0, 500), rng.normal(0.0, 1e-4, 500)])
     ints = np.arange(len(floats)) * 7 - 20
     columns = [ints, floats, -floats, np.round(floats, 4), ints[::-1]]
-    _write_csv(tmp_path / "t.csv", ["a", "b", "c", "d", "e"], columns)
+    assert _write_tables(tmp_path, {"t.csv": (["a", "b", "c", "d", "e"], columns)}) == ["t.csv"]
     rows = zip(*(column.tolist() for column in columns))
     assert (tmp_path / "t.csv").read_text() == oracles.csv_text(["a", "b", "c", "d", "e"], rows)
 
 
 def test_csv_writer_float_rows(tmp_path):
     rows = [[0.5, -0.0, 2.0], [-1e-5, 3.25, -7.0]]
-    _write_csv(tmp_path / "t.csv", ["x", "y", "z"], np.array(rows, dtype=float).T)
+    _write_tables(tmp_path, {"t.csv": (["x", "y", "z"], np.array(rows, dtype=float).T)})
     assert (tmp_path / "t.csv").read_text() == oracles.csv_text(["x", "y", "z"], rows)
     assert (tmp_path / "t.csv").read_text() == "x,y,z\n0.5000,0.0000,2.0000\n0.0000,3.2500,-7.0000\n"
 
@@ -144,10 +144,12 @@ def test_one_uncertifiable_cell_sends_the_table_through_the_fallback():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_cell_is_a_numerical_error_and_writes_nothing(tmp_path, bad):
+    # the bad table comes last: no table is written before every cell is checked
     column = np.array([1.0, bad, 3.0])
+    tables = {"a.csv": (["id"], [np.arange(3)]), "t.csv": (["id", "x"], [np.arange(3), column])}
     with pytest.raises(NumericalError, match=r"t\.csv: column 'x' is not finite"):
-        _write_csv(tmp_path / "t.csv", ["id", "x"], [np.arange(3), column])
-    assert not (tmp_path / "t.csv").exists()
+        _write_tables(tmp_path, tables)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_command_is_a_config_error(tmp_path):

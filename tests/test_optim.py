@@ -12,7 +12,6 @@ from dahp.demand import AffineDemandModel
 from dahp.errors import IndefiniteMatrixError
 from dahp.optim import (
     TOLERANCES,
-    LpProblem,
     check_spd,
     feasible_start,
     pattern_search,
@@ -85,24 +84,21 @@ def test_spd_factor_rejects_non_finite(entry):
 
 def _cold(objective, *constraints):
     """A cold solve: phase 2 from the constraints' phase-1 start."""
-    problem = LpProblem(*constraints)
-    return simplex_solve(problem, objective, feasible_start(problem))
+    return simplex_solve(feasible_start(*constraints), objective)
 
 
 def test_simplex_box_only():
     # max x s.t. 0 <= x <= 1
-    res = _cold(np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                np.zeros(1), np.ones(1))
+    res = _cold(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.ones(1))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0, abs=1e-12)
 
 
 def test_simplex_minimizes_the_negated_objective():
-    # min x s.t. -2 <= x <= 5 is max -x
-    res = _cold(-np.array([1.0]), np.zeros((0, 1)), np.zeros(0),
-                np.array([-2.0]), np.array([5.0]))
+    # min x0 s.t. x0 + x1 = 3 and 0 <= x <= [5, 1] is max -x0
+    res = _cold(-np.array([1.0, 0.0]), np.ones((1, 2)), np.array([3.0]), np.array([5.0, 1.0]))
     assert res.status == "optimal"
-    assert -res.objective == pytest.approx(-2.0, abs=1e-12)
+    assert -res.objective == pytest.approx(2.0, abs=1e-12)
 
 
 def test_simplex_beale_cycling_instance():
@@ -115,46 +111,34 @@ def test_simplex_beale_cycling_instance():
         [0.50, -90.0, -0.02, 3.0, 0.0, 1.0],
     ])
     upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
-    res = _cold(-obj, rows, np.zeros(2), np.zeros(6), upper)
+    res = _cold(-obj, rows, np.zeros(2), upper)
     assert res.status == "optimal"
     assert -res.objective == pytest.approx(-0.05, abs=1e-9)
     assert np.allclose(res.x[:4], [0.04, 0.0, 1.0, 0.0], atol=1e-9)
 
 
 def test_simplex_infeasible_detected():
-    res = _cold(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]),
-                np.array([3.0]), np.zeros(2), np.ones(2))
+    res = _cold(np.array([1.0, 1.0]), np.array([[1.0, 1.0]]), np.array([3.0]), np.ones(2))
     assert res.status == "infeasible"
     assert res.x is None
 
 
 def test_simplex_unbounded_detected():
-    res = _cold(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]),
-                np.array([0.0]), np.zeros(2), np.full(2, np.inf))
+    res = _cold(np.array([1.0, 0.0]), np.array([[1.0, -1.0]]), np.array([0.0]), np.full(2, np.inf))
     assert res.status == "unbounded"
 
 
 def test_simplex_unbounded_without_constraint_rows():
     # max x with x >= 0 and no row at all: the improving column has nothing to block it
-    res = _cold(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.zeros(1), np.full(1, np.inf))
+    res = _cold(np.array([1.0]), np.zeros((0, 1)), np.zeros(0), np.full(1, np.inf))
     assert res.status == "unbounded"
 
 
 def test_simplex_redundant_row_terminates():
     rows = np.array([[1.0, 1.0], [2.0, 2.0]])  # second row redundant
-    res = _cold(np.array([3.0, 1.0]), rows, np.array([1.0, 2.0]),
-                np.zeros(2), np.full(2, np.inf))
+    res = _cold(np.array([3.0, 1.0]), rows, np.array([1.0, 2.0]), np.full(2, np.inf))
     assert res.status == "optimal"
     assert res.objective == pytest.approx(3.0, abs=1e-10)
-
-
-def test_simplex_shifted_lower_bounds():
-    # max x1 + x2 s.t. x1 + x2 = 3 with 1 <= x <= 2 each
-    res = _cold(np.ones(2), np.ones((1, 2)), np.array([3.0]),
-                np.ones(2), np.full(2, 2.0))
-    assert res.status == "optimal"
-    assert res.objective == pytest.approx(3.0, abs=1e-12)
-    assert np.all(res.x >= 1.0 - 1e-12) and np.all(res.x <= 2.0 + 1e-12)
 
 
 def test_simplex_returns_its_optimal_basis_and_tableau():
@@ -166,7 +150,7 @@ def test_simplex_returns_its_optimal_basis_and_tableau():
         [0.50, -90.0, -0.02, 3.0, 0.0, 1.0],
     ])
     upper = np.array([np.inf, np.inf, 1.0, np.inf, np.inf, np.inf])
-    res = _cold(-obj, rows, np.zeros(2), np.zeros(6), upper)
+    res = _cold(-obj, rows, np.zeros(2), upper)
     # one slack column and one row per finite upper bound
     assert res.tableau.shape == (3 + 1, 6 + 1 + 1)
     assert len(res.basis) == 3 and len(set(res.basis)) == 3
@@ -176,8 +160,7 @@ def test_simplex_returns_its_optimal_basis_and_tableau():
     y[res.basis] = res.tableau[:-1, -1]
     assert np.array_equal(y[:6], res.x)
     assert np.all(res.tableau[-1, :-1] <= TOLERANCES["simplex_pivot"])
-    infeasible = _cold(np.ones(2), np.ones((1, 2)), np.array([3.0]),
-                       np.zeros(2), np.ones(2))
+    infeasible = _cold(np.ones(2), np.ones((1, 2)), np.array([3.0]), np.ones(2))
     assert infeasible.basis is None and infeasible.tableau is None
 
 
@@ -193,7 +176,7 @@ def test_simplex_random_instances_against_interior_oracle():
         b = a @ interior
         upper = rng.uniform(1.0, 3.0, size=n)
         c = rng.normal(size=n)
-        res = _cold(c, a, b, np.zeros(n), upper)
+        res = _cold(c, a, b, upper)
         assert res.status == "optimal"
         assert np.max(np.abs(a @ res.x - b)) < 1e-8
         assert np.all(res.x > -1e-9) and np.all(res.x < upper + 1e-9)
@@ -205,33 +188,6 @@ def test_simplex_random_instances_against_interior_oracle():
             z = z - pinv @ (a @ z - b)
             if np.all(z >= -1e-12) and np.all(z <= upper + 1e-12):
                 assert c @ z <= res.objective + 1e-7
-
-
-def test_lp_problem_validates_shapes():
-    with pytest.raises(ValueError):
-        LpProblem(np.ones((1, 3)), np.ones(1), np.zeros(2), np.ones(2))
-    with pytest.raises(ValueError):
-        LpProblem(np.ones((1, 2)), np.ones(1), np.ones(2), np.zeros(2))
-
-
-def test_lp_problem_rejects_bounds_of_another_length():
-    with pytest.raises(ValueError, match="bounds must match"):
-        LpProblem(np.ones((1, 2)), np.ones(1), np.zeros(2), np.ones(3))
-
-
-@pytest.mark.parametrize("rhs", [np.inf, np.nan])
-def test_lp_problem_rejects_a_non_finite_rhs(rhs):
-    with pytest.raises(ValueError, match="rhs must be finite"):
-        LpProblem(np.ones((1, 2)), [rhs], np.zeros(2), np.ones(2))
-
-
-@pytest.mark.parametrize("lower, upper, message", [
-    ([0.0, np.nan], [1.0, 1.0], "lower bounds and rhs must be finite"),
-    ([0.0, 0.0], [np.nan, np.inf], "upper bounds must not be NaN"),  # 0 <= x <= NaN read as unbounded
-])
-def test_lp_problem_rejects_a_nan_bound(lower, upper, message):
-    with pytest.raises(ValueError, match=message):
-        LpProblem(np.ones((1, 2)), [1.0], lower, upper)
 
 
 def _objective(pi):
@@ -249,19 +205,19 @@ def _strictly_optimal(result):
 @pytest.mark.parametrize("name", sorted(helpers.REUSE_BATTERIES))
 def test_warm_start_matches_cold_solve_and_linprog(name):
     battery = helpers.REUSE_BATTERIES[name]
-    problem = _BatteryLp(battery, 24).problem
-    feasible = feasible_start(problem)
+    lp = _BatteryLp(battery, 24)
+    feasible = feasible_start(lp.eq_matrix, lp.eq_rhs, lp.upper)
     rng = np.random.default_rng(24)
     atol = 64 * np.finfo(float).eps * battery.capacity
     strict = warm_pivots = cold_pivots = 0
     for _ in range(20):
-        start = simplex_solve(problem, _objective(rng.uniform(0.05, 0.3, size=24)), feasible)
+        start = simplex_solve(feasible, _objective(rng.uniform(0.05, 0.3, size=24)))
         objective = _objective(rng.uniform(0.05, 0.3, size=24))
-        warm = simplex_solve(problem, objective, start)
-        cold = simplex_solve(problem, objective, feasible)
+        warm = simplex_solve(start, objective)
+        cold = simplex_solve(feasible, objective)
         assert warm.status == cold.status == "optimal"
-        reference = linprog(-objective, A_eq=problem.eq_matrix, b_eq=problem.eq_rhs,
-                            bounds=list(zip(problem.lower, problem.upper)), method="highs")
+        reference = linprog(-objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs,
+                            bounds=[(0.0, u) for u in lp.upper], method="highs")
         assert reference.status == 0
         assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
         assert warm.objective == pytest.approx(-reference.fun, rel=1e-9, abs=1e-12)
@@ -278,57 +234,58 @@ def test_warm_start_matches_cold_solve_and_linprog(name):
 
 @pytest.mark.parametrize("name", sorted(helpers.REUSE_BATTERIES))
 def test_warm_start_at_its_own_objective_makes_no_pivots(name):
-    problem = _BatteryLp(helpers.REUSE_BATTERIES[name], 24).problem
+    lp = _BatteryLp(helpers.REUSE_BATTERIES[name], 24)
     objective = _objective(helpers.DEFAULT_WHOLESALE * 1.3)
-    start = simplex_solve(problem, objective, feasible_start(problem))
-    again = simplex_solve(problem, objective, start)
+    start = simplex_solve(feasible_start(lp.eq_matrix, lp.eq_rhs, lp.upper), objective)
+    again = simplex_solve(start, objective)
     assert start.pivots > 0 and again.pivots == 0
     assert again.x.tobytes() == start.x.tobytes()
     assert np.array_equal(again.basis, start.basis) and again.basis is not start.basis
     assert again.tableau is not start.tableau
 
 
-def test_warm_start_of_another_shape_is_rejected():
-    lp = _BatteryLp(helpers.REUSE_BATTERIES["lossy"], 24)
-    start = simplex_solve(lp.problem, _objective(np.full(24, 0.1)), lp.feasible)
-    short = _BatteryLp(helpers.REUSE_BATTERIES["lossy"], 12).problem
-    for other in (start, lp.feasible):
-        with pytest.raises(ValueError):
-            simplex_solve(short, _objective(np.full(12, 0.1)), other)
-    # an infeasible start answers every objective with "infeasible"
-    infeasible = feasible_start(LpProblem(np.ones((1, 2)), np.array([3.0]), np.zeros(2), np.ones(2)))
-    assert infeasible.status == "infeasible" and infeasible.tableau is None
-    res = simplex_solve(LpProblem(np.ones((1, 2)), np.array([1.0]), np.zeros(2), np.ones(2)),
-                        np.ones(2), infeasible)
-    assert res.status == "infeasible" and res.x is None
+@pytest.mark.parametrize("upper, optimum", [([1.0, 1.0], [1.0, 0.5]), ([1.5, 1.0], [1.5, 0.0])])
+def test_each_program_keeps_its_own_bounds(upper, optimum):
+    # Two programs with the row x0 + x1 = 1.5 and as many finite bounds:
+    # from its own start, and from its own optimum, each maximizes x0
+    # within its own box.  A start is the only handle on its program, so
+    # neither can be solved with the other's bounds.
+    objective = np.array([1.0, 0.0])
+    res = simplex_solve(feasible_start(np.ones((1, 2)), [1.5], upper), objective)
+    assert res.status == "optimal" and np.array_equal(res.x, optimum)
+    assert simplex_solve(res, objective).x.tobytes() == res.x.tobytes()
 
 
-def test_start_of_another_lp_of_the_same_width_is_rejected():
-    # Both problems have three unbounded variables, so their starts share a
-    # width; a row count would not tell them apart either, as phase 1 drops
-    # redundant rows.  p1's start sits at x = [1, 0, 0], which misses p2's
-    # second row; from its own start p2's optimum is [1, 0, 1].
-    unbounded = (np.zeros(3), np.full(3, np.inf))
-    p1 = LpProblem(np.ones((1, 3)), [1.0], *unbounded)
-    p2 = LpProblem(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), [1.0, 1.0], *unbounded)
-    objective = np.array([1.0, 0.0, 0.0])
-    other = feasible_start(p1)
-    for start in (other, simplex_solve(p1, objective, other)):
-        with pytest.raises(ValueError, match="equality rows"):
-            simplex_solve(p2, objective, start)
-    res = simplex_solve(p2, objective, feasible_start(p2))
-    assert res.status == "optimal" and np.array_equal(res.x, [1.0, 0.0, 1.0])
+@pytest.mark.parametrize("upper", [[np.inf, np.inf, 1.0, np.inf, np.inf, np.inf], [2.0, 1.0, 1.0, 3.0, 2.0, 2.0]],
+                         ids=["one-slack", "all-slacks"])
+def test_reduced_cost_map_gives_the_tableau_reduced_costs(upper):
+    # Beale's rows with one or six finite bounds: G maps any costs p of the
+    # variables through cost_map = I to the optimal basis's nonbasic
+    # reduced costs, which at the solved costs are the tableau's last row.
+    rows = np.array([
+        [0.25, -60.0, -0.04, 9.0, 1.0, 0.0],
+        [0.50, -90.0, -0.02, 3.0, 0.0, 1.0],
+    ])
+    costs = -np.array([-0.75, 150.0, -0.02, 6.0, 0.0, 0.0])
+    res = _cold(costs, rows, np.zeros(2), np.array(upper))
+    g = optim.reduced_cost_map(res, np.eye(6))
+    body = res.tableau[:-1, :-1]
+    nonbasic = np.ones(body.shape[1], dtype=bool)
+    nonbasic[res.basis] = False
+    assert g.shape == (np.count_nonzero(nonbasic), 6)
+    assert np.allclose(g @ costs, res.tableau[-1, :-1][nonbasic], rtol=0.0, atol=1e-12)
+    other = np.zeros(body.shape[1])
+    other[:6] = np.random.default_rng(5).normal(size=6)
+    assert np.allclose(g @ other[:6], other[nonbasic] - other[res.basis] @ body[:, nonbasic], rtol=0.0, atol=1e-12)
 
 
 def test_simplex_pivots_a_zero_artificial_out_of_the_basis():
     # x1 + x2 = 0 and x1 - x2 = 0: phase 1 ends after one pivot with the
     # second row's artificial basic at level zero, and the drive-out pivots
     # x2 in for it; the start counts both pivots.
-    problem = LpProblem(np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2), np.zeros(2),
-                        np.full(2, np.inf))
-    start = feasible_start(problem)
+    start = feasible_start(np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2), np.full(2, np.inf))
     assert start.status == "feasible" and start.pivots == 2
-    res = simplex_solve(problem, np.ones(2), start)
+    res = simplex_solve(start, np.ones(2))
     assert res.status == "optimal" and res.pivots == 0
     assert np.array_equal(res.basis, [0, 1])
     assert np.array_equal(res.tableau[:-1, :-1], np.eye(2))
@@ -359,8 +316,8 @@ def test_objective_row_subtracts_the_basis_rows_in_order(n, data, zero_costs, sp
     basis = rng.permutation(n)[:m].astype(np.intp)
     objective = _with_specials(rng, rng.normal(size=n) * 10.0 ** rng.integers(-6, 6, size=n), specials)
     objective[rng.random(n) < zero_costs] = 0.0
-    problem = LpProblem(np.zeros((0, n)), np.zeros(0), np.zeros(n), np.full(n, np.inf))
-    start = optim.LpResult(x=None, objective=np.nan, status="feasible", basis=basis.copy(), tableau=tableau)
+    start = optim.LpResult(x=None, objective=np.nan, status="feasible", basis=basis.copy(), tableau=tableau,
+                           variables=n)
     rows = []
 
     def first_row(tableau, basis, n_cols):
@@ -369,7 +326,7 @@ def test_objective_row_subtracts_the_basis_rows_in_order(n, data, zero_costs, sp
 
     with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore", invalid="ignore"):
         patch.setattr(optim, "_bland_pivot_loop", first_row)
-        simplex_solve(problem, objective, start)
+        simplex_solve(start, objective)
         expected = oracles.objective_row_by_loop(tableau, basis, np.append(objective, 0.0))
     assert rows[0].tobytes() == expected.tobytes()
     assert start.tableau is tableau and np.array_equal(start.basis, basis)
@@ -404,8 +361,8 @@ def test_pivot_skips_only_rows_a_full_update_leaves_equal(rows, cols, zeros, see
 def test_no_output_reads_the_sign_of_a_skipped_zero(monkeypatch):
     # The -0.0 that _pivot leaves where the full update writes 0.0 reaches
     # only comparisons with the tolerance, products and sums, which give
-    # the same nonzero values, and x = lower + y, where lower = 0.0 makes
-    # 0.0 of it either way.  So with the full update every start, solve and
+    # the same nonzero values, and x = 0.0 + y, which makes 0.0 of it
+    # either way.  So with the full update every start, solve and
     # storage search keeps its bits.  Random sparse rows with a negative
     # rhs start out with -0.0 entries (phase 1 negates those rows), so some
     # of their tableaus do differ in the sign of a zero.
@@ -415,23 +372,22 @@ def test_no_output_reads_the_sign_of_a_skipped_zero(monkeypatch):
         n = int(rng.integers(3, 9))
         a = rng.normal(size=(int(rng.integers(1, n)), n))
         a[rng.random(a.shape) < 0.4] = 0.0
-        problems.append((rng.normal(size=n), LpProblem(a, a @ rng.uniform(0.2, 0.8, size=n), np.zeros(n),
-                                                        rng.uniform(1.0, 3.0, size=n))))
+        problems.append((rng.normal(size=n), (a, a @ rng.uniform(0.2, 0.8, size=n), rng.uniform(1.0, 3.0, size=n))))
     tariffs = np.random.default_rng(26).uniform(0.05, 0.3, size=(8, 24))
     model, cost = helpers.random_model(np.random.default_rng(27))
     batteries = [helpers.REUSE_BATTERIES[name] for name in ("lossy", "lossy", "leaky", "unlimited")]
 
     def solves():
         results = []
-        for objective, problem in problems:
-            start = feasible_start(problem)
-            results += [start, simplex_solve(problem, objective, start)]
+        for objective, constraints in problems:
+            start = feasible_start(*constraints)
+            results += [start, simplex_solve(start, objective)]
         for battery in helpers.REUSE_BATTERIES.values():
             lp = _BatteryLp(battery, 24)
             results.append(lp.feasible)
             for pi in tariffs:
-                results += [simplex_solve(lp.problem, _objective(pi), lp.feasible),
-                            simplex_solve(lp.problem, _objective(pi), results[-1])]
+                results += [simplex_solve(lp.feasible, _objective(pi)),
+                            simplex_solve(results[-1], _objective(pi))]
         return results, optimize_price_with_storage(model, cost, batteries, eta=0.5, max_evals=150)
 
     sparse, search = solves()

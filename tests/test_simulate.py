@@ -314,8 +314,8 @@ def test_kalman_carries_next_forecast():
 def test_simulate_surplus_accounting_identity_exact(tmp_path, monkeypatch):
     # both CSVs' surplus is -(discomfort + payment) of the same floats, bitwise
     written = {}
-    monkeypatch.setattr(experiments, "_write_csv",
-                        lambda path, header, columns: written.__setitem__(path.name, dict(zip(header, columns))))
+    monkeypatch.setattr(experiments, "_write_tables", lambda out_dir, tables: written.update(
+        {name: dict(zip(header, columns)) for name, (header, columns) in tables.items()}) or list(tables))
     config = ExperimentConfig(seed=54, consumers=PopulationSpec(count=20, alpha=[0.2, 0.8], mu=[0.2, 2.0]),
                               weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
                               simulate=SimulateSpec(thermostat_tolerances=[0.0, 1.0]))
@@ -527,8 +527,8 @@ def test_run_simulate_rows_match_step_oracle(tmp_path, monkeypatch):
     tolerances = [0.0, 1.5]
     written = {}
     monkeypatch.setattr(experiments, "draw_population", lambda spec, seed: Population.of(consumers))
-    monkeypatch.setattr(experiments, "_write_csv",
-                        lambda path, header, columns: written.__setitem__(path.name, list(zip(*columns))))
+    monkeypatch.setattr(experiments, "_write_tables", lambda out_dir, tables: written.update(
+        {name: list(zip(*columns)) for name, (_, columns) in tables.items()}) or list(tables))
     config = ExperimentConfig(
         seed=31, weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
         simulate=SimulateSpec(eta=0.6, thermostat_tolerances=tolerances),

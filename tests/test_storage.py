@@ -25,8 +25,8 @@ from dahp import (
 from dahp.config import batteries_from_spec, load_config
 from dahp.demand import AffineDemandModel, aggregate
 from dahp.experiments import _build_workspace, run_storage
-from dahp.optim import feasible_start, simplex_solve
-from dahp.storage import _BatteryLp, _reduced_cost_map
+from dahp.optim import feasible_start, reduced_cost_map, simplex_solve
+from dahp.storage import _BatteryLp
 from oracles import consumer_surplus_with_storage, population_net_load, retailer_objective_with_storage
 
 
@@ -69,7 +69,7 @@ def test_two_hour_lossless_toy():
 
 
 def test_constant_price_idles():
-    plan = arbitrage(np.full(4, 0.2), lossless_unit_battery(), horizon=4)
+    plan = arbitrage(np.full(4, 0.2), lossless_unit_battery())
     assert plan.profit == 0.0
     assert np.all(plan.charge == 0.0) and np.all(plan.discharge == 0.0)
 
@@ -81,7 +81,7 @@ def test_profit_nonnegative_when_idle_feasible():
         if battery.storage_eff < 1.0 and battery.initial_soc > 1e-9:
             continue  # idling may be infeasible for a charged leaky battery
         prices = rng.uniform(0.05, 0.5, size=6)
-        plan = arbitrage(prices, battery, horizon=6)
+        plan = arbitrage(prices, battery)
         assert plan.profit >= -1e-12
 
 
@@ -150,7 +150,28 @@ def test_leaky_charged_battery_can_be_infeasible():
     battery = BatteryParams(capacity=10.0, initial_soc=10.0, storage_eff=0.5,
                             charge_limit=0.0, discharge_limit=0.0)
     with pytest.raises(InfeasibleConstraintError):
-        arbitrage(np.full(3, 0.1), battery, horizon=3)
+        arbitrage(np.full(3, 0.1), battery)
+
+
+def test_an_infeasible_battery_raises_when_its_lp_is_built(monkeypatch):
+    # Phase 1 finds no start for the charged leaky battery, so building its
+    # LP raises, before any tariff is planned; the start it found holds no
+    # tableau, and phase 2 from it answers any objective with "infeasible".
+    battery = BatteryParams(capacity=10.0, initial_soc=10.0, storage_eff=0.5,
+                            charge_limit=0.0, discharge_limit=0.0)
+    starts = []
+
+    def recording(*constraints):
+        starts.append(feasible_start(*constraints))
+        return starts[-1]
+
+    monkeypatch.setattr(storage, "feasible_start", recording)
+    with pytest.raises(InfeasibleConstraintError, match="infeasible"):
+        _BatteryLp(battery, 3)
+    (start,) = starts
+    assert start.status == "infeasible" and start.tableau is None and start.basis is None
+    res = simplex_solve(start, np.ones(9))
+    assert res.status == "infeasible" and res.x is None
 
 
 def test_unbounded_arbitrage_is_not_reported_as_infeasible():
@@ -198,7 +219,7 @@ def test_surplus_with_storage_separates():
             continue
         total = consumer_surplus_with_storage(model, prices, battery)
         gain = total - expected_cs(model, prices)
-        assert gain == pytest.approx(arbitrage(prices, battery, 6).profit, abs=1e-9)
+        assert gain == pytest.approx(arbitrage(prices, battery).profit, abs=1e-9)
         assert gain >= -1e-12  # storage never hurts under net metering
 
 
@@ -274,7 +295,7 @@ def test_retailer_objective_recomputation_oracle():
     pi = np.array([0.1, 0.3])
     battery = lossless_unit_battery()
     eta = 0.25
-    plan = arbitrage(pi, battery, 2)
+    plan = arbitrage(pi, battery)
     by_hand = (
         expected_rp(model, pi, cost)
         + float((pi - cost.mean) @ plan.net_load)
@@ -508,8 +529,8 @@ def test_certified_strictness_matches_the_single_tariff_product():
         lp = _BatteryLp(battery, 24)
         for _ in range(6):
             pi = rng.uniform(0.05, 0.3, size=24)
-            result = simplex_solve(lp.problem, np.concatenate([-pi, pi, np.zeros(24)]), lp.feasible)
-            g = _reduced_cost_map(result, lp.price_map)
+            result = simplex_solve(lp.feasible, np.concatenate([-pi, pi, np.zeros(24)]))
+            g = reduced_cost_map(result, lp.cost_map)
             for step in (1e-4, 1e-2, 0.1):
                 stack = _poll(pi, step)
                 got = _decide(g, stack)
@@ -538,8 +559,8 @@ def test_reduced_cost_map_matches_the_tableau():
         lp = _BatteryLp(battery, 24)
         for _ in range(5):
             pi, pi2 = rng.uniform(0.05, 0.3, size=(2, 24))
-            result = simplex_solve(lp.problem, np.concatenate([-pi, pi, np.zeros(24)]), lp.feasible)
-            g = _reduced_cost_map(result, lp.price_map)
+            result = simplex_solve(lp.feasible, np.concatenate([-pi, pi, np.zeros(24)]))
+            g = reduced_cost_map(result, lp.cost_map)
             inverse_a = result.tableau[:-1, :-1]
             nonbasic = np.ones(inverse_a.shape[1], dtype=bool)
             nonbasic[result.basis] = False
@@ -576,9 +597,9 @@ def test_array_kernels_match_their_references(name):
     start, verdicts = lp.feasible, set()
     for _ in range(100):
         pi = rng.uniform(0.05, 0.3, size=24)
-        result = simplex_solve(lp.problem, np.concatenate([-pi, pi, np.zeros(24)]), start)
-        g = _reduced_cost_map(result, lp.price_map)
-        assert g.tobytes() == oracles.reduced_cost_map_by_delete(result, lp.price_map).tobytes()
+        result = simplex_solve(start, np.concatenate([-pi, pi, np.zeros(24)]))
+        g = reduced_cost_map(result, lp.cost_map)
+        assert g.tobytes() == oracles.reduced_cost_map_by_delete(result, lp.cost_map).tobytes()
         moved = result.x.copy()
         moved[rng.integers(72)] += rng.choice([-1.0, 1.0]) * rng.uniform(0.0, 3.0) * lp.tolerance
         shifted, delta = result.x.copy(), rng.uniform(-3.0, 3.0) * lp.tolerance
@@ -619,9 +640,9 @@ def test_tied_prices_fall_back_to_the_cold_solve(monkeypatch):
     # for bit.
     starts = []
 
-    def recording(problem, objective, start):
+    def recording(start, objective):
         starts.append(start is lp.feasible)
-        return simplex_solve(problem, objective, start)
+        return simplex_solve(start, objective)
 
     monkeypatch.setattr(storage, "simplex_solve", recording)
     battery = REUSE_BATTERIES["unlimited"]
@@ -646,17 +667,18 @@ def test_phase_one_runs_once_per_spec_and_its_start_is_never_mutated(monkeypatch
     # cold solve: phase 2 from the spec's one phase-1 start, on a copy of it.
     problems = []
 
-    def counting(problem):
-        problems.append(problem)
-        return feasible_start(problem)
+    def counting(*constraints):
+        problems.append(constraints)
+        return feasible_start(*constraints)
 
     monkeypatch.setattr(storage, "feasible_start", counting)
     lp = _BatteryLp(REUSE_BATTERIES["lossless"], 24)
     for pi in _compass_walk(np.random.default_rng(136), helpers.DEFAULT_WHOLESALE * 1.3, 0.01, 120):
         _plan_at(lp, pi)
     assert (lp.lp_solves, lp.basis_reuses) == (121, 0)
-    assert problems == [lp.problem]
-    fresh = feasible_start(lp.problem)
+    assert len(problems) == 1
+    assert all(given is kept for given, kept in zip(problems[0], (lp.eq_matrix, lp.eq_rhs, lp.upper), strict=True))
+    fresh = feasible_start(lp.eq_matrix, lp.eq_rhs, lp.upper)
     assert lp.feasible.tableau.tobytes() == fresh.tableau.tobytes()
     assert np.array_equal(lp.feasible.basis, fresh.basis)
     # a search plans each distinct spec through one _BatteryLp
@@ -687,11 +709,9 @@ def test_warm_start_keeps_the_latest_strict_basis():
 def test_infeasible_leaky_battery_still_raises_with_stored_bases():
     battery = BatteryParams(capacity=10.0, initial_soc=10.0, storage_eff=0.5,
                             charge_limit=0.0, discharge_limit=0.0)
-    lp = _BatteryLp(battery, 24)
-    for _ in range(2):
+    for _ in range(2):  # each build runs phase 1 afresh, and raises
         with pytest.raises(InfeasibleConstraintError):
-            _plan_at(lp, helpers.DEFAULT_WHOLESALE)
-    assert lp.entries == []
+            _BatteryLp(battery, 24)
     model, cost = helpers.random_model(np.random.default_rng(132))
     with pytest.raises(InfeasibleConstraintError):
         optimize_price_with_storage(model, cost, [battery], eta=0.5, max_evals=20)
@@ -790,10 +810,10 @@ def test_demo_search_endpoint_survives_a_last_bit_change(eta):
     assert np.abs(moved.price - base.price).max() <= 1e-3
 
 
-@pytest.mark.parametrize("limit", ["charge_limit", "discharge_limit"])
+@pytest.mark.parametrize("limit", ["charge_limit", "discharge_limit", "capacity"])
 def test_battery_params_reject_nan_rate_limits(limit):
     with pytest.raises(ValueError):
-        BatteryParams(capacity=1.0, initial_soc=0.0, **{limit: np.nan})
+        BatteryParams(**{"capacity": 1.0, "initial_soc": 0.0, limit: np.nan})
 
 
 @pytest.mark.parametrize("limit", ["charge_limit", "discharge_limit"])
@@ -819,9 +839,9 @@ def test_large_batteries_match_linprog(capacity):
                             charge_limit=capacity / 2, discharge_limit=capacity / 2)
     prices = helpers.DEFAULT_WHOLESALE
     plan = arbitrage(prices, battery)
-    problem = _BatteryLp(battery, 24).problem
-    reference = linprog(np.concatenate([prices, -prices, np.zeros(24)]), A_eq=problem.eq_matrix,
-                        b_eq=problem.eq_rhs, bounds=list(zip(problem.lower, problem.upper)), method="highs")
+    lp = _BatteryLp(battery, 24)
+    reference = linprog(np.concatenate([prices, -prices, np.zeros(24)]), A_eq=lp.eq_matrix,
+                        b_eq=lp.eq_rhs, bounds=[(0.0, u) for u in lp.upper], method="highs")
     assert reference.status == 0
     assert plan.profit == pytest.approx(-reference.fun, rel=1e-9)
     point = np.concatenate([plan.charge, plan.discharge, plan.soc])
