@@ -123,9 +123,20 @@ def feasible_start(eq_matrix: np.ndarray, eq_rhs: np.ndarray, upper: np.ndarray)
     ``0 <= x <= upper`` (upper bounds may be ``np.inf``): a feasible basis
     and its tableau (status "feasible"), a start that carries the program,
     from which ``simplex_solve`` maximizes any objective over it, since
-    phase 1 reads none; or status "infeasible" with neither."""
+    phase 1 reads none; or status "infeasible" with neither.
+
+    Raises ``ValueError`` unless the shapes are (m, n), (m,) and (n,), the
+    equality rows are finite and every upper bound is nonnegative or
+    ``np.inf``."""
     tol = TOLERANCES["simplex_pivot"]
-    upper = np.asarray(upper, dtype=float)
+    eq_matrix, eq_rhs, upper = (np.asarray(x, dtype=float) for x in (eq_matrix, eq_rhs, upper))
+    if upper.ndim != 1 or eq_rhs.ndim != 1 or eq_matrix.shape != (eq_rhs.size, upper.size):
+        raise ValueError(f"eq_matrix, eq_rhs and upper must have shapes (m, n), (m,) and (n,), "
+                         f"got {eq_matrix.shape}, {eq_rhs.shape} and {upper.shape}")
+    if not (np.isfinite(eq_matrix).all() and np.isfinite(eq_rhs).all()):
+        raise ValueError("eq_matrix and eq_rhs must be finite")
+    if not np.all(upper >= 0.0):  # NaN included, which would read as no bound
+        raise ValueError("upper bounds must be nonnegative or np.inf")
     n = upper.size
 
     # Fold finite upper bounds in as rows x_i + s_i = u_i, so the standard

@@ -15,7 +15,8 @@ population on one day, or replicate days of one consumer.  The baselines'
 powers and the optimal policy's targets are planned before the first
 hour; each hour sets the optimal policy's powers from its Kalman estimate
 and steps every policy in preallocated buffers, squaring deviations with
-one multiply.  A single consumer is a one-row population:
+one multiply; a thermal parameter that every consumer shares is read as
+one broadcast row.  A single consumer is a one-row population:
 ``simulate_population_day`` with ``consumer_ids=[id]`` simulates its day on
 its own noise row.
 
@@ -29,9 +30,11 @@ smallest multiple of 4 holding the word pairs of its ``2 * horizon + 1``
 normals.  A contiguous run of consumer ids is one ``random_raw`` call, and a
 consumer's noise depends only on ``(seed, consumer_id, day)``, not on the
 batch, its size or its order.  Box-Muller turns word pair ``k`` into normals
-``2k`` (cosine) and ``2k + 1`` (sine) in the words' own buffer; normal 0 is
-the initial reading error, the next ``horizon`` the process noise and the
-last ``horizon`` the reading errors.  Every word is drawn whatever the
+``2k`` (cosine) and ``2k + 1`` (sine) in the words' own buffer, taking the
+cosine and sine from ``tan`` of the half angle (Box and Muller, Ann. Math.
+Stat. 1958; no ``cos`` or ``sin`` is called).  Normal 0 is the initial
+reading error, the next ``horizon`` the process noise and the last
+``horizon`` the reading errors.  Every word is drawn whatever the
 variances, so a noise-free field does not shift the others.  Each
 consumer-day's noise is shared by the responsive rollout and every
 thermostat tolerance, so the policies are compared on identical
@@ -43,9 +46,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import Population, as_forecast, as_prices
+from .demand import Population, _shared, as_forecast, as_prices
 
-NOISE_SCHEME = 2  # keyed block noise; scheme 1 drew one substream per consumer-day
+NOISE_SCHEME = 3  # tan half-angle normals; 2 called cos and sin, 1 drew a substream per consumer-day
 
 # Stream tags, the first key after the seed.  They are nonzero because
 # SeedSequence pads short entropy with zeros: (seed, 0) would alias (seed,).
@@ -93,23 +96,35 @@ def _noise_words(seed: int, stream: tuple[int, ...], rows: Sequence[int], width:
 def _box_muller(words: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` standard normals of each row of words, made in
     place in the words' float64 view: uniforms ``((word >> 11) + 0.5) *
-    2**-53`` in (0, 1), and pair ``k`` gives normal ``2k`` (cosine) and
-    ``2k + 1`` (sine), so each normal depends only on its own two words."""
+    2**-53`` in (0, 1] (the sum rounds to even above 2**52), and pair
+    ``(u, v)`` ``k`` gives normal ``2k`` (cosine) and ``2k + 1`` (sine) of
+    the angle ``2 * pi * v``, so each normal depends only on its own two
+    words.
+
+    Neither ``cos`` nor ``sin`` is called: with ``t = tan(pi * v)`` and
+    ``q = 1 + t**2``, the half-angle identities give ``cos = (2 - q) / q``
+    and ``sin = 2 * t / q``.  ``tan`` and ``log`` run on one contiguous
+    (rows, pairs) scratch buffer, where numpy's SIMD loops are fastest.
+    """
     pairs = -(-count // 2)
     words >>= np.uint64(11)
     u = words.view(np.float64)
-    # each pair's radius in one contiguous buffer, its angle in the float
-    # slot of its first word, then the cosine there and the sine beside it
-    radius = np.add(words[:, 0:2 * pairs:2], 0.5)
-    np.log(np.multiply(radius, 2.0**-53, radius), radius)
-    np.sqrt(np.multiply(radius, -2.0, radius), radius)
     cos, sin = u[:, 0:2 * pairs:2], u[:, 1:2 * pairs:2]
-    np.multiply(np.add(words[:, 1:2 * pairs:2], 0.5, cos), 2.0**-53, cos)
-    cos *= 2.0 * np.pi
-    np.sin(cos, sin)
-    np.cos(cos, cos)
-    cos *= radius
-    sin *= radius
+    # t in the scratch buffer, parked in the spent sine slots; then the
+    # radius in the buffer, and q in the spent cosine slots
+    scratch = np.add(words[:, 1:2 * pairs:2], 0.5)
+    np.tan(np.multiply(scratch, np.pi * 2.0**-53, scratch), scratch)  # pi * v, as 2**-53 scales exactly
+    sin[...] = scratch
+    np.add(words[:, 0:2 * pairs:2], 0.5, scratch)
+    np.log(np.multiply(scratch, 2.0**-53, scratch), scratch)
+    np.sqrt(np.multiply(scratch, -2.0, scratch), scratch)
+    np.square(sin, cos)
+    cos += 1.0
+    scratch /= cos  # radius / q
+    np.subtract(2.0, cos, cos)
+    cos *= scratch
+    sin *= 2.0
+    sin *= scratch
     return u[:, :count]
 
 
@@ -142,7 +157,8 @@ def _rollout(population: Population, prices: np.ndarray, forecast: np.ndarray, t
     tol = np.asarray(tolerances, dtype=float)[:, None]
     if not np.all((tol >= 0) & (tol < np.inf)):
         raise ValueError("tolerance must be finite and nonnegative")
-    alpha, beta, mu, t = population.alpha, population.beta, population.mu, population.desired_temp.T
+    alpha, beta, mu = (_shared(x) for x in (population.alpha, population.beta, population.mu))
+    t = population.desired_temp.T
     n = population.horizon
     _, gains = population.estimator_ladder
     keep, scale = 1.0 - alpha, 2.0 * mu * beta

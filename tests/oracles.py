@@ -5,7 +5,9 @@ brute-force minimization of the consumer's day cost, battery profits from
 grid enumeration, expectations from Monte Carlo, and the joint
 storage-plus-HVAC problem from a general-purpose NLP solver.  The batched
 simulator is replayed one consumer, one hour at a time, and its noise is
-made out of place, one fresh array per step.  The population model is
+made out of place, one fresh array per step, by the tangent half-angle
+Box-Muller the simulator uses and, as its yardstick, by calling ``cos``
+and ``sin``.  The population model is
 rebuilt from each consumer's scalar formulas, the simplex's kernels are
 written out as the row-at-a-time loops and products they replace, and the
 battery LP's reduced-cost map and plan check as the ``np.delete`` and
@@ -245,9 +247,28 @@ def day_noise(seed: int, consumer_id: int, day: int, params):
 
 def box_muller(words: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` standard normals of each row of words, out of
-    place: uniforms ``((word >> 11) + 0.5) * 2**-53``, and pair ``k`` gives
-    normal ``2k`` (cosine) and ``2k + 1`` (sine), each step a fresh
-    array."""
+    place: uniforms ``((word >> 11) + 0.5) * 2**-53``, and pair ``(u, v)``
+    ``k`` gives normal ``2k`` (cosine) and ``2k + 1`` (sine) of the angle
+    ``2 * pi * v``, through the tangent half-angle identities with ``t =
+    tan(pi * v)`` and ``q = 1 + t * t``: ``cos = (2 - q) / q`` and ``sin =
+    2 * t / q``.  Each step is a fresh array, ``tan`` a fresh contiguous
+    one."""
+    pairs = -(-count // 2)
+    u = ((words[:, :2 * pairs] >> np.uint64(11)) + 0.5) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    t = np.tan(np.pi * u[:, 1::2])
+    q = 1.0 + t * t
+    scale = radius / q
+    normals = np.empty((len(words), 2 * pairs))
+    normals[:, 0::2] = (2.0 - q) * scale
+    normals[:, 1::2] = 2.0 * t * scale
+    return normals[:, :count]
+
+
+def box_muller_trig(words: np.ndarray, count: int) -> np.ndarray:
+    """``box_muller`` with the cosine and sine of the angle called directly,
+    as the normals were made before ``NOISE_SCHEME`` 3: within rounding of
+    the tangent form, not bit for bit."""
     pairs = -(-count // 2)
     u = ((words[:, :2 * pairs] >> np.uint64(11)) + 0.5) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))

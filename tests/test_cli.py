@@ -230,7 +230,7 @@ def test_simulate_manifest_records_consumer_days(tiny_config, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     # 2 consumers x 2 days: one noise key per day, shared by every policy
     assert manifest["counters"] == {"consumer_days": 4, "substreams": 2}
-    assert manifest["noise_scheme"] == 2
+    assert manifest["noise_scheme"] == 3
 
 
 _TOLERANCES = "  thermostat_tolerances: [0.0, 2.0]\n"

@@ -256,6 +256,26 @@ def test_each_program_keeps_its_own_bounds(upper, optimum):
     assert simplex_solve(res, objective).x.tobytes() == res.x.tobytes()
 
 
+@pytest.mark.parametrize("eq_matrix, eq_rhs, upper, message", [
+    ([[1.0, 1.0]], [1.0], [np.nan, np.inf], "nonnegative"),       # a NaN bound would read as no bound
+    ([[1.0, 1.0]], [1.0], [-1.0, np.inf], "nonnegative"),         # x0 <= -1 would be dropped from phase 1
+    ([[1.0, 1.0]], [1.0], [-np.inf, np.inf], "nonnegative"),
+    ([[1.0, np.inf]], [1.0], [1.0, 1.0], "finite"),
+    ([[1.0, np.nan]], [1.0], [1.0, 1.0], "finite"),
+    ([[1.0, 1.0]], [np.inf], [1.0, 1.0], "finite"),
+    ([[1.0, 1.0]], [np.nan], [1.0, 1.0], "finite"),
+    ([[1.0, 1.0, 1.0]], [1.0], [1.0, 1.0], "shape"),              # a column too many
+    ([[1.0, 1.0]], [1.0, 2.0], [1.0, 1.0], "shape"),              # a rhs entry too many
+    ([1.0, 1.0], [1.0], [1.0, 1.0], "shape"),                     # a 1-D matrix
+    ([[1.0, 1.0]], [[1.0]], [1.0, 1.0], "shape"),                 # a 2-D rhs
+    ([[1.0, 1.0]], [1.0], [[1.0, 1.0]], "shape"),                 # 2-D bounds
+], ids=["nan-upper", "negative-upper", "minus-inf-upper", "inf-matrix", "nan-matrix", "inf-rhs", "nan-rhs",
+        "matrix-width", "rhs-length", "1d-matrix", "2d-rhs", "2d-upper"])
+def test_feasible_start_rejects_invalid_programs(eq_matrix, eq_rhs, upper, message):
+    with pytest.raises(ValueError, match=message):
+        feasible_start(eq_matrix, eq_rhs, upper)
+
+
 @pytest.mark.parametrize("upper", [[np.inf, np.inf, 1.0, np.inf, np.inf, np.inf], [2.0, 1.0, 1.0, 3.0, 2.0, 2.0]],
                          ids=["one-slack", "all-slacks"])
 def test_reduced_cost_map_gives_the_tableau_reduced_costs(upper):

@@ -20,6 +20,7 @@ from dahp import (
     experiments,
     optimal_price,
     population_model,
+    simulate,
     simulate_population_day,
     substream,
 )
@@ -137,6 +138,36 @@ def test_noise_normals_are_standard_and_uncorrelated():
         assert abs(np.corrcoef(z[:, j], z[:, j + 1])[0, 1]) < bound
     for j in range(z.shape[1]):  # neighbouring rows, i.e. neighbouring consumers
         assert abs(np.corrcoef(z[:-1, j], z[1:, j])[0, 1]) < bound
+
+
+def _edge_words() -> np.ndarray:
+    """One row of word pairs: the smallest, largest and middle u against v
+    next to 0, a quarter (where the cosine crosses zero), 1/2 and 1, with
+    the 11 low bits that the uniforms drop set.  ``(k + 0.5) * 2**-53``
+    rounds ``k + 0.5`` to even above 2**52, so the largest u and v are 1
+    and ``k = 2**52`` gives v = 1/2 exactly."""
+    ends = [0, 2**53 - 1, 2**52]  # u = 2**-54, 1 and 1/2
+    near = [0, 1, 2**51 - 1, 2**51, 2**52 - 2, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+    pairs = [(a, b) for a in ends for b in near]
+    return (np.array(pairs, dtype=np.uint64).reshape(1, -1) << np.uint64(11)) | np.uint64(0x7FF)
+
+
+@pytest.mark.parametrize("source", ["philox", "edge"])
+def test_tangent_normals_are_within_rounding_of_cos_and_sin(source):
+    # the half-angle normals change only the last bits of the cos/sin ones:
+    # over a million normals of the noise stream, and at the extreme words
+    if source == "philox":
+        words, count = _noise_words(12, (DAY_NOISE_STREAM, 1), np.arange(20_409), _row_words(24)), 49
+        assert words.shape[0] * count >= 10**6
+    else:
+        words = _edge_words()
+        count = words.shape[1]
+    trig = oracles.box_muller_trig(words, count)
+    tangent = oracles.box_muller(words, count)
+    ours = _box_muller(words.copy(), count)
+    assert np.isfinite(ours).all()
+    assert ours.tobytes() == tangent.tobytes()
+    assert np.abs(ours - trig).max() <= 1e-14
 
 
 _NOISE_ROWS = {
@@ -591,6 +622,27 @@ def test_shared_parameter_rows_equal_single_consumer_days(ranged, ladder_rows):
     population = draw_population(PopulationSpec(count=40, desired_temp=[18.0, 22.0], **ranged), seed=17)
     assert [len(x) for x in population.estimator_ladder] == [ladder_rows] * 2
     _assert_rows_equal_single_days(population, [0.0, 2.0, 0.5])
+
+
+@pytest.mark.parametrize("kind", ["demo", "mixed", "shared alpha"])
+def test_rollout_reads_shared_parameters_as_one_row_bitwise(kind, monkeypatch):
+    # alpha, beta and mu that every consumer shares broadcast from one row,
+    # with the bytes of the per-consumer columns they stand for
+    if kind == "demo":
+        population = draw_population(PopulationSpec(desired_temp=[18.0, 22.0]), seed=2024)
+        assert all(len(demand._shared(x)) == 1 for x in (population.alpha, population.beta, population.mu))
+    elif kind == "mixed":
+        population = Population.of(_mixed_population())
+    else:
+        population = draw_population(PopulationSpec(count=300, beta=[-0.15, -0.05], mu=[0.2, 2.0]), seed=7)
+    ids = np.arange(len(population))
+    prices = np.random.default_rng(77).uniform(0.05, 0.3, size=24)
+    args = (population, prices, helpers.DEFAULT_WEATHER, [0.0, 0.5, 3.0],
+            *_noise(population, 5, (DAY_NOISE_STREAM, 1), ids))
+    shared = _rollout(*args)
+    monkeypatch.setattr(simulate, "_shared", lambda x: x)
+    per_consumer = _rollout(*args)
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(shared, per_consumer))
 
 
 def test_run_simulate_builds_the_estimator_ladder_once(tmp_path, monkeypatch):
