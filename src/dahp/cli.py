@@ -49,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             config.seed = args.seed
             validate_config(config)
         out_dir = args.out if args.out is not None else config.output_dir
-        summary = run_experiment(config, args.command, out_dir)
+        paths = run_experiment(config, args.command, out_dir)
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     except DataError as exc:
@@ -58,8 +58,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail("numerical", exc, EXIT_NUMERICAL)
     except Exception as exc:  # anything unplanned still exits nonzero
         return _fail("internal", exc, 1)
-    for name in summary.files:
-        print(summary.out_dir / name)
+    for path in paths:
+        print(path)
     return EXIT_OK
 
 

@@ -1,8 +1,9 @@
 """Experiment pipelines behind the CLI commands.
 
-Each command builds the population demand model from the configured
-consumers and data, runs one study, and writes schema-stable CSV files plus
-a ``manifest.json`` recording the config hash, package and numpy
+``run_experiment`` reads a run's inputs (the weather days, the wholesale
+cost and the drawn population), passes them to one study, a function of
+its inputs that returns its tables, and writes those as schema-stable CSV
+files plus a ``manifest.json`` recording the config hash, package and numpy
 versions, wall time, and the deterministic solver counters of the run
 (``counters``; per-eta search counters for ``storage``).  Float cells are formatted to four decimals;
 rerunning a command with the same config and seed reproduces the CSV bytes
@@ -14,7 +15,6 @@ import functools
 import itertools
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +30,7 @@ from .config import (
     resolve_eta_grid,
     resolved_dict,
 )
-from .demand import HOURS_PER_DAY, AffineDemandModel, population_model
+from .demand import HOURS_PER_DAY, AffineDemandModel, Population, population_model
 from .errors import ConfigError, DataError, NumericalError
 from .pricing import WholesaleCost, benchmark_trace, optimal_price, pareto_front
 from .renewable import RenewableModel, benefit_split
@@ -38,16 +38,10 @@ from .simulate import NOISE_SCHEME, simulate_population_day
 from .storage import optimize_price_with_storage
 from .timeseries import HourlySeries, load_series, mean_day, synthetic_weather, synthetic_wholesale
 
-COMMANDS = ("pareto", "benchmarks", "renewable", "storage", "simulate")
-
 _PRICE_COLUMNS = [f"price_{i:02d}" for i in range(1, HOURS_PER_DAY + 1)]
 
-
-@dataclass
-class RunSummary:
-    out_dir: Path
-    files: list[str]
-    manifest: Path
+# file name -> (header, equal-length numeric columns)
+Tables = dict[str, tuple[Sequence[str], Sequence[np.ndarray]]]
 
 
 def _load_days(spec: SeriesSpec, kind: str) -> list[HourlySeries]:
@@ -67,6 +61,14 @@ def _wholesale_cost(spec: SeriesSpec) -> WholesaleCost:
     return WholesaleCost(mean=mean)
 
 
+def load_inputs(config: ExperimentConfig) -> tuple[Population, list[HourlySeries], WholesaleCost]:
+    """A run's inputs: the drawn population, the weather days and the
+    wholesale cost, read in the order weather, prices, draw."""
+    weather = _load_days(config.weather, "weather")
+    cost = _wholesale_cost(config.wholesale)
+    return draw_population(config.consumers, config.seed), weather, cost
+
+
 def _write(path: Path, chunks: Sequence[bytes]) -> None:
     try:
         with path.open("wb") as file:
@@ -75,11 +77,10 @@ def _write(path: Path, chunks: Sequence[bytes]) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_tables(out_dir: Path, tables: dict[str, tuple[Sequence[str], Sequence[np.ndarray]]]) -> list[str]:
-    """Write each table, file name -> (header, equal-length numeric
-    columns), into ``out_dir``, integer columns as integers and float ones
-    to four decimals (``-0.0000`` as ``0.0000``); return the file names.  A
-    column with a nan or an infinity is a failed study: it raises
+def _write_tables(out_dir: Path, tables: Tables) -> list[str]:
+    """Write each table into ``out_dir``, integer columns as integers and
+    float ones to four decimals (``-0.0000`` as ``0.0000``); return the file
+    names.  A column with a nan or an infinity is a failed study: it raises
     ``NumericalError`` before any file is written."""
     for name, (header, columns) in tables.items():
         if not np.isfinite(columns).all():  # one stacked test: a test per column costs ~1 us each
@@ -204,18 +205,12 @@ def _fixed_point_body(ticks: np.ndarray, is_float: np.ndarray) -> bytes:
     return pieces.tobytes().translate(None, b"\0")
 
 
-def _build_workspace(config: ExperimentConfig) -> tuple[AffineDemandModel, WholesaleCost]:
-    """The population's demand model on the mean day, and the wholesale cost."""
-    weather_days = _load_days(config.weather, "weather")
-    cost = _wholesale_cost(config.wholesale)
-    return population_model(draw_population(config.consumers, config.seed), mean_day(weather_days)), cost
-
-
-def run_pareto(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
-    model, cost = _build_workspace(config)
+def run_pareto(config: ExperimentConfig, population: Population, weather: list[HourlySeries],
+               cost: WholesaleCost) -> tuple[Tables, dict]:
+    model = population_model(population, mean_day(weather))
     front = pareto_front(model, cost, resolve_eta_grid(config.eta_grid))
     columns = [front.param, front.cs, front.rp, front.cs + front.rp, *front.price.T]
-    return _write_tables(out_dir, {"tradeoff.csv": (["eta", "cs", "rp", "sw", *_PRICE_COLUMNS], columns)}), {}
+    return {"tradeoff.csv": (["eta", "cs", "rp", "sw", *_PRICE_COLUMNS], columns)}, {}
 
 
 def _default_sweeps(
@@ -234,8 +229,9 @@ def _default_sweeps(
     }
 
 
-def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
-    model, cost = _build_workspace(config)
+def run_benchmarks(config: ExperimentConfig, population: Population, weather: list[HourlySeries],
+                   cost: WholesaleCost) -> tuple[Tables, dict]:
+    model = population_model(population, mean_day(weather))
     spec = config.benchmarks
     front = pareto_front(model, cost, np.linspace(0.0, 1.0, spec.points))
     tables = {"benchmark_dahp.csv": (["param", "cs", "rp"], [front.param, front.cs, front.rp])}
@@ -245,11 +241,12 @@ def run_benchmarks(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], 
             tou_ratio=spec.tou_ratio, peak_start=spec.peak_start, peak_end=spec.peak_end,
         )
         tables[f"benchmark_{scheme}.csv"] = (["param", "cs", "rp"], [trace.param, trace.cs, trace.rp])
-    return _write_tables(out_dir, tables), {}
+    return tables, {}
 
 
-def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
-    model, cost = _build_workspace(config)
+def run_renewable(config: ExperimentConfig, population: Population, weather: list[HourlySeries],
+                  cost: WholesaleCost) -> tuple[Tables, dict]:
+    model = population_model(population, mean_day(weather))
     if np.any(cost.mean - config.renewable.marginal_cost <= 0.0):
         raise ConfigError("'renewable.marginal_cost' must stay below every hour's wholesale mean price")
     rows = []
@@ -259,11 +256,12 @@ def run_renewable(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], d
             split = benefit_split(model, cost, renew, float(eta))
             rows.append([float(eta), float(capacity), split.delta_cs, split.delta_rp, split.fraction])
     table = (["eta", "K", "delta_cs", "delta_rp", "fraction"], np.array(rows, dtype=float).T)
-    return _write_tables(out_dir, {"renewable.csv": table}), {}
+    return {"renewable.csv": table}, {}
 
 
-def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
-    model, cost = _build_workspace(config)
+def run_storage(config: ExperimentConfig, population: Population, weather: list[HourlySeries],
+                cost: WholesaleCost) -> tuple[Tables, dict]:
+    model = population_model(population, mean_day(weather))
     batteries = batteries_from_spec(config.storage)
     rows = []
     searches = []
@@ -283,10 +281,11 @@ def run_storage(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dic
             "basis_reuses": result.basis_reuses,
         })
     table = (["eta", "cs", "rp", "arbitrage_volume", *_PRICE_COLUMNS], np.array(rows, dtype=float).T)
-    return _write_tables(out_dir, {"storage.csv": table}), {"storage_search": searches}
+    return {"storage.csv": table}, {"storage_search": searches}
 
 
-def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], dict]:
+def run_simulate(config: ExperimentConfig, population: Population, weather: list[HourlySeries],
+                 cost: WholesaleCost) -> tuple[Tables, dict]:
     """Per-day population simulation under that day's optimal tariff.
 
     Each configured thermostat tolerance is replayed on the responsive
@@ -295,15 +294,12 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], di
     consumers) results and ``baseline.csv`` the rest; rows run day by day,
     consumer by consumer (and tolerance by tolerance in ``baseline.csv``).
     """
-    weather_days = _load_days(config.weather, "weather")
-    cost = _wholesale_cost(config.wholesale)
-    population = draw_population(config.consumers, config.seed)
     eta = float(config.simulate.eta)
     tolerances = np.array(config.simulate.thermostat_tolerances, dtype=float)
 
-    days, consumers = len(weather_days), len(population)
+    days, consumers = len(weather), len(population)
     payment, discomfort = np.empty((2, days, 1 + len(tolerances), consumers))
-    for day_index, day in enumerate(weather_days):
+    for day_index, day in enumerate(weather):
         prices = optimal_price(population_model(population, day.values), cost, eta)
         _, payment[day_index], discomfort[day_index] = simulate_population_day(
             population, prices, day.values, config.seed, day_index, tolerances.tolist()
@@ -323,7 +319,7 @@ def run_simulate(config: ExperimentConfig, out_dir: Path) -> tuple[list[str], di
              *(values[:, 1:].transpose(0, 2, 1).ravel() for values in (payment, discomfort, surplus))],
         )
     # one Philox key per day; consumers read it at their own counter offsets
-    return _write_tables(out_dir, tables), {"consumer_days": consumers * days, "substreams": days}
+    return tables, {"consumer_days": consumers * days, "substreams": days}
 
 
 _RUNNERS = {
@@ -333,10 +329,12 @@ _RUNNERS = {
     "storage": run_storage,
     "simulate": run_simulate,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
-def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) -> RunSummary:
-    """Run one CLI command and write its outputs plus the run manifest."""
+def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) -> list[Path]:
+    """Run one CLI command: read its inputs, run its study, write its
+    tables plus the run manifest, and return the tables' paths."""
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}; expected one of {COMMANDS}")
     out = Path(out_dir)
@@ -347,7 +345,8 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
     started = time.perf_counter()
     # an overflow surfaces as a non-finite cell, which _write_tables reports
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        files, counters = _RUNNERS[command](config, out)
+        tables, counters = _RUNNERS[command](config, *load_inputs(config))
+        files = _write_tables(out, tables)
     manifest = {
         "command": command,
         "seed": config.seed,
@@ -360,6 +359,5 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
         "counters": counters,
         **({"noise_scheme": NOISE_SCHEME} if command == "simulate" else {}),
     }
-    manifest_path = out / "manifest.json"
-    _write(manifest_path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
-    return RunSummary(out_dir=out, files=files, manifest=manifest_path)
+    _write(out / "manifest.json", [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
+    return [out / name for name in files]

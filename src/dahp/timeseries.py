@@ -17,8 +17,8 @@ wall clock, so mixed offsets would put a day's hours out of order.
 
 Wholesale price files are expected in $/MWh (the standard market quote) and
 are converted to $/kWh on load; weather files are degrees Celsius and pass
-through unchanged.  Files are read as UTF-8, and one that is not raises
-``DataError``.
+through unchanged.  Files are read as UTF-8 (a leading byte-order mark is
+skipped), and one that is not raises ``DataError``.
 """
 from __future__ import annotations
 
@@ -64,7 +64,7 @@ def load_series(path: str | Path, kind: str) -> list[HourlySeries]:
         raise ValueError(f"kind must be one of {SERIES_KINDS}, got {kind!r}")
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             rows = [(reader.line_num, row) for row in reader]  # a quoted cell may span lines
     except (OSError, UnicodeDecodeError) as exc:

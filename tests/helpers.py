@@ -11,8 +11,10 @@ from dahp import (
     aggregate,
     build_consumer_model,
     pareto_front,
+    population_model,
 )
-from dahp.timeseries import synthetic_weather, synthetic_wholesale
+from dahp.experiments import load_inputs
+from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
 
 DEFAULT_WEATHER = synthetic_weather(1)[0].values
 DEFAULT_WHOLESALE = synthetic_wholesale(1)[0].values
@@ -104,6 +106,13 @@ def toy3_model() -> AffineDemandModel:
 
 
 _SERIES_HEADERS = {"wide": "date," + ",".join(f"h{h:02d}" for h in range(1, 25)), "long": "timestamp,value"}
+
+
+def mean_day_market(config):
+    """The demand model on the mean day and the wholesale cost that the
+    mean-day studies build from ``config``'s inputs, read as a run reads them."""
+    population, weather, cost = load_inputs(config)
+    return population_model(population, mean_day(weather)), cost
 
 
 def series_rows(dates, days, layout: str) -> list[str]:

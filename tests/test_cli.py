@@ -12,9 +12,11 @@ import pytest
 import yaml
 
 import helpers
+from dahp import optimal_price, population_model
 from dahp.cli import main
-from dahp.experiments import COMMANDS
-from dahp.timeseries import synthetic_weather, synthetic_wholesale
+from dahp.config import load_config
+from dahp.experiments import COMMANDS, load_inputs, run_renewable
+from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
 
 TINY = """\
 seed: 42
@@ -534,9 +536,10 @@ def test_output_file_that_is_a_directory_exit_2(tmp_path, capsys, name):
 WEEK_DATES = [f"2021-07-{day:02d}" for day in (4, 1, 7, 2, 6, 3, 5)]
 
 
-def _week_config(tmp_path, layout):
+def _week_config(tmp_path, layout, changes=()):
     """The cut demo config on a seeded week of weather and $/MWh prices,
-    both files in ``layout`` with their rows shuffled and a blank line."""
+    both files in ``layout`` with their rows shuffled and a blank line,
+    with dotted keys replaced as ``_demo_config`` does."""
     rng = np.random.default_rng(2105)
     weather = np.round(synthetic_weather(1)[0].values + rng.normal(0.0, 0.5, (7, 24)), 3)
     prices = np.round(1000.0 * synthetic_wholesale(1)[0].values * rng.uniform(0.8, 1.2, (7, 24)), 3)
@@ -547,7 +550,7 @@ def _week_config(tmp_path, layout):
         rows.insert(3, "")
         path = helpers.write_series(tmp_path / f"{name}.csv", layout, rows)
         sources.append((name, {"source": "file", "path": str(path)}))
-    return _demo_config(tmp_path, [*sources, ("storage.eta_grid", [0.5])])
+    return _demo_config(tmp_path, [*sources, ("storage.eta_grid", [0.5]), *changes])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -562,6 +565,34 @@ def test_shuffled_week_gives_the_same_bytes_in_either_layout(tmp_path, capsys, c
         names = json.loads((out / "manifest.json").read_text())["outputs"]
         outputs[layout] = {name: (out / name).read_bytes() for name in names}
     assert outputs["wide"] == outputs["long"]
+
+
+FRONT_10K_RENEWABLE = [("consumers.count", 10_000), ("renewable.capacity_grid", [1e4, 5e4, 2e5])]
+
+
+@pytest.mark.parametrize("week", ["synthetic", "seeded"])
+def test_renewable_at_front_10k_scale_splits_the_benefit_at_the_lowest_demand(tmp_path, capsys, week):
+    # a plant no larger than K*(eta), the smallest hourly demand under the
+    # optimal tariff, leaves that tariff as it is, so the consumers' share
+    # is exactly 0; a larger one gives them a positive share, never above
+    # its large-plant limit 1 / (3 - 2 eta)
+    if week == "synthetic":
+        config = _demo_config(tmp_path, FRONT_10K_RENEWABLE)
+    else:
+        config = _week_config(tmp_path, "wide", FRONT_10K_RENEWABLE)
+    out = tmp_path / "out"
+    code, _, stderr = _run(["renewable", "--config", str(config), "--out", str(out)], capsys)
+    assert (code, stderr) == (0, "")
+    assert len((out / "renewable.csv").read_text().splitlines()) == 1 + 33
+    loaded = load_config(config)
+    population, weather, cost = load_inputs(loaded)
+    tables, _ = run_renewable(loaded, population, weather, cost)
+    header, columns = tables["renewable.csv"]
+    model = population_model(population, mean_day(weather))
+    for eta, capacity, fraction in zip(*(columns[header.index(name)] for name in ("eta", "K", "fraction"))):
+        threshold = (model.intercept_mean - model.gain @ optimal_price(model, cost, eta)).min()
+        assert fraction == 0.0 if capacity <= threshold else fraction > 0.0, (eta, capacity, threshold)
+        assert fraction <= 1.0 / (3.0 - 2.0 * eta), (eta, capacity)
 
 
 def _defective_rows(layout, defect):

@@ -1,32 +1,70 @@
-"""Tests for the experiment pipelines' sweep construction, CSV assembly and CSV writer."""
+"""Tests for the experiment pipelines' inputs and tables, sweep construction, CSV assembly and CSV writer."""
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import oracles
-from dahp.config import BenchmarkSpec, ExperimentConfig, PopulationSpec
+from dahp.config import BenchmarkSpec, ExperimentConfig, PopulationSpec, load_config
 from dahp.errors import ConfigError, NumericalError
 from dahp.experiments import (
     _CHUNK_CELLS,
     _PRICE_COLUMNS,
-    _build_workspace,
+    _RUNNERS,
+    COMMANDS,
     _csv_body,
     _default_sweeps,
     _percent_body,
     _ticks,
     _write_tables,
+    load_inputs,
     run_benchmarks,
     run_experiment,
     run_pareto,
 )
 from dahp.pricing import benchmark_prices, expected_cs, expected_rp, optimal_price
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_outputs() -> dict[str, list[tuple[str, list[str]]]]:
+    """command -> its (file, header) pairs in the README's Outputs table,
+    with ``{a,b}`` file names and ``price_01..price_24`` expanded."""
+    section = (ROOT / "README.md").read_text().split("\n## Outputs\n")[1].split("\n## ")[0]
+    outputs = {}
+    for command, file, columns in re.findall(r"^\| `(\w+)` \| `([^`]+)` \| `([^`]+)` \|$", section, re.M):
+        header = columns.replace("price_01..price_24", ",".join(_PRICE_COLUMNS)).split(",")
+        stem, _, variants = file.partition("{")
+        variants, _, suffix = variants.partition("}")
+        names = [f"{stem}{variant}{suffix}" for variant in variants.split(",")] if suffix else [file]
+        outputs.setdefault(command, []).extend((name, header) for name in names)
+    return outputs
+
+
+def test_every_study_returns_the_readme_tables_without_opening_a_file(monkeypatch):
+    config = load_config(ROOT / "configs" / "demo.yaml")
+    inputs = load_inputs(config)
+    expected = _readme_outputs()
+    assert list(expected) == list(COMMANDS)
+
+    def no_file(*args, **kwargs):
+        raise AssertionError(f"a study opened a file: {args}")
+
+    monkeypatch.setattr("builtins.open", no_file)
+    monkeypatch.setattr(Path, "open", no_file)
+    for command, study in _RUNNERS.items():
+        tables, _ = study(config, *inputs)
+        assert [(name, list(header)) for name, (header, _) in tables.items()] == expected[command], command
+
 
 @pytest.mark.parametrize("ratio", [1.2, 2.0])
 def test_tou_sweep_peak_ends_at_zero_demand_price(ratio):
     config = ExperimentConfig(seed=3, consumers=PopulationSpec(count=3), benchmarks=BenchmarkSpec(tou_ratio=ratio))
-    model, cost = _build_workspace(config)
+    model, cost = helpers.mean_day_market(config)
     zero_demand_level = float(np.mean(model.solve(model.intercept_mean)))
     last = _default_sweeps(model, cost, 5, ratio)["tou"][-1]
     prices = benchmark_prices("tou", last, cost, ratio, peak_start=9, peak_end=17)
@@ -37,12 +75,14 @@ def test_tou_sweep_peak_ends_at_zero_demand_price(ratio):
 def test_pipeline_csvs_match_rows_built_one_tariff_at_a_time(tmp_path):
     spec = BenchmarkSpec(points=7, tou_ratio=1.5, peak_start=3, peak_end=20)
     config = ExperimentConfig(seed=5, consumers=PopulationSpec(count=4), eta_grid=[0.0, 1.0, 11], benchmarks=spec)
-    model, cost = _build_workspace(config)
+    model, cost = helpers.mean_day_market(config)
+    inputs = load_inputs(config)
 
     def row(param, price):
         return [float(param), expected_cs(model, price), expected_rp(model, price, cost)]
 
-    assert run_pareto(config, tmp_path) == (["tradeoff.csv"], {})
+    tables, counters = run_pareto(config, *inputs)
+    assert (_write_tables(tmp_path, tables), counters) == (["tradeoff.csv"], {})
     tradeoff = []
     for eta in np.linspace(0.0, 1.0, 11):
         price = optimal_price(model, cost, eta)
@@ -51,7 +91,8 @@ def test_pipeline_csvs_match_rows_built_one_tariff_at_a_time(tmp_path):
     header = ["eta", "cs", "rp", "sw", *_PRICE_COLUMNS]
     assert (tmp_path / "tradeoff.csv").read_text() == oracles.csv_text(header, tradeoff)
 
-    files, _ = run_benchmarks(config, tmp_path)
+    tables, _ = run_benchmarks(config, *inputs)
+    files = _write_tables(tmp_path, tables)
     assert files == ["benchmark_dahp.csv", "benchmark_cp.csv", "benchmark_tou.csv", "benchmark_pmp.csv"]
     expected = {"dahp": [row(eta, optimal_price(model, cost, eta)) for eta in np.linspace(0.0, 1.0, 7)]}
     for scheme, sweep in _default_sweeps(model, cost, 7, 1.5).items():

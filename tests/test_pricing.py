@@ -19,7 +19,6 @@ from dahp import (
     pareto_front,
     profit_upper_bound,
 )
-from dahp import experiments
 from dahp.config import load_config
 from dahp.pricing import _front_geometry
 from oracles import NegativeDemandWarning
@@ -345,7 +344,7 @@ def test_benchmarks_never_beat_front():
 # ---------------------------------------------------------------------------
 
 def _demo_market():
-    return experiments._build_workspace(load_config(DEMO))
+    return helpers.mean_day_market(load_config(DEMO))
 
 
 def _toy3_market():

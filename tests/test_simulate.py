@@ -342,17 +342,14 @@ def test_kalman_carries_next_forecast():
 # day simulation
 # ---------------------------------------------------------------------------
 
-def test_simulate_surplus_accounting_identity_exact(tmp_path, monkeypatch):
+def test_simulate_surplus_accounting_identity_exact():
     # both CSVs' surplus is -(discomfort + payment) of the same floats, bitwise
-    written = {}
-    monkeypatch.setattr(experiments, "_write_tables", lambda out_dir, tables: written.update(
-        {name: dict(zip(header, columns)) for name, (header, columns) in tables.items()}) or list(tables))
     config = ExperimentConfig(seed=54, consumers=PopulationSpec(count=20, alpha=[0.2, 0.8], mu=[0.2, 2.0]),
                               weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
                               simulate=SimulateSpec(thermostat_tolerances=[0.0, 1.0]))
-    experiments.run_simulate(config, tmp_path)
+    tables, _ = experiments.run_simulate(config, *experiments.load_inputs(config))
     for name in ("simulate.csv", "baseline.csv"):
-        columns = written[name]
+        columns = dict(zip(*tables[name]))
         assert np.array_equal(columns["surplus"], -(columns["discomfort"] + columns["payment"]))
 
 
@@ -366,7 +363,8 @@ def test_run_simulate_without_tolerances_writes_the_same_simulate_csv(tmp_path):
         config = ExperimentConfig(seed=12, consumers=PopulationSpec(count=7, alpha=[0.2, 0.8], beta=[0.05, 0.3]),
                                   weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
                                   simulate=SimulateSpec(thermostat_tolerances=tolerances))
-        files, _ = experiments.run_simulate(config, out)
+        tables, _ = experiments.run_simulate(config, *experiments.load_inputs(config))
+        files = experiments._write_tables(out, tables)
         outputs[len(tolerances)] = (files, sorted(p.name for p in out.iterdir()), (out / "simulate.csv").read_bytes())
     assert outputs[0][:2] == (["simulate.csv"], ["simulate.csv"])
     assert outputs[2][:2] == (["simulate.csv", "baseline.csv"], ["baseline.csv", "simulate.csv"])
@@ -553,18 +551,16 @@ def _close_to_row(cells, expected) -> bool:
     return np.allclose(cells, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max())
 
 
-def test_run_simulate_rows_match_step_oracle(tmp_path, monkeypatch):
+def test_run_simulate_rows_match_step_oracle(monkeypatch):
     consumers = _mixed_population()
     tolerances = [0.0, 1.5]
-    written = {}
     monkeypatch.setattr(experiments, "draw_population", lambda spec, seed: Population.of(consumers))
-    monkeypatch.setattr(experiments, "_write_tables", lambda out_dir, tables: written.update(
-        {name: list(zip(*columns)) for name, (_, columns) in tables.items()}) or list(tables))
     config = ExperimentConfig(
         seed=31, weather=SeriesSpec(days=2), wholesale=SeriesSpec(days=2),
         simulate=SimulateSpec(eta=0.6, thermostat_tolerances=tolerances),
     )
-    experiments.run_simulate(config, tmp_path)
+    tables, _ = experiments.run_simulate(config, *experiments.load_inputs(config))
+    written = {name: list(zip(*columns)) for name, (_, columns) in tables.items()}
 
     cost = WholesaleCost(mean=mean_day(synthetic_wholesale(2)))
     responsive, baseline = iter(written["simulate.csv"]), iter(written["baseline.csv"])
@@ -645,13 +641,13 @@ def test_rollout_reads_shared_parameters_as_one_row_bitwise(kind, monkeypatch):
     assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(shared, per_consumer))
 
 
-def test_run_simulate_builds_the_estimator_ladder_once(tmp_path, monkeypatch):
+def test_run_simulate_builds_the_estimator_ladder_once(monkeypatch):
     calls = []
     ladder = demand._estimator_variance_ladder
     monkeypatch.setattr(demand, "_estimator_variance_ladder", lambda population: calls.append(1) or ladder(population))
     config = ExperimentConfig(seed=8, consumers=PopulationSpec(count=5), weather=SeriesSpec(days=3),
                               wholesale=SeriesSpec(days=3))
-    experiments.run_simulate(config, tmp_path)
+    experiments.run_simulate(config, *experiments.load_inputs(config))
     assert len(calls) == 1
 
 

@@ -24,7 +24,7 @@ from dahp import (
 )
 from dahp.config import batteries_from_spec, load_config
 from dahp.demand import AffineDemandModel, aggregate
-from dahp.experiments import _build_workspace, run_storage
+from dahp.experiments import load_inputs, run_storage
 from dahp.optim import feasible_start, reduced_cost_map, simplex_solve
 from dahp.storage import _BatteryLp
 from oracles import consumer_surplus_with_storage, population_net_load, retailer_objective_with_storage
@@ -761,30 +761,31 @@ def test_eta_one_returns_the_seed_without_a_search(monkeypatch):
     assert result.objective == retailer_objective_with_storage(model, cost, batteries, cost.mean, 1.0)
 
 
-def test_demo_searches_finish_within_budget(tmp_path):
+def test_demo_searches_finish_within_budget():
     config = load_config(DEMO)
     config.storage.eta_grid = [0.0, 0.5]
-    _, counters = run_storage(config, tmp_path)
+    _, counters = run_storage(config, *load_inputs(config))
     assert [search["truncated"] for search in counters["storage_search"]] == [False, False]
 
 
-def test_demo_searches_plan_each_evaluation_once(tmp_path):
+def test_demo_searches_plan_each_evaluation_once():
     # The demo's batteries share one spec: every evaluation of a search and
     # its final point take that spec's plan once, from a solve or a stored
     # basis; at eta = 1 only the final point is planned.
-    _, counters = run_storage(load_config(DEMO), tmp_path)
+    config = load_config(DEMO)
+    _, counters = run_storage(config, *load_inputs(config))
     for search in counters["storage_search"]:
         planned = search["lp_solves"] + search["basis_reuses"]
         assert planned == (search["n_evals"] + 1 if search["eta"] < 1 else 1), search
 
 
-def test_demo_search_pivots_stay_within_budget(tmp_path):
+def test_demo_search_pivots_stay_within_budget():
     # Warm starts re-optimize in about 5 pivots where a cold solve, phase 2
     # from the spec's feasible start, takes about 41 (phase 1, 26 pivots,
     # runs once per spec); 15 per solve leaves room for the cold fallbacks.
     config = load_config(DEMO)
     config.storage.eta_grid = [0.5]
-    _, counters = run_storage(config, tmp_path)
+    _, counters = run_storage(config, *load_inputs(config))
     (search,) = counters["storage_search"]
     assert 0 < search["lp_pivots"] <= 15 * search["lp_solves"]
 
@@ -796,7 +797,7 @@ def test_demo_search_endpoint_survives_a_last_bit_change(eta):
     # difference, may move the search's endpoint only that far.  (At some
     # of these weights it does move, by about 1e-4 in price and 0.1 in cs.)
     config = load_config(DEMO)
-    model, cost = _build_workspace(config)
+    model, cost = helpers.mean_day_market(config)
     gain = model.gain.copy()
     diagonal = np.diag_indices_from(gain)
     gain[diagonal] = np.nextafter(gain[diagonal], np.inf)

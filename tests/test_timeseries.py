@@ -61,6 +61,21 @@ def test_long_format_equals_wide_format(tmp_path):
         assert np.allclose(x.values, y.values, atol=0.0)
 
 
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, layout):
+    # spreadsheets save "CSV UTF-8" with a BOM before the header
+    rng = np.random.default_rng(132)
+    rows = helpers.series_rows(["2024-06-02", "2024-06-01"], rng.uniform(20, 90, (2, 24)), layout)
+    plain = helpers.write_series(tmp_path / "plain.csv", layout, rows)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for kind in ("weather", "price"):
+        a, b = load_series(plain, kind), load_series(marked, kind)
+        assert [(s.date, s.unit) for s in a] == [(s.date, s.unit) for s in b] == [
+            ("2024-06-01", a[0].unit), ("2024-06-02", a[0].unit)]
+        assert np.array([s.values for s in a]).tobytes() == np.array([s.values for s in b]).tobytes()
+
+
 DAY_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=24, max_size=24)
 
 
