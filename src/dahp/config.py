@@ -182,9 +182,21 @@ def check_fields(spec: Any, path: str = "") -> None:
 
 
 def _loader(base: type) -> type:
-    """``base``, a safe loader, with YAML 1.2's floats: YAML 1.1 reads an
-    exponent without a dot (``1e3``, ``1e-300``) as a string."""
-    loader = type("_Loader", (base,), {})
+    """``base``, a safe loader, with YAML 1.2's floats (YAML 1.1 reads ``1e3``
+    and ``1e-300`` as strings) and no key repeated within a mapping."""
+    def flatten_mapping(self, node) -> None:
+        # A mapping's own keys are checked once: ``<<`` merges put in front
+        # of them the keys of other mappings, which they override.
+        checked, keys = vars(self).setdefault("checked_mappings", set()), {}
+        own = [] if node in checked else [key for key, _ in node.value if isinstance(key, yaml.ScalarNode)]
+        checked.add(node)
+        base.flatten_mapping(self, node)  # drops the merge keys
+        for key_node in (key for key in own if key.tag != "tag:yaml.org,2002:merge"):
+            key = self.construct_object(key_node)  # a scalar, so hashable
+            if keys.setdefault(key, key_node) is not key_node:
+                raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {key!r}", key_node.start_mark)
+
+    loader = type("_Loader", (base,), {"flatten_mapping": flatten_mapping})
     loader.add_implicit_resolver(
         "tag:yaml.org,2002:float",
         re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
@@ -239,17 +251,13 @@ def draw_population(spec: PopulationSpec, seed: int) -> Population:
 
     Ranged fields are drawn consumer by consumer, each consumer's in the
     order ``desired_temp, alpha, beta, mu, process_noise_var,
-    obs_noise_var``: one uniform matrix with a row per consumer.
+    obs_noise_var``: one uniform matrix with a row per consumer.  A scalar
+    field is one value broadcast to every consumer, as setpoints are to hours.
     """
     check_fields(spec, "consumers")
-    values: dict[str, np.ndarray] = {}
-    ranged = {}
-    for name in ("desired_temp", "alpha", "beta", "mu", "process_noise_var", "obs_noise_var"):
-        value = getattr(spec, name)
-        if np.ndim(value):
-            ranged[name] = value
-        else:
-            values[name] = np.full(spec.count, value, dtype=float)
+    order = ("desired_temp", "alpha", "beta", "mu", "process_noise_var", "obs_noise_var")
+    ranged = {name: getattr(spec, name) for name in order if np.ndim(getattr(spec, name))}
+    values = {name: np.broadcast_to(float(getattr(spec, name)), spec.count) for name in order if name not in ranged}
     if ranged:
         lo, hi = zip(*ranged.values())
         draws = substream(seed, POPULATION_STREAM).uniform(lo, hi, size=(spec.count, len(ranged)))

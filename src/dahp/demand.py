@@ -18,10 +18,11 @@ that once, by a Cholesky decomposition, and then solves against the gain
 with numpy's LAPACK (``np.linalg.solve``).  A population's model is the sum
 of its consumers' models; ``population_model`` builds it from
 per-population sums over a ``Population`` of parameter arrays, which caches
-the sums that do not depend on the forecast, and a single consumer is a
-population of one.  A parameter every consumer shares bit for bit is one
-row that broadcasting carries to all of them, so per-consumer terms are (rows,
-hours), rows 1 or the consumer count; sums still run in consumer order.
+the terms that do not depend on the forecast, all taken in one sum, and a
+single consumer is a population of one.  A parameter every consumer shares
+bit for bit is one row that broadcasting carries to all of them, so
+per-consumer terms are (rows, hours), rows 1 or the consumer count; sums
+still run in consumer order.
 
 Conventions used throughout the package:
 
@@ -54,10 +55,10 @@ class Population:
     alpha: (consumers,) thermal coupling to outdoor air per hour, in (0, 1).
     beta: (consumers,) temperature change per unit energy (positive = cooling).
     mu: (consumers,) discomfort weight in $ per squared degree.
-    desired_temp: (consumers, horizon) hourly setpoints, possibly a read-only
-        broadcast view (``draw_population``'s); the width sets the horizon.
+    desired_temp: (consumers, horizon) hourly setpoints; the width sets the horizon.
     process_noise_var / obs_noise_var: (consumers,) variances of the thermal
         and measurement noise (degrees squared).
+    Any field may be a read-only broadcast view, as ``draw_population``'s are.
 
     ``Population.of`` concatenates populations row-wise, and iterating
     yields each consumer as a one-row population of views into this one.
@@ -130,9 +131,14 @@ _PARAM_FIELDS = ("alpha", "beta", "mu", "process_noise_var", "obs_noise_var")
 _FIELDS = (*_PARAM_FIELDS, "desired_temp")
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """``x`` with every zero-stride (broadcast) axis cut to length 1."""
+    return x[tuple(slice(None, 1) if stride == 0 else slice(None) for stride in x.strides)]
+
+
 def _check_params(p: Population) -> None:
     """Reject invalid parameters of every row at once."""
-    alpha, beta, mu, q, r = (getattr(p, name) for name in _PARAM_FIELDS)
+    alpha, beta, mu, q, r = (_distinct(getattr(p, name)) for name in _PARAM_FIELDS)
     checks = (
         ((0.0 < alpha) & (alpha < 1.0), "alpha must lie strictly in (0, 1)", alpha),
         ((beta != 0.0) & np.isfinite(beta), "beta must be nonzero and finite", beta),
@@ -142,7 +148,7 @@ def _check_params(p: Population) -> None:
     for ok, message, value in checks:
         if not np.all(ok):
             raise ValueError(f"{message}, got {np.extract(~ok, value)[0]}")
-    if not np.all(np.isfinite(p.desired_temp)):
+    if not np.all(np.isfinite(_distinct(p.desired_temp))):
         raise ValueError("desired_temp must be finite")
 
 
@@ -206,7 +212,7 @@ def _pow2(x: np.ndarray) -> np.ndarray:
 
 def _shared(x: np.ndarray) -> np.ndarray:
     """``x[:1]`` when every row of ``x`` holds the same bytes (``-0.0`` is not ``0.0``), else ``x``."""
-    return x[:1] if x.tobytes() == x[:1].tobytes() * len(x) else x
+    return x[:1] if x.strides[0] == 0 or x.tobytes() == x[:1].tobytes() * len(x) else x
 
 
 def _consumer_sum(x: np.ndarray, count: int) -> np.ndarray:
@@ -288,9 +294,9 @@ def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]
     constant come from the estimator's variance ladder, so they are exact
     for the linear-Gaussian model rather than sampled.  A consumer's
     covariance has entries on the diagonal and in the first row and column
-    only, so only those are summed.  Every sum runs in consumer order.
-    A ``_shared`` parameter is one row that broadcasting carries to every
-    consumer, so each array below has one row or one per consumer.
+    only, so only those are summed.  A ``_shared`` parameter is one row
+    broadcast to every consumer, so each term has one row or one per
+    consumer: the columns of one (rows, 2N + 3) stack, summed in consumer order.
     """
     n, count = population.horizon, len(population)
     alpha, beta, mu = (_shared(getattr(population, name)) for name in ("alpha", "beta", "mu"))
@@ -298,16 +304,9 @@ def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]
     r = np.broadcast_to(_shared(population.obs_noise_var), len(pred))
     keep = 1.0 - alpha
     unit = 1.0 / (2.0 * mu * beta * beta)
-
-    first, diagonal, off = _consumer_sum(
-        np.stack(np.broadcast_arrays(unit, (1.0 + _pow2(keep)) * unit, (alpha - 1.0) * unit), axis=1), count
-    )
-    gain = np.diag(np.full(n, diagonal))
-    gain[0, 0] = first
-    hours = np.arange(1, n)
-    gain[hours, hours - 1] = gain[hours - 1, hours] = off
-
-    cs_constant = float(_consumer_sum(-mu * pred.sum(axis=1), count))
+    terms = np.empty((max(len(unit), len(pred)), 2 * n + 3))
+    terms[:, 0], terms[:, 1], terms[:, 2] = unit, (1.0 + _pow2(keep)) * unit, (alpha - 1.0) * unit
+    terms[:, 3] = -mu * pred.sum(axis=1)
 
     # Demand deviations are (1-alpha)/beta times the estimator's deviation
     # from its target one hour earlier.  Those deviations are uncorrelated
@@ -318,9 +317,16 @@ def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]
     xi_var = np.column_stack([r, _pow2(gains) * (pred[:, :-1] + r[:, None])])
     # Cov(initial deviation, filter error) entering each later hour
     gamma = np.cumprod(np.column_stack([-r, (1.0 - gains[:, :-1]) * keep]), axis=1)
-    cov = np.diag(_consumer_sum(scale * xi_var, count))
-    cov[0, 1:] = cov[1:, 0] = _consumer_sum(scale * gains * keep * gamma, count)
-    return _read_only(gain), _read_only(cov), cs_constant
+    terms[:, 4:n + 4], terms[:, n + 4:] = scale * xi_var, scale * gains * keep * gamma
+
+    first, diagonal, off, cs_constant, *_ = sums = _consumer_sum(terms, count)
+    gain = np.diag(np.full(n, diagonal))
+    gain[0, 0] = first
+    hours = np.arange(1, n)
+    gain[hours, hours - 1] = gain[hours - 1, hours] = off
+    cov = np.diag(sums[4:n + 4])
+    cov[0, 1:] = cov[1:, 0] = sums[n + 4:]
+    return _read_only(gain), _read_only(cov), float(cs_constant)
 
 
 def build_consumer_model(consumer: Population, weather_forecast: Sequence[float]) -> AffineDemandModel:

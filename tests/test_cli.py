@@ -131,6 +131,21 @@ def test_config_error_exit_2(tmp_path, capsys):
     assert stderr.count("\n") == 1  # exactly one line
 
 
+@pytest.mark.parametrize("text, key, line", [
+    ("seed: 1\nseed: 2\n", "seed", 2),
+    ("seed: 1\nconsumers:\n  count: 3\nwholesale:\n  days: 1\nconsumers:\n  count: 4\n", "consumers", 6),
+])
+def test_repeated_config_key_exit_2_naming_the_key_and_its_line(tmp_path, capsys, text, key, line):
+    config = tmp_path / "repeated.yaml"
+    config.write_text(text)
+    code, stdout, stderr = _run(["pareto", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert code == 2 and stdout == "" and stderr.count("\n") == 1
+    record = json.loads(stderr)
+    assert record["error"] == "config"
+    assert f"found duplicate key '{key}'" in record["message"] and f"line {line}, column" in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_data_error_exit_3(tmp_path, capsys):
     broken = tmp_path / "weather.csv"
     broken.write_text("date," + ",".join(f"h{i:02d}" for i in range(1, 25)) + "\n2024-01-01,1,2\n")

@@ -144,9 +144,11 @@ def test_population_scalar_fields():
 
 def test_drawn_setpoints_are_one_column_broadcast_over_the_hours():
     # each consumer's one drawn setpoint is a read-only zero-stride view over
-    # the 24 hours, not a 1.92 MB (10,000, 24) copy: about 0.48 MB stays
-    # allocated (six 10,000-value columns) and 0.91 MB at the peak on
-    # numpy 2.4, where a copy keeps 2.32 MB and peaks at 2.76 MB
+    # the 24 hours, not a 1.92 MB (10,000, 24) copy, and each scalar field is
+    # one value broadcast to every consumer: about 0.08 MB stays allocated
+    # (the drawn setpoint column) and 0.10 MB at the peak on numpy 2.4, where
+    # (10,000,) copies of the five scalars kept 0.48 MB and peaked at 0.91 MB,
+    # and a setpoint copy as well kept 2.32 MB and peaked at 2.76 MB
     spec = PopulationSpec(count=10_000, desired_temp=[18.0, 22.0])
     draw_population(spec, seed=5)  # first-call costs outside the trace
     tracemalloc.start()
@@ -158,6 +160,18 @@ def test_drawn_setpoints_are_one_column_broadcast_over_the_hours():
     assert kept < 1e6 and peak < 1.5e6
     setpoints = population.desired_temp
     assert setpoints.shape == (10_000, 24) and setpoints.strides[1] == 0 and not setpoints.flags.writeable
+
+
+def test_drawn_scalar_fields_are_read_only_zero_stride_views():
+    population = draw_population(PopulationSpec(count=1_000, alpha=[0.3, 0.7], mu=2.0, desired_temp=21.0), seed=5)
+    for name in ("beta", "mu", "process_noise_var", "obs_noise_var"):
+        field = getattr(population, name)
+        assert field.shape == (1_000,) and field.strides == (0,) and not field.flags.writeable, name
+        with pytest.raises(ValueError):
+            field[0] = 1.0
+    assert population.mu[-1] == 2.0 and population.alpha.strides != (0,)
+    assert population.desired_temp.shape == (1_000, 24) and population.desired_temp.strides == (0, 0)
+    assert np.all(population.desired_temp == 21.0)
 
 
 def test_population_range_fields_deterministic():
@@ -363,6 +377,35 @@ def test_both_yaml_parsers_reject_the_same_documents(base, text, message, tmp_pa
     monkeypatch.setattr(config_module, "_Loader", config_module._loader(base))
     assert main(["pareto", "--config", str(_write(tmp_path, text)), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("base", _LOADER_BASES)
+@pytest.mark.parametrize("text, key, line", [
+    ("seed: 1\nseed: 2\n", "'seed'", 2),
+    ("seed: 1\nconsumers:\n  count: 3\n  alpha: 0.5\n  count: 4\n", "'count'", 5),  # within a section
+    ("seed: 1\nconsumers: {count: 3}\nweather: {days: 2}\nconsumers: {count: 4}\n", "'consumers'", 4),
+    ("seed: 1\nstorage:\n  eta_grid: [0.5]\n  capacity: 1.0\n  capacity: 1e3\n", "'capacity'", 5),
+    ("seed: 1\n1: a\n1.0: b\n", "1.0", 3),  # equal keys written differently
+])
+def test_a_repeated_key_is_a_config_error_naming_the_key_and_its_line(base, text, key, line, tmp_path, monkeypatch):
+    # the last value used to win silently, whichever section it sits in
+    monkeypatch.setattr(config_module, "_Loader", config_module._loader(base))
+    with pytest.raises(ConfigError, match="not valid YAML") as info:
+        load_config(_write(tmp_path, text))
+    assert f"found duplicate key {key}" in str(info.value) and f"line {line}, column" in str(info.value)
+
+
+@pytest.mark.parametrize("base", _LOADER_BASES)
+@pytest.mark.parametrize("text", [
+    "base: &b {x: 1, y: 2}\nc:\n  <<: *b\n  x: 3\n",
+    "base: &b {x: 1}\nd: &d {<<: *b, x: 2}\ne: {<<: *d}\nf: {<<: [*d, {z: 4}], x: 5}\n",
+    # c merges d, and so flattens it, before d itself is built
+    "a:\n  b: &d {<<: {x: 1, y: 1}, x: 2}\nc: {<<: *d, y: 3}\n",
+    "=: 1\na: 2\n",  # a value key, which flattening reads as the string "="
+])
+def test_merge_keys_keep_their_override_meaning(base, text):
+    # a mapping's own key overrides a merged one; only its own keys must differ
+    assert yaml.load(text, Loader=config_module._loader(base)) == yaml.load(text, Loader=yaml.SafeLoader)
 
 
 @pytest.mark.parametrize("base", _LOADER_BASES)

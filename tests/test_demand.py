@@ -19,7 +19,7 @@ from dahp import (
     population_model,
 )
 from dahp.config import PopulationSpec, draw_population
-from dahp.demand import _FIELDS, _PARAM_FIELDS, _consumer_sum, _shared, as_prices
+from dahp.demand import _FIELDS, _PARAM_FIELDS, _consumer_sum, _distinct, _shared, as_prices
 from dahp.errors import IndefiniteMatrixError, NumericalError
 from oracles import NegativeDemandWarning, mean_demand
 
@@ -369,6 +369,71 @@ def test_population_model_equals_the_consumer_order_sum_for_any_shared_fields(sh
     for name in shared:
         assert _shared(getattr(population, name)).shape == (1,)
     assert _bits(population_model(population, weather)) == _consumer_order_bits(population, weather)
+    # the same consumers as draw_population stores them: every shared field
+    # one value broadcast to every consumer and each setpoint one value
+    # broadcast over the hours, against the same fields materialized
+    count, horizon = len(population), population.horizon
+    broadcast = Population(
+        desired_temp=np.broadcast_to(population.desired_temp[:, :1], (count, horizon)),
+        **{name: np.broadcast_to(getattr(population, name)[0], count) if name in shared else getattr(population, name)
+           for name in _PARAM_FIELDS},
+    )
+    materialized = Population(**{name: np.array(getattr(broadcast, name)) for name in _FIELDS})
+    for name in shared:
+        assert getattr(broadcast, name).strides == (0,) and getattr(materialized, name).strides == (8,)
+    expected = _consumer_order_bits(materialized, weather)
+    assert _bits(population_model(broadcast, weather)) == _bits(population_model(materialized, weather)) == expected
+
+
+@pytest.mark.parametrize("spec", [
+    PopulationSpec(count=10_000, desired_temp=[18.0, 22.0]),  # the front-10k population: every parameter shared
+    PopulationSpec(count=10_000, alpha=[0.3, 0.7], beta=[-0.15, 0.2], mu=[0.2, 0.8], desired_temp=[18.0, 22.0],
+                   process_noise_var=[0.0, 0.02], obs_noise_var=[0.005, 0.02]),
+], ids=["shared", "ranged"])
+def test_a_drawn_population_models_like_its_materialized_copy(spec, monkeypatch):
+    # the forecast-free terms are one consumer-order sum over a (rows, 2N + 3)
+    # stack; with nothing read as shared, every consumer has its own row
+    drawn = draw_population(spec, seed=31)
+    materialized = {name: np.array(getattr(drawn, name)) for name in _FIELDS}
+    weather = helpers.DEFAULT_WEATHER + np.random.default_rng(32).normal(0.0, 3.0, 24)
+    expected = _bits(population_model(drawn, weather))
+    assert _bits(population_model(Population(**materialized), weather)) == expected
+    monkeypatch.setattr(demand, "_shared", lambda x: x)
+    assert _bits(population_model(Population(**materialized), weather)) == expected
+
+
+def _stored_once(count: int = 10, **fields) -> Population:
+    """A valid population whose fields are each one value broadcast to every
+    consumer (and every hour), apart from ``fields``."""
+    values = dict(alpha=0.5, beta=0.1, mu=0.5, process_noise_var=0.01, obs_noise_var=0.01)
+    population = {name: np.broadcast_to(value, count) for name, value in values.items()}
+    return Population(**{"desired_temp": np.broadcast_to(20.0, (count, 24)), **population, **fields})
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"alpha": np.broadcast_to(1.5, 10)}, r"alpha must lie strictly in \(0, 1\), got 1.5"),
+    ({"beta": np.broadcast_to(0.0, 10)}, "beta must be nonzero and finite, got 0.0"),
+    ({"mu": np.broadcast_to(np.nan, 10)}, "mu must be positive, got nan"),
+    ({"obs_noise_var": np.broadcast_to(-1.0, 10)}, "noise variances must be nonnegative, got -1.0"),
+    ({"count": 2, "desired_temp": np.broadcast_to([[20.0], [np.inf]], (2, 24))}, "desired_temp must be finite"),
+    ({"desired_temp": np.broadcast_to(np.where(np.arange(24) == 17, np.nan, 20.0), (10, 24))},
+     "desired_temp must be finite"),
+], ids=["alpha", "beta", "mu", "noise", "setpoint column", "setpoint profile"])
+def test_validation_catches_values_stored_once(fields, message):
+    assert len(_stored_once()) == 10  # valid as it stands
+    with pytest.raises(ValueError, match=message):
+        _stored_once(**fields)
+
+
+def test_distinct_and_shared_read_a_zero_stride_view_once():
+    column = np.broadcast_to([[20.0], [21.0]], (2, 24))
+    assert _distinct(column).shape == (2, 1) and _distinct(np.broadcast_to(-0.0, 7)).shape == (1,)
+    assert _distinct(np.ones((3, 4))).shape == (3, 4)
+    view = np.broadcast_to(-0.0, 7)
+    assert _shared(view).shape == (1,) and _shared(view).tobytes() == np.float64(-0.0).tobytes()
+    mixed = np.array([0.0, 1.0, -0.0, 1.0, 0.0, 1.0])[::2]  # strided, equal as floats, not as bits
+    assert mixed.strides == (16,) and len(_shared(mixed)) == 3
+    assert len(_shared(np.array([-0.0, 1.0, -0.0])[::2])) == 1
 
 
 @pytest.mark.parametrize("process, obs", [
