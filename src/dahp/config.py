@@ -284,5 +284,10 @@ def resolved_dict(config: ExperimentConfig) -> dict:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    canonical = json.dumps(resolved_dict(config), sort_keys=True, separators=(",", ":"))
+    return resolved_hash(resolved_dict(config))
+
+
+def resolved_hash(resolved: dict) -> str:
+    """``config_hash`` of the config whose ``resolved_dict`` is ``resolved``."""
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -25,10 +25,10 @@ from .config import (
     ExperimentConfig,
     SeriesSpec,
     batteries_from_spec,
-    config_hash,
     draw_population,
     resolve_eta_grid,
     resolved_dict,
+    resolved_hash,
 )
 from .demand import HOURS_PER_DAY, AffineDemandModel, Population, population_model
 from .errors import ConfigError, DataError, NumericalError
@@ -347,11 +347,12 @@ def run_experiment(config: ExperimentConfig, command: str, out_dir: str | Path) 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tables, counters = _RUNNERS[command](config, *load_inputs(config))
         files = _write_tables(out, tables)
+    resolved = resolved_dict(config)
     manifest = {
         "command": command,
         "seed": config.seed,
-        "config_hash": config_hash(config),
-        "config": resolved_dict(config),
+        "config_hash": resolved_hash(resolved),
+        "config": resolved,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "wall_time_s": round(time.perf_counter() - started, 3),

@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 import yaml
 
+import dahp.config
+import dahp.experiments
 import helpers
 from dahp import optimal_price, population_model
 from dahp.cli import main
-from dahp.config import load_config
+from dahp.config import config_hash, load_config, resolved_dict
 from dahp.experiments import COMMANDS, load_inputs, run_renewable
 from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
 
@@ -285,6 +287,27 @@ def test_invalid_config_values_exit_2(tiny_config, tmp_path, capsys, old, new, c
     record = json.loads(stderr)
     assert record["error"] == "config"
     assert key in record["message"]
+
+
+def test_a_command_resolves_its_config_once(tiny_config, tmp_path, capsys, monkeypatch):
+    # the manifest's config and its config_hash come from one resolved_dict
+    # (a deep copy of the config), and the hash is still config_hash's
+    calls = []
+
+    def counted(config):
+        calls.append(config)
+        return resolved_dict(config)
+
+    monkeypatch.setattr(dahp.config, "resolved_dict", counted)
+    monkeypatch.setattr(dahp.experiments, "resolved_dict", counted)
+    out = tmp_path / "out"
+    code, *_ = _run(["pareto", "--config", str(tiny_config), "--out", str(out)], capsys)
+    assert code == 0 and len(calls) == 1
+    monkeypatch.undo()
+    config = load_config(tiny_config)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == json.loads(json.dumps(resolved_dict(config)))
+    assert manifest["config_hash"] == config_hash(config)
 
 
 def test_seed_override_applies(tiny_config, tmp_path, capsys):
