@@ -4,8 +4,8 @@
 
 Commands: pareto, benchmarks, renewable, storage, simulate.  Exit codes:
 0 success, 2 configuration error, 3 data error, 4 numerical
-non-convergence, 1 anything else.  Errors print a single machine-parsable
-JSON line on stderr.
+non-convergence, 1 anything else.  Errors, a bad command line among them,
+print a single machine-parsable JSON line on stderr.
 """
 from __future__ import annotations
 
@@ -24,9 +24,18 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ``ConfigError`` (exit 2, one
+    JSON line) instead of printing usage and raising ``SystemExit(2)``; its
+    subparsers are of this class too."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache  # built once per process: parse_args leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dahp", description="Day-ahead hourly pricing experiments")
+    parser = _Parser(prog="dahp", description="Day-ahead hourly pricing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
     for command in COMMANDS:
         cmd = sub.add_parser(command, help=f"run the {command} study")
@@ -42,8 +51,8 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         config = load_config(args.config)
         if args.seed is not None:
             config.seed = args.seed

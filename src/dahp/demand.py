@@ -20,9 +20,10 @@ of its consumers' models; ``population_model`` builds it from sums over a
 ``Population`` of parameter arrays, which caches the terms that do not
 depend on the forecast, all taken in one sum, while the intercept is summed
 one cache-sized block of consumers at a time.  A single consumer is a
-population of one.  A parameter every consumer shares bit for bit is one
-row that broadcasting carries to all of them, so per-consumer terms are
-(rows, hours), rows 1 or the consumer count; sums run in consumer order.
+population of one.  A parameter stored once, as a zero-stride view the way
+``draw_population`` stores a config scalar, is one row that broadcasting
+carries to every consumer, so per-consumer terms are (rows, hours), rows 1
+or the consumer count; sums run in consumer order.
 
 Conventions used throughout the package:
 
@@ -113,8 +114,8 @@ class Population:
     def estimator_ladder(self) -> tuple[np.ndarray, np.ndarray]:
         """Prediction variances and Kalman gains, (rows, hours), of
         ``_estimator_variance_ladder``: computed once per population.  Rows
-        is 1 when ``alpha`` and both noise variances are the same for every
-        consumer, else the consumer count."""
+        is 1 when ``alpha`` and both noise variances are zero-stride views,
+        else the consumer count."""
         return tuple(map(_read_only, _estimator_variance_ladder(self)))
 
     @cached_property
@@ -213,11 +214,6 @@ def _pow2(x: np.ndarray) -> np.ndarray:
     return np.float_power(x, 2.0)
 
 
-def _shared(x: np.ndarray) -> np.ndarray:
-    """``x[:1]`` when every row of ``x`` holds the same bytes (``-0.0`` is not ``0.0``), else ``x``."""
-    return x[:1] if x.strides[0] == 0 or x.tobytes() == x[:1].tobytes() * len(x) else x
-
-
 def _consumer_sum(x: np.ndarray, count: int) -> np.ndarray:
     """Sum over ``count`` consumers of ``x``, (rows, width >= 2) with rows 1
     or ``count``, one consumer after another.
@@ -233,13 +229,13 @@ def _consumer_sum(x: np.ndarray, count: int) -> np.ndarray:
 
 def _estimator_variance_ladder(population: Population) -> tuple[np.ndarray, np.ndarray]:
     """Prediction variances and Kalman gains, (rows, hours): one row when
-    ``alpha`` and both noise variances are ``_shared``, else one per consumer.
+    ``alpha`` and both noise variances are stored once, else one per consumer.
 
     Column ``i`` refers to hour ``i+1``; the posterior variance starts at
     ``obs_noise_var`` (estimator seeded from one noisy reading of the known
     initial temperature).
     """
-    alpha, q, r = (_shared(getattr(population, name)) for name in ("alpha", "process_noise_var", "obs_noise_var"))
+    alpha, q, r = (_distinct(getattr(population, name)) for name in ("alpha", "process_noise_var", "obs_noise_var"))
     decay = _pow2(1.0 - alpha)
     pred = np.empty((*np.broadcast_shapes(alpha.shape, q.shape, r.shape), population.horizon))
     gains = np.empty_like(pred)
@@ -267,7 +263,7 @@ def population_model(population: Population, weather_forecast: Sequence[float]) 
     """
     n, count = population.horizon, len(population)
     forecast = as_forecast(weather_forecast, n)
-    alpha, beta = _shared(population.alpha)[:, None], _shared(population.beta)[:, None]
+    alpha, beta = _distinct(population.alpha)[:, None], _distinct(population.beta)[:, None]
     # Row 0 carries the earlier blocks' sum (from -0.0, like _consumer_sum), so one add.reduce
     # per block adds every consumer in order: >= 2 columns, as one column it adds pairwise.
     scratch = np.full((min(count, _BLOCK) + 1, max(n, 2)), -0.0)
@@ -300,14 +296,14 @@ def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]
     constant come from the estimator's variance ladder, so they are exact
     for the linear-Gaussian model rather than sampled.  A consumer's
     covariance has entries on the diagonal and in the first row and column
-    only, so only those are summed.  A ``_shared`` parameter is one row
+    only, so only those are summed.  A parameter stored once is one row
     broadcast to every consumer, so each term has one row or one per
     consumer: the columns of one (rows, 2N + 3) stack, summed in consumer order.
     """
     n, count = population.horizon, len(population)
-    alpha, beta, mu = (_shared(getattr(population, name)) for name in ("alpha", "beta", "mu"))
+    alpha, beta, mu = (_distinct(getattr(population, name)) for name in ("alpha", "beta", "mu"))
     pred, gains = population.estimator_ladder
-    r = np.broadcast_to(_shared(population.obs_noise_var), len(pred))
+    r = np.broadcast_to(_distinct(population.obs_noise_var), len(pred))
     keep = 1.0 - alpha
     unit = 1.0 / (2.0 * mu * beta * beta)
     terms = np.empty((max(len(unit), len(pred)), 2 * n + 3))

@@ -25,7 +25,6 @@ parameters (k,), the tariffs (k, N), and their cs and rp (k,).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -151,27 +150,29 @@ def _front_geometry(model: AffineDemandModel, cost: WholesaleCost) -> tuple[floa
     return q, k
 
 
-def _eta_at_cs(q: float, k: float, cs_value: float) -> float:
+def _eta_at_cs(q: float, k: float, cs_value: float | np.ndarray) -> float | np.ndarray:
     """Weight whose optimal tariff has surplus ``cs_value``: the inverse of
-    ``cs*(eta) = q / (2 (2 - eta)^2) + k``."""
-    return 2.0 - math.sqrt(q / (2.0 * (cs_value - k)))
+    ``cs*(eta) = q / (2 (2 - eta)^2) + k``, entrywise."""
+    return 2.0 - np.sqrt(q / (2.0 * (cs_value - k)))
 
 
-def profit_upper_bound(model: AffineDemandModel, cost: WholesaleCost, cs_value: float) -> float:
-    """Largest expected profit achievable while keeping ``cs >= cs_value``.
+@np.errstate(divide="ignore", invalid="ignore")  # in entries np.select does not pick
+def profit_upper_bound(model: AffineDemandModel, cost: WholesaleCost,
+                       cs_value: float | Sequence[float]) -> float | np.ndarray:
+    """Largest expected profit achievable while keeping ``cs >= cs_value``,
+    for each entry of ``cs_value`` (a float gives a float).
 
-    Evaluated in closed form from the front geometry; any tariff whatsoever
-    plots on or below this bound at its own cs.  Useful for dominance checks
-    against benchmark tariffs.
+    Evaluated in closed form from the front geometry: the greedy profit
+    ``q / 4`` at and below the greedy surplus ``q / 8 + k``, the profit of
+    the optimal tariff with surplus ``cs_value`` above it, and 0 when ``q``
+    is 0.  Any tariff whatsoever plots on or below this bound at its own
+    cs.  Useful for dominance checks against benchmark tariffs.
     """
     q, k = _front_geometry(model, cost)
-    if q <= 0.0:
-        return 0.0
-    cs_greedy = q / 8.0 + k
-    if cs_value <= cs_greedy:
-        return q / 4.0
-    eta = _eta_at_cs(q, k, cs_value)
-    return q * (1.0 - eta) / (2.0 - eta) ** 2
+    cs = np.asarray(cs_value, dtype=float)
+    eta = _eta_at_cs(q, k, cs)
+    bound = np.select([q <= 0.0, cs <= q / 8.0 + k], [0.0, q / 4.0], q * (1.0 - eta) / np.square(2.0 - eta))
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def benchmark_prices(

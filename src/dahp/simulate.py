@@ -15,10 +15,8 @@ population on one day, or replicate days of one consumer.  The baselines'
 powers and the optimal policy's targets are planned before the first
 hour; each hour sets the optimal policy's powers from its Kalman estimate
 and steps every policy in preallocated buffers, squaring deviations with
-one multiply; a thermal parameter that every consumer shares is read as
-one broadcast row.  A single consumer is a one-row population:
-``simulate_population_day`` with ``consumer_ids=[id]`` simulates its day on
-its own noise row.
+one multiply; a parameter stored once, as a zero-stride view the way
+``draw_population`` stores a config scalar, is read as one broadcast row.
 
 Every random stream of a run is hashed from ``(seed, tag, ...)`` with one
 tag per use (the ``*_STREAM`` constants below), so no two uses share a
@@ -27,9 +25,9 @@ numbers: as easy as 1, 2, 3", SC 2011).  Each day has one Philox key, hashed
 from ``(seed, DAY_NOISE_STREAM, day)``; consumer ``c`` reads the ``W`` words
 that start at counter ``c * W / 4`` of that key's stream, where ``W`` is the
 smallest multiple of 4 holding the word pairs of its ``2 * horizon + 1``
-normals.  A contiguous run of consumer ids is one ``random_raw`` call, and a
-consumer's noise depends only on ``(seed, consumer_id, day)``, not on the
-batch, its size or its order.  Box-Muller turns word pair ``k`` into normals
+normals.  A day's rows are one ``random_raw`` call from counter 0, and
+consumer ``c``'s noise depends only on ``(seed, c, day)``, not on the
+population's size.  Box-Muller turns word pair ``k`` into normals
 ``2k`` (cosine) and ``2k + 1`` (sine) in the words' own buffer, taking the
 cosine and sine from ``tan`` of the half angle (Box and Muller, Ann. Math.
 Stat. 1958; no ``cos`` or ``sin`` is called).  Normal 0 is the initial
@@ -46,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demand import Population, _shared, as_forecast, as_prices
+from .demand import Population, _distinct, as_forecast, as_prices
 
 NOISE_SCHEME = 3  # tan half-angle normals; 2 called cos and sin, 1 drew a substream per consumer-day
 
@@ -74,23 +72,12 @@ def _row_words(horizon: int) -> int:
     return 4 * -(-(2 * horizon + 2) // 4)
 
 
-def _noise_words(seed: int, stream: tuple[int, ...], rows: Sequence[int], width: int) -> np.ndarray:
-    """(len(rows), width) raw words of the Philox stream keyed by
-    ``(seed, *stream)``; row ``r`` starts at counter ``r * width / 4``.
-
-    Each contiguous run of row numbers is one ``random_raw`` call, and one
-    run's array is returned as it is: memory scales with the rows asked
-    for, not with the largest row number.
-    """
-    rows = np.asarray(rows)
-    if rows.dtype.kind not in "iu" and rows.size or np.any(rows < 0):
-        raise ValueError("noise row numbers must be nonnegative integers")
+def _noise_words(seed: int, stream: tuple[int, ...], count: int, width: int) -> np.ndarray:
+    """(count, width) raw words of the Philox stream keyed by ``(seed,
+    *stream)``, one ``random_raw`` call from counter 0: row ``r`` starts at
+    counter ``r * width / 4``."""
     key = _seed_sequence(seed, *stream).generate_state(2, np.uint64)
-    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1).tolist()  # rows >= 0: the first row starts a run
-    blocks = [np.random.Philox(key=key, counter=[int(rows[a]) * (width // 4), 0, 0, 0]).random_raw((b - a) * width)
-              for a, b in zip(starts, starts[1:] + [len(rows)])]
-    words = blocks[0] if len(blocks) == 1 else np.concatenate([np.empty(0, np.uint64), *blocks])
-    return words.reshape(len(rows), width)
+    return np.random.Philox(key=key).random_raw(count * width).reshape(count, width)
 
 
 def _box_muller(words: np.ndarray, count: int) -> np.ndarray:
@@ -128,13 +115,13 @@ def _box_muller(words: np.ndarray, count: int) -> np.ndarray:
     return u[:, :count]
 
 
-def _noise(population: Population, seed: int, stream: tuple[int, ...],
-           rows: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """(v0, w, v) of each row from stream ``(seed, *stream)``: initial reading
-    errors (rows,), process noise and reading errors (rows, hours), scaled by
-    the row's consumer (a population of one scales every row alike)."""
+def _noise(population: Population, seed: int, stream: tuple[int, ...], count: int) -> tuple[np.ndarray, ...]:
+    """(v0, w, v) of rows 0..count-1 of stream ``(seed, *stream)``: initial
+    reading errors (count,), process noise and reading errors (count,
+    hours), scaled by the row's consumer (a population of one scales every
+    row alike)."""
     n = population.horizon
-    z = _box_muller(_noise_words(seed, stream, rows, _row_words(n)), 2 * n + 1)
+    z = _box_muller(_noise_words(seed, stream, count, _row_words(n)), 2 * n + 1)
     v0, w, v = z[:, 0], z[:, 1:n + 1], z[:, n + 1:]  # scaled in place
     v0 *= np.sqrt(population.obs_noise_var)
     w *= np.sqrt(population.process_noise_var)[:, None]
@@ -157,7 +144,7 @@ def _rollout(population: Population, prices: np.ndarray, forecast: np.ndarray, t
     tol = np.asarray(tolerances, dtype=float)[:, None]
     if not np.all((tol >= 0) & (tol < np.inf)):
         raise ValueError("tolerance must be finite and nonnegative")
-    alpha, beta, mu = (_shared(x) for x in (population.alpha, population.beta, population.mu))
+    alpha, beta, mu = (_distinct(x) for x in (population.alpha, population.beta, population.mu))
     t = population.desired_temp.T
     n = population.horizon
     _, gains = population.estimator_ladder
@@ -204,23 +191,19 @@ def _row_payments(consumption: np.ndarray, prices: np.ndarray) -> np.ndarray:
 
 
 def simulate_population_day(population: Population, prices: Sequence[float], weather: Sequence[float], seed: int,
-                            day: int = 0, tolerances: Sequence[float] = (),
-                            consumer_ids: Sequence[int] | None = None) -> tuple[np.ndarray, ...]:
+                            day: int = 0, tolerances: Sequence[float] = ()) -> tuple[np.ndarray, ...]:
     """Simulate one day of every consumer under the optimal hourly policy
     and under a thermostat baseline per tolerance.
 
-    Consumer ``k`` reads its noise once, from row ``consumer_ids[k]`` of the
-    day's ``(seed, DAY_NOISE_STREAM, day)`` stream (ids default to row indices), and every
-    policy experiences it.  Returns consumption (policies, consumers, hours),
-    payment and discomfort (policies, consumers): policy 0 is the optimal
-    policy and policy ``1 + j`` the baseline of ``tolerances[j]``.
+    Consumer ``k`` reads its noise once, from row ``k`` of the day's
+    ``(seed, DAY_NOISE_STREAM, day)`` stream, and every policy experiences
+    it.  Returns consumption (policies, consumers, hours), payment and
+    discomfort (policies, consumers): policy 0 is the optimal policy and
+    policy ``1 + j`` the baseline of ``tolerances[j]``.
     """
     pi = as_prices(prices, population.horizon)
     forecast = as_forecast(weather, population.horizon)
-    ids = np.arange(len(population)) if consumer_ids is None else consumer_ids
-    if len(ids) != len(population):
-        raise ValueError(f"expected {len(population)} consumer ids, got {len(ids)}")
-    v0, w, v = _noise(population, seed, (DAY_NOISE_STREAM, day), ids)
+    v0, w, v = _noise(population, seed, (DAY_NOISE_STREAM, day), len(population))
 
     consumption, discomfort = _rollout(population, pi, forecast, tolerances, v0, w, v)
     return consumption, _row_payments(consumption, pi), discomfort

@@ -597,7 +597,7 @@ def _replicate_days(params: Population, prices, weather, seed: int, n_days: int,
     """The validated prices and forecast and ``n_days`` rows of noise of a
     one-row population: the simulator's layout with days as rows of the
     ``(seed, REPLICATE_NOISE_STREAM, consumer_id)`` stream."""
-    noise = _noise(params, seed, (REPLICATE_NOISE_STREAM, consumer_id), np.arange(n_days))
+    noise = _noise(params, seed, (REPLICATE_NOISE_STREAM, consumer_id), n_days)
     return as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
 
 

@@ -386,10 +386,27 @@ def test_module_entry_point(tiny_config, tmp_path):
     assert sorted(path.name for path in runs.iterdir()) == sorted(COMMANDS)
 
 
-def test_unknown_command_rejected_by_argparse(capsys):
+@pytest.mark.parametrize("args, words", [
+    (["frobnicate", "--config", "x.yaml"], "invalid choice: 'frobnicate'"),
+    (["pareto"], "required: --config"),
+    (["pareto", "--config", "x.yaml", "--seed", "abc"], "invalid int value: 'abc'"),
+    (["pareto", "--config", "x.yaml", "--frobnicate"], "unrecognized arguments: --frobnicate"),
+    ([], "required: command"),
+], ids=["unknown command", "no config", "seed not an integer", "unknown flag", "nothing"])
+def test_a_bad_command_line_exits_2_with_one_json_line(args, words, capsys):
+    # the README's error contract, not argparse's usage text and SystemExit
+    code, stdout, stderr = _run(args, capsys)
+    assert code == 2 and stdout == "" and stderr.count("\n") == 1
+    record = json.loads(stderr)
+    assert record["error"] == "config" and words in record["message"]
+
+
+@pytest.mark.parametrize("args", [["-h"], ["pareto", "--help"]])
+def test_help_still_exits_0(args, capsys):
     with pytest.raises(SystemExit) as info:
-        main(["frobnicate", "--config", "x.yaml"])
-    assert info.value.code == 2
+        main(args)
+    captured = capsys.readouterr()
+    assert info.value.code == 0 and captured.out.startswith("usage: dahp") and captured.err == ""
 
 
 DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"

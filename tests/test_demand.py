@@ -19,7 +19,7 @@ from dahp import (
     population_model,
 )
 from dahp.config import PopulationSpec, draw_population
-from dahp.demand import _FIELDS, _PARAM_FIELDS, _consumer_sum, _distinct, _shared, as_prices
+from dahp.demand import _FIELDS, _PARAM_FIELDS, _consumer_sum, _distinct, as_prices
 from dahp.errors import IndefiniteMatrixError, NumericalError
 from oracles import NegativeDemandWarning, mean_demand
 
@@ -366,8 +366,6 @@ def _population_and_weather(draw, shared):
 @given(data=st.data())
 def test_population_model_equals_the_consumer_order_sum_for_any_shared_fields(shared, data):
     population, weather = data.draw(_population_and_weather(shared))
-    for name in shared:
-        assert _shared(getattr(population, name)).shape == (1,)
     assert _bits(population_model(population, weather)) == _consumer_order_bits(population, weather)
     # the same consumers as draw_population stores them: every shared field
     # one value broadcast to every consumer and each setpoint one value
@@ -390,16 +388,13 @@ def test_population_model_equals_the_consumer_order_sum_for_any_shared_fields(sh
     PopulationSpec(count=10_000, alpha=[0.3, 0.7], beta=[-0.15, 0.2], mu=[0.2, 0.8], desired_temp=[18.0, 22.0],
                    process_noise_var=[0.0, 0.02], obs_noise_var=[0.005, 0.02]),
 ], ids=["shared", "ranged"])
-def test_a_drawn_population_models_like_its_materialized_copy(spec, monkeypatch):
+def test_a_drawn_population_models_like_its_materialized_copy(spec):
     # the forecast-free terms are one consumer-order sum over a (rows, 2N + 3)
-    # stack; with nothing read as shared, every consumer has its own row
+    # stack; in the materialized copy every consumer has its own row
     drawn = draw_population(spec, seed=31)
     materialized = {name: np.array(getattr(drawn, name)) for name in _FIELDS}
     weather = helpers.DEFAULT_WEATHER + np.random.default_rng(32).normal(0.0, 3.0, 24)
-    expected = _bits(population_model(drawn, weather))
-    assert _bits(population_model(Population(**materialized), weather)) == expected
-    monkeypatch.setattr(demand, "_shared", lambda x: x)
-    assert _bits(population_model(Population(**materialized), weather)) == expected
+    assert _bits(population_model(Population(**materialized), weather)) == _bits(population_model(drawn, weather))
 
 
 def _stored_once(count: int = 10, **fields) -> Population:
@@ -425,39 +420,39 @@ def test_validation_catches_values_stored_once(fields, message):
         _stored_once(**fields)
 
 
-def test_distinct_and_shared_read_a_zero_stride_view_once():
+def test_distinct_reads_a_zero_stride_view_once():
     column = np.broadcast_to([[20.0], [21.0]], (2, 24))
     assert _distinct(column).shape == (2, 1) and _distinct(np.broadcast_to(-0.0, 7)).shape == (1,)
+    assert _distinct(np.broadcast_to(-0.0, 7)).tobytes() == np.float64(-0.0).tobytes()
     assert _distinct(np.ones((3, 4))).shape == (3, 4)
-    view = np.broadcast_to(-0.0, 7)
-    assert _shared(view).shape == (1,) and _shared(view).tobytes() == np.float64(-0.0).tobytes()
-    mixed = np.array([0.0, 1.0, -0.0, 1.0, 0.0, 1.0])[::2]  # strided, equal as floats, not as bits
-    assert mixed.strides == (16,) and len(_shared(mixed)) == 3
-    assert len(_shared(np.array([-0.0, 1.0, -0.0])[::2])) == 1
+    assert _distinct(np.full(7, 0.5)).shape == (7,)  # equal values stored apart: a row per consumer
 
 
 @pytest.mark.parametrize("process, obs", [
-    ([0.0] * 4, [-0.0] * 4),               # shared zeros of either sign
-    ([0.0, -0.0, 0.0, -0.0], [-0.0] * 4),  # equal as floats, not as bits: not shared
-    ([5e-324] * 4, [2.0**-1040] * 4),      # shared subnormals
+    ([0.0] * 4, [-0.0] * 4),               # zeros of either sign
+    ([0.0, -0.0, 0.0, -0.0], [-0.0] * 4),  # equal as floats, not as bits
+    ([5e-324] * 4, [2.0**-1040] * 4),      # subnormals
     ([5e-324, 0.0, 1e-310, -0.0], [0.01] * 4),
 ])
 def test_signed_zero_and_subnormal_noise_keep_every_bit(process, obs):
+    # stored per consumer, and a variance every consumer holds stored once
     rng = np.random.default_rng(72)
     population = Population(alpha=np.full(4, 0.5), beta=[0.1, 0.1, -0.2, 0.1], mu=np.full(4, 0.5),
                             desired_temp=rng.uniform(18.0, 22.0, size=(4, 24)),
                             process_noise_var=process, obs_noise_var=obs)
-    rows = 1 if len({np.float64(v).tobytes() for v in process}) == 1 else 4
-    assert len(_shared(population.process_noise_var)) == rows
-    assert _bits(population_model(population, helpers.DEFAULT_WEATHER)) == _consumer_order_bits(
-        population, helpers.DEFAULT_WEATHER)
+    expected = _consumer_order_bits(population, helpers.DEFAULT_WEATHER)
+    assert _bits(population_model(population, helpers.DEFAULT_WEATHER)) == expected
+    once = {name: np.broadcast_to(np.float64(values[0]), 4) for name, values in
+            (("process_noise_var", process), ("obs_noise_var", obs))
+            if len({np.float64(v).tobytes() for v in values}) == 1}
+    assert _bits(population_model(dataclasses.replace(population, **once), helpers.DEFAULT_WEATHER)) == expected
 
 
-@pytest.mark.parametrize("beta", [np.full(5, 1e-300), [0.1, 0.1, 1e-300, 0.1, 0.1]])
+@pytest.mark.parametrize("beta", [np.broadcast_to(1e-300, 5), [0.1, 0.1, 1e-300, 0.1, 0.1]])
 def test_overflow_with_shared_parameters_is_a_numerical_error(beta):
-    population = Population(alpha=np.full(5, 0.5), beta=beta, mu=np.full(5, 0.5),
-                            desired_temp=np.full((5, 24), 20.0), process_noise_var=np.full(5, 0.01),
-                            obs_noise_var=np.full(5, 0.01))
+    population = Population(alpha=np.broadcast_to(0.5, 5), beta=beta, mu=np.broadcast_to(0.5, 5),
+                            desired_temp=np.broadcast_to(20.0, (5, 24)), process_noise_var=np.broadcast_to(0.01, 5),
+                            obs_noise_var=np.broadcast_to(0.01, 5))
     with pytest.raises(NumericalError, match="overflow"):
         population_model(population, helpers.DEFAULT_WEATHER)
 

@@ -220,6 +220,29 @@ def test_profit_bound_is_zero_when_wholesale_is_the_zero_demand_price():
         assert profit_upper_bound(model, cost, cs) == 0.0
 
 
+def test_profit_bound_of_a_column_of_surpluses_is_its_scalar_bounds():
+    # one vectorized expression: a float gives a float, an array its shape,
+    # each entry the scalar call's bound; exact at and below the greedy
+    # surplus and when q is 0, and no RuntimeWarning from the entries a
+    # branch does not pick (a negative square root, a division by zero)
+    model, cost = helpers.random_model(np.random.default_rng(84))
+    q, k = _front_geometry(model, cost)
+    greedy = q / 8.0 + k
+    cs = np.concatenate([[k - 1.0, greedy - 1.0, greedy], greedy + q * np.geomspace(1e-9, 2.0, 40)])
+    zero_q = WholesaleCost(mean=model.zero_demand_price)  # q = 0: no tariff earns a profit
+    around = _front_geometry(model, zero_q)[1] + np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = profit_upper_bound(model, cost, cs)
+        scalars = [profit_upper_bound(model, cost, value) for value in cs.tolist()]
+        zeros = profit_upper_bound(model, zero_q, around)
+    assert all(type(value) is float for value in scalars)
+    assert isinstance(bounds, np.ndarray) and bounds.shape == cs.shape
+    np.testing.assert_allclose(bounds, scalars, rtol=1e-12, atol=0.0)
+    assert bounds[:3].tolist() == [q / 4.0] * 3 and np.all(bounds[3:] <= q / 4.0) and bounds[-1] < 0.0
+    assert zeros.shape == (3, 4) and not zeros.any()
+
+
 def test_random_prices_never_beat_front():
     rng = np.random.default_rng(80)
     model, cost = helpers.random_model(rng)

@@ -70,50 +70,75 @@ def test_row_words_cover_the_normals_in_whole_blocks():
 
 
 def test_noise_rows_are_philox_counter_offsets():
-    ids = [0, 1, 2, 10, 11, 5, 3, 4, 1000]  # runs, a gap, a step back, a lone far id
     width = _row_words(24)
-    words = _noise_words(9, (DAY_NOISE_STREAM, 4), ids, width)
+    words = _noise_words(9, (DAY_NOISE_STREAM, 4), 1001, width)
     key = np.random.SeedSequence((9, DAY_NOISE_STREAM, 4)).generate_state(2, np.uint64)
-    for row, cid in zip(words, ids):
-        expected = np.random.Philox(key=key, counter=[cid * width // 4, 0, 0, 0]).random_raw(width)
-        assert row.dtype == np.uint64 and np.array_equal(row, expected)
+    assert words.shape == (1001, width) and words.dtype == np.uint64
+    for row in (0, 1, 2, 500, 999, 1000):
+        expected = np.random.Philox(key=key, counter=[row * width // 4, 0, 0, 0]).random_raw(width)
+        assert np.array_equal(words[row], expected)
 
 
-def test_noise_rows_do_not_depend_on_the_population():
-    # strided ids, a permuted population and each consumer alone: same rows per id
-    consumers = _mixed_population(12)
-    ids = [3 * c + 1 for c in range(len(consumers))]
+def _ranged_population(count: int) -> Population:
+    """``count`` drawn consumers with every parameter their own, heating and cooling."""
+    ranges = dict(alpha=[0.3, 0.7], beta=[-0.2, 0.2], mu=[0.2, 2.0], desired_temp=[18.0, 22.0],
+                  process_noise_var=[0.0, 0.05], obs_noise_var=[0.0, 0.05])
+    return draw_population(PopulationSpec(count=count, **ranges), seed=65)
+
+
+def _rows(population: Population, rows: slice) -> Population:
+    return Population(**{name: getattr(population, name)[rows] for name in demand._FIELDS})
+
+
+@pytest.mark.parametrize("count", [1, 3, 1000])
+def test_noise_of_a_day_is_the_first_rows_of_a_larger_day(count):
+    # a consumer's noise, and so its day, depends on its row and the day,
+    # not on the population's size
+    population = _ranged_population(1001)
+    first = _rows(population, slice(count))
     stream = (DAY_NOISE_STREAM, 2)
-    batch = _noise(Population.of(consumers), 5, stream, ids)
-    order = np.random.default_rng(65).permutation(len(consumers))
-    permuted = _noise(Population.of([consumers[k] for k in order]), 5, stream, [ids[k] for k in order])
-    for field, shuffled in zip(batch, permuted):
-        assert np.array_equal(field[order], shuffled)
-    for row, (cid, params) in enumerate(zip(ids, consumers)):
-        for field, alone in zip(batch, _noise(params, 5, stream, [cid])):
-            assert np.array_equal(field[row], alone[0])
+    for all_rows, rows in zip(_noise(population, 5, stream, 1001), _noise(first, 5, stream, count)):
+        assert rows.shape == (count, *all_rows.shape[1:]) and rows.tobytes() == all_rows[:count].tobytes()
+    prices = np.random.default_rng(69).uniform(0.05, 0.3, size=24)
+    day = (simulate_population_day(p, prices, helpers.DEFAULT_WEATHER, 5, 2, [1.0]) for p in (population, first))
+    for all_rows, rows in zip(*day):
+        assert rows.tobytes() == all_rows[:, :count].tobytes()
+
+
+@pytest.mark.parametrize("row", [0, 500, 1000])
+def test_noise_row_is_the_consumers_own_counter_offset(row):
+    # row k of a day is consumer k's words drawn from counter k * W / 4 and
+    # made into normals out of place, bit for bit, and the scalar cos/sin
+    # Box-Muller of those words within rounding
+    population = _ranged_population(1001)
+    consumer = _rows(population, slice(row, row + 1))
+    day = 6
+    ours = [field[row:row + 1] for field in _noise(population, 13, (DAY_NOISE_STREAM, day), 1001)]
+    reference = oracles.block_noise(consumer, 13, (DAY_NOISE_STREAM, day), [row])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, reference))
+    for a, b in zip(ours, oracles.day_noise(13, row, day, consumer)):
+        assert np.allclose(a.ravel(), b, rtol=0.0, atol=1e-14)
 
 
 def test_zero_variance_keeps_the_other_fields_draws():
     params = helpers.random_params(np.random.default_rng(66))
     stream = (DAY_NOISE_STREAM, 1)
-    v0, w, v = _noise(params, 3, stream, [7])
-    quiet_process = _noise(replace(params, process_noise_var=[0.0]), 3, stream, [7])
+    v0, w, v = _noise(params, 3, stream, 1)
+    quiet_process = _noise(replace(params, process_noise_var=[0.0]), 3, stream, 1)
     assert np.array_equal(quiet_process[0], v0) and np.array_equal(quiet_process[2], v)
     assert not np.any(quiet_process[1])
-    quiet_reading = _noise(replace(params, obs_noise_var=[0.0]), 3, stream, [7])
+    quiet_reading = _noise(replace(params, obs_noise_var=[0.0]), 3, stream, 1)
     assert np.array_equal(quiet_reading[1], w)
     assert not np.any(quiet_reading[0]) and not np.any(quiet_reading[2])
 
 
-@pytest.mark.parametrize("seed, day, ids", [
-    (-1, 0, [0]), (0, -1, [0]), (0, 0, [2, -1]), (2.5, 0, [0, 1]), (0, 2.5, [0, 1]), (0, 0, [0.9, 1.7]),
-], ids=["seed", "day", "consumer id", "fractional seed", "fractional day", "fractional ids"])
-def test_negative_or_fractional_noise_coordinates_raise(seed, day, ids):
-    # truncating a fractional one would read another day's or consumer's noise
-    population = Population.of([helpers.toy3_params()] * len(ids))
+@pytest.mark.parametrize("seed, day", [(-1, 0), (0, -1), (2.5, 0), (0, 2.5)],
+                         ids=["seed", "day", "fractional seed", "fractional day"])
+def test_negative_or_fractional_noise_coordinates_raise(seed, day):
+    # truncating a fractional one would read another day's noise
+    population = Population.of([helpers.toy3_params()] * 2)
     with pytest.raises(ValueError):
-        simulate_population_day(population, np.zeros(3), np.full(3, 30.0), seed, day, consumer_ids=ids)
+        simulate_population_day(population, np.zeros(3), np.full(3, 30.0), seed, day)
 
 
 def test_random_streams_share_no_words():
@@ -124,14 +149,14 @@ def test_random_streams_share_no_words():
     words = [substream(seed, POPULATION_STREAM).bit_generator.random_raw(consumers * 6)]
     for index in range(8):
         for stream in ((DAY_NOISE_STREAM, index), (REPLICATE_NOISE_STREAM, index)):
-            words.append(_noise_words(seed, stream, np.arange(consumers), width).ravel())
+            words.append(_noise_words(seed, stream, consumers, width).ravel())
     words = np.concatenate(words)
     assert len(np.unique(words)) == len(words)
 
 
 def test_noise_normals_are_standard_and_uncorrelated():
     rows = 4000
-    z = _box_muller(_noise_words(11, (DAY_NOISE_STREAM, 0), np.arange(rows), _row_words(24)), 49)
+    z = _box_muller(_noise_words(11, (DAY_NOISE_STREAM, 0), rows, _row_words(24)), 49)
     assert scipy.stats.kstest(z.ravel(), "norm").pvalue > 1e-3
     bound = 4.0 / np.sqrt(rows)  # 4 standard errors of a correlation under independence
     for j in range(z.shape[1] - 1):  # neighbouring normals, incl. the cos/sin of one word pair
@@ -157,7 +182,7 @@ def test_tangent_normals_are_within_rounding_of_cos_and_sin(source):
     # the half-angle normals change only the last bits of the cos/sin ones:
     # over a million normals of the noise stream, and at the extreme words
     if source == "philox":
-        words, count = _noise_words(12, (DAY_NOISE_STREAM, 1), np.arange(20_409), _row_words(24)), 49
+        words, count = _noise_words(12, (DAY_NOISE_STREAM, 1), 20_409, _row_words(24)), 49
         assert words.shape[0] * count >= 10**6
     else:
         words = _edge_words()
@@ -170,31 +195,21 @@ def test_tangent_normals_are_within_rounding_of_cos_and_sin(source):
     assert np.abs(ours - trig).max() <= 1e-14
 
 
-_NOISE_ROWS = {
-    "one row": [7],
-    "contiguous": list(range(1000)),
-    "gapped": [*range(40), *range(100, 140), 999],
-    "unsorted": [5, 3, 4, 0, 1, 2, 90, 11, 10],
-}
-
-
 @pytest.mark.parametrize("horizon", [1, 24, 25])
-@pytest.mark.parametrize("layout", list(_NOISE_ROWS))
-def test_noise_equals_the_out_of_place_reference_bitwise(layout, horizon):
+@pytest.mark.parametrize("count", [1, 1000])
+def test_noise_equals_the_out_of_place_reference_bitwise(count, horizon):
     # normals made in the word buffer through strided and in-place operands
     # must round like the fresh arrays of the reference, for odd and even
-    # pair counts, one run of ids or several, and zero variances
-    ids = _NOISE_ROWS[layout]
+    # pair counts, one row or many, and zero variances
     rng = np.random.default_rng(67)
-    count = len(ids)
     process, obs = rng.uniform(0.001, 0.05, count), rng.uniform(0.001, 0.05, count)
     process[::3], obs[1::3] = 0.0, 0.0
     population = Population(alpha=np.full(count, 0.5), beta=np.full(count, 0.1), mu=np.full(count, 0.5),
                             desired_temp=np.full((count, horizon), 20.0),
                             process_noise_var=process, obs_noise_var=obs)
     stream = (DAY_NOISE_STREAM, 3)
-    ours = _noise(population, 8, stream, ids)
-    for field, reference in zip(ours, oracles.block_noise(population, 8, stream, ids)):
+    ours = _noise(population, 8, stream, count)
+    for field, reference in zip(ours, oracles.block_noise(population, 8, stream, range(count))):
         assert field.shape == reference.shape and field.tobytes() == reference.tobytes()
     assert not ours[1][::3].any() and not ours[2][1::3].any()
 
@@ -203,8 +218,7 @@ def test_replicate_noise_equals_the_out_of_place_reference_bitwise():
     # a population of one scales all of its replicate rows alike
     params = helpers.random_params(np.random.default_rng(68))
     stream = (REPLICATE_NOISE_STREAM, 4)
-    for field, reference in zip(_noise(params, 8, stream, np.arange(1000)),
-                                oracles.block_noise(params, 8, stream, np.arange(1000))):
+    for field, reference in zip(_noise(params, 8, stream, 1000), oracles.block_noise(params, 8, stream, range(1000))):
         assert field.shape == reference.shape and field.tobytes() == reference.tobytes()
 
 
@@ -214,12 +228,11 @@ def test_noise_peaks_near_its_word_buffer():
     # (rows, words) temporaries at once; numpy reports its data buffers
     # to tracemalloc, whatever the C allocator does with them
     population = draw_population(PopulationSpec(count=1000), seed=3)
-    ids = np.arange(1000)
-    _noise(population, 5, (DAY_NOISE_STREAM, 0), ids)  # first-call costs outside the window
+    _noise(population, 5, (DAY_NOISE_STREAM, 0), 1000)  # first-call costs outside the window
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        noise = _noise(population, 5, (DAY_NOISE_STREAM, 0), ids)
+        noise = _noise(population, 5, (DAY_NOISE_STREAM, 0), 1000)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -374,11 +387,11 @@ def test_run_simulate_without_tolerances_writes_the_same_simulate_csv(tmp_path):
 def test_simulate_day_seed_determinism_bitwise():
     params = helpers.random_params(np.random.default_rng(55))
     prices = np.full(24, 0.1)
-    a = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[3])
-    b = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[3])
+    a = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2)
+    b = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 2)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
-    c = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 3, consumer_ids=[3])
+    c = simulate_population_day(params, prices, helpers.DEFAULT_WEATHER, 9, 3)
     assert not np.array_equal(a[0], c[0])
 
 
@@ -396,8 +409,8 @@ def test_simulate_day_agrees_with_scalar_steps():
     params = helpers.random_params(rng, horizon=5)
     prices = rng.uniform(0.0, 0.3, size=5)
     forecast = rng.uniform(25.0, 35.0, size=5)
-    result, _, _ = simulate_population_day(params, prices, forecast, 77, 4, consumer_ids=[2])
-    consumption, _, _ = oracles.step_rollout(params, prices, forecast, *oracles.day_noise(77, 2, 4, params))
+    result, _, _ = simulate_population_day(params, prices, forecast, 77, 4)
+    consumption, _, _ = oracles.step_rollout(params, prices, forecast, *oracles.day_noise(77, 0, 4, params))
     assert np.allclose(result[0, 0], consumption, rtol=1e-12, atol=1e-12)
 
 
@@ -583,22 +596,18 @@ def test_run_simulate_rows_match_step_oracle(monkeypatch):
 
 def _assert_rows_equal_single_days(population: Population, tolerances: list[float]) -> None:
     """Every row of one population day, responsive and per tolerance, equals
-    that consumer simulated alone, bit for bit."""
+    that consumer rolled out alone on its noise row, bit for bit."""
     prices = np.random.default_rng(64).uniform(0.05, 0.3, size=24)
-    ids = [3 * c + 1 for c in range(len(population))]
-    cons, pay, disc = simulate_population_day(population, prices, helpers.DEFAULT_WEATHER, 9, 2, tolerances, ids)
-    for row, (cid, params) in enumerate(zip(ids, population)):
-        one_cons, one_pay, one_disc = simulate_population_day(
-            params, prices, helpers.DEFAULT_WEATHER, 9, 2, consumer_ids=[cid]
-        )
-        assert np.array_equal(one_cons[0, 0], cons[0, row])
-        assert (one_pay[0, 0], one_disc[0, 0]) == (pay[0, row], disc[0, row])
-        for policy, tolerance in enumerate(tolerances, 1):
-            alone_powers, alone_pay, alone_disc = simulate_population_day(
-                params, prices, helpers.DEFAULT_WEATHER, 9, 2, [tolerance], [cid]
-            )
-            assert np.array_equal(alone_powers[1, 0], cons[policy, row])
-            assert (alone_pay[1, 0], alone_disc[1, 0]) == (pay[policy, row], disc[policy, row])
+    cons, pay, disc = simulate_population_day(population, prices, helpers.DEFAULT_WEATHER, 9, 2, tolerances)
+    noise = _noise(population, 9, (DAY_NOISE_STREAM, 2), len(population))
+    for row, params in enumerate(population):
+        own = [field[row:row + 1] for field in noise]
+        for policy, alone in enumerate([[], *([tolerance] for tolerance in tolerances)]):
+            # the responsive policy alone, then each baseline beside it: the last policy of the stack
+            alone_cons, alone_disc = _rollout(params, prices, helpers.DEFAULT_WEATHER, alone, *own)
+            alone_pay = simulate._row_payments(alone_cons, prices)
+            assert np.array_equal(alone_cons[-1, 0], cons[policy, row])
+            assert (alone_pay[-1, 0], alone_disc[-1, 0]) == (pay[policy, row], disc[policy, row])
 
 
 def test_population_day_rows_equal_single_consumer_days():
@@ -620,25 +629,23 @@ def test_shared_parameter_rows_equal_single_consumer_days(ranged, ladder_rows):
     _assert_rows_equal_single_days(population, [0.0, 2.0, 0.5])
 
 
-@pytest.mark.parametrize("kind", ["demo", "mixed", "shared alpha"])
-def test_rollout_reads_shared_parameters_as_one_row_bitwise(kind, monkeypatch):
-    # alpha, beta and mu that every consumer shares broadcast from one row,
-    # with the bytes of the per-consumer columns they stand for
-    if kind == "demo":
-        population = draw_population(PopulationSpec(desired_temp=[18.0, 22.0]), seed=2024)
-        assert all(len(demand._shared(x)) == 1 for x in (population.alpha, population.beta, population.mu))
-    elif kind == "mixed":
-        population = Population.of(_mixed_population())
-    else:
-        population = draw_population(PopulationSpec(count=300, beta=[-0.15, -0.05], mu=[0.2, 2.0]), seed=7)
-    ids = np.arange(len(population))
-    prices = np.random.default_rng(77).uniform(0.05, 0.3, size=24)
-    args = (population, prices, helpers.DEFAULT_WEATHER, [0.0, 0.5, 3.0],
-            *_noise(population, 5, (DAY_NOISE_STREAM, 1), ids))
-    shared = _rollout(*args)
-    monkeypatch.setattr(simulate, "_shared", lambda x: x)
-    per_consumer = _rollout(*args)
-    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(shared, per_consumer))
+@pytest.mark.parametrize("spec", [
+    PopulationSpec(desired_temp=[18.0, 22.0]),                           # the demo: only setpoints differ
+    PopulationSpec(count=300, beta=[-0.15, -0.05], mu=[0.2, 2.0]),       # alpha and the variances shared
+    PopulationSpec(count=300, alpha=[0.3, 0.7], obs_noise_var=[0.0, 0.05]),  # a ladder row per consumer
+], ids=["demo", "shared alpha", "ranged alpha"])
+def test_rollout_reads_shared_parameters_as_one_row_bitwise(spec):
+    # a config scalar is a zero-stride view read as one broadcast row; the
+    # materialized copy, a row per consumer everywhere, gives the same day
+    # bit for bit (tests/test_demand.py compares their models)
+    drawn = draw_population(spec, seed=7)
+    copy = Population(**{name: np.array(getattr(drawn, name)) for name in demand._FIELDS})
+    q, copied = drawn.process_noise_var, copy.process_noise_var  # shared in every spec here
+    assert len(demand._distinct(q)) == 1 and len(demand._distinct(copied)) == len(copy)
+    weather = helpers.DEFAULT_WEATHER - 1.5
+    prices = optimal_price(population_model(drawn, weather), WholesaleCost(mean=helpers.DEFAULT_WHOLESALE), 0.3)
+    ours, theirs = (simulate_population_day(p, prices, weather, 5, 1, [0.0, 0.5, 3.0]) for p in (drawn, copy))
+    assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(ours, theirs))
 
 
 def test_run_simulate_builds_the_estimator_ladder_once(monkeypatch):
@@ -706,7 +713,7 @@ def test_stacked_baselines_equal_one_tolerance_at_a_time(seed, count, horizon, s
     forecast = np.resize(helpers.DEFAULT_WEATHER, horizon) + rng.normal(0.0, 2.0, horizon)
     prices = np.resize(helpers.DEFAULT_WHOLESALE, horizon) * rng.uniform(0.5, 2.0, horizon)
     consumption, payment, discomfort = simulate_population_day(population, prices, forecast, seed, 0, tolerances)
-    _, w, _ = _noise(population, seed, (DAY_NOISE_STREAM, 0), np.arange(count))
+    _, w, _ = _noise(population, seed, (DAY_NOISE_STREAM, 0), count)
     assert consumption.shape == (1 + len(tolerances), count, horizon)
     for tolerance, powers, rollout in zip(tolerances, consumption[1:], discomfort[1:]):
         expected = oracles.baseline_powers(population, forecast, tolerance)
