@@ -207,13 +207,6 @@ class AffineDemandModel:
         return price
 
 
-def _pow2(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` rounded by libm ``pow`` like Python float ``**``, in which
-    these squares were first written.  ``ndarray ** 2`` multiplies instead
-    and differs in the last bit for about one value in a thousand."""
-    return np.float_power(x, 2.0)
-
-
 def _consumer_sum(x: np.ndarray, count: int) -> np.ndarray:
     """Sum over ``count`` consumers of ``x``, (rows, width >= 2) with rows 1
     or ``count``, one consumer after another.
@@ -236,7 +229,7 @@ def _estimator_variance_ladder(population: Population) -> tuple[np.ndarray, np.n
     initial temperature).
     """
     alpha, q, r = (_distinct(getattr(population, name)) for name in ("alpha", "process_noise_var", "obs_noise_var"))
-    decay = _pow2(1.0 - alpha)
+    decay = (1.0 - alpha) * (1.0 - alpha)
     pred = np.empty((*np.broadcast_shapes(alpha.shape, q.shape, r.shape), population.horizon))
     gains = np.empty_like(pred)
     post = r
@@ -307,16 +300,17 @@ def _model_terms(population: Population) -> tuple[np.ndarray, np.ndarray, float]
     keep = 1.0 - alpha
     unit = 1.0 / (2.0 * mu * beta * beta)
     terms = np.empty((max(len(unit), len(pred)), 2 * n + 3))
-    terms[:, 0], terms[:, 1], terms[:, 2] = unit, (1.0 + _pow2(keep)) * unit, (alpha - 1.0) * unit
+    terms[:, 0], terms[:, 1], terms[:, 2] = unit, (1.0 + keep * keep) * unit, (alpha - 1.0) * unit
     terms[:, 3] = -mu * pred.sum(axis=1)
 
     # Demand deviations are (1-alpha)/beta times the estimator's deviation
     # from its target one hour earlier.  Those deviations are uncorrelated
     # across hours except against the initial reading, whose error is
     # anti-correlated with the estimate itself.
-    scale, keep, gains = _pow2(keep / beta)[:, None], keep[:, None], gains[:, :-1]
+    ratio = keep / beta
+    scale, keep, gains = (ratio * ratio)[:, None], keep[:, None], gains[:, :-1]
     # deviation variance of the estimate entering each hour
-    xi_var = np.column_stack([r, _pow2(gains) * (pred[:, :-1] + r[:, None])])
+    xi_var = np.column_stack([r, gains * gains * (pred[:, :-1] + r[:, None])])
     # Cov(initial deviation, filter error) entering each later hour
     gamma = np.cumprod(np.column_stack([-r, (1.0 - gains[:, :-1]) * keep]), axis=1)
     terms[:, 4:n + 4], terms[:, n + 4:] = scale * xi_var, scale * gains * keep * gamma

@@ -121,9 +121,11 @@ def optimal_price_renewable(
     equation).  Otherwise it moves along the step only as far as the
     objective, concave and piecewise quadratic in ``d``, keeps rising, and
     reclassifies: full steps alone can jump hours back and forth across a
-    narrow (0, capacity) band forever.  When capacity does not exceed the
-    lowest optimal demand the start is already exact, and the no-renewable
-    tariff is returned as ``optimal_price`` computes it.
+    narrow (0, capacity) band forever.  Hours that sit on a kink can still
+    flip forever, so when the solves run out the point is returned if its
+    residual is rounding error, and any other raises.  When capacity does
+    not exceed the lowest optimal demand the start is already exact, and the
+    no-renewable tariff is returned as ``optimal_price`` computes it.
     """
     _check_eta(eta)
     if renew.capacity == 0.0:
@@ -178,7 +180,12 @@ def optimal_price_renewable(
             return model.solve(model.intercept_mean - (demand + step))
         demand = demand + step_length(demand, step, residual) * step
         hours = regime(demand)
-    residual = float(np.abs(foc_residual(demand)).max())
+    # rounding error: within 64 epsilons of the terms the condition subtracts
+    residual = np.abs(foc_residual(demand))
+    terms = (2.0 - eta) * (np.abs(demand) + np.abs(start)) + np.abs(model.gain) @ margin
+    if np.all(residual <= 64.0 * np.finfo(float).eps * terms):
+        return model.solve(model.intercept_mean - demand)
+    residual = float(residual.max())
     raise NonConvergenceError(
         f"no consistent demand regime after {max_solves} linear solves "
         f"(first-order residual {residual:.3e})",

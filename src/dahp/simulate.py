@@ -55,15 +55,11 @@ DAY_NOISE_STREAM = 2        # (seed, 2, day): a day's noise, consumers as rows
 REPLICATE_NOISE_STREAM = 3  # (seed, 3, consumer_id): one consumer's replicate days as rows
 
 
-def _seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
-    if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (seed, *key)):
-        raise ValueError("seed and stream keys must be nonnegative integers")
-    return np.random.SeedSequence((int(seed), *map(int, key)))
-
-
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Deterministic Philox generator for a (seed, *key) coordinate."""
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *key)))
+    if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (seed, *key)):
+        raise ValueError("seed and stream keys must be nonnegative integers")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((int(seed), *map(int, key)))))
 
 
 def _row_words(horizon: int) -> int:
@@ -73,11 +69,10 @@ def _row_words(horizon: int) -> int:
 
 
 def _noise_words(seed: int, stream: tuple[int, ...], count: int, width: int) -> np.ndarray:
-    """(count, width) raw words of the Philox stream keyed by ``(seed,
+    """(count, width) raw words of the Philox stream of ``substream(seed,
     *stream)``, one ``random_raw`` call from counter 0: row ``r`` starts at
     counter ``r * width / 4``."""
-    key = _seed_sequence(seed, *stream).generate_state(2, np.uint64)
-    return np.random.Philox(key=key).random_raw(count * width).reshape(count, width)
+    return substream(seed, *stream).bit_generator.random_raw(count * width).reshape(count, width)
 
 
 def _box_muller(words: np.ndarray, count: int) -> np.ndarray:

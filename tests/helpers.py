@@ -1,6 +1,8 @@
 """Shared factories for randomized test instances."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from dahp import (
@@ -16,6 +18,7 @@ from dahp import (
 from dahp.experiments import load_inputs
 from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
 
+DEMO_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
 DEFAULT_WEATHER = synthetic_weather(1)[0].values
 DEFAULT_WHOLESALE = synthetic_wholesale(1)[0].values
 

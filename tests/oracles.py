@@ -16,8 +16,9 @@ Keeping the oracles dumb and slow is the point.
 
 The last section is different: thin drivers over the library's own
 rollouts and evaluators that only tests need (replicate days of one
-consumer for Monte Carlo estimates, mean demand, battery-owner objectives,
-the most profitable tariff above a surplus floor),
+consumer for Monte Carlo estimates, the rollout's exact noise-to-consumption
+maps, mean demand, battery-owner objectives, the most profitable tariff
+above a surplus floor),
 and the one-tolerance-at-a-time thermostat baseline that the simulator's
 stacked rollout of every tolerance must match bit for bit.
 """
@@ -114,7 +115,9 @@ def brute_affine_map(alpha, beta, mu, setpoints, forecast):
 
 def _floats(params: Population) -> tuple[float, float, float, float, float]:
     """(alpha, beta, mu, process_noise_var, obs_noise_var) of a one-row
-    population as Python floats, so ``**`` squares them with libm ``pow``."""
+    population as Python floats.  The oracles square them by multiplying, as
+    the library does: a product rounds correctly on every platform, where
+    ``**`` rounds as the C library's ``pow`` does."""
     return tuple(float(getattr(params, name)[0])
                  for name in ("alpha", "beta", "mu", "process_noise_var", "obs_noise_var"))
 
@@ -137,7 +140,7 @@ def scalar_consumer_model(params, forecast):
     gain = np.zeros((n, n))
     gain[0, 0] = unit
     for i in range(1, n):
-        gain[i, i] = (1.0 + (1.0 - alpha) ** 2) * unit
+        gain[i, i] = (1.0 + (1.0 - alpha) * (1.0 - alpha)) * unit
         gain[i, i - 1] = gain[i - 1, i] = (alpha - 1.0) * unit
     intercept = np.empty(n)
     intercept[0] = ((1.0 - alpha) * t[0] + alpha * forecast[0] - t[0]) / beta
@@ -146,15 +149,15 @@ def scalar_consumer_model(params, forecast):
 
     pred, gains, post = np.empty(n), np.empty(n), r
     for i in range(n):
-        pred[i] = (1.0 - alpha) ** 2 * post + q
+        pred[i] = (1.0 - alpha) * (1.0 - alpha) * post + q
         denom = pred[i] + r
         gains[i] = pred[i] / denom if denom > 0.0 else 0.0
         post = (1.0 - gains[i]) * pred[i]
-    scale = ((1.0 - alpha) / beta) ** 2
+    scale = ((1.0 - alpha) / beta) * ((1.0 - alpha) / beta)
     xi_var = np.empty(n)
     xi_var[0] = r
     for m in range(1, n):
-        xi_var[m] = gains[m - 1] ** 2 * (pred[m - 1] + r)
+        xi_var[m] = gains[m - 1] * gains[m - 1] * (pred[m - 1] + r)
     cov = np.diag(scale * xi_var)
     gamma = -r
     for m in range(1, n):
@@ -210,7 +213,7 @@ def kalman_step(est: EstimatorState, obs, params, applied_power: float,
     """
     alpha, beta, _, q, r = _floats(params)
     pred_mean = (1.0 - alpha) * est.indoor_est + alpha * est.outdoor_pred - beta * applied_power
-    pred_var = (1.0 - alpha) ** 2 * est.indoor_var + q
+    pred_var = (1.0 - alpha) * (1.0 - alpha) * est.indoor_var + q
     denom = pred_var + r
     gain = pred_var / denom if denom > 0.0 else 0.0
     indoor_est = pred_mean + gain * (obs[0] - pred_mean)
@@ -611,6 +614,31 @@ def simulate_days(params: Population, prices: Sequence[float], weather: Sequence
     pi, forecast, v0, w, v = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
     (consumption,), (discomfort,) = _rollout(params, pi, forecast, (), v0, w, v)
     return consumption, consumption @ pi, discomfort
+
+
+def rollout_maps(population: Population, prices: Sequence[float], forecast: Sequence[float]):
+    """Policy 0's noise-free consumption (consumers, N), and each consumer's
+    map L (consumers, 2N + 1, N) from its noise (v0, w, v) to its
+    consumption.
+
+    Given the prices and the forecast, the rollout is affine in the noise:
+    row ``j`` of ``L[k]`` is consumer ``k``'s response to a unit impulse in
+    noise entry ``j``, read from one more ``_rollout`` with that impulse in
+    every consumer's row."""
+    n, count = population.horizon, len(population)
+    pi, forecast = as_prices(prices, n), as_forecast(forecast, n)
+
+    def consumption(noise: np.ndarray) -> np.ndarray:
+        (rows,), _ = _rollout(population, pi, forecast, (), noise[:, 0], noise[:, 1:n + 1], noise[:, n + 1:])
+        return rows
+
+    base = consumption(np.zeros((count, 2 * n + 1)))
+    maps = np.empty((count, 2 * n + 1, n))
+    for j in range(2 * n + 1):
+        impulse = np.zeros((count, 2 * n + 1))
+        impulse[:, j] = 1.0
+        maps[:, j] = consumption(impulse) - base
+    return base, maps
 
 
 def baseline_days(params: Population, tolerance: float, prices: Sequence[float], weather: Sequence[float],

@@ -502,6 +502,22 @@ def test_overflowing_population_model_exit_4(tmp_path, capsys, command, key, val
     _assert_failed(*result, 4, "numerical")
 
 
+def test_renewable_at_a_point_solved_to_rounding_exit_0(tmp_path, capsys):
+    # alpha 1e-20 puts hours exactly on the zero-demand kink at four (eta, K)
+    # cells, and the regime test flips them between classifications until
+    # the solves run out: a residual that is rounding error is a solution
+    config = _demo_config(tmp_path, [("consumers.count", 10), ("consumers.alpha", 1e-20)])
+    code, _, stderr = _run(["renewable", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    assert (code, stderr) == (0, "")
+    assert len((tmp_path / "o" / "renewable.csv").read_text().splitlines()) == 1 + 33
+
+
+def test_renewable_without_a_consistent_regime_exit_4(tmp_path, capsys):
+    config = _demo_config(tmp_path, [("consumers.count", 10), ("consumers.mu", 1e-300)])
+    result = _run(["renewable", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(*result, 4, "numerical", "no consistent demand regime")
+
+
 def test_unbounded_battery_lp_exit_4(tmp_path, capsys):
     # Warm set points drive the eta = 0 seed tariff below zero in one hour;
     # with losses and no rate limits the battery LP is then unbounded, which

@@ -240,14 +240,6 @@ def test_estimator_constants_match_monte_carlo():
         assert np.max(np.abs(sample_cov - model.intercept_cov)) < 0.05 * scale + 5e-4
 
 
-def test_squares_round_like_python_floats():
-    # the model's squares keep the rounding of Python float ``**``
-    from dahp.demand import _pow2
-
-    values = np.random.default_rng(49).uniform(0.0, 1.0, size=20_000)
-    assert np.array_equal(_pow2(values), [v ** 2 for v in values.tolist()])
-
-
 @pytest.mark.parametrize("field", ["mu", "process_noise_var", "obs_noise_var"])
 def test_params_reject_nan(field):
     with pytest.raises(ValueError):
@@ -328,12 +320,44 @@ def test_cached_model_terms_equal_fresh_builds_bit_for_bit():
 # shared parameters: one row carried to every consumer by broadcasting
 # ---------------------------------------------------------------------------
 
-def _consumer_order_bits(consumers, weather) -> tuple[bytes, ...]:
-    """Bytes of the one-consumer models added in consumer order, starting
-    from the first model (so a sum of ``-0.0`` stays ``-0.0``)."""
-    terms = ((m.gain, m.intercept_mean, m.intercept_cov, np.float64(m.cs_constant))
-             for m in (build_consumer_model(p, weather) for p in consumers))
+def _library_terms(consumer, weather):
+    return dataclasses.astuple(build_consumer_model(consumer, weather))
+
+
+def _consumer_order_bits(consumers, weather, build=_library_terms) -> tuple[bytes, ...]:
+    """Bytes of the one-consumer (gain, intercept_mean, intercept_cov,
+    cs_constant) terms of ``build``, the library's one-row models by
+    default, added in consumer order, starting from the first consumer's
+    (so a sum of ``-0.0`` stays ``-0.0``)."""
+    terms = ((g, b, c, np.float64(k)) for g, b, c, k in (build(p, weather) for p in consumers))
     return tuple(x.tobytes() for x in reduce(lambda a, b: tuple(x + y for x, y in zip(a, b)), terms))
+
+
+def _squares_apart(values: np.ndarray, of) -> np.ndarray:
+    """The entries of ``values`` at which libm ``pow`` and a product square
+    ``of(value)`` differently (about one in a thousand)."""
+    x = of(values)
+    return values[np.float_power(x, 2.0) != x * x]
+
+
+def test_population_model_squares_like_the_scalar_oracle_where_pow_rounds_otherwise():
+    # alpha where pow and a product round (1 - alpha)^2 apart, and a beta
+    # where they round ((1 - alpha) / beta)^2 apart, found by a seeded search:
+    # the model squares by multiplying, like the hour-by-hour oracle
+    rng = np.random.default_rng(74)
+    alpha = _squares_apart(rng.uniform(0.05, 0.95, 100_000), lambda a: 1.0 - a)[:6]
+    beta = rng.uniform(0.05, 0.3, 6) * np.array([1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+    beta[0] = _squares_apart(rng.uniform(0.05, 0.3, 100_000), lambda b: (1.0 - alpha[0]) / b)[0]
+    weather = helpers.DEFAULT_WEATHER + rng.normal(0.0, 3.0, 24)
+    noise = dict(process_noise_var=rng.uniform(0.0, 0.02, 6), obs_noise_var=rng.uniform(0.005, 0.02, 6))
+    ranged = Population(alpha=alpha, beta=beta, mu=rng.uniform(0.2, 0.8, 6),
+                        desired_temp=rng.uniform(18.0, 22.0, (6, 24)), **noise)
+    shared = dataclasses.replace(ranged, alpha=np.broadcast_to(alpha[1], 6),
+                                 **{name: np.broadcast_to(values[0], 6) for name, values in noise.items()})
+    for population in (ranged, shared):
+        bits = _bits(population_model(population, weather))
+        assert bits == _consumer_order_bits(population, weather)
+        assert bits == _consumer_order_bits(population, weather, oracles.scalar_consumer_model)
 
 
 _NOISE_VARIANCES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 2.0**-1040, 1e-310]), st.floats(0.0, 0.1))

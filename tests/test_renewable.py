@@ -1,4 +1,6 @@
 """Tests for renewable-aware profit, pricing, and the benefit split."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -21,6 +23,7 @@ from dahp import (
     optimal_price_renewable,
     uniform_shortfall_expectation,
 )
+from dahp.config import load_config
 from oracles import mean_demand
 
 
@@ -191,6 +194,13 @@ def _assert_exact_and_optimal(model, cost, renew, eta):
     availability = np.clip(demand / renew.capacity, 0.0, 1.0)
     mapped = (model.intercept_mean - model.gain @ (nu + (cost.mean - nu) * availability)) / (2.0 - eta)
     assert np.max(np.abs(mapped - demand)) <= 1e-12 * np.max(np.abs(demand))
+    _assert_no_better_optimum(model, cost, renew, eta, pi)
+
+
+def _assert_no_better_optimum(model, cost, renew, eta, pi):
+    """A quasi-Newton optimum of the weighted objective (the independent
+    oracle) does no better than the tariff ``pi``."""
+    nu = renew.cost_vector(model.horizon)
 
     def negated(p):
         return -(expected_rp_renewable(model, p, cost, renew) + eta * expected_cs(model, p))
@@ -230,6 +240,23 @@ def test_small_plant_with_unserved_hours_converges():
             for multiple in (0.02, 0.05, 0.1):
                 renew = RenewableModel(capacity=multiple * float(demand.mean()), marginal_cost=0.02)
                 _assert_exact_and_optimal(model, cost, renew, eta)
+
+
+@pytest.mark.parametrize("eta, capacity", [(np.linspace(0.0, 1.0, 11)[index], capacity)  # the demo's eta grid
+                                           for index, capacity in ((3, 10.0), (6, 10.0), (7, 10.0), (7, 50.0))])
+def test_hours_on_the_zero_demand_kink_are_solved(eta, capacity):
+    # alpha 1e-20 puts several hours of the demo's solution exactly on the
+    # zero-demand kink, and the regime test flips them between classes until
+    # the solves run out: the point they stop at is the optimum
+    # (every hour's demand is near 0, so the residual is relative to G lambda)
+    config = load_config(helpers.DEMO_CONFIG)
+    model, cost = helpers.mean_day_market(replace(config, consumers=replace(config.consumers, alpha=1e-20)))
+    renew = RenewableModel(capacity=capacity)
+    pi = optimal_price_renewable(model, cost, renew, eta)
+    demand = model.intercept_mean - model.gain @ pi
+    mapped = (model.intercept_mean - model.gain @ (cost.mean * np.clip(demand / capacity, 0.0, 1.0))) / (2.0 - eta)
+    assert np.max(np.abs(mapped - demand)) <= 1e-12 * np.max(np.abs(model.gain @ cost.mean))
+    _assert_no_better_optimum(model, cost, renew, eta, pi)
 
 
 def test_price_optimality_against_local_perturbations():

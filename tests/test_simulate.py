@@ -2,6 +2,7 @@
 import statistics
 import tracemalloc
 from dataclasses import astuple, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from dahp import (
     simulate_population_day,
     substream,
 )
-from dahp.config import ExperimentConfig, PopulationSpec, SeriesSpec, SimulateSpec, draw_population
+from dahp.config import ExperimentConfig, PopulationSpec, SeriesSpec, SimulateSpec, draw_population, load_config
 from dahp.pricing import expected_cs
 from dahp.simulate import (
     DAY_NOISE_STREAM,
@@ -555,6 +556,59 @@ def test_population_model_is_the_consumer_order_sum():
             assert np.array_equal(model.intercept_mean, intercept)
             assert np.array_equal(model.intercept_cov, cov)
             assert model.cs_constant == cs
+
+
+def _demo_day(count: int | None = None) -> tuple[Population, np.ndarray, np.ndarray]:
+    """The demo config's population (or a ``count``-consumer draw of it),
+    its first weather day and that day's optimal tariff, as ``run_simulate``
+    prices it."""
+    config = load_config(helpers.DEMO_CONFIG)
+    if count is not None:
+        config = replace(config, consumers=replace(config.consumers, count=count))
+    population, (day, *_), cost = experiments.load_inputs(config)
+    return population, optimal_price(population_model(population, day.values), cost, config.simulate.eta), day.values
+
+
+def _heating_and_cooling() -> tuple[Population, np.ndarray, np.ndarray]:
+    """A ranged heating population of 30 and a ranged cooling one, as one."""
+    ranges = dict(alpha=[0.3, 0.7], mu=[0.2, 0.8], desired_temp=[18.0, 22.0],
+                  process_noise_var=[0.0, 0.02], obs_noise_var=[0.005, 0.02])
+    population = Population.of([draw_population(PopulationSpec(count=30, beta=beta, **ranges), seed)
+                                for seed, beta in ((41, [-0.2, -0.05]), (42, [0.05, 0.2]))])
+    rng = np.random.default_rng(43)
+    return population, rng.uniform(0.05, 0.3, 24), helpers.DEFAULT_WEATHER + rng.normal(0.0, 3.0, 24)
+
+
+def _one_consumer(horizon: int) -> tuple[Population, np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(44 + horizon)
+    return helpers.random_params(rng, horizon), rng.uniform(0.05, 0.3, horizon), rng.uniform(25.0, 35.0, horizon)
+
+
+_ROLLOUT_MAP_CASES = {
+    "demo": _demo_day,
+    "demo-1000": lambda: _demo_day(1000),
+    "ranged heating and cooling": _heating_and_cooling,
+    **{f"horizon {horizon}": partial(_one_consumer, horizon) for horizon in range(1, 7)},
+}
+
+
+def _relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
+    return float(np.abs(actual - expected).max() / np.abs(expected).max())
+
+
+@pytest.mark.parametrize("case", _ROLLOUT_MAP_CASES.values(), ids=_ROLLOUT_MAP_CASES)
+def test_rollout_maps_are_the_population_model(case):
+    # the rollout is affine in the noise: its noise-free aggregate is the
+    # model's mean demand b - G pi, and its noise maps L_k with the noise
+    # variances D_k = diag(r, q 1_N, r 1_N) give the intercept covariance
+    population, prices, forecast = case()
+    base, maps = oracles.rollout_maps(population, prices, forecast)
+    model = population_model(population, forecast)
+    assert _relative_error(base.sum(axis=0), model.intercept_mean - model.gain @ prices) < 1e-12
+    n, r, q = population.horizon, population.obs_noise_var[:, None], population.process_noise_var[:, None]
+    variances = np.hstack([r, np.repeat(q, n, axis=1), np.repeat(r, n, axis=1)])
+    cov = np.einsum("kji,kj,kjl->il", maps, variances, maps)
+    assert _relative_error(cov, model.intercept_cov) < 1e-12
 
 
 def _close_to_row(cells, expected) -> bool:
