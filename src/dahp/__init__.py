@@ -29,7 +29,6 @@ from .errors import (
 from .pricing import (
     Trace,
     WholesaleCost,
-    benchmark_prices,
     benchmark_trace,
     expected_cs,
     expected_rp,
@@ -69,7 +68,6 @@ __all__ = [
     # pricing
     "Trace",
     "WholesaleCost",
-    "benchmark_prices",
     "benchmark_trace",
     "expected_cs",
     "expected_rp",

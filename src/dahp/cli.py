@@ -1,11 +1,11 @@
 """Command-line interface.
 
-    dahp <command> --config <file> [--out <dir>] [--seed <u64>]
+    dahp <command> --config <file> [--out <dir>] [--seed <n>]
 
-Commands: pareto, benchmarks, renewable, storage, simulate.  Exit codes:
-0 success, 2 configuration error, 3 data error, 4 numerical
-non-convergence, 1 anything else.  Errors, a bad command line among them,
-print a single machine-parsable JSON line on stderr.
+Commands: pareto, benchmarks, renewable, storage, simulate.  ``<n>`` is a
+nonnegative integer of any size.  Exit codes: 0 success, 2 configuration
+error, 3 data error, 4 numerical non-convergence, 1 anything else.  Errors,
+a bad command line among them, print one machine-parsable JSON line on stderr.
 """
 from __future__ import annotations
 

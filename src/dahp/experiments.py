@@ -5,9 +5,11 @@ cost and the drawn population), passes them to one study, a function of
 its inputs that returns its tables, and writes those as schema-stable CSV
 files plus a ``manifest.json`` recording the config hash, package and numpy
 versions, wall time, and the deterministic solver counters of the run
-(``counters``; per-eta search counters for ``storage``).  Float cells are formatted to four decimals;
-rerunning a command with the same config and seed reproduces the CSV bytes
-exactly (the manifest's wall time is the one intentionally volatile field).
+(``counters``; per-eta search counters for ``storage``).  Float cells are
+formatted to four decimals; rerunning a command with the same config and
+seed reproduces the CSV bytes exactly (the manifest's wall time is the one
+intentionally volatile field).  Each benchmark tariff family is a sweep of
+``theta`` and a direction ``V``, priced as ``theta * V`` by ``benchmark_trace``.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    BenchmarkSpec,
     ExperimentConfig,
     SeriesSpec,
     batteries_from_spec,
@@ -213,19 +216,22 @@ def run_pareto(config: ExperimentConfig, population: Population, weather: list[H
     return {"tradeoff.csv": (["eta", "cs", "rp", "sw", *_PRICE_COLUMNS], columns)}, {}
 
 
-def _default_sweeps(
-    model: AffineDemandModel, cost: WholesaleCost, points: int, tou_ratio: float
-) -> dict[str, np.ndarray]:
-    """Sweep grids spanning the economically interesting range: from below
-    the wholesale level up toward the zero-demand price."""
+def _benchmark_families(model: AffineDemandModel, cost: WholesaleCost,
+                        spec: BenchmarkSpec) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each benchmark family's ``theta`` sweep, from below the wholesale level
+    up toward the zero-demand price, and its direction ``V``: 1 (flat), 1
+    off-peak and ``tou_ratio`` on ``[peak_start, peak_end)`` (time-of-use),
+    or ``lambda`` (proportional markup).  Its tariffs are ``theta * V``."""
     lam = cost.mean
     level_hi = float(np.mean(model.zero_demand_price))
     level_lo = 0.5 * float(lam.min())
     gamma_hi = max(2.0, level_hi / float(np.mean(lam)))
+    tou = np.ones(cost.horizon)
+    tou[spec.peak_start:spec.peak_end] = spec.tou_ratio
     return {
-        "cp": np.linspace(level_lo, level_hi, points),
-        "tou": np.linspace(level_lo, level_hi / tou_ratio, points),
-        "pmp": np.linspace(0.5, gamma_hi, points),
+        "cp": (np.linspace(level_lo, level_hi, spec.points), np.ones(cost.horizon)),
+        "tou": (np.linspace(level_lo, level_hi / spec.tou_ratio, spec.points), tou),
+        "pmp": (np.linspace(0.5, gamma_hi, spec.points), lam),
     }
 
 
@@ -235,12 +241,14 @@ def run_benchmarks(config: ExperimentConfig, population: Population, weather: li
     spec = config.benchmarks
     front = pareto_front(model, cost, np.linspace(0.0, 1.0, spec.points))
     tables = {"benchmark_dahp.csv": (["param", "cs", "rp"], [front.param, front.cs, front.rp])}
-    for scheme, sweep in _default_sweeps(model, cost, spec.points, spec.tou_ratio).items():
-        trace = benchmark_trace(
-            model, cost, scheme, sweep,
-            tou_ratio=spec.tou_ratio, peak_start=spec.peak_start, peak_end=spec.peak_end,
-        )
-        tables[f"benchmark_{scheme}.csv"] = (["param", "cs", "rp"], [trace.param, trace.cs, trace.rp])
+    for family, (sweep, direction) in _benchmark_families(model, cost, spec).items():
+        if not np.isfinite(sweep).all():  # a tou_ratio near 0 puts the TOU sweep's top past 1e308
+            raise NumericalError(f"{family} benchmark sweep overflows")
+        try:
+            trace = benchmark_trace(model, cost, sweep, direction)
+        except NumericalError as exc:
+            raise NumericalError(f"{family} {exc}") from exc
+        tables[f"benchmark_{family}.csv"] = (["param", "cs", "rp"], [trace.param, trace.cs, trace.rp])
     return tables, {}
 
 

@@ -16,12 +16,14 @@ solves once and caches.
 
 ``expected_cs`` and ``expected_rp`` validate their tariffs and call the
 only places the two formulas are written, ``_cs`` and ``_rp``, which
-callers holding already-checked tariffs (the storage search) call
-directly.  They take one tariff or a (k, N) stack of tariffs, so a whole
-front or benchmark sweep is one evaluator call; a stacked row gives the
-same bits as the same tariff alone.  ``pareto_front`` and
-``benchmark_trace`` return that sweep as a ``Trace`` of columns: the
-parameters (k,), the tariffs (k, N), and their cs and rp (k,).
+callers holding already-checked tariffs (the storage search and the
+benchmark traces) call directly.  They take one tariff or a (k, N) stack
+of tariffs, so a whole front or benchmark sweep is one evaluator call; a
+stacked row gives the same bits as the same tariff alone.  A benchmark
+tariff is one member ``theta * V`` of a family given by its direction
+``V``; the caller chooses ``V`` and the sweep of ``theta``.
+``pareto_front`` and ``benchmark_trace`` return a sweep as a ``Trace`` of
+columns: the parameters (k,), the tariffs (k, N), and their cs and rp (k,).
 """
 from __future__ import annotations
 
@@ -32,8 +34,6 @@ import numpy as np
 
 from .demand import AffineDemandModel, as_prices
 from .errors import NumericalError
-
-BENCHMARK_SCHEMES = ("cp", "tou", "pmp")
 
 
 @dataclass(eq=False)
@@ -175,62 +175,25 @@ def profit_upper_bound(model: AffineDemandModel, cost: WholesaleCost,
     return float(bound) if bound.ndim == 0 else bound
 
 
-def benchmark_prices(
-    scheme: str,
-    param: float | Sequence[float],
-    cost: WholesaleCost,
-    tou_ratio: float = 1.2,
-    peak_start: int = 9,
-    peak_end: int = 17,
-) -> np.ndarray:
-    """Tariff vector for one benchmark scheme and sweep parameter; a vector
-    of k parameters gives a (k, N) stack, one tariff per parameter.
-
-    cp: flat price ``param`` every hour.
-    tou: off-peak price ``param``, scaled by ``tou_ratio`` for hours whose
-        start lies in ``[peak_start, peak_end)`` (defaults: 9am-5pm, 1.2x).
-    pmp: proportional markup ``param * wholesale mean``.
-    """
-    scheme = scheme.lower()
-    n = cost.horizon
-    level = np.asarray(param, dtype=float)[..., None]
-    if scheme == "cp":
-        return np.repeat(level, n, axis=-1)
-    if scheme == "tou":
-        if not 0 <= peak_start < peak_end <= n:
-            raise ValueError("invalid peak window")
-        prices = np.repeat(level, n, axis=-1)
-        prices[..., peak_start:peak_end] *= tou_ratio
-        return prices
-    if scheme == "pmp":
-        return level * cost.mean
-    raise ValueError(f"unknown benchmark scheme {scheme!r}; expected one of {BENCHMARK_SCHEMES}")
-
-
-def benchmark_trace(
-    model: AffineDemandModel,
-    cost: WholesaleCost,
-    scheme: str,
-    sweep: Sequence[float],
-    tou_ratio: float = 1.2,
-    peak_start: int = 9,
-    peak_end: int = 17,
-) -> Trace:
-    """Surplus/profit trace of a benchmark tariff over a parameter sweep,
-    whose values are the trace's ``param``.  A tariff whose prices, cs or
-    rp overflow raises ``NumericalError``.
+def benchmark_trace(model: AffineDemandModel, cost: WholesaleCost, sweep: Sequence[float],
+                    direction: Sequence[float]) -> Trace:
+    """Surplus/profit trace of the one-parameter tariff family
+    ``theta * direction`` over a sweep of ``theta``, whose values are the
+    trace's ``param``.  A sweep that is not a finite vector, or a direction
+    that ``as_prices`` rejects, raises ``ValueError``; a tariff whose
+    prices, cs or rp overflow raises ``NumericalError``.
     """
     _check_horizon(model, cost)
+    direction = as_prices(direction, model.horizon)
     params = np.asarray(sweep, dtype=float)
-    if params.ndim != 1:
-        raise ValueError("benchmark sweep must be a vector")
+    if params.ndim != 1 or not np.isfinite(params).all():
+        raise ValueError("benchmark sweep must be a finite vector")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow raises below
-        prices = benchmark_prices(scheme, params, cost, tou_ratio, peak_start, peak_end)
-        if np.all(np.isfinite(prices)):
-            cs, rp = expected_cs(model, prices), expected_rp(model, prices, cost)
-            if np.all(np.isfinite(cs)) and np.all(np.isfinite(rp)):
-                return Trace(params, prices, cs, rp)
-    raise NumericalError(f"{scheme} benchmark tariffs overflow: a price, cs or rp is not finite")
+        prices = params[:, None] * direction
+        cs, rp = _cs(model, prices), _rp(model, prices, cost)
+    if np.isfinite(prices).all() and np.isfinite(cs).all() and np.isfinite(rp).all():
+        return Trace(params, prices, cs, rp)
+    raise NumericalError("benchmark tariffs overflow: a price, cs or rp is not finite")
 
 
 def _check_eta(eta: float | np.ndarray) -> None:

@@ -9,9 +9,10 @@ made out of place, one fresh array per step, by the tangent half-angle
 Box-Muller the simulator uses and, as its yardstick, by calling ``cos``
 and ``sin``.  The population model is
 rebuilt from each consumer's scalar formulas, the simplex's kernels are
-written out as the row-at-a-time loops and products they replace, and the
+written out as the row-at-a-time loops and products they replace, the
 battery LP's reduced-cost map and plan check as the ``np.delete`` and
-``np.split`` forms their index-array versions replace.
+``np.split`` forms their index-array versions replace, and the benchmark
+tariffs as the per-family price code that their direction vectors replace.
 Keeping the oracles dumb and slow is the point.
 
 The last section is different: thin drivers over the library's own
@@ -347,7 +348,7 @@ def csv_text(header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# scalar pricing grid oracles (single-hour models)
+# pricing oracles: single-hour grids and benchmark tariffs by family name
 # ---------------------------------------------------------------------------
 
 def scalar_optimal_price(gain, intercept, wholesale, eta, lo=0.0, hi=1.0, points=2_000_001):
@@ -357,6 +358,26 @@ def scalar_optimal_price(gain, intercept, wholesale, eta, lo=0.0, hi=1.0, points
     cs = 0.5 * gain * pi * pi - intercept * pi
     rp = (pi - wholesale) * demand
     return float(pi[np.argmax(rp + eta * cs)])
+
+
+def benchmark_prices(scheme: str, param, cost: WholesaleCost, tou_ratio: float, peak_start: int,
+                     peak_end: int) -> np.ndarray:
+    """A benchmark tariff built by its family's name, the way the library
+    built them before a family became its direction vector: a flat price
+    ``param`` every hour (``cp``); the same with the hours in
+    ``[peak_start, peak_end)`` scaled by ``tou_ratio`` in place (``tou``);
+    or ``param`` times the wholesale mean (``pmp``).  A vector of k
+    parameters gives a (k, N) stack."""
+    level = np.asarray(param, dtype=float)[..., None]
+    if scheme == "cp":
+        return np.repeat(level, cost.horizon, axis=-1)
+    if scheme == "tou":
+        assert 0 <= peak_start < peak_end <= cost.horizon
+        prices = np.repeat(level, cost.horizon, axis=-1)
+        prices[..., peak_start:peak_end] *= tou_ratio
+        return prices
+    assert scheme == "pmp"
+    return level * cost.mean
 
 
 # ---------------------------------------------------------------------------

@@ -156,13 +156,14 @@ def test_06_benchmark_tariffs_never_beat_the_front():
     }
     failures = []
     for scheme, sweep in sweeps.items():
-        trace = benchmark_trace(model, cost, scheme, sweep, tou_ratio=1.2, peak_start=9, peak_end=17)
+        direction = oracles.benchmark_prices(scheme, 1.0, cost, tou_ratio=1.2, peak_start=9, peak_end=17)
+        trace = benchmark_trace(model, cost, sweep, direction)
         for param, cs, rp in zip(trace.param, trace.cs, trace.rp):
             margin = rp - profit_upper_bound(model, cost, cs)
             if margin > 1e-6 * scale:
                 failures.append(f"{scheme} exceeds the front by {margin:.2e} at param {param:.3f}")
                 break
-    unit_markup = benchmark_trace(model, cost, "pmp", [1.0])
+    unit_markup = benchmark_trace(model, cost, [1.0], cost.mean)
     _, welfare_cs, welfare_rp = helpers.front_point(model, cost, 1.0)
     if abs(unit_markup.cs[0] - welfare_cs) > 1e-10 or abs(unit_markup.rp[0] - welfare_rp) > 1e-10:
         failures.append("unit proportional markup does not reproduce the welfare point")

@@ -547,6 +547,14 @@ def test_overflowing_benchmark_tariffs_exit_4(tmp_path, capsys, ratio):
     _assert_failed(*result, 4, "numerical", "tou")
 
 
+def test_a_tou_sweep_past_the_largest_float_exit_4(tmp_path, capsys):
+    # a subnormal ratio puts the TOU sweep's top, the zero-demand level
+    # over the ratio, at infinity: a numerical failure, not bad input
+    config = _demo_config(tmp_path, [("benchmarks.tou_ratio", 1e-310)])
+    result = _run(["benchmarks", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
+    _assert_failed(*result, 4, "numerical", "tou benchmark sweep")
+
+
 @pytest.mark.parametrize("command, change, named", [
     ("benchmarks", ("benchmarks.tou_ratio", 1e308), "tou"),
     ("simulate", ("simulate.thermostat_tolerances", [0.0, 1e308]), "baseline.csv"),

@@ -16,8 +16,8 @@ from dahp.experiments import (
     _PRICE_COLUMNS,
     _RUNNERS,
     COMMANDS,
+    _benchmark_families,
     _csv_body,
-    _default_sweeps,
     _percent_body,
     _ticks,
     _write_tables,
@@ -26,7 +26,7 @@ from dahp.experiments import (
     run_experiment,
     run_pareto,
 )
-from dahp.pricing import benchmark_prices, expected_cs, expected_rp, optimal_price
+from dahp.pricing import benchmark_trace, expected_cs, expected_rp, optimal_price
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -66,14 +66,31 @@ def test_tou_sweep_peak_ends_at_zero_demand_price(ratio):
     config = ExperimentConfig(seed=3, consumers=PopulationSpec(count=3), benchmarks=BenchmarkSpec(tou_ratio=ratio))
     model, cost = helpers.mean_day_market(config)
     zero_demand_level = float(np.mean(model.solve(model.intercept_mean)))
-    last = _default_sweeps(model, cost, 5, ratio)["tou"][-1]
-    prices = benchmark_prices("tou", last, cost, ratio, peak_start=9, peak_end=17)
+    sweep, direction = _benchmark_families(model, cost, config.benchmarks)["tou"]
+    prices = sweep[-1] * direction
     assert prices[9:17] == pytest.approx(zero_demand_level, rel=1e-14)
     assert prices[:9] == pytest.approx(zero_demand_level / ratio, rel=1e-14)
 
 
-def test_pipeline_csvs_match_rows_built_one_tariff_at_a_time(tmp_path):
-    spec = BenchmarkSpec(points=7, tou_ratio=1.5, peak_start=3, peak_end=20)
+def test_benchmark_families_are_theta_times_their_direction():
+    spec = BenchmarkSpec(points=5, tou_ratio=1.5, peak_start=3, peak_end=20)
+    config = ExperimentConfig(seed=3, consumers=PopulationSpec(count=3), benchmarks=spec)
+    model, cost = helpers.mean_day_market(config)
+    families = _benchmark_families(model, cost, spec)
+    assert list(families) == ["cp", "tou", "pmp"]
+    directions = {family: direction for family, (_, direction) in families.items()}
+    assert np.array_equal(directions["cp"], np.ones(24))
+    assert np.array_equal(directions["tou"], np.r_[np.ones(3), np.full(17, 1.5), np.ones(4)])
+    assert np.array_equal(directions["pmp"], cost.mean)
+    for family, (sweep, direction) in families.items():
+        assert sweep.shape == (5,)
+        trace = benchmark_trace(model, cost, sweep, direction)
+        assert np.array_equal(trace.price, oracles.benchmark_prices(family, sweep, cost, 1.5, 3, 20)), family
+
+
+@pytest.mark.parametrize("peak_start, peak_end", [(3, 20), (0, 24), (0, 1), (23, 24)])
+def test_pipeline_csvs_match_rows_built_one_tariff_at_a_time(tmp_path, peak_start, peak_end):
+    spec = BenchmarkSpec(points=7, tou_ratio=1.5, peak_start=peak_start, peak_end=peak_end)
     config = ExperimentConfig(seed=5, consumers=PopulationSpec(count=4), eta_grid=[0.0, 1.0, 11], benchmarks=spec)
     model, cost = helpers.mean_day_market(config)
     inputs = load_inputs(config)
@@ -95,8 +112,9 @@ def test_pipeline_csvs_match_rows_built_one_tariff_at_a_time(tmp_path):
     files = _write_tables(tmp_path, tables)
     assert files == ["benchmark_dahp.csv", "benchmark_cp.csv", "benchmark_tou.csv", "benchmark_pmp.csv"]
     expected = {"dahp": [row(eta, optimal_price(model, cost, eta)) for eta in np.linspace(0.0, 1.0, 7)]}
-    for scheme, sweep in _default_sweeps(model, cost, 7, 1.5).items():
-        expected[scheme] = [row(param, benchmark_prices(scheme, param, cost, 1.5, 3, 20)) for param in sweep]
+    for family, (sweep, _) in _benchmark_families(model, cost, spec).items():
+        expected[family] = [row(param, oracles.benchmark_prices(family, param, cost, 1.5, peak_start, peak_end))
+                            for param in sweep]
     for scheme, rows in expected.items():
         text = (tmp_path / f"benchmark_{scheme}.csv").read_text()
         assert text == oracles.csv_text(["param", "cs", "rp"], rows), scheme

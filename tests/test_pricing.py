@@ -11,7 +11,6 @@ from dahp import (
     InfeasibleConstraintError,
     NumericalError,
     WholesaleCost,
-    benchmark_prices,
     benchmark_trace,
     expected_cs,
     expected_rp,
@@ -301,32 +300,49 @@ def test_constrained_infeasible_names_max_cs():
 # benchmark tariffs
 # ---------------------------------------------------------------------------
 
-def test_benchmark_prices_shapes():
-    cost = WholesaleCost(mean=np.full(24, 0.1))
-    flat = benchmark_prices("cp", 0.25, cost)
-    assert np.all(flat == 0.25)
-    tou = benchmark_prices("tou", 0.2, cost)
-    assert np.all(tou[9:17] == pytest.approx(0.24))
-    assert np.all(tou[:9] == 0.2) and np.all(tou[17:] == 0.2)
-    pmp = benchmark_prices("pmp", 1.5, cost)
-    assert np.allclose(pmp, 0.15)
-    with pytest.raises(ValueError):
-        benchmark_prices("flat", 0.1, cost)
-    with pytest.raises(ValueError):
-        benchmark_prices("tou", 0.1, cost, peak_start=20, peak_end=10)
+def _direction(scheme, cost, tou_ratio=1.2, peak_start=9, peak_end=17):
+    """A family's direction V, its tariff at theta = 1 built by name."""
+    return oracles.benchmark_prices(scheme, 1.0, cost, tou_ratio, peak_start, peak_end)
+
+
+def test_benchmark_trace_prices_theta_times_the_direction():
+    model, cost = helpers.random_model(np.random.default_rng(91))
+    direction = np.linspace(0.5, 2.0, model.horizon)
+    trace = benchmark_trace(model, cost, [0.0, 0.25, -0.1], direction)
+    assert trace.price.shape == (3, model.horizon)
+    for theta, price in zip(trace.param, trace.price):
+        assert np.array_equal(price, theta * direction)
 
 
 def test_benchmark_trace_rejects_a_sweep_that_is_not_a_vector():
     model, cost = helpers.random_model(np.random.default_rng(90))
     for sweep in (0.1, [[0.1, 0.2]]):
         with pytest.raises(ValueError):
-            benchmark_trace(model, cost, "cp", sweep)
+            benchmark_trace(model, cost, sweep, np.ones(model.horizon))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_sweep_is_a_value_error(bad):
+    # not an overflow: the sweep was never finite
+    model, cost = helpers.random_model(np.random.default_rng(90))
+    with pytest.raises(ValueError, match="finite"):
+        benchmark_trace(model, cost, [0.1, bad], np.ones(model.horizon))
+
+
+@pytest.mark.parametrize("change", ["short", "long", "nan", "inf"])
+def test_a_direction_of_the_wrong_length_or_not_finite_is_a_value_error(change):
+    model, cost = helpers.random_model(np.random.default_rng(90))
+    n = model.horizon
+    direction = {"short": np.ones(n - 1), "long": np.ones(n + 1),
+                 "nan": np.r_[np.ones(n - 1), np.nan], "inf": np.r_[np.inf, np.ones(n - 1)]}[change]
+    with pytest.raises(ValueError):
+        benchmark_trace(model, cost, [0.1, 0.2], direction)
 
 
 def test_pmp_gamma_one_is_welfare_point():
     rng = np.random.default_rng(85)
     model, cost = helpers.random_model(rng)
-    trace = benchmark_trace(model, cost, "pmp", [0.8, 1.0, 1.2])
+    trace = benchmark_trace(model, cost, [0.8, 1.0, 1.2], cost.mean)
     _, welfare_cs, welfare_rp = helpers.front_point(model, cost, 1.0)
     gamma_one_cs, gamma_one_rp = trace.cs[1], trace.rp[1]
     assert abs(gamma_one_cs - welfare_cs) < 1e-10 * max(1.0, abs(welfare_cs))
@@ -337,7 +353,7 @@ def test_cp_on_flat_wholesale_hits_welfare_point():
     rng = np.random.default_rng(86)
     model, _ = helpers.random_model(rng)
     flat_cost = WholesaleCost(mean=np.full(24, 0.11))
-    trace = benchmark_trace(model, flat_cost, "cp", [0.11])
+    trace = benchmark_trace(model, flat_cost, [0.11], np.ones(24))
     _, welfare_cs, _ = helpers.front_point(model, flat_cost, 1.0)
     assert trace.cs[0] == pytest.approx(welfare_cs, abs=1e-12)
     assert trace.rp[0] == pytest.approx(0.0, abs=1e-12)
@@ -356,7 +372,7 @@ def test_benchmarks_never_beat_front():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NegativeDemandWarning)
         for scheme, sweep in sweeps.items():
-            trace = benchmark_trace(model, cost, scheme, sweep)
+            trace = benchmark_trace(model, cost, sweep, _direction(scheme, cost))
             for cs, rp in zip(trace.cs, trace.rp):
                 bound = profit_upper_bound(model, cost, cs)
                 assert rp <= bound + 1e-6 * scale, scheme
@@ -390,6 +406,9 @@ def test_stacked_evaluators_match_single_tariffs_bitwise(market):
 
 @pytest.mark.parametrize("market", [_demo_market, _toy3_market])
 def test_traces_equal_per_tariff_evaluation(market):
+    # each benchmark tariff, theta times its family's direction, has the
+    # bits of the tariff built by the family's name, on a middle peak
+    # window, the whole day, the first hour and the last hour
     model, cost = market()
     level = float(model.zero_demand_price.mean())
     sweeps = {"cp": np.linspace(0.01, level, 40), "tou": np.linspace(0.01, level / 1.5, 40),
@@ -398,13 +417,15 @@ def test_traces_equal_per_tariff_evaluation(market):
         assert np.array_equal(price, optimal_price(model, cost, eta))
         assert cs == expected_cs(model, price)
         assert rp == expected_rp(model, price, cost)
-    for scheme, sweep in sweeps.items():
-        trace = benchmark_trace(model, cost, scheme, sweep, tou_ratio=1.5, peak_start=1, peak_end=2)
-        for param, traced, cs, rp in zip(*trace):
-            price = benchmark_prices(scheme, param, cost, tou_ratio=1.5, peak_start=1, peak_end=2)
-            assert np.array_equal(traced, price), scheme
-            assert cs == expected_cs(model, price), scheme
-            assert rp == expected_rp(model, price, cost), scheme
+    n = model.horizon
+    for window in [(1, 2), (0, n), (0, 1), (n - 1, n)]:
+        for scheme, sweep in sweeps.items():
+            trace = benchmark_trace(model, cost, sweep, _direction(scheme, cost, 1.5, *window))
+            for param, traced, cs, rp in zip(*trace):
+                price = oracles.benchmark_prices(scheme, param, cost, 1.5, *window)
+                assert np.array_equal(traced, price), (scheme, window)
+                assert cs == expected_cs(model, price), (scheme, window)
+                assert rp == expected_rp(model, price, cost), (scheme, window)
 
 
 def test_stacked_tariffs_validated():
@@ -422,7 +443,7 @@ def test_zero_demand_price_solved_once_per_model():
     solve, calls = model.solve, []
     model.solve = lambda rhs: calls.append(rhs) or solve(rhs)
     pareto_front(model, cost)
-    benchmark_trace(model, cost, "cp", [0.1, 0.2])
+    benchmark_trace(model, cost, [0.1, 0.2], np.ones(model.horizon))
     helpers.front_point(model, cost, 0.3)
     profit_upper_bound(model, cost, 0.0)
     assert len(calls) == 1
@@ -439,4 +460,4 @@ def test_overflowing_benchmark_tariffs_raise_numerical_error(scheme, sweep, rati
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError):
-            benchmark_trace(model, cost, scheme, sweep, tou_ratio=ratio)
+            benchmark_trace(model, cost, sweep, _direction(scheme, cost, tou_ratio=ratio))
