@@ -46,6 +46,7 @@ from .renewable import (
 from .renewable import uniform_shortfall_expectation
 from .simulate import (
     simulate_population_day,
+    simulate_population_days,
     substream,
 )
 from .storage import (
@@ -83,6 +84,7 @@ __all__ = [
     "uniform_shortfall_expectation",
     # simulation
     "simulate_population_day",
+    "simulate_population_days",
     "substream",
     # storage
     "ArbitragePlan",

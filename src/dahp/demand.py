@@ -19,11 +19,13 @@ with numpy's LAPACK (``np.linalg.solve``).  A population's model is the sum
 of its consumers' models; ``population_model`` builds it from sums over a
 ``Population`` of parameter arrays, which caches the terms that do not
 depend on the forecast, all taken in one sum, while the intercept is summed
-one cache-sized block of consumers at a time.  A single consumer is a
-population of one.  A parameter stored once, as a zero-stride view the way
-``draw_population`` stores a config scalar, is one row that broadcasting
-carries to every consumer, so per-consumer terms are (rows, hours), rows 1
-or the consumer count; sums run in consumer order.
+one cache-sized block of consumers at a time.  Given a (days, N) stack of
+forecasts it builds every day's model at once: a (days, N) intercept beside
+the one shared gain, whose zero-demand prices are one batched solve.  A
+single consumer is a population of one.  A parameter stored once, as a
+zero-stride view the way ``draw_population`` stores a config scalar, is one
+row that broadcasting carries to every consumer, so per-consumer terms are
+(rows, hours), rows 1 or the consumer count; sums run in consumer order.
 
 Conventions used throughout the package:
 
@@ -157,10 +159,12 @@ def _check_params(p: Population) -> None:
 
 
 def as_forecast(weather: Sequence[float], horizon: int) -> np.ndarray:
-    """Validate an hourly outdoor forecast: right length, finite entries."""
+    """Validate an hourly outdoor forecast (horizon,), or a stack of daily
+    forecasts (days >= 1, horizon): right width, finite entries."""
     forecast = np.asarray(weather, dtype=float)
-    if forecast.shape != (horizon,) or not np.all(np.isfinite(forecast)):
-        raise ValueError(f"weather forecast must be {horizon} finite hours, got {forecast.shape}")
+    shaped = forecast.ndim in (1, 2) and forecast.shape[-1:] == (horizon,) and forecast.size > 0
+    if not shaped or not np.all(np.isfinite(forecast)):
+        raise ValueError(f"weather forecast must be {horizon} finite hours a day, got {forecast.shape}")
     return forecast
 
 
@@ -177,16 +181,18 @@ def as_prices(prices: Sequence[float], horizon: int) -> np.ndarray:
 @dataclass(eq=False)
 class AffineDemandModel:
     """Demand model of one consumer or of a population (the entrywise sum of
-    its consumers' models)."""
+    its consumers' models).  A model of several days stacks their intercept
+    means, (days, N), and shares the gain, covariance and constant, which do
+    not depend on the forecast."""
 
     gain: np.ndarray            # (N, N) price sensitivity, SPD tridiagonal
-    intercept_mean: np.ndarray  # (N,) mean demand at zero price
+    intercept_mean: np.ndarray  # (N,) mean demand at zero price, or (days, N)
     intercept_cov: np.ndarray   # (N, N) covariance of the demand intercept
     cs_constant: float          # noise-driven constant in expected surplus
 
     @property
     def horizon(self) -> int:
-        return self.intercept_mean.size
+        return self.intercept_mean.shape[-1]
 
     @cached_property
     def _checked_gain(self) -> np.ndarray:
@@ -200,9 +206,11 @@ class AffineDemandModel:
     @cached_property
     def zero_demand_price(self) -> np.ndarray:
         """Prices at which mean demand is zero in every hour, ``gain^{-1}
-        intercept_mean``: solved once per model, and read-only because every
-        caller shares it."""
-        price = self.solve(self.intercept_mean)
+        intercept_mean``, shaped like the intercept: solved once per model,
+        and read-only because every caller shares it.  The intercept is solved
+        as one-column right-hand sides, so a stack of days is one batched
+        solve against the broadcast gain, each day rounding like a day alone."""
+        price = self.solve(self.intercept_mean[..., None])[..., 0]
         price.flags.writeable = False
         return price
 
@@ -244,29 +252,35 @@ def _estimator_variance_ladder(population: Population) -> tuple[np.ndarray, np.n
 
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")  # an overflow raises below
 def population_model(population: Population, weather_forecast: Sequence[float]) -> AffineDemandModel:
-    """Population demand model under the day's outdoor forecast: the sum of
-    every consumer's affine model, computed without building any of them.
+    """Population demand model under the day's outdoor forecast (N,), or
+    under each day's of a (days, N) stack: the sum of every consumer's
+    affine model, computed without building any of them.
 
     Only the intercept mean depends on the forecast: it is the demand at
-    zero price (exact setpoint tracking), summed here ``_BLOCK`` consumers at
-    a time in one small scratch, so no (consumers, hours) array is made.  The
-    gain, intercept covariance and surplus constant are the population's
-    cached ``model_terms`` (see ``_model_terms``), shared read-only by every
-    model built from it.  Every sum runs in consumer order.
+    zero price (exact setpoint tracking), (N,) or (days, N), summed here
+    ``_BLOCK // days`` consumers at a time in one small (block + 1, days, N)
+    scratch, so no (consumers, hours) array is made.  The gain, intercept
+    covariance and surplus constant are the population's cached
+    ``model_terms`` (see ``_model_terms``), shared read-only by every model
+    built from it and by every day of a stack.  Every sum runs in consumer
+    order, so each day of a stack has the bits of its own 1-D model.
     """
     n, count = population.horizon, len(population)
     forecast = as_forecast(weather_forecast, n)
-    alpha, beta = _distinct(population.alpha)[:, None], _distinct(population.beta)[:, None]
+    stack = forecast.reshape(-1, n)
+    block = max(1, _BLOCK // len(stack))
+    alpha, beta = _distinct(population.alpha)[:, None, None], _distinct(population.beta)[:, None, None]
     # Row 0 carries the earlier blocks' sum (from -0.0, like _consumer_sum), so one add.reduce
     # per block adds every consumer in order: >= 2 columns, as one column it adds pairwise.
-    scratch = np.full((min(count, _BLOCK) + 1, max(n, 2)), -0.0)
-    for start in range(0, count, _BLOCK):
-        a, b, t = (x[start:start + _BLOCK] if len(x) > 1 else x for x in (alpha, beta, population.desired_temp))
+    scratch = np.full((min(count, block) + 1, len(stack), max(n, 2)), -0.0)
+    for start in range(0, count, block):
+        a, b, t = (x[start:start + block] if len(x) > 1 else x for x in (alpha, beta, population.desired_temp))
+        t = t[:, None]
         # ((1 - alpha) * previous + alpha * forecast - t) / beta, in place; the day starts on the first setpoint
-        demand = scratch[1:len(t) + 1, :n]
-        demand[:, 0], demand[:, 1:] = t[:, 0], t[:, :-1]
+        demand = scratch[1:len(t) + 1, :, :n]
+        demand[..., 0], demand[..., 1:] = t[..., 0], t[..., :-1]
         demand *= 1.0 - a
-        demand += a * forecast
+        demand += a * stack
         demand -= t
         demand /= b
         scratch[0] = intercept = np.add.reduce(scratch[:len(t) + 1], axis=0)
@@ -274,7 +288,8 @@ def population_model(population: Population, weather_forecast: Sequence[float]) 
     if not all(np.isfinite(x).all() for x in (intercept, cov, cs_constant)):
         raise NumericalError("population model overflowed: intercept, covariance or surplus constant not finite")
     return AffineDemandModel(
-        gain=gain, intercept_mean=intercept[:n], intercept_cov=cov, cs_constant=cs_constant
+        gain=gain, intercept_mean=intercept[:, :n].reshape(forecast.shape), intercept_cov=cov,
+        cs_constant=cs_constant,
     )
 
 

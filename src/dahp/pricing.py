@@ -19,7 +19,10 @@ only places the two formulas are written, ``_cs`` and ``_rp``, which
 callers holding already-checked tariffs (the storage search and the
 benchmark traces) call directly.  They take one tariff or a (k, N) stack
 of tariffs, so a whole front or benchmark sweep is one evaluator call; a
-stacked row gives the same bits as the same tariff alone.  A benchmark
+stacked row gives the same bits as the same tariff alone.  A model of
+several days (a (days, N) intercept) broadcasts over its days the same way:
+day ``d`` of ``optimal_price``, ``expected_cs`` or ``expected_rp`` has the
+bits of that day's own model.  A benchmark
 tariff is one member ``theta * V`` of a family given by its direction
 ``V``; the caller chooses ``V`` and the sweep of ``theta``.
 ``pareto_front`` and ``benchmark_trace`` return a sweep as a ``Trace`` of
@@ -86,22 +89,24 @@ def _per_tariff(values: np.ndarray) -> float | np.ndarray:
 # not depend on the stack it came in; a (k, N) @ (N, N) product would not.
 
 def _cs(model: AffineDemandModel, pi: np.ndarray) -> np.ndarray:
-    """Consumer surplus of checked tariffs (N,) or (k, N): a 0-d or (k,) array."""
+    """Consumer surplus of checked tariffs (N,) or (k, N): a 0-d or (k,)
+    array, broadcast against the days of a stacked model."""
     row, column = pi[..., None, :], pi[..., :, None]
     quadratic = np.matmul(np.matmul(0.5 * row, model.gain), column)
-    linear = np.matmul(row, model.intercept_mean[:, None])
+    linear = np.matmul(row, model.intercept_mean[..., :, None])
     return (quadratic - linear)[..., 0, 0] + model.cs_constant
 
 
 def _rp(model: AffineDemandModel, pi: np.ndarray, cost: WholesaleCost) -> np.ndarray:
     """Retail profit of checked tariffs, shaped as ``_cs``."""
-    demand = model.intercept_mean[:, None] - np.matmul(model.gain, pi[..., :, None])
+    demand = model.intercept_mean[..., :, None] - np.matmul(model.gain, pi[..., :, None])
     return np.matmul((pi - cost.mean)[..., None, :], demand)[..., 0, 0]
 
 
 def expected_cs(model: AffineDemandModel, prices: Sequence[float]) -> float | np.ndarray:
     """Expected consumer surplus at one price vector (a float), or at each
-    tariff of a (k, N) stack (a (k,) array)."""
+    tariff of a (k, N) stack (a (k,) array); a model of several days pairs
+    a (days, N) stack with its days."""
     return _per_tariff(_cs(model, _as_tariffs(prices, model.horizon)))
 
 
@@ -115,14 +120,17 @@ def expected_rp(model: AffineDemandModel, prices: Sequence[float], cost: Wholesa
 
 def optimal_price(model: AffineDemandModel, cost: WholesaleCost, eta: float | Sequence[float]) -> np.ndarray:
     """Price maximizing ``rp + eta * cs`` for a weight ``eta`` in [0, 1]; a
-    vector of k weights gives a (k, N) stack, one tariff per weight.
+    vector of k weights gives a (k, N) stack, one tariff per weight.  A
+    model of several days gives each day's tariff, (days, N) for one weight
+    and (k, days, N) for k.
 
     The maximizer blends the wholesale price with the zero-demand price
     ``G^{-1} b``; at ``eta = 1`` it is exactly the wholesale mean.
     """
     _check_eta(eta)
     _check_horizon(model, cost)
-    eta = np.asarray(eta, dtype=float)[..., None]
+    eta = np.asarray(eta, dtype=float)
+    eta = eta.reshape(eta.shape + (1,) * model.intercept_mean.ndim)
     return (1.0 / (2.0 - eta)) * cost.mean + ((1.0 - eta) / (2.0 - eta)) * model.zero_demand_price
 
 
@@ -131,6 +139,7 @@ def pareto_front(
 ) -> Trace:
     """Trace the surplus/profit front over a weight grid (default: 101
     uniform points on [0, 1]).  Rows come out sorted by increasing cs."""
+    _check_one_day(model)
     grid = np.linspace(0.0, 1.0, 101) if eta_grid is None else np.asarray(eta_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("eta grid must be a nonempty vector")
@@ -168,6 +177,7 @@ def profit_upper_bound(model: AffineDemandModel, cost: WholesaleCost,
     is 0.  Any tariff whatsoever plots on or below this bound at its own
     cs.  Useful for dominance checks against benchmark tariffs.
     """
+    _check_one_day(model)
     q, k = _front_geometry(model, cost)
     cs = np.asarray(cs_value, dtype=float)
     eta = _eta_at_cs(q, k, cs)
@@ -183,6 +193,7 @@ def benchmark_trace(model: AffineDemandModel, cost: WholesaleCost, sweep: Sequen
     that ``as_prices`` rejects, raises ``ValueError``; a tariff whose
     prices, cs or rp overflow raises ``NumericalError``.
     """
+    _check_one_day(model)
     _check_horizon(model, cost)
     direction = as_prices(direction, model.horizon)
     params = np.asarray(sweep, dtype=float)
@@ -201,6 +212,14 @@ def _check_eta(eta: float | np.ndarray) -> None:
     bad = eta[~((0.0 <= eta) & (eta <= 1.0))]
     if bad.size:
         raise ValueError(f"pricing weight must lie in [0, 1], got {bad[0]}")
+
+
+def _check_one_day(model: AffineDemandModel) -> None:
+    """The front, the profit bound, the benchmark traces, the storage search
+    and the renewable tariffs price one day: a stacked model would pair
+    their sweeps or grids with its days, or fail inside numpy."""
+    if model.intercept_mean.ndim != 1:
+        raise ValueError(f"expected a one-day model, got a stack of {len(model.intercept_mean)} days")
 
 
 def _check_horizon(model, cost: WholesaleCost) -> None:

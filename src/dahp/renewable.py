@@ -25,7 +25,7 @@ import numpy as np
 
 from .demand import AffineDemandModel, as_prices
 from .errors import NonConvergenceError
-from .pricing import WholesaleCost, expected_cs, expected_rp, optimal_price, _check_eta
+from .pricing import WholesaleCost, expected_cs, expected_rp, optimal_price, _check_eta, _check_one_day
 
 
 @dataclass(eq=False)
@@ -93,6 +93,7 @@ def expected_rp_renewable(
 
     Zero capacity degenerates to the no-renewable profit.
     """
+    _check_one_day(model)
     if renew.capacity == 0.0:
         return expected_rp(model, prices, cost)
     pi = as_prices(prices, model.horizon)
@@ -127,6 +128,7 @@ def optimal_price_renewable(
     not exceed the lowest optimal demand the start is already exact, and the
     no-renewable tariff is returned as ``optimal_price`` computes it.
     """
+    _check_one_day(model)
     _check_eta(eta)
     if renew.capacity == 0.0:
         return optimal_price(model, cost, eta)

@@ -7,16 +7,24 @@ to a price-shifted setpoint.  Thermostat baselines instead apply open-loop
 powers planned for a fixed comfort tolerance.  A day's realized
 consumption, payment and discomfort stack the policies on a leading axis,
 the optimal one first; their sample means validate the closed-form model in
-``dahp.demand``.
+``dahp.demand``.  ``simulate_population_days`` simulates a stack of days,
+each under its own tariff and forecast, and ``simulate_population_day`` is
+its one-day case.
 
-One rollout steps every policy through the hours at once, as a
-(policies, rows) stack of temperatures: the rows are the consumers of a
-population on one day, or replicate days of one consumer.  The baselines'
-powers and the optimal policy's targets are planned before the first
-hour; each hour sets the optimal policy's powers from its Kalman estimate
-and steps every policy in preallocated buffers, squaring deviations with
-one multiply; a parameter stored once, as a zero-stride view the way
-``draw_population`` stores a config scalar, is read as one broadcast row.
+One rollout steps every policy of every day through the hours at once, as
+a (policies, days, rows) stack of temperatures: the rows are the consumers
+of a population, or replicate days of one consumer.  Its noise is
+hour-major, (hours, days, rows), so each hour reads one contiguous block;
+each day's words and normals are still made in that day's own
+cache-sized buffer, and the pass that scales them writes them into the
+stack, transposed.  The baselines' powers and the optimal policy's
+targets are planned before the first hour; each hour
+sets the optimal policy's powers from its Kalman estimate and steps every
+policy in preallocated buffers, squaring deviations with one multiply; a
+parameter stored once, as a zero-stride view the way ``draw_population``
+stores a config scalar, is read as one broadcast row.  Every operation is
+elementwise, and payments are summed a day at a time, so a day's bits do
+not depend on the days stacked with it.
 
 Every random stream of a run is hashed from ``(seed, tag, ...)`` with one
 tag per use (the ``*_STREAM`` constants below), so no two uses share a
@@ -110,31 +118,51 @@ def _box_muller(words: np.ndarray, count: int) -> np.ndarray:
     return u[:, :count]
 
 
-def _noise(population: Population, seed: int, stream: tuple[int, ...], count: int) -> tuple[np.ndarray, ...]:
+def _noise(population: Population, seed: int, stream: tuple[int, ...], count: int,
+           out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
     """(v0, w, v) of rows 0..count-1 of stream ``(seed, *stream)``: initial
     reading errors (count,), process noise and reading errors (count,
     hours), scaled by the row's consumer (a population of one scales every
-    row alike)."""
+    row alike).  Given ``out``, a (count,) and two (hours, count) buffers,
+    the scaled noise is written there hour-major instead, in the pass that
+    scales it."""
     n = population.horizon
     z = _box_muller(_noise_words(seed, stream, count, _row_words(n)), 2 * n + 1)
-    v0, w, v = z[:, 0], z[:, 1:n + 1], z[:, n + 1:]  # scaled in place
-    v0 *= np.sqrt(population.obs_noise_var)
-    w *= np.sqrt(population.process_noise_var)[:, None]
-    v *= np.sqrt(population.obs_noise_var)[:, None]
+    normals = z[:, 0], z[:, 1:n + 1].T, z[:, n + 1:].T  # hour-major views, scaled in place without out
+    r, q = np.sqrt(population.obs_noise_var), np.sqrt(population.process_noise_var)
+    for normal, scale, field in zip(normals, (r, q, r), out or normals):
+        np.multiply(normal, scale, field)
+    return out or (z[:, 0], z[:, 1:n + 1], z[:, n + 1:])
+
+
+def _day_noise(population: Population, seed: int, first_day: int, days: int) -> tuple[np.ndarray, ...]:
+    """(v0, w, v) of days ``first_day``, ..., ``first_day + days - 1``:
+    initial reading errors (days, consumers), and process noise and reading
+    errors hour-major, (hours, days, consumers), so the rollout reads each
+    hour's rows contiguously.  Each day's words and normals are made in that
+    day's own cache-sized buffer by ``_noise``, which scales them into the
+    stack, transposed."""
+    n, count = population.horizon, len(population)
+    v0, (w, v) = np.empty((days, count)), np.empty((2, n, days, count))
+    for k in range(days):
+        _noise(population, seed, (DAY_NOISE_STREAM, first_day + k), count, (v0[k], w[:, k], v[:, k]))
     return v0, w, v
 
 
 def _rollout(population: Population, prices: np.ndarray, forecast: np.ndarray, tolerances: Sequence[float],
              v0: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Consumption (policies, rows, hours) and discomfort (policies, rows)
-    of every policy on the same noise.
+    """Consumption (days, policies, rows, hours) and discomfort (days,
+    policies, rows) of every policy on the same noise.
 
-    Row ``k`` is consumer ``k`` of ``population``, or, for a population of
-    one, replicate day ``k``.  Policy 0 is the filtering consumer; policy
-    ``1 + j`` is the thermostat baseline of ``tolerances[j]``, whose
-    open-loop powers hold the noise-free trajectory at the band edge (above
-    the setpoint when the unit cools, below when it heats).  One hour-major
-    (hours, policies, rows) stack of powers steps every policy at once.
+    ``prices`` and ``forecast`` are (days, hours), ``v0`` is (days, rows)
+    and ``w`` and ``v`` are hour-major, (hours, days, rows).  Row ``k`` is
+    consumer ``k`` of ``population``, or, for a population of one,
+    replicate ``k``.  Policy 0 is the filtering consumer; policy ``1 + j``
+    is the thermostat baseline of ``tolerances[j]``, whose open-loop powers
+    hold the noise-free trajectory at the band edge (above the setpoint
+    when the unit cools, below when it heats).  One hour-major (hours,
+    policies, days, rows) stack of powers steps every policy of every day
+    at once.
     """
     tol = np.asarray(tolerances, dtype=float)[:, None]
     if not np.all((tol >= 0) & (tol < np.inf)):
@@ -142,40 +170,44 @@ def _rollout(population: Population, prices: np.ndarray, forecast: np.ndarray, t
     alpha, beta, mu = (_distinct(x) for x in (population.alpha, population.beta, population.mu))
     t = population.desired_temp.T
     n = population.horizon
-    _, gains = population.estimator_ladder
+    gains = population.estimator_ladder[1].T
     keep, scale = 1.0 - alpha, 2.0 * mu * beta
+    outdoor = forecast.T[..., None]  # (hours, days, 1)
 
-    powers = np.empty((n, 1 + len(tol), len(v0)))
+    powers = np.empty((n, 1 + len(tol), *v0.shape))
     first, planned = powers[:, 0], powers[:, 1:]
-    forced, edge = alpha * forecast[:, None], np.where(beta > 0, tol, -tol)
+    forced, edge = alpha * outdoor, np.where(beta > 0, tol, -tol)[:, None]
     # ((1 - alpha) * previous band + alpha * forecast - band) / beta in place,
     # a tolerance's band at a time in policy 0's column; the day starts on the setpoint
     planned[0] = t[0]
-    np.add(t[:-1, None], edge, planned[1:])
+    np.add(t[:-1, None, None], edge, planned[1:])
     planned *= keep
     planned += forced[:, None]
     for j, e in enumerate(edge):
-        planned[:, j] -= np.add(t, e, first)
+        planned[:, j] -= np.add(t[:, None], e, first)
     planned /= beta
     # policy 0's targets, (prices[i] - keep * prices[i + 1]) / scale + t[i]
-    np.subtract(prices[:, None], np.multiply(keep, np.append(prices[1:], 0.0)[:, None], first), first)
-    np.add(np.divide(first, scale, first), t, first)
+    price = prices.T[..., None]  # (hours, days, 1)
+    following = np.zeros_like(price)
+    following[:-1] = price[1:]
+    np.subtract(price, np.multiply(keep, following, first), first)
+    np.add(np.divide(first, scale, first), t[:, None], first)
     # the hour loop turns policy 0's targets into its powers and steps in these buffers
     x = np.broadcast_to(t[0], powers.shape[1:]).copy()  # true indoor temperatures
     d, discomfort = np.empty_like(x), np.zeros_like(x)
-    est, expected = t[0] + v0, np.empty(len(v0))  # policy 0's posterior mean, seeded by one reading
+    est, expected = t[0] + v0, np.empty(v0.shape)  # policy 0's posterior mean, seeded by one reading
     for i, p0 in enumerate(first):
         np.add(np.multiply(keep, est, expected), forced[i], expected)  # the next estimate at zero power
         np.divide(np.subtract(expected, p0, p0), beta, p0)
-        x += np.multiply(alpha, np.subtract(forecast[i], x, d), d)
+        x += np.multiply(alpha, np.subtract(outdoor[i], x, d), d)
         x -= np.multiply(beta, powers[i], d)
-        x += w[:, i]
+        x += w[i]
         discomfort += np.multiply(mu, np.square(np.subtract(x, t[i], d), d), d)  # d * d, then * mu
         expected -= np.multiply(beta, p0, est)  # the predicted mean
-        np.subtract(np.add(x[0], v[:, i], est), expected, est)  # the reading's innovation
-        est *= gains[:, i]
+        np.subtract(np.add(x[0], v[i], est), expected, est)  # the reading's innovation
+        est *= gains[i]
         est += expected
-    return powers.transpose(1, 2, 0), discomfort
+    return powers.transpose(2, 1, 3, 0), discomfort.transpose(1, 0, 2)
 
 
 def _row_payments(consumption: np.ndarray, prices: np.ndarray) -> np.ndarray:
@@ -185,20 +217,45 @@ def _row_payments(consumption: np.ndarray, prices: np.ndarray) -> np.ndarray:
     return np.multiply(consumption, prices, order="C").sum(axis=-1)
 
 
+def simulate_population_days(population: Population, prices: Sequence[Sequence[float]],
+                             weather: Sequence[Sequence[float]], seed: int, tolerances: Sequence[float] = (),
+                             first_day: int = 0) -> tuple[np.ndarray, ...]:
+    """Simulate days ``first_day, first_day + 1, ...`` of every consumer,
+    day ``first_day + d`` under row ``d`` of the (days, hours) ``prices``
+    and ``weather``, with the optimal hourly policy and a thermostat
+    baseline per tolerance.
+
+    Consumer ``k`` reads its noise for day ``first_day + d`` once, from row
+    ``k`` of that day's ``(seed, DAY_NOISE_STREAM, first_day + d)`` stream,
+    and every policy experiences it; one rollout steps every day at once.
+    Returns consumption (days, policies, consumers, hours), payment and
+    discomfort (days, policies, consumers): policy 0 is the optimal policy
+    and policy ``1 + j`` the baseline of ``tolerances[j]``.  Each day has
+    the bits of its own ``simulate_population_day``.
+    """
+    forecast = as_forecast(weather, population.horizon)
+    pi = np.asarray(prices, dtype=float)
+    if forecast.ndim != 2 or pi.shape != forecast.shape or not np.isfinite(pi).all():
+        raise ValueError(f"expected finite (days, {population.horizon}) prices and weather of one shape, "
+                         f"got {pi.shape} and {forecast.shape}")
+    noise = _day_noise(population, seed, first_day, len(forecast))
+    consumption, discomfort = _rollout(population, pi, forecast, tolerances, *noise)
+    # a day at a time, so each day's payments round as that day's own
+    payment = np.stack([_row_payments(day, day_prices) for day, day_prices in zip(consumption, pi)])
+    return consumption, payment, discomfort
+
+
 def simulate_population_day(population: Population, prices: Sequence[float], weather: Sequence[float], seed: int,
                             day: int = 0, tolerances: Sequence[float] = ()) -> tuple[np.ndarray, ...]:
     """Simulate one day of every consumer under the optimal hourly policy
-    and under a thermostat baseline per tolerance.
+    and under a thermostat baseline per tolerance: the one-day case of
+    ``simulate_population_days``.
 
-    Consumer ``k`` reads its noise once, from row ``k`` of the day's
-    ``(seed, DAY_NOISE_STREAM, day)`` stream, and every policy experiences
-    it.  Returns consumption (policies, consumers, hours), payment and
+    Returns consumption (policies, consumers, hours), payment and
     discomfort (policies, consumers): policy 0 is the optimal policy and
     policy ``1 + j`` the baseline of ``tolerances[j]``.
     """
     pi = as_prices(prices, population.horizon)
     forecast = as_forecast(weather, population.horizon)
-    v0, w, v = _noise(population, seed, (DAY_NOISE_STREAM, day), len(population))
-
-    consumption, discomfort = _rollout(population, pi, forecast, tolerances, v0, w, v)
-    return consumption, _row_payments(consumption, pi), discomfort
+    days = simulate_population_days(population, pi[None], forecast[None], seed, tolerances, day)
+    return tuple(values[0] for values in days)

@@ -59,7 +59,7 @@ import numpy as np
 from .demand import AffineDemandModel, as_prices
 from .errors import InfeasibleConstraintError, NumericalError
 from .optim import TOLERANCES, LpResult, feasible_start, pattern_search, reduced_cost_map, simplex_solve
-from .pricing import WholesaleCost, _cs, _rp, optimal_price
+from .pricing import WholesaleCost, _check_one_day, _cs, _rp, optimal_price
 
 
 @dataclass(frozen=True)
@@ -317,6 +317,7 @@ def optimize_price_with_storage(
     Each distinct battery spec keeps its optimal LP bases for the length of
     this call only.
     """
+    _check_one_day(model)
     seed_price = optimal_price(model, cost, eta)
     horizon = model.horizon
     counts = Counter(batteries)

@@ -16,12 +16,15 @@ tariffs as the per-family price code that their direction vectors replace.
 Keeping the oracles dumb and slow is the point.
 
 The last section is different: thin drivers over the library's own
-rollouts and evaluators that only tests need (replicate days of one
-consumer for Monte Carlo estimates, the rollout's exact noise-to-consumption
+rollouts and evaluators that only tests need (one day's rollout on
+row-major noise, replicate days of one consumer for Monte Carlo
+estimates, the rollout's exact noise-to-consumption
 maps, mean demand, battery-owner objectives, the most profitable tariff
 above a surplus floor),
-and the one-tolerance-at-a-time thermostat baseline that the simulator's
-stacked rollout of every tolerance must match bit for bit.
+the one-tolerance-at-a-time thermostat baseline that the simulator's
+stacked rollout of every tolerance must match bit for bit, and the
+day-at-a-time loop that ``run_simulate``'s stacked week must match bit for
+bit.
 """
 from __future__ import annotations
 
@@ -34,7 +37,17 @@ from typing import Sequence
 import numpy as np
 import scipy.optimize
 
-from dahp import AffineDemandModel, BatteryParams, InfeasibleConstraintError, Population, WholesaleCost, arbitrage
+from dahp import (
+    AffineDemandModel,
+    BatteryParams,
+    InfeasibleConstraintError,
+    Population,
+    WholesaleCost,
+    arbitrage,
+    optimal_price,
+    population_model,
+    simulate_population_day,
+)
 from dahp.demand import as_forecast, as_prices
 from dahp.pricing import _eta_at_cs, _front_geometry, expected_cs, expected_rp, pareto_front
 from dahp.simulate import (
@@ -625,6 +638,16 @@ def _replicate_days(params: Population, prices, weather, seed: int, n_days: int,
     return as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
 
 
+def day_rollout(population: Population, prices: np.ndarray, forecast: np.ndarray, tolerances: Sequence[float],
+                v0: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_rollout`` of one day whose noise is laid out a row at a time,
+    (rows,) and (rows, hours), as ``_noise`` makes it: consumption
+    (policies, rows, hours) and discomfort (policies, rows)."""
+    consumption, discomfort = _rollout(population, prices[None], forecast[None], tolerances,
+                                       v0[None], w.T[:, None], v.T[:, None])
+    return consumption[0], discomfort[0]
+
+
 def simulate_days(params: Population, prices: Sequence[float], weather: Sequence[float], seed: int,
                   n_days: int, consumer_id: int = 0) -> Outcome:
     """Replicate days of one consumer for Monte Carlo estimation.
@@ -633,7 +656,7 @@ def simulate_days(params: Population, prices: Sequence[float], weather: Sequence
     ``-(discomfort + payment)`` rowwise when needed.
     """
     pi, forecast, v0, w, v = _replicate_days(params, prices, weather, seed, n_days, consumer_id)
-    (consumption,), (discomfort,) = _rollout(params, pi, forecast, (), v0, w, v)
+    (consumption,), (discomfort,) = day_rollout(params, pi, forecast, (), v0, w, v)
     return consumption, consumption @ pi, discomfort
 
 
@@ -650,7 +673,7 @@ def rollout_maps(population: Population, prices: Sequence[float], forecast: Sequ
     pi, forecast = as_prices(prices, n), as_forecast(forecast, n)
 
     def consumption(noise: np.ndarray) -> np.ndarray:
-        (rows,), _ = _rollout(population, pi, forecast, (), noise[:, 0], noise[:, 1:n + 1], noise[:, n + 1:])
+        (rows,), _ = day_rollout(population, pi, forecast, (), noise[:, 0], noise[:, 1:n + 1], noise[:, n + 1:])
         return rows
 
     base = consumption(np.zeros((count, 2 * n + 1)))
@@ -670,6 +693,35 @@ def baseline_days(params: Population, tolerance: float, prices: Sequence[float],
     powers = baseline_powers(params, forecast, tolerance)
     discomfort = baseline_rollout(params, powers, forecast, w)
     return np.repeat(powers, n_days, axis=0), np.full(n_days, float(powers[0] @ pi)), discomfort
+
+
+def run_simulate_by_day(config, population: Population, weather, cost: WholesaleCost):
+    """``run_simulate``'s tables made a day at a time: each day priced by
+    its own one-day model and simulated by its own ``simulate_population_day``,
+    then laid out as ``run_simulate`` lays out its rows."""
+    eta = float(config.simulate.eta)
+    tolerances = np.array(config.simulate.thermostat_tolerances, dtype=float)
+    days, consumers = len(weather), len(population)
+    payment, discomfort = np.empty((2, days, 1 + len(tolerances), consumers))
+    for day_index, day in enumerate(weather):
+        prices = optimal_price(population_model(population, day.values), cost, eta)
+        _, payment[day_index], discomfort[day_index] = simulate_population_day(
+            population, prices, day.values, config.seed, day_index, tolerances.tolist()
+        )
+    surplus = -(discomfort + payment)
+    day_ids, ids = np.indices((days, consumers))
+    tables = {"simulate.csv": (
+        ["consumer_id", "day", "payment", "discomfort", "surplus"],
+        [ids.ravel(), day_ids.ravel(), *(values[:, 0].ravel() for values in (payment, discomfort, surplus))],
+    )}
+    if len(tolerances):
+        day_ids, ids, tolerance = np.indices((days, consumers, len(tolerances)))
+        tables["baseline.csv"] = (
+            ["tolerance", "consumer_id", "day", "payment", "discomfort", "surplus"],
+            [tolerances[tolerance.ravel()], ids.ravel(), day_ids.ravel(),
+             *(values[:, 1:].transpose(0, 2, 1).ravel() for values in (payment, discomfort, surplus))],
+        )
+    return tables
 
 
 def consumer_surplus_with_storage(

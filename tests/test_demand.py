@@ -13,9 +13,13 @@ import helpers
 import oracles
 from dahp import (
     Population,
+    WholesaleCost,
     aggregate,
     build_consumer_model,
     demand,
+    expected_cs,
+    expected_rp,
+    optimal_price,
     population_model,
 )
 from dahp.config import PopulationSpec, draw_population
@@ -496,6 +500,71 @@ def test_shared_parameters_keep_the_population_model_small():
     finally:
         tracemalloc.stop()
     assert peak < 0.35e6
+
+
+@pytest.mark.parametrize("count", [1023, 1024, 1025])
+@pytest.mark.parametrize("shared", [True, False], ids=["shared heating", "per consumer"])
+def test_a_day_stacked_model_is_each_days_model_bitwise(count, shared):
+    # the (days, N) intercept, its zero-demand prices (one batched solve),
+    # the tariffs and their cs and rp are each day's 1-D values, bit for
+    # bit: 7 days stream 146 consumers a block, 1 day the 1-D block of
+    # 1,024, and a one-hour horizon adds the -0.0 pad column
+    rng = np.random.default_rng(count + shared)
+    if shared:
+        alpha, beta = np.broadcast_to(0.45, count), np.broadcast_to(-0.12, count)
+    else:
+        alpha, beta = rng.uniform(0.05, 0.95, count), rng.uniform(0.02, 0.3, count) * rng.choice([-1.0, 1.0], count)
+    desired = rng.uniform(16.0, 24.0, (count, 1)) + rng.uniform(-1.0, 1.0, (count, 6))
+    for horizon, days in itertools.product(range(1, 7), (1, 7)):
+        population = Population(alpha=alpha, beta=beta, mu=np.broadcast_to(0.5, count),
+                                desired_temp=desired[:, :horizon], process_noise_var=np.broadcast_to(0.01, count),
+                                obs_noise_var=np.broadcast_to(0.01, count))
+        weather = helpers.DEFAULT_WEATHER[:horizon] + rng.normal(0.0, 3.0, (days, horizon))
+        cost = WholesaleCost(mean=helpers.DEFAULT_WHOLESALE[:horizon])
+        stacked = population_model(population, weather)
+        assert stacked.intercept_mean.shape == stacked.zero_demand_price.shape == (days, horizon)
+        prices = optimal_price(stacked, cost, 0.3)
+        values = [stacked.intercept_mean, stacked.zero_demand_price, prices,
+                  expected_cs(stacked, prices), expected_rp(stacked, prices, cost)]
+        for day, forecast in enumerate(weather):
+            model = population_model(population, forecast)
+            alone = optimal_price(model, cost, 0.3)
+            expected = [model.intercept_mean, model.zero_demand_price, alone,
+                        expected_cs(model, alone), expected_rp(model, alone, cost)]
+            assert [np.asarray(x[day]).tobytes() for x in values] == [np.asarray(x).tobytes() for x in expected]
+
+
+@pytest.mark.parametrize("weather", [
+    np.full((3, 23), 30.0),                                # not the horizon
+    np.full((0, 24), 30.0),                                # no days
+    np.full((2, 2, 24), 30.0),                             # a stack of stacks
+    np.where(np.arange(48).reshape(2, 24) == 30, np.nan, 30.0),
+    np.where(np.arange(48).reshape(2, 24) == 47, -np.inf, 30.0),
+], ids=["width", "no days", "3-D", "nan", "infinite"])
+def test_a_forecast_stack_of_the_wrong_width_or_not_finite_raises(weather):
+    with pytest.raises(ValueError, match="24 finite hours a day"):
+        population_model(helpers.random_params(np.random.default_rng(46)), weather)
+
+
+@pytest.mark.parametrize("ranged", [{}, {"alpha": [0.3, 0.7], "beta": [-0.2, -0.05]}], ids=["shared", "ranged"])
+def test_a_56_day_model_streams_through_one_days_scratch(ranged):
+    # 56 days stream 18 consumers a block through a (19, 56, 24) scratch,
+    # the size of one day's (1,025, 24): the peak may exceed one day's only
+    # by a few (days, N) arrays (the carried row, the per-block sum, the
+    # shared alpha's alpha * forecast and the model's intercept), never by
+    # a (consumers, days, N) one, 108 MB here
+    population = draw_population(PopulationSpec(count=10_000, desired_temp=[18.0, 22.0], **ranged), seed=5)
+    population.model_terms  # noqa: B018 -- cached before either window
+    peaks = {}
+    for days in (1, 56):
+        weather = helpers.DEFAULT_WEATHER + np.zeros((days, 1))
+        tracemalloc.start()
+        try:
+            population_model(population, weather)
+            peaks[days] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[56] <= peaks[1] + 6 * 56 * 24 * 8
 
 
 _BLOCK_COUNTS = (demand._BLOCK - 1, demand._BLOCK, demand._BLOCK + 1, 2 * demand._BLOCK + 1)

@@ -10,12 +10,18 @@ import oracles
 from dahp import (
     InfeasibleConstraintError,
     NumericalError,
+    RenewableModel,
     WholesaleCost,
     benchmark_trace,
+    benefit_split,
     expected_cs,
     expected_rp,
+    expected_rp_renewable,
     optimal_price,
+    optimal_price_renewable,
+    optimize_price_with_storage,
     pareto_front,
+    population_model,
     profit_upper_bound,
 )
 from dahp.config import load_config
@@ -435,6 +441,30 @@ def test_stacked_tariffs_validated():
             expected_cs(model, bad)
         with pytest.raises(ValueError):
             expected_rp(model, bad, cost)
+
+
+_ONE_DAY_ONLY = {
+    # a sweep and a grid as long as the stack, which broadcasting would pair with its days
+    "benchmark_trace": lambda model, cost: benchmark_trace(model, cost, np.linspace(0.1, 0.3, 7), np.ones(24)),
+    "pareto_front": lambda model, cost: pareto_front(model, cost, np.linspace(0.0, 1.0, 7)),
+    "profit_upper_bound": lambda model, cost: profit_upper_bound(model, cost, 0.0),
+    "storage": lambda model, cost: optimize_price_with_storage(model, cost, [helpers.REUSE_BATTERIES["lossy"]], 0.5),
+    "expected_rp_renewable": lambda model, cost: expected_rp_renewable(model, cost.mean, cost, RenewableModel(5.0)),
+    "expected_rp_renewable, no plant":
+        lambda model, cost: expected_rp_renewable(model, cost.mean, cost, RenewableModel(0.0)),
+    "optimal_price_renewable": lambda model, cost: optimal_price_renewable(model, cost, RenewableModel(5.0), 0.5),
+    "benefit_split": lambda model, cost: benefit_split(model, cost, RenewableModel(5.0), 0.5),
+}
+
+
+@pytest.mark.parametrize("call", _ONE_DAY_ONLY.values(), ids=_ONE_DAY_ONLY)
+def test_one_day_functions_reject_a_model_of_several_days(call):
+    population = helpers.random_params(np.random.default_rng(93))
+    cost = WholesaleCost(mean=helpers.DEFAULT_WHOLESALE)
+    week = population_model(population, helpers.DEFAULT_WEATHER + np.arange(7.0)[:, None])
+    with pytest.raises(ValueError, match="one-day model, got a stack of 7 days"):
+        call(week, cost)
+    call(population_model(population, helpers.DEFAULT_WEATHER), cost)  # the same call on one day runs
 
 
 def test_zero_demand_price_solved_once_per_model():

@@ -23,6 +23,7 @@ from dahp import (
     population_model,
     simulate,
     simulate_population_day,
+    simulate_population_days,
     substream,
 )
 from dahp.config import ExperimentConfig, PopulationSpec, SeriesSpec, SimulateSpec, draw_population, load_config
@@ -35,9 +36,8 @@ from dahp.simulate import (
     _noise,
     _noise_words,
     _row_words,
-    _rollout,
 )
-from dahp.timeseries import mean_day, synthetic_weather, synthetic_wholesale
+from dahp.timeseries import HourlySeries, mean_day, synthetic_weather, synthetic_wholesale
 from oracles import EstimatorState, baseline_days, kalman_step, mean_demand, optimal_policy_step, simulate_days
 
 
@@ -658,7 +658,7 @@ def _assert_rows_equal_single_days(population: Population, tolerances: list[floa
         own = [field[row:row + 1] for field in noise]
         for policy, alone in enumerate([[], *([tolerance] for tolerance in tolerances)]):
             # the responsive policy alone, then each baseline beside it: the last policy of the stack
-            alone_cons, alone_disc = _rollout(params, prices, helpers.DEFAULT_WEATHER, alone, *own)
+            alone_cons, alone_disc = oracles.day_rollout(params, prices, helpers.DEFAULT_WEATHER, alone, *own)
             alone_pay = simulate._row_payments(alone_cons, prices)
             assert np.array_equal(alone_cons[-1, 0], cons[policy, row])
             assert (alone_pay[-1, 0], alone_disc[-1, 0]) == (pay[policy, row], disc[policy, row])
@@ -712,6 +712,126 @@ def test_run_simulate_builds_the_estimator_ladder_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _distinct_week(days: int = 7, seed: int = 81) -> tuple[list[HourlySeries], WholesaleCost]:
+    """``days`` weather days that all differ, and a wholesale mean: the
+    synthetic week repeats one day, so it cannot tell the days apart."""
+    rng = np.random.default_rng(seed)
+    weather = [HourlySeries(date=f"2024-07-{day + 1:02d}", unit="degC",
+                            values=helpers.DEFAULT_WEATHER + rng.normal(0.0, 2.0) + rng.normal(0.0, 0.5, 24))
+               for day in range(days)]
+    return weather, WholesaleCost(mean=helpers.DEFAULT_WHOLESALE * rng.uniform(0.8, 1.2, 24))
+
+
+_WEEK_POPULATIONS = {
+    "shared heating": PopulationSpec(count=50, beta=-0.1, desired_temp=[18.0, 22.0]),
+    "ranged heating and cooling": PopulationSpec(count=50, alpha=[0.3, 0.7], beta=[-0.2, 0.2], mu=[0.2, 2.0],
+                                                 desired_temp=[18.0, 22.0], process_noise_var=[0.0, 0.02],
+                                                 obs_noise_var=[0.005, 0.02]),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 150], ids=["one block", "blocks of 3, 3 and 1 days"])
+@pytest.mark.parametrize("tolerances", [[], [0.0, 2.0]], ids=["no baselines", "two baselines"])
+@pytest.mark.parametrize("spec", _WEEK_POPULATIONS.values(), ids=_WEEK_POPULATIONS)
+def test_run_simulate_equals_the_day_at_a_time_loop_bitwise(spec, tolerances, rows, monkeypatch):
+    # one stacked model, tariff and rollout for the week give every table
+    # cell of the day-at-a-time loop, on seven distinct days, also when the
+    # row budget splits the week unevenly (150 rows of 50 consumers: 3 days)
+    if rows is not None:
+        monkeypatch.setattr(experiments, "_SIMULATE_ROWS", rows)
+    weather, cost = _distinct_week()
+    population = draw_population(spec, seed=19)
+    config = ExperimentConfig(seed=19, simulate=SimulateSpec(eta=0.4, thermostat_tolerances=tolerances))
+    ours = experiments.run_simulate(config, population, weather, cost)[0]
+    reference = oracles.run_simulate_by_day(config, population, weather, cost)
+    assert list(ours) == list(reference) == ["simulate.csv", "baseline.csv"][:1 + bool(tolerances)]
+    for name, (header, columns) in reference.items():
+        assert ours[name][0] == header
+        assert [np.asarray(c).tobytes() for c in ours[name][1]] == [np.asarray(c).tobytes() for c in columns]
+
+
+@pytest.mark.parametrize("horizon", range(1, 7))
+def test_population_days_equal_one_day_calls_bitwise(horizon):
+    # each day of a stack is its own one-day call, every bit of it, sign
+    # bits included: a noise-free consumer and zero prices give zeros
+    rng = np.random.default_rng(82 + horizon)
+    population = Population.of([*(helpers.random_params(rng, horizon) for _ in range(4)),
+                                Population(alpha=[0.35], beta=[-0.15], mu=[1.2], desired_temp=[np.full(horizon, 21.0)],
+                                           process_noise_var=[0.0], obs_noise_var=[0.0])])
+    days = 4
+    prices = rng.uniform(0.0, 0.3, (days, horizon))
+    prices[1] = 0.0
+    weather = rng.uniform(15.0, 35.0, (days, horizon))
+    stacked = simulate_population_days(population, prices, weather, 6, [0.0, 2.0], first_day=3)
+    assert [x.shape for x in stacked] == [(days, 3, 5, horizon), (days, 3, 5), (days, 3, 5)]
+    for day in range(days):
+        alone = simulate_population_day(population, prices[day], weather[day], 6, 3 + day, [0.0, 2.0])
+        assert [x[day].tobytes() for x in stacked] == [x.tobytes() for x in alone]
+
+
+@pytest.mark.parametrize("prices, weather", [
+    (np.zeros((3, 24)), np.full((2, 24), 30.0)),       # a tariff per day, but not a forecast
+    (np.zeros((2, 23)), np.full((2, 23), 30.0)),       # not the population's horizon
+    (np.zeros(24), np.full(24, 30.0)),                 # one day, not a stack of days
+    (np.zeros((0, 24)), np.full((0, 24), 30.0)),       # no days
+    (np.full((2, 24), np.nan), np.full((2, 24), 30.0)),
+    (np.zeros((2, 24)), np.full((2, 24), np.inf)),
+], ids=["days", "hours", "one day", "no days", "nan price", "infinite weather"])
+def test_population_days_reject_stacks_that_do_not_match(prices, weather):
+    population = draw_population(PopulationSpec(count=3), seed=1)
+    with pytest.raises(ValueError):
+        simulate_population_days(population, prices, weather, 0)
+
+
+def test_run_simulate_builds_one_model_and_one_tariff_per_run(monkeypatch):
+    calls = []
+    for name in ("population_model", "optimal_price"):
+        original = getattr(experiments, name)
+        monkeypatch.setattr(experiments, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    config = ExperimentConfig(seed=8, consumers=PopulationSpec(count=5), weather=SeriesSpec(days=7),
+                              wholesale=SeriesSpec(days=7), simulate=SimulateSpec(eta=0.5))
+    experiments.run_simulate(config, *experiments.load_inputs(config))
+    assert sorted(calls) == ["optimal_price", "population_model"]
+
+
+def test_run_simulate_peak_per_block_does_not_grow_with_the_days(monkeypatch):
+    # 1,100 consumers make blocks of 7 days under the 8,192-row budget: a
+    # week is one block and 56 days are eight.  Each block's peak above
+    # what was allocated when it started must be the week's (to 1 KiB of
+    # Python objects), and what a block starts on may hold only the arrays
+    # of every day (the forecasts and tariffs, the payments and
+    # discomforts), so no earlier block's consumption or noise stays alive.
+    population = draw_population(PopulationSpec(count=1100, desired_temp=[18.0, 22.0]), seed=4)
+    assert experiments._SIMULATE_ROWS // len(population) == 7
+    simulate_days, blocks = experiments.simulate_population_days, []
+
+    def measuring(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, *result = simulate_days(*args)
+        blocks.append((start, tracemalloc.get_traced_memory()[1] - start))
+        return None, *result
+
+    monkeypatch.setattr(experiments, "simulate_population_days", measuring)
+    config = ExperimentConfig(seed=4, simulate=SimulateSpec(eta=0.5, thermostat_tolerances=[0.0, 2.0]))
+    measured = {}
+    for days in (7, 56):
+        weather, cost = _distinct_week(days)
+        blocks.clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            experiments.run_simulate(config, population, weather, cost)
+        finally:
+            tracemalloc.stop()
+        measured[days] = [(start - before, peak) for start, peak in blocks]
+    assert [len(measured[days]) for days in (7, 56)] == [1, 8]
+    (_, week_peak), = measured[7]
+    assert max(peak for _, peak in measured[56]) <= week_peak + 1024
+    every_day = 8 * 56 * (4 * 24 + 2 * 3 * len(population))  # 2.96 MB; one block's consumption is 4.4 MB
+    assert max(start for start, _ in measured[56]) <= every_day + 65536
+
+
 @pytest.mark.parametrize("count, horizon", [(300, 24), (30_000, 1)])
 def test_every_policy_discomfort_adds_python_float_squares_hour_by_hour(count, horizon):
     # every policy's deviations must be squared with one multiply, like
@@ -727,8 +847,8 @@ def test_every_policy_discomfort_adds_python_float_squares_hour_by_hour(count, h
     forecast = helpers.DEFAULT_WEATHER[:horizon]
     prices = rng.uniform(0.02, 0.3, horizon)
     w = rng.normal(0.0, 0.3, size=(count, horizon))
-    consumption, discomfort = _rollout(population, prices, forecast, [0.0, 1.0],
-                                       np.zeros(count), w, np.zeros((count, horizon)))
+    consumption, discomfort = oracles.day_rollout(population, prices, forecast, [0.0, 1.0],
+                                                  np.zeros(count), w, np.zeros((count, horizon)))
     assert consumption.shape == (3, count, horizon) and discomfort.shape == (3, count)
     for row, params in enumerate(population):
         alpha, beta, mu = params.alpha.item(), params.beta.item(), params.mu.item()
