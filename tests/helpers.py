@@ -4,6 +4,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from dahp import (
     AffineDemandModel,
@@ -129,4 +130,19 @@ def series_rows(dates, days, layout: str) -> list[str]:
 def write_series(path, layout: str, rows: list[str]):
     """Write a series CSV of ``rows`` under the layout's header; return its path."""
     path.write_text("\n".join([_SERIES_HEADERS[layout], *rows]) + "\n")
+    return path
+
+
+def demo_config(tmp_path, changes=()):
+    """``configs/demo.yaml`` cut to three consumers, with dotted keys replaced."""
+    config = yaml.safe_load(DEMO_CONFIG.read_text())
+    config["consumers"]["count"] = 3
+    for key, value in changes:
+        *sections, name = key.split(".")
+        node = config
+        for section in sections:
+            node = node[section]
+        node[name] = value
+    path = tmp_path / "demo.yaml"
+    path.write_text(yaml.safe_dump(config))
     return path

@@ -5,11 +5,9 @@ import re
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-import yaml
 
 import dahp.config
 import dahp.experiments
@@ -409,24 +407,6 @@ def test_help_still_exits_0(args, capsys):
     assert info.value.code == 0 and captured.out.startswith("usage: dahp") and captured.err == ""
 
 
-DEMO = Path(__file__).resolve().parents[1] / "configs" / "demo.yaml"
-
-
-def _demo_config(tmp_path, changes=()):
-    """``configs/demo.yaml`` cut to three consumers, with dotted keys replaced."""
-    config = yaml.safe_load(DEMO.read_text())
-    config["consumers"]["count"] = 3
-    for key, value in changes:
-        *sections, name = key.split(".")
-        node = config
-        for section in sections:
-            node = node[section]
-        node[name] = value
-    path = tmp_path / "demo.yaml"
-    path.write_text(yaml.safe_dump(config))
-    return path
-
-
 def _assert_failed(code, stdout, stderr, expected_code, kind, key=None):
     assert (code, stdout) == (expected_code, "")
     assert stderr.count("\n") == 1
@@ -451,14 +431,14 @@ def _assert_failed(code, stdout, stderr, expected_code, kind, key=None):
     ("weather", {"source": "file", "path": 5}, "pareto", "weather.path"),
 ])
 def test_invalid_demo_values_exit_2(tmp_path, capsys, key, value, command, named):
-    config = _demo_config(tmp_path, [(key, value)])
+    config = helpers.demo_config(tmp_path, [(key, value)])
     result = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(*result, 2, "config", named)
 
 
 def test_output_dir_must_be_a_path(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    config = _demo_config(tmp_path, [("output_dir", 5)])
+    config = helpers.demo_config(tmp_path, [("output_dir", 5)])
     _assert_failed(*_run(["pareto", "--config", str(config)], capsys), 2, "config", "output_dir")
 
 
@@ -469,7 +449,7 @@ def test_non_positive_wholesale_mean_exit_3(tmp_path, capsys, command):
         "date," + ",".join(f"h{i:02d}" for i in range(1, 25)) + "\n"
         "2024-01-01,-5," + ",".join(["30"] * 23) + "\n"
     )
-    config = _demo_config(tmp_path, [("wholesale", {"source": "file", "path": str(prices)})])
+    config = helpers.demo_config(tmp_path, [("wholesale", {"source": "file", "path": str(prices)})])
     code, stdout, stderr = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(code, stdout, stderr, 3, "data", str(prices))
     assert "hours [1]" in json.loads(stderr)["message"]
@@ -480,14 +460,14 @@ def test_non_utf8_data_file_exit_3(tmp_path, capsys, command):
     weather = tmp_path / "weather.csv"
     header = "date," + ",".join(f"h{i:02d}" for i in range(1, 25))
     weather.write_bytes(f"{header}\n2024-01-01,{','.join(['30'] * 24)}\n".encode() + b"\xe9\n")
-    config = _demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)})])
+    config = helpers.demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)})])
     code, stdout, stderr = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(code, stdout, stderr, 3, "data", str(weather))
     assert "utf-8" in json.loads(stderr)["message"]
 
 
 def test_non_utf8_config_exit_2(tmp_path, capsys):
-    config = _demo_config(tmp_path)
+    config = helpers.demo_config(tmp_path)
     config.write_bytes(config.read_bytes() + b"# caf\xe9\n")
     code, stdout, stderr = _run(["pareto", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(code, stdout, stderr, 2, "config", str(config))
@@ -497,7 +477,7 @@ def test_non_utf8_config_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["pareto", "benchmarks", "renewable", "storage", "simulate"])
 @pytest.mark.parametrize("key, value", [("consumers.beta", 1e-300), ("consumers.desired_temp", 1e308)])
 def test_overflowing_population_model_exit_4(tmp_path, capsys, command, key, value):
-    config = _demo_config(tmp_path, [(key, value)])
+    config = helpers.demo_config(tmp_path, [(key, value)])
     result = _run([command, "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(*result, 4, "numerical")
 
@@ -506,14 +486,14 @@ def test_renewable_at_a_point_solved_to_rounding_exit_0(tmp_path, capsys):
     # alpha 1e-20 puts hours exactly on the zero-demand kink at four (eta, K)
     # cells, and the regime test flips them between classifications until
     # the solves run out: a residual that is rounding error is a solution
-    config = _demo_config(tmp_path, [("consumers.count", 10), ("consumers.alpha", 1e-20)])
+    config = helpers.demo_config(tmp_path, [("consumers.count", 10), ("consumers.alpha", 1e-20)])
     code, _, stderr = _run(["renewable", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     assert (code, stderr) == (0, "")
     assert len((tmp_path / "o" / "renewable.csv").read_text().splitlines()) == 1 + 33
 
 
 def test_renewable_without_a_consistent_regime_exit_4(tmp_path, capsys):
-    config = _demo_config(tmp_path, [("consumers.count", 10), ("consumers.mu", 1e-300)])
+    config = helpers.demo_config(tmp_path, [("consumers.count", 10), ("consumers.mu", 1e-300)])
     result = _run(["renewable", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(*result, 4, "numerical", "no consistent demand regime")
 
@@ -522,7 +502,7 @@ def test_unbounded_battery_lp_exit_4(tmp_path, capsys):
     # Warm set points drive the eta = 0 seed tariff below zero in one hour;
     # with losses and no rate limits the battery LP is then unbounded, which
     # is not an unreachable terminal state of charge.
-    config = _demo_config(tmp_path, [("consumers.desired_temp", 40.0), ("storage.charge_limit", math.inf),
+    config = helpers.demo_config(tmp_path, [("consumers.desired_temp", 40.0), ("storage.charge_limit", math.inf),
                                      ("storage.discharge_limit", math.inf)])
     result = _run(["storage", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(*result, 4, "numerical", "unbounded")
@@ -533,7 +513,7 @@ def test_large_battery_storage_exit_0(tmp_path, capsys):
     # A 1e12 kWh battery's plans balance only up to rounding of its size,
     # which the plan check's tolerance, relative to the capacity and rate
     # limits, allows; an absolute one made this exit 4.
-    config = _demo_config(tmp_path, [("storage.capacity", 1e12), ("storage.charge_limit", 1e12),
+    config = helpers.demo_config(tmp_path, [("storage.capacity", 1e12), ("storage.charge_limit", 1e12),
                                      ("storage.discharge_limit", 1e12), ("storage.eta_grid", [0.5]),
                                      ("storage.max_evals", 100)])
     code, stdout, stderr = _run(["storage", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
@@ -542,7 +522,7 @@ def test_large_battery_storage_exit_0(tmp_path, capsys):
 
 @pytest.mark.parametrize("ratio", [1e308, 1e-300])
 def test_overflowing_benchmark_tariffs_exit_4(tmp_path, capsys, ratio):
-    config = _demo_config(tmp_path, [("benchmarks.tou_ratio", ratio)])
+    config = helpers.demo_config(tmp_path, [("benchmarks.tou_ratio", ratio)])
     result = _run(["benchmarks", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(*result, 4, "numerical", "tou")
 
@@ -550,7 +530,7 @@ def test_overflowing_benchmark_tariffs_exit_4(tmp_path, capsys, ratio):
 def test_a_tou_sweep_past_the_largest_float_exit_4(tmp_path, capsys):
     # a subnormal ratio puts the TOU sweep's top, the zero-demand level
     # over the ratio, at infinity: a numerical failure, not bad input
-    config = _demo_config(tmp_path, [("benchmarks.tou_ratio", 1e-310)])
+    config = helpers.demo_config(tmp_path, [("benchmarks.tou_ratio", 1e-310)])
     result = _run(["benchmarks", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(*result, 4, "numerical", "tou benchmark sweep")
 
@@ -562,7 +542,7 @@ def test_a_tou_sweep_past_the_largest_float_exit_4(tmp_path, capsys):
 def test_a_study_that_exits_nonzero_writes_no_csv(tmp_path, capsys, command, change, named):
     # each study fails after it has made a finite table, which must not
     # reach the output directory either, nor must a manifest
-    config = _demo_config(tmp_path, [change])
+    config = helpers.demo_config(tmp_path, [change])
     out = tmp_path / "o"
     result = _run([command, "--config", str(config), "--out", str(out)], capsys)
     _assert_failed(*result, 4, "numerical", named)
@@ -573,7 +553,7 @@ def test_infeasible_battery_exit_4_before_any_plan(tmp_path, capsys):
     # a charged battery that loses half its charge an hour and cannot
     # recharge misses its terminal state of charge: its LP raises when it
     # is built, and the run writes nothing
-    config = _demo_config(tmp_path, [("storage.initial_soc", 10.0), ("storage.storage_eff", 0.5),
+    config = helpers.demo_config(tmp_path, [("storage.initial_soc", 10.0), ("storage.storage_eff", 0.5),
                                      ("storage.charge_limit", 0.0), ("storage.discharge_limit", 0.0)])
     out = tmp_path / "o"
     result = _run(["storage", "--config", str(config), "--out", str(out)], capsys)
@@ -586,9 +566,9 @@ def test_output_dir_naming_a_file_exit_2(tmp_path, capsys, via_flag):
     taken = tmp_path / "taken"
     taken.write_text("")
     if via_flag:
-        args = ["pareto", "--config", str(_demo_config(tmp_path)), "--out", str(taken)]
+        args = ["pareto", "--config", str(helpers.demo_config(tmp_path)), "--out", str(taken)]
     else:
-        args = ["pareto", "--config", str(_demo_config(tmp_path, [("output_dir", str(taken))]))]
+        args = ["pareto", "--config", str(helpers.demo_config(tmp_path, [("output_dir", str(taken))]))]
     _assert_failed(*_run(args, capsys), 2, "config", str(taken))
 
 
@@ -598,7 +578,7 @@ def test_output_dir_naming_a_file_exit_2(tmp_path, capsys, via_flag):
      "finite charge or discharge limit"),
 ], ids=["infinite initial soc", "no finite bound"])
 def test_unlimited_battery_exit_2(tmp_path, capsys, changes, named):
-    config = _demo_config(tmp_path, changes)
+    config = helpers.demo_config(tmp_path, changes)
     result = _run(["storage", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(*result, 2, "config", named)
 
@@ -607,7 +587,7 @@ def test_unlimited_battery_exit_2(tmp_path, capsys, changes, named):
 def test_output_file_that_is_a_directory_exit_2(tmp_path, capsys, name):
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
-    result = _run(["pareto", "--config", str(_demo_config(tmp_path)), "--out", str(out)], capsys)
+    result = _run(["pareto", "--config", str(helpers.demo_config(tmp_path)), "--out", str(out)], capsys)
     _assert_failed(*result, 2, "config", name)
 
 
@@ -618,7 +598,7 @@ WEEK_DATES = [f"2021-07-{day:02d}" for day in (4, 1, 7, 2, 6, 3, 5)]
 def _week_config(tmp_path, layout, changes=()):
     """The cut demo config on a seeded week of weather and $/MWh prices,
     both files in ``layout`` with their rows shuffled and a blank line,
-    with dotted keys replaced as ``_demo_config`` does."""
+    with dotted keys replaced as ``helpers.demo_config`` does."""
     rng = np.random.default_rng(2105)
     weather = np.round(synthetic_weather(1)[0].values + rng.normal(0.0, 0.5, (7, 24)), 3)
     prices = np.round(1000.0 * synthetic_wholesale(1)[0].values * rng.uniform(0.8, 1.2, (7, 24)), 3)
@@ -629,7 +609,7 @@ def _week_config(tmp_path, layout, changes=()):
         rows.insert(3, "")
         path = helpers.write_series(tmp_path / f"{name}.csv", layout, rows)
         sources.append((name, {"source": "file", "path": str(path)}))
-    return _demo_config(tmp_path, [*sources, ("storage.eta_grid", [0.5]), *changes])
+    return helpers.demo_config(tmp_path, [*sources, ("storage.eta_grid", [0.5]), *changes])
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -656,7 +636,7 @@ def test_renewable_at_front_10k_scale_splits_the_benefit_at_the_lowest_demand(tm
     # is exactly 0; a larger one gives them a positive share, never above
     # its large-plant limit 1 / (3 - 2 eta)
     if week == "synthetic":
-        config = _demo_config(tmp_path, FRONT_10K_RENEWABLE)
+        config = helpers.demo_config(tmp_path, FRONT_10K_RENEWABLE)
     else:
         config = _week_config(tmp_path, "wide", FRONT_10K_RENEWABLE)
     out = tmp_path / "out"
@@ -712,7 +692,7 @@ def test_long_rows_with_mixed_utc_offsets_exit_3_naming_file_and_line(tmp_path, 
 
 def _assert_rows_exit_3_naming_line(tmp_path, capsys, layout, rows, line):
     weather = helpers.write_series(tmp_path / "weather.csv", layout, rows)
-    config = _demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)})])
+    config = helpers.demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)})])
     code, stdout, stderr = _run(["pareto", "--config", str(config), "--out", str(tmp_path / "o")], capsys)
     _assert_failed(code, stdout, stderr, 3, "data", str(weather))
     listed = re.search(r"lines \[([\d, ]+)\]", json.loads(stderr)["message"]).group(1)
@@ -724,7 +704,7 @@ def test_non_finite_study_outputs_exit_4(tmp_path, capsys, command):
     # 1e300 degC is finite, so the data loads, but every surplus overflows
     rows = helpers.series_rows(["2024-07-01"], np.full((1, 24), 1e300), "wide")
     weather = helpers.write_series(tmp_path / "weather.csv", "wide", rows)
-    config = _demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)}),
+    config = helpers.demo_config(tmp_path, [("weather", {"source": "file", "path": str(weather)}),
                                      ("storage.eta_grid", [0.5])])
     out = tmp_path / "o"
     with warnings.catch_warnings():

@@ -1,4 +1,7 @@
 """Tests for the experiment pipelines' inputs and tables, sweep construction, CSV assembly and CSV writer."""
+import errno
+import json
+import os
 import re
 from pathlib import Path
 
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import helpers
 import oracles
+from dahp.cli import main
 from dahp.config import BenchmarkSpec, ExperimentConfig, PopulationSpec, load_config
 from dahp.errors import ConfigError, NumericalError
 from dahp.experiments import (
@@ -20,6 +24,7 @@ from dahp.experiments import (
     _csv_body,
     _percent_body,
     _ticks,
+    _write,
     _write_tables,
     load_inputs,
     run_benchmarks,
@@ -215,3 +220,123 @@ def test_unknown_command_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="unknown command 'plot'"):
         run_experiment(ExperimentConfig(seed=1), "plot", tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+OLD = b"an earlier run's file, longer than the short rewrite\n" * 40
+
+
+@pytest.mark.parametrize("new", [b"short\n", OLD + b"and then some more\n" * 500, OLD],
+                         ids=["shorter", "longer", "identical"])
+def test_a_rewrite_leaves_exactly_the_new_bytes_in_the_same_file(tmp_path, new):
+    path = tmp_path / "t.csv"
+    path.write_bytes(OLD)
+    path.chmod(0o604)
+    before = path.stat()
+    _write(path, [new[:7], new[7:]])
+    after = path.stat()
+    assert path.read_bytes() == new
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+
+def test_a_new_file_gets_the_mode_open_wb_gives(tmp_path):
+    _write(tmp_path / "new.csv", [b"a\n"])
+    with (tmp_path / "reference.csv").open("wb"):
+        pass
+    assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "reference.csv").stat().st_mode
+    assert (tmp_path / "new.csv").read_bytes() == b"a\n"
+
+
+def test_the_open_asks_for_binary_mode_where_the_platform_has_one(tmp_path, monkeypatch):
+    # Windows opens a descriptor in text mode (LF written as CRLF) unless
+    # O_BINARY is passed, as open("wb") passes it; other platforms have none
+    binary = 1 << 29
+    monkeypatch.setattr(os, "O_BINARY", binary, raising=False)
+    real_open, flags_seen = os.open, []
+
+    def recording_open(path, flags, *args, **kwargs):
+        flags_seen.append(flags)
+        return real_open(path, flags & ~binary, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    _write(tmp_path / "t.csv", [b"a\nb\n"])
+    assert flags_seen == [os.O_WRONLY | os.O_CREAT | binary]
+    assert (tmp_path / "t.csv").read_bytes() == b"a\nb\n"
+
+
+def test_a_symlinked_output_is_written_through_and_stays_a_link(tmp_path):
+    target = tmp_path / "kept" / "t.csv"
+    target.parent.mkdir()
+    target.write_bytes(OLD)
+    link = tmp_path / "t.csv"
+    link.symlink_to(target)
+    _write(link, [b"new\n"])
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_bytes() == b"new\n"
+
+
+@pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+def test_an_output_linked_to_the_null_device_is_written_without_a_cut(tmp_path):
+    # a device has no size to cut, and O_TRUNC leaves it alone too
+    link = tmp_path / "t.csv"
+    link.symlink_to(os.devnull)
+    _write(link, [b"discarded\n"])
+    assert link.is_symlink()
+
+
+def test_a_write_that_fails_part_way_leaves_only_what_was_written(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(OLD)
+
+    def chunks():
+        yield b"first chunk\n"
+        raise OSError(errno.EIO, "the second chunk failed")
+
+    with pytest.raises(ConfigError, match="cannot write .*t\\.csv.*the second chunk failed"):
+        _write(path, chunks())
+    assert path.read_bytes() == b"first chunk\n"
+
+
+def test_a_read_only_existing_output_exits_2_and_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "tradeoff.csv").write_bytes(OLD)
+    (out / "tradeoff.csv").chmod(0o444)
+    if os.geteuid() == 0:
+        # root opens a file for writing whatever its mode bits: refuse the
+        # open as the kernel does for any other user
+        real_open = os.open
+
+        def open_as_a_user(path, flags, *args, **kwargs):
+            if flags & (os.O_WRONLY | os.O_RDWR) and os.path.exists(path) and not os.stat(path).st_mode & 0o222:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+            return real_open(path, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", open_as_a_user)
+    code = main(["pareto", "--config", str(helpers.demo_config(tmp_path)), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    record = json.loads(captured.err)
+    assert record["error"] == "config" and "cannot write" in record["message"]
+    assert (out / "tradeoff.csv").read_bytes() == OLD
+    assert not (out / "manifest.json").exists()
+
+
+def test_a_shrinking_rerun_into_one_directory_gives_a_fresh_runs_bytes(tmp_path, capsys):
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    config = str(helpers.demo_config(tmp_path, [("benchmarks.points", 200)]))
+    assert main(["benchmarks", "--config", config, "--out", str(rerun)]) == 0
+    before = {path.name: path.stat().st_size for path in rerun.iterdir()}
+    config = str(helpers.demo_config(tmp_path, [("benchmarks.points", 50)]))
+    assert main(["benchmarks", "--config", config, "--out", str(rerun)]) == 0
+    assert main(["benchmarks", "--config", config, "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    names = json.loads((fresh / "manifest.json").read_text())["outputs"]
+    assert sorted(before) == sorted([*names, "manifest.json"])
+    for name in names:
+        assert before[name] > (fresh / name).stat().st_size  # every file shrank
+        assert (rerun / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def manifest(out):
+        return re.sub(rb'"wall_time_s": [0-9.e+-]+', b'"wall_time_s": 0', (out / "manifest.json").read_bytes())
+
+    assert manifest(rerun) == manifest(fresh)
