@@ -122,6 +122,7 @@ def _write_tables(out_dir: Path, tables: Tables) -> list[str]:
 
 
 _CHUNK_CELLS = 4096  # cells formatted at a time, so no scratch array exceeds 128 KiB
+_INTEGER_KINDS = "biu"  # dtype kinds both formatters write as %d: bool, signed and unsigned integers
 
 
 def _csv_body(columns: Sequence[np.ndarray]) -> list[bytes]:
@@ -133,7 +134,7 @@ def _csv_body(columns: Sequence[np.ndarray]) -> list[bytes]:
     huge value or a value too near a rounding tie, goes through Python's
     ``%`` formatting (``_percent_body``).  Both give the same bytes.
     """
-    is_float = np.array([column.dtype.kind == "f" for column in columns])
+    is_float = np.array([column.dtype.kind not in _INTEGER_KINDS for column in columns])
     step = max(1, _CHUNK_CELLS // len(columns))
     chunks = []
     for start in range(0, len(columns[0]), step):
@@ -146,7 +147,7 @@ def _csv_body(columns: Sequence[np.ndarray]) -> list[bytes]:
 
 def _percent_body(columns: Sequence[np.ndarray]) -> str:
     """The rows as ``%d`` and ``%.4f`` cells, in one format operation."""
-    line = ",".join("%d" if column.dtype.kind in "iu" else "%.4f" for column in columns) + "\n"
+    line = ",".join("%d" if column.dtype.kind in _INTEGER_KINDS else "%.4f" for column in columns) + "\n"
     cells = tuple(itertools.chain.from_iterable(zip(*(column.tolist() for column in columns))))
     # %.4f writes a 4-decimal cell, so "-0.0000" only ever occurs as a whole cell
     return ((line * len(columns[0])) % cells).replace("-0.0000", "0.0000")

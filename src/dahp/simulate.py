@@ -35,7 +35,11 @@ that start at counter ``c * W / 4`` of that key's stream, where ``W`` is the
 smallest multiple of 4 holding the word pairs of its ``2 * horizon + 1``
 normals.  A day's rows are one ``random_raw`` call from counter 0, and
 consumer ``c``'s noise depends only on ``(seed, c, day)``, not on the
-population's size.  Box-Muller turns word pair ``k`` into normals
+population's size.  The days of a block are drawn concurrently, one
+thread per CPU the process may run on (``os.sched_getaffinity``, else
+``os.cpu_count``) and at most one per day; since each day's stream and
+slices are its own, the bits do not depend on the thread count.
+Box-Muller turns word pair ``k`` into normals
 ``2k`` (cosine) and ``2k + 1`` (sine) in the words' own buffer, taking the
 cosine and sine from ``tan`` of the half angle (Box and Muller, Ann. Math.
 Stat. 1958; no ``cos`` or ``sin`` is called).  Normal 0 is the initial
@@ -48,6 +52,7 @@ disturbances.  ``NOISE_SCHEME`` numbers this layout in the manifest.
 """
 from __future__ import annotations
 
+import os
 from typing import Sequence
 
 import numpy as np
@@ -76,11 +81,11 @@ def _row_words(horizon: int) -> int:
     return 4 * -(-(2 * horizon + 2) // 4)
 
 
-def _noise_words(seed: int, stream: tuple[int, ...], count: int, width: int) -> np.ndarray:
-    """(count, width) raw words of the Philox stream of ``substream(seed,
-    *stream)``, one ``random_raw`` call from counter 0: row ``r`` starts at
+def _noise_words(generator: np.random.Generator, count: int, width: int) -> np.ndarray:
+    """(count, width) raw words of a fresh ``substream`` generator's Philox
+    stream, one ``random_raw`` call from counter 0: row ``r`` starts at
     counter ``r * width / 4``."""
-    return substream(seed, *stream).bit_generator.random_raw(count * width).reshape(count, width)
+    return generator.bit_generator.random_raw(count * width).reshape(count, width)
 
 
 def _box_muller(words: np.ndarray, count: int) -> np.ndarray:
@@ -118,21 +123,28 @@ def _box_muller(words: np.ndarray, count: int) -> np.ndarray:
     return u[:, :count]
 
 
-def _noise(population: Population, seed: int, stream: tuple[int, ...], count: int,
+def _noise(population: Population, generator: np.random.Generator, count: int,
            out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
-    """(v0, w, v) of rows 0..count-1 of stream ``(seed, *stream)``: initial
-    reading errors (count,), process noise and reading errors (count,
-    hours), scaled by the row's consumer (a population of one scales every
-    row alike).  Given ``out``, a (count,) and two (hours, count) buffers,
-    the scaled noise is written there hour-major instead, in the pass that
-    scales it."""
+    """(v0, w, v) of rows 0..count-1 of a fresh ``substream`` generator's
+    stream: initial reading errors (count,), process noise and reading
+    errors (count, hours), scaled by the row's consumer (a population of
+    one scales every row alike).  Given ``out``, a (count,) and two (hours,
+    count) buffers, the scaled noise is written there hour-major instead,
+    in the pass that scales it."""
     n = population.horizon
-    z = _box_muller(_noise_words(seed, stream, count, _row_words(n)), 2 * n + 1)
+    z = _box_muller(_noise_words(generator, count, _row_words(n)), 2 * n + 1)
     normals = z[:, 0], z[:, 1:n + 1].T, z[:, n + 1:].T  # hour-major views, scaled in place without out
     r, q = np.sqrt(population.obs_noise_var), np.sqrt(population.process_noise_var)
     for normal, scale, field in zip(normals, (r, q, r), out or normals):
         np.multiply(normal, scale, field)
     return out or (z[:, 0], z[:, 1:n + 1], z[:, n + 1:])
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _day_noise(population: Population, seed: int, first_day: int, days: int) -> tuple[np.ndarray, ...]:
@@ -141,11 +153,38 @@ def _day_noise(population: Population, seed: int, first_day: int, days: int) -> 
     errors hour-major, (hours, days, consumers), so the rollout reads each
     hour's rows contiguously.  Each day's words and normals are made in that
     day's own cache-sized buffer by ``_noise``, which scales them into the
-    stack, transposed."""
+    stack, transposed.
+
+    The days are drawn concurrently, one thread per CPU the process may run
+    on and at most one per day: this thread and workers started for this
+    call, which end with it.  numpy's ufuncs and ``random_raw`` release the
+    GIL, and each day writes only its own slices, so the bits do not depend
+    on the thread count.  Every day's generator is built here first, so
+    ``substream`` runs on this thread only.  Workers run under this
+    thread's numpy error state (numpy before 2.0 keeps it per thread, not
+    in a context variable), and a worker's exception is raised here."""
     n, count = population.horizon, len(population)
     v0, (w, v) = np.empty((days, count)), np.empty((2, n, days, count))
-    for k in range(days):
-        _noise(population, seed, (DAY_NOISE_STREAM, first_day + k), count, (v0[k], w[:, k], v[:, k]))
+    generators = [substream(seed, DAY_NOISE_STREAM, first_day + k) for k in range(days)]
+    errors = dict(np.geterr(), call=np.geterrcall())
+
+    def draw(part: range) -> None:
+        with np.errstate(**errors):
+            for k in part:
+                _noise(population, generators[k], count, (v0[k], w[:, k], v[:, k]))
+
+    threads = min(days, _cpus())
+    parts = [range(start, days, threads) for start in range(threads)]
+    if threads == 1:
+        draw(parts[0])
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # ~4 ms at import, paid by simulate alone
+
+        with ThreadPoolExecutor(threads - 1) as pool:
+            futures = [pool.submit(draw, part) for part in parts[:-1]]
+            draw(parts[-1])  # the smallest part, since this thread also starts the workers
+            for future in futures:
+                future.result()
     return v0, w, v
 
 

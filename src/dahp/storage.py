@@ -183,6 +183,7 @@ class _BatteryLp:
         self.idle_feasible = _idle_plan_feasible(battery, n)
         self.idle_point = np.concatenate([np.zeros(2 * n), battery.initial_soc * battery.storage_eff ** (hours + 1)])
         self.entries: list[tuple] = []  # (G, its largest row 1-norm, x)
+        self.objectives = np.zeros((0, 3 * n))  # the largest stack's costs so far, reused by plans
         self.warm: LpResult | None = None  # the latest kept basis's solve
         self.lp_solves = 0
         self.lp_pivots = self.feasible.pivots
@@ -215,11 +216,16 @@ class _BatteryLp:
                 points[i] = self._solve(stack[i])
                 tested[:0] = [None] * (len(self.entries) - len(tested))  # the basis it kept, if any
                 i += 1
-        objectives = np.concatenate([-stack, stack, np.zeros((k, n))], axis=1)
+        if len(self.objectives) < k:
+            self.objectives = np.zeros((k, 3 * n))
+        objectives = self.objectives[:k]  # soc columns stay zero
+        np.negative(stack, out=objectives[:, :n])
+        objectives[:, n:2 * n] = stack
         profits = _rowdot(objectives, points)
         if self.idle_feasible:
             idle = np.abs(profits) <= 1e-12 * np.maximum(1.0, np.abs(stack).max(axis=1))
-            points[idle], profits[idle] = self.idle_point, 0.0
+            if idle.any():
+                points[idle], profits[idle] = self.idle_point, 0.0
         return points, profits
 
     def _solve(self, pi: np.ndarray) -> np.ndarray:

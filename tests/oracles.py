@@ -55,6 +55,7 @@ from dahp.simulate import (
     REPLICATE_NOISE_STREAM,
     _noise,
     _rollout,
+    substream,
 )
 
 Outcome = tuple[np.ndarray, np.ndarray, np.ndarray]  # consumption, payment, discomfort per row
@@ -349,11 +350,12 @@ def step_baseline(params, tolerance, prices, forecast, w):
 
 
 def csv_text(header, rows) -> str:
-    """A CSV written one cell at a time: ints as ints, floats to four
-    decimals, and a cell reading ``-0.0000`` replaced by ``0.0000``."""
+    """A CSV written one cell at a time: ints (bools too, as 1 and 0) as
+    ints, floats to four decimals, and a cell reading ``-0.0000`` replaced
+    by ``0.0000``."""
     def cell(value) -> str:
         if isinstance(value, int):
-            return str(value)
+            return str(int(value))
         text = f"{value:.4f}"
         return "0.0000" if text == "-0.0000" else text
 
@@ -634,7 +636,7 @@ def _replicate_days(params: Population, prices, weather, seed: int, n_days: int,
     """The validated prices and forecast and ``n_days`` rows of noise of a
     one-row population: the simulator's layout with days as rows of the
     ``(seed, REPLICATE_NOISE_STREAM, consumer_id)`` stream."""
-    noise = _noise(params, seed, (REPLICATE_NOISE_STREAM, consumer_id), n_days)
+    noise = _noise(params, substream(seed, REPLICATE_NOISE_STREAM, consumer_id), n_days)
     return as_prices(prices, params.horizon), as_forecast(weather, params.horizon), *noise
 
 

@@ -162,6 +162,7 @@ AT_CUT = st.builds(lambda sign, steps: sign * _ulps(2.0**40 / 1e4, steps),
                    st.sampled_from([-1.0, 1.0]), st.integers(-4, 4))
 ORDINARY = st.floats(-1e6, 1e6)
 INTS = st.integers(-10**6, 10**6) | st.integers(-2**63, 2**63 - 1)
+DTYPES = {INTS: np.int64, st.booleans(): bool}
 
 
 @st.composite
@@ -169,9 +170,9 @@ def _tables(draw):
     rows = draw(st.integers(0, 8))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
-        cells = draw(st.sampled_from([ANY_FLOAT, NEAR_TIE, AT_CUT, ORDINARY, ORDINARY | NEAR_TIE, INTS]))
+        cells = draw(st.sampled_from([ANY_FLOAT, NEAR_TIE, AT_CUT, ORDINARY, ORDINARY | NEAR_TIE, *DTYPES]))
         values = draw(st.lists(cells, min_size=rows, max_size=rows))
-        columns.append(np.array(values, dtype=np.int64 if cells is INTS else float))
+        columns.append(np.array(values, dtype=DTYPES.get(cells, float)))
     return columns
 
 
@@ -193,6 +194,15 @@ def test_numpy_formatting_matches_the_percent_path_across_chunks():
     columns = [np.arange(len(floats)) - 7, floats, -floats, np.round(floats, 4), np.zeros(len(floats), np.uint8)]
     assert _ticks(columns) is not None and len(floats) * len(columns) > 2 * _CHUNK_CELLS
     assert b"".join(_csv_body(columns)).decode() == _percent_body(columns)
+
+
+@pytest.mark.parametrize("other", [1.5, np.nan], ids=["certified", "fallback"])
+def test_a_bool_column_is_written_as_integers_by_both_formatters(other):
+    # a bool cell's bytes must not depend on whether another cell of the
+    # table sends it through numpy's formatting or the % fallback
+    columns = [np.array([True, False]), np.array([other, 2.25])]
+    assert b"".join(_csv_body(columns)).decode() == f"1,{other:.4f}\n0,2.2500\n"
+    assert _percent_body(columns) == f"1,{other:.4f}\n0,2.2500\n"
 
 
 def test_one_uncertifiable_cell_sends_the_table_through_the_fallback():

@@ -1,5 +1,7 @@
 """Tests for the consumer simulator: policy, filter, and Monte Carlo means."""
+import os
 import statistics
+import threading
 import tracemalloc
 from dataclasses import astuple, replace
 from functools import partial
@@ -33,6 +35,7 @@ from dahp.simulate import (
     POPULATION_STREAM,
     REPLICATE_NOISE_STREAM,
     _box_muller,
+    _day_noise,
     _noise,
     _noise_words,
     _row_words,
@@ -72,7 +75,7 @@ def test_row_words_cover_the_normals_in_whole_blocks():
 
 def test_noise_rows_are_philox_counter_offsets():
     width = _row_words(24)
-    words = _noise_words(9, (DAY_NOISE_STREAM, 4), 1001, width)
+    words = _noise_words(substream(9, DAY_NOISE_STREAM, 4), 1001, width)
     key = np.random.SeedSequence((9, DAY_NOISE_STREAM, 4)).generate_state(2, np.uint64)
     assert words.shape == (1001, width) and words.dtype == np.uint64
     for row in (0, 1, 2, 500, 999, 1000):
@@ -98,7 +101,8 @@ def test_noise_of_a_day_is_the_first_rows_of_a_larger_day(count):
     population = _ranged_population(1001)
     first = _rows(population, slice(count))
     stream = (DAY_NOISE_STREAM, 2)
-    for all_rows, rows in zip(_noise(population, 5, stream, 1001), _noise(first, 5, stream, count)):
+    ours = _noise(population, substream(5, *stream), 1001), _noise(first, substream(5, *stream), count)
+    for all_rows, rows in zip(*ours):
         assert rows.shape == (count, *all_rows.shape[1:]) and rows.tobytes() == all_rows[:count].tobytes()
     prices = np.random.default_rng(69).uniform(0.05, 0.3, size=24)
     day = (simulate_population_day(p, prices, helpers.DEFAULT_WEATHER, 5, 2, [1.0]) for p in (population, first))
@@ -114,7 +118,7 @@ def test_noise_row_is_the_consumers_own_counter_offset(row):
     population = _ranged_population(1001)
     consumer = _rows(population, slice(row, row + 1))
     day = 6
-    ours = [field[row:row + 1] for field in _noise(population, 13, (DAY_NOISE_STREAM, day), 1001)]
+    ours = [field[row:row + 1] for field in _noise(population, substream(13, DAY_NOISE_STREAM, day), 1001)]
     reference = oracles.block_noise(consumer, 13, (DAY_NOISE_STREAM, day), [row])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(ours, reference))
     for a, b in zip(ours, oracles.day_noise(13, row, day, consumer)):
@@ -124,11 +128,11 @@ def test_noise_row_is_the_consumers_own_counter_offset(row):
 def test_zero_variance_keeps_the_other_fields_draws():
     params = helpers.random_params(np.random.default_rng(66))
     stream = (DAY_NOISE_STREAM, 1)
-    v0, w, v = _noise(params, 3, stream, 1)
-    quiet_process = _noise(replace(params, process_noise_var=[0.0]), 3, stream, 1)
+    v0, w, v = _noise(params, substream(3, *stream), 1)
+    quiet_process = _noise(replace(params, process_noise_var=[0.0]), substream(3, *stream), 1)
     assert np.array_equal(quiet_process[0], v0) and np.array_equal(quiet_process[2], v)
     assert not np.any(quiet_process[1])
-    quiet_reading = _noise(replace(params, obs_noise_var=[0.0]), 3, stream, 1)
+    quiet_reading = _noise(replace(params, obs_noise_var=[0.0]), substream(3, *stream), 1)
     assert np.array_equal(quiet_reading[1], w)
     assert not np.any(quiet_reading[0]) and not np.any(quiet_reading[2])
 
@@ -150,14 +154,14 @@ def test_random_streams_share_no_words():
     words = [substream(seed, POPULATION_STREAM).bit_generator.random_raw(consumers * 6)]
     for index in range(8):
         for stream in ((DAY_NOISE_STREAM, index), (REPLICATE_NOISE_STREAM, index)):
-            words.append(_noise_words(seed, stream, consumers, width).ravel())
+            words.append(_noise_words(substream(seed, *stream), consumers, width).ravel())
     words = np.concatenate(words)
     assert len(np.unique(words)) == len(words)
 
 
 def test_noise_normals_are_standard_and_uncorrelated():
     rows = 4000
-    z = _box_muller(_noise_words(11, (DAY_NOISE_STREAM, 0), rows, _row_words(24)), 49)
+    z = _box_muller(_noise_words(substream(11, DAY_NOISE_STREAM, 0), rows, _row_words(24)), 49)
     assert scipy.stats.kstest(z.ravel(), "norm").pvalue > 1e-3
     bound = 4.0 / np.sqrt(rows)  # 4 standard errors of a correlation under independence
     for j in range(z.shape[1] - 1):  # neighbouring normals, incl. the cos/sin of one word pair
@@ -183,7 +187,7 @@ def test_tangent_normals_are_within_rounding_of_cos_and_sin(source):
     # the half-angle normals change only the last bits of the cos/sin ones:
     # over a million normals of the noise stream, and at the extreme words
     if source == "philox":
-        words, count = _noise_words(12, (DAY_NOISE_STREAM, 1), 20_409, _row_words(24)), 49
+        words, count = _noise_words(substream(12, DAY_NOISE_STREAM, 1), 20_409, _row_words(24)), 49
         assert words.shape[0] * count >= 10**6
     else:
         words = _edge_words()
@@ -209,7 +213,7 @@ def test_noise_equals_the_out_of_place_reference_bitwise(count, horizon):
                             desired_temp=np.full((count, horizon), 20.0),
                             process_noise_var=process, obs_noise_var=obs)
     stream = (DAY_NOISE_STREAM, 3)
-    ours = _noise(population, 8, stream, count)
+    ours = _noise(population, substream(8, *stream), count)
     for field, reference in zip(ours, oracles.block_noise(population, 8, stream, range(count))):
         assert field.shape == reference.shape and field.tobytes() == reference.tobytes()
     assert not ours[1][::3].any() and not ours[2][1::3].any()
@@ -219,7 +223,8 @@ def test_replicate_noise_equals_the_out_of_place_reference_bitwise():
     # a population of one scales all of its replicate rows alike
     params = helpers.random_params(np.random.default_rng(68))
     stream = (REPLICATE_NOISE_STREAM, 4)
-    for field, reference in zip(_noise(params, 8, stream, 1000), oracles.block_noise(params, 8, stream, range(1000))):
+    ours = _noise(params, substream(8, *stream), 1000)
+    for field, reference in zip(ours, oracles.block_noise(params, 8, stream, range(1000))):
         assert field.shape == reference.shape and field.tobytes() == reference.tobytes()
 
 
@@ -229,16 +234,93 @@ def test_noise_peaks_near_its_word_buffer():
     # (rows, words) temporaries at once; numpy reports its data buffers
     # to tracemalloc, whatever the C allocator does with them
     population = draw_population(PopulationSpec(count=1000), seed=3)
-    _noise(population, 5, (DAY_NOISE_STREAM, 0), 1000)  # first-call costs outside the window
+    _noise(population, substream(5, DAY_NOISE_STREAM, 0), 1000)  # first-call costs outside the window
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        noise = _noise(population, 5, (DAY_NOISE_STREAM, 0), 1000)
+        noise = _noise(population, substream(5, DAY_NOISE_STREAM, 0), 1000)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
     assert noise[1].shape == (1000, 24)
     assert peak <= 2.25 * 1000 * _row_words(24) * 8
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_day_noise_is_each_days_noise_whatever_the_thread_count(monkeypatch, cpus):
+    # the days are split between this thread and a worker per further CPU,
+    # at most one thread per day; each day's slices hold that day's own
+    # noise, bit for bit
+    population, days, first_day = _ranged_population(301), 7, 4
+    drawn_on = set()
+
+    def recording(*args):
+        drawn_on.add(threading.get_ident())
+        return _noise(*args)
+
+    monkeypatch.setattr(simulate, "_cpus", lambda: cpus)
+    monkeypatch.setattr(simulate, "_noise", recording)
+    v0, w, v = _day_noise(population, 21, first_day, days)
+    if cpus == 1:
+        assert len(drawn_on) == 1
+    else:  # a worker that is idle in time may take on another part
+        assert 1 < len(drawn_on) <= min(cpus, days)
+    assert v0.shape == (days, 301) and w.shape == v.shape == (24, days, 301)
+    for k in range(days):
+        day = _noise(population, substream(21, DAY_NOISE_STREAM, first_day + k), 301)
+        assert v0[k].tobytes() == day[0].tobytes()
+        assert w[:, k].tobytes() == day[1].T.tobytes() and v[:, k].tobytes() == day[2].T.tobytes()
+
+
+def _on_workers(monkeypatch, action) -> None:
+    """Two threads for the days, and ``action()`` before each day's normals
+    that a worker makes."""
+    caller = threading.get_ident()
+
+    def box_muller(words, count):
+        if threading.get_ident() != caller:
+            action()
+        return _box_muller(words, count)
+
+    monkeypatch.setattr(simulate, "_cpus", lambda: 2)
+    monkeypatch.setattr(simulate, "_box_muller", box_muller)
+
+
+def test_a_workers_exception_reaches_the_caller(monkeypatch):
+    error = ValueError("raised on a worker")
+
+    def fail():
+        raise error
+
+    _on_workers(monkeypatch, fail)
+    with pytest.raises(ValueError) as raised:
+        _day_noise(_ranged_population(10), 3, 0, 4)
+    assert raised.value is error
+
+
+@pytest.mark.parametrize("over", ["raise", "ignore"])
+def test_workers_draw_under_the_callers_error_state(monkeypatch, over):
+    # run_experiment ignores overflows, which _write_tables reports; an
+    # overflow on a worker must follow the caller's state, not numpy's
+    # default warning (an error under this suite's warning filter)
+    _on_workers(monkeypatch, lambda: np.multiply(np.full(2, 1e308), 10.0))
+    population = _ranged_population(10)
+    with np.errstate(over=over):
+        if over == "raise":
+            with pytest.raises(FloatingPointError):
+                _day_noise(population, 3, 0, 4)
+        else:
+            _day_noise(population, 3, 0, 4)
+
+
+def test_cpus_are_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert simulate._cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert simulate._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert simulate._cpus() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +735,7 @@ def _assert_rows_equal_single_days(population: Population, tolerances: list[floa
     that consumer rolled out alone on its noise row, bit for bit."""
     prices = np.random.default_rng(64).uniform(0.05, 0.3, size=24)
     cons, pay, disc = simulate_population_day(population, prices, helpers.DEFAULT_WEATHER, 9, 2, tolerances)
-    noise = _noise(population, 9, (DAY_NOISE_STREAM, 2), len(population))
+    noise = _noise(population, substream(9, DAY_NOISE_STREAM, 2), len(population))
     for row, params in enumerate(population):
         own = [field[row:row + 1] for field in noise]
         for policy, alone in enumerate([[], *([tolerance] for tolerance in tolerances)]):
@@ -887,7 +969,7 @@ def test_stacked_baselines_equal_one_tolerance_at_a_time(seed, count, horizon, s
     forecast = np.resize(helpers.DEFAULT_WEATHER, horizon) + rng.normal(0.0, 2.0, horizon)
     prices = np.resize(helpers.DEFAULT_WHOLESALE, horizon) * rng.uniform(0.5, 2.0, horizon)
     consumption, payment, discomfort = simulate_population_day(population, prices, forecast, seed, 0, tolerances)
-    _, w, _ = _noise(population, seed, (DAY_NOISE_STREAM, 0), count)
+    _, w, _ = _noise(population, substream(seed, DAY_NOISE_STREAM, 0), count)
     assert consumption.shape == (1 + len(tolerances), count, horizon)
     for tolerance, powers, rollout in zip(tolerances, consumption[1:], discomfort[1:]):
         expected = oracles.baseline_powers(population, forecast, tolerance)
